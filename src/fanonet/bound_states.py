@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
 from .spectra import diagonalize, open_chain_modes
 
@@ -355,8 +356,6 @@ def long_time_survival(
         psi0 = open_chain_modes(lam, kappa)[mode - 1].amplitudes
     else:
         spec = PiLatticeSpec(n0, length, kappa, kappa0, leads=0)
-        from .graphs import assemble_hamiltonian
-
         _, vectors = diagonalize(assemble_hamiltonian(build_pi_lattice(spec).graph))
         psi0 = vectors[:, mode - 1]
 

@@ -30,9 +30,13 @@ from .dynamics import (
     SurvivalSeries,
     classify_decay,
     safe_horizon,
-    survival_probability,
 )
-from .graphs import GraphSpecError, assemble_hamiltonian, parse_graph_file
+from .graphs import (
+    GraphSpecError,
+    assemble_hamiltonian,
+    parse_graph_file,
+    subgraph_hamiltonian,
+)
 from .pilattice import CENTRAL, PiLatticeSpec, build_pi_lattice
 from .scattering import (
     ZeroEntry,
@@ -41,7 +45,7 @@ from .scattering import (
     peak_dip_report,
     scattering_point,
 )
-from .spectra import find_trapping_modes, open_chain_modes
+from .spectra import diagonalize, find_trapping_modes, open_chain_modes
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -183,30 +187,34 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if bad:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
 
+    if cfg.kappa == cfg.kappa0:
+        chain = np.array([m.amplitudes for m in open_chain_modes(lam, cfg.kappa)]).T
+    else:
+        h_central, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
+        chain = diagonalize(h_central)[1]
+    initial = chain[:, np.asarray(modes) - 1]
     propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
-    chain = open_chain_modes(lam, cfg.kappa) if cfg.kappa == cfg.kappa0 else None
+    n_sites = lattice.graph.site_count
+    # per_block * len(central) <= n_sites: a block of modes needs no more
+    # memory than one mode projected onto every site
+    per_block = max(1, n_sites // len(central))
     rows = []
-    for n in modes:
-        psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
-        if chain is not None:
-            psi0[central] = chain[n - 1].amplitudes
-        else:
-            from .graphs import subgraph_hamiltonian
-            from .spectra import diagonalize
-
-            block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
-            psi0[central] = diagonalize(block)[1][:, n - 1]
-        amps = propagator.evolve(psi0, times)
-        values = np.sum(np.abs(amps[:, central]) ** 2, axis=1)
-        series = SurvivalSeries(n, times, values, horizon)
-        try:
-            label = classify_decay(series)
-        except ValueError:          # too few samples to call the shape
-            label = "unclassified"
-        rows.extend(
-            f"{cfg.n0},{cfg.length},{n},{_fmt(t)},{_fmt(p)},{label}"
-            for t, p in zip(times, values)
-        )
+    for start in range(0, len(modes), per_block):
+        columns = initial[:, start:start + per_block]
+        psi0 = np.zeros((n_sites, columns.shape[1]))
+        psi0[central] = columns
+        amps = propagator.evolve(psi0, times, sites=central)
+        survival = np.sum(np.abs(amps) ** 2, axis=2)
+        for n, values in zip(modes[start:start + per_block], survival.T):
+            series = SurvivalSeries(n, times, values, horizon)
+            try:
+                label = classify_decay(series)
+            except ValueError:          # too few samples to call the shape
+                label = "unclassified"
+            rows.extend(
+                f"{cfg.n0},{cfg.length},{n},{_fmt(t)},{_fmt(p)},{label}"
+                for t, p in zip(times, values)
+            )
     header = (
         f"# fanonet evolve n0={cfg.n0} len={cfg.length} m={cfg.leads} "
         f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps} "

@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fanonet import PiLatticeSpec, build_pi_lattice
+from fanonet import (
+    CENTRAL,
+    PiLatticeSpec,
+    SurvivalSeries,
+    assemble_hamiltonian,
+    build_pi_lattice,
+    classify_decay,
+    safe_horizon,
+    subgraph_hamiltonian,
+)
 from fanonet.cli import main
 
 
@@ -96,6 +106,38 @@ def test_evolve_single_time_point(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert len(rows) == 4
     assert all(float(r[4]) == pytest.approx(1.0, abs=1e-12) for r in rows)
+
+
+def test_evolve_all_modes_in_blocks_matches_full_projection(tmp_path):
+    # 167 sites, 47 central: blocks of 3 modes, the last one short
+    n0, length, leads, kappa0, steps = 3, 41, 60, 1.7, 200
+    args = ["evolve", "--n0", str(n0), "--len", str(length), "--m", str(leads),
+            "--kappa0", str(kappa0), "--steps", str(steps), "--modes", "all"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads))
+    central = lattice.central_sites
+    energies, vectors = np.linalg.eigh(assemble_hamiltonian(lattice.graph))
+    block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
+    horizon = safe_horizon(leads, 1.0)
+    times = np.linspace(0.0, horizon, steps)
+    phases = np.exp(-1j * np.outer(times, energies))
+    rows = [line.split(",") for line in a.read_text().splitlines()[2:]]
+    assert len(rows) == len(central) * steps
+    for n, chain_mode in enumerate(np.linalg.eigh(block)[1].T, start=1):
+        psi0 = np.zeros(len(energies))
+        psi0[central] = chain_mode
+        amps = (phases * (vectors.T @ psi0)) @ vectors.T
+        expected = np.sum(np.abs(amps[:, central]) ** 2, axis=1)
+        label = classify_decay(SurvivalSeries(n, times, expected, horizon))
+        mode_rows = rows[(n - 1) * steps:n * steps]
+        assert {int(r[2]) for r in mode_rows} == {n}
+        got = np.array([float(r[4]) for r in mode_rows])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert {r[5] for r in mode_rows} == {label}
 
 
 def test_evolve_horizon_guard(tmp_path):

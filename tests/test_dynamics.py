@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanonet import (
+    CENTRAL,
     PiLatticeSpec,
     SpectralPropagator,
     SurvivalSeries,
@@ -15,6 +16,7 @@ from fanonet import (
     open_chain_modes,
     plateau_value,
     safe_horizon,
+    subgraph_hamiltonian,
     survival_probability,
 )
 from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY
@@ -91,6 +93,57 @@ def _pi_survival(n0, length, leads, mode, samples=240, t_max=None):
     amps = propagator.evolve(psi0, times)
     values = np.sum(np.abs(amps[:, lattice.central_sites]) ** 2, axis=1)
     return SurvivalSeries(mode, times, values, horizon), amps
+
+
+def _reference_amplitudes(h, psi0, times, sites):
+    """exp(-iHt) psi0 from plain eigh, one column at a time projected onto
+    every site, then sliced to ``sites``; (T, M, S)."""
+    energies, vectors = np.linalg.eigh(h)
+    columns = psi0.reshape(len(psi0), -1)
+    phases = np.exp(-1j * np.outer(times, energies))
+    full = [(phases * (vectors.T @ columns[:, m])) @ vectors.T for m in range(columns.shape[1])]
+    return np.stack([amps[:, sites] for amps in full], axis=1)
+
+
+@given(
+    n0=st.integers(1, 5),
+    length=st.integers(2, 40),
+    leads=st.integers(20, 80),
+    kappa0=st.floats(0.5, 2.0),
+    data=st.data(),
+)
+@settings(max_examples=25)
+def test_batched_central_evolution_matches_full_projection(n0, length, leads, kappa0, data):
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads))
+    h = assemble_hamiltonian(lattice.graph)
+    central = lattice.central_sites
+    size = len(central)
+    modes = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+    )
+    block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
+    psi0 = np.zeros((lattice.graph.site_count, len(modes)))
+    psi0[central] = np.linalg.eigh(block)[1][:, modes]
+    times = np.linspace(0.0, safe_horizon(leads, 1.0), 40)
+    propagator = SpectralPropagator(h)
+
+    amps = propagator.evolve(psi0, times, central)
+    assert amps.shape == (len(times), len(modes), size)
+    assert np.max(np.abs(amps - _reference_amplitudes(h, psi0, times, central))) < 1e-12
+
+    # one state, complex and spread over the whole lattice
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    single = rng.normal(size=len(h)) + 1j * rng.normal(size=len(h))
+    single /= np.linalg.norm(single)
+    amps = propagator.evolve(single, times, central)
+    assert amps.shape == (len(times), size)
+    reference = _reference_amplitudes(h, single, times, central)[:, 0]
+    assert np.max(np.abs(amps - reference)) < 1e-12
+
+    unnormalised = psi0.copy()
+    unnormalised[:, data.draw(st.integers(0, len(modes) - 1))] *= 1.5
+    with pytest.raises(ValueError, match="norm"):
+        propagator.evolve(unnormalised, times, central)
 
 
 def test_trapped_mode_remains_unitary():
