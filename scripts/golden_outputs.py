@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Fingerprints of the CLI's output on a fixed list of configurations.
+
+The byte-identity check for refactors: run it before and after a change
+that must not alter what the CLI writes, and compare the two listings.
+
+    python scripts/golden_outputs.py > before.txt     # on the parent commit
+    python scripts/golden_outputs.py > after.txt      # on the change
+    diff before.txt after.txt
+
+Each configuration runs in-process through ``fanonet.cli.main`` in a
+scratch directory.  For each one the script prints the exit code, the
+sha256 of standard output, of standard error and of every file written,
+and the first line of any error: an exception the CLI let through, or
+the first ``error:`` line it printed.  Python warnings are silenced,
+because their text names source lines.  The list covers the README
+examples, unequal hoppings, length 1000 and the known defects of ROADMAP
+item 2 (lost evanescent states, the dual-path ArithmeticError).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fanonet.cli import main as cli  # noqa: E402
+
+# the README's example graph file
+GRAPH = {
+    "sites": 5,
+    "hoppings": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [1, 4, 0.5]],
+    "potentials": {"4": -0.3},
+    "partition": [0, 0, 1, 1, 0],
+}
+# a --config run; "out" is set below the scratch directory
+CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
+
+# (label, argv); {dir} is the scratch directory
+RUNS = [
+    ("readme-trap", ["trap", "{dir}/graph.json", "--subgraph", "1", "--out", "{dir}/certs.json"]),
+    ("readme-evolve", ["evolve", "--n0", "2", "--len", "4", "--m", "400",
+                       "--out", "{dir}/survival.csv"]),
+    ("readme-bound", ["bound", "--n0", "3", "--len", "5"]),
+    ("readme-bound-long-time", ["bound", "--n0", "2", "--len", "4", "--long-time", "1"]),
+    ("readme-transmit-compare", ["transmit", "--n0", "2", "--len", "5", "--compare", "6",
+                                 "--out", "{dir}/sweep.csv"]),
+    ("readme-config", ["--config", "{dir}/run.json"]),
+    ("config-flag-override", ["transmit", "--config", "{dir}/run.json", "--len", "7"]),
+    ("transmit-stdout", ["transmit", "--n0", "2", "--len", "5", "--steps", "120"]),
+    ("transmit-window", ["transmit", "--n0", "3", "--len", "7", "--kappa", "1.3",
+                         "--kappa0", "0.9", "--e-min", "-1.5", "--e-max", "0.5",
+                         "--steps", "333", "--out", "{dir}/window.csv"]),
+    ("transmit-unequal-compare", ["transmit", "--n0", "2", "--len", "5", "--kappa0", "0.6",
+                                  "--compare", "6", "--out", "{dir}/unequal.csv"]),
+    ("transmit-strong-side", ["transmit", "--n0", "4", "--len", "17", "--kappa0", "5.2",
+                              "--steps", "900", "--out", "{dir}/strong.csv"]),
+    ("transmit-length-1000", ["transmit", "--n0", "2", "--len", "1000", "--steps", "500",
+                              "--out", "{dir}/long.csv"]),
+    ("transmit-compare-300", ["transmit", "--n0", "3", "--len", "300", "--kappa0", "2.2",
+                              "--compare", "301", "--steps", "400", "--out", "{dir}/c300.csv"]),
+    ("defect-transmit-dual-path", ["transmit", "--n0", "1", "--len", "1000", "--kappa0", "1.5",
+                                   "--out", "{dir}/defect.csv"]),
+    ("defect-transmit-second-length", ["transmit", "--n0", "1", "--len", "5", "--kappa0", "1.5",
+                                       "--compare", "1000", "--out", "{dir}/second.csv"]),
+    ("bound-unequal-long-time", ["bound", "--n0", "2", "--len", "4", "--kappa0", "1.7",
+                                 "--long-time", "3", "--out", "{dir}/unequal.json"]),
+    ("bound-weak-side", ["bound", "--n0", "3", "--len", "9", "--kappa0", "0.4",
+                         "--out", "{dir}/weak.json"]),
+    ("bound-length-1000-long-time", ["bound", "--n0", "5", "--len", "1000", "--kappa0", "3.3248",
+                                     "--long-time", "418", "--out", "{dir}/b1000.json"]),
+    ("defect-bound-lost-states", ["bound", "--n0", "3", "--len", "123",
+                                  "--out", "{dir}/lost.json"]),
+    ("defect-bound-lost-states-long-time", ["bound", "--n0", "1", "--len", "123",
+                                            "--long-time", "62", "--out", "{dir}/lost1.json"]),
+    ("evolve-unequal", ["evolve", "--n0", "2", "--len", "5", "--m", "60", "--kappa0", "1.3",
+                        "--steps", "60", "--modes", "5", "--out", "{dir}/unequal.csv"]),
+    ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),
+    ("error-evolve-horizon", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
+                              "--t-max", "500"]),
+    ("error-bound-mode", ["bound", "--n0", "2", "--len", "4", "--long-time", "9"]),
+    ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(argv: list[str], scratch: Path) -> list[str]:
+    out, err = io.StringIO(), io.StringIO()
+    error = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli([a.replace("{dir}", str(scratch)) for a in argv])
+        except SystemExit as exc:               # argparse rejects the command line
+            code = exc.code
+        except Exception as exc:                # reported, not fatal: it is data
+            code = None
+            error = f"{type(exc).__name__}: {exc}".splitlines()[0]
+    if error is None:
+        error = next((line for line in err.getvalue().splitlines() if "error:" in line), None)
+    lines = [f"  exit {code}",
+             f"  stdout {sha256(out.getvalue().encode())}",
+             f"  stderr {sha256(err.getvalue().encode())}"]
+    inputs = {"graph.json", "run.json"}
+    for path in sorted(p for p in scratch.iterdir() if p.name not in inputs):
+        lines.append(f"  file {path.name} {sha256(path.read_bytes())}")
+        path.unlink()
+    if error is not None:
+        lines.append(f"  error {error}")
+    return lines
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        (scratch / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
+        config = {**CONFIG, "out": str(scratch / "config.csv")}
+        (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        for label, argv in RUNS:
+            print(label)
+            print("\n".join(fingerprint(argv, scratch)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

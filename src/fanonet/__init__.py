@@ -52,6 +52,7 @@ from .scattering import (
     single_side_chain_transmission,
     transmission_amplitude,
     transmission_probability,
+    transmission_sweep,
 )
 
 __version__ = "0.1.0"

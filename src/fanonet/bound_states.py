@@ -13,6 +13,13 @@ Two families solve the matching problem:
 Coefficients are recovered as the null space of the 8x8 matching system,
 so one code path serves both families and the construction is verified
 site by site against the Schrodinger equation.
+
+Evanescent momenta are roots gamma of a transcendental matching
+condition, scanned on a fixed gamma grid for two band branches and two
+parity signs.  All four scans are evaluated on the whole grid in one call
+and all of their sign-change brackets are bisected together; every root
+found is then confirmed (or rejected) by the matching system, one root at
+a time in scan order.
 """
 
 from __future__ import annotations
@@ -21,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import mul, sign_change_roots
 from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
+from .scattering import side_chain_momentum
 from .spectra import diagonalize, open_chain_modes
 
 __all__ = [
@@ -173,14 +182,9 @@ def _central_values(coeff, k, q, n0, length):
     return np.array(vals)
 
 
-def _chain_momentum_pair(k, kappa, kappa0):
-    """Side-chain momentum q with matching energy: cos q = (kappa/kappa0) cos k."""
-    return np.arccos(np.asarray((kappa / kappa0) * np.cos(k), dtype=complex))
-
-
 def _build_state(kind, k, gamma, n0, length, kappa, kappa0):
     """Solve the matching system at momentum k; None if it has no null space."""
-    q = complex(_chain_momentum_pair(k, kappa, kappa0))
+    q = side_chain_momentum(k, kappa, kappa0)
     energy = float((-2.0 * kappa * np.cos(k)).real)
     system = _matching_matrix(k, q, energy, n0, length, kappa, kappa0)
     _, svals, vh = np.linalg.svd(system)
@@ -259,27 +263,24 @@ def _transcendental(gamma, n0, length, kappa, kappa0, branch, sign):
     k = pi + i*gamma the result is purely real when q is off the side
     band and purely imaginary when q is real, so Re + Im extracts the
     live component either way; spurious sign changes at the crossover are
-    rejected later by the matching-system null-space gate.
+    rejected later by the matching-system null-space gate.  ``gamma`` is
+    one value (a float is returned) or an array; ``branch`` (0 or 1) and
+    ``sign`` (+1 or -1) are numbers or arrays that broadcast against it.
     """
-    k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
-    q = _chain_momentum_pair(k, kappa, kappa0)
-    zeta = lambda th: 1j * np.sin(th)
-    value = kappa * zeta(k) * (np.exp(-1j * k * (length - 1)) + sign) * zeta(q * (n0 + 1)) \
-        - kappa0 * zeta(q * n0) * zeta(k * (length - 1))
-    return float(value.real + value.imag)
+    k = mul(1j, gamma)
+    k = np.where(branch == 1, np.pi + k, k)[()]
+    q = side_chain_momentum(k, kappa, kappa0)
+    zeta = lambda th: mul(1j, np.sin(th))
+    lead = np.exp(mul(mul(-1j, k), length - 1)) + sign
+    value = mul(mul(mul(kappa, zeta(k)), lead), zeta(mul(q, n0 + 1))) \
+        - mul(mul(kappa0, zeta(mul(q, n0))), zeta(mul(k, length - 1)))
+    value = np.real(value) + np.imag(value)
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _bisect(f, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < GAMMA_REFINE:
-            return 0.5 * (lo + hi)
-    raise RootRefinementError((lo, hi))
+# the four (branch, sign) scans of the gamma grid, in the order their roots
+# are confirmed
+SCANS = ((0, +1), (0, -1), (1, +1), (1, -1))
 
 
 def evanescent_bound_states(
@@ -290,26 +291,35 @@ def evanescent_bound_states(
     Both band branches (k = i*gamma below, k = pi + i*gamma above) and
     both parity signs of the matching condition are scanned on a gamma
     grid, bracketed sign changes are bisected to ~1e-13, and every root is
-    confirmed by constructing the full coefficient set.
+    confirmed by constructing the full coefficient set, scan by scan in
+    the order of SCANS.  A bracket that does not shrink raises
+    RootRefinementError, the first in that order.
     """
+    branches, signs = np.array(SCANS).T
+
+    def f(gamma, scan):
+        return _transcendental(gamma, n0, length, kappa, kappa0, branches[scan], signs[scan])
+
+    grid = np.arange(GAMMA_MIN, GAMMA_MAX, GAMMA_GRID_STEP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows in SCANS order; the two signs of a branch share all but the last products
+        vals = np.concatenate([
+            _transcendental(grid, n0, length, kappa, kappa0, branch, np.array([[+1], [-1]]))
+            for branch in (0, 1)
+        ])
+        roots, lo, hi, converged, scan = sign_change_roots(f, grid, vals, GAMMA_REFINE)
     states: list[BoundState] = []
     seen: list[tuple[int, float]] = []
-    grid = np.arange(GAMMA_MIN, GAMMA_MAX, GAMMA_GRID_STEP)
-    for branch in (0, 1):
-        for sign in (+1, -1):
-            f = lambda g: _transcendental(g, n0, length, kappa, kappa0, branch, sign)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.array([f(g) for g in grid])
-            crossings = (vals[:-1] * vals[1:] < 0) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-            for i in np.nonzero(crossings)[0]:
-                gamma = _bisect(f, grid[i], grid[i + 1], vals[i])
-                if any(b == branch and abs(g - gamma) < 1e-9 for b, g in seen):
-                    continue
-                k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
-                state = _build_state(EVANESCENT, k, gamma, n0, length, kappa, kappa0)
-                if state is not None:
-                    states.append(state)
-                    seen.append((branch, gamma))
+    for gamma, bracket, ok, branch in zip(roots, zip(lo, hi), converged, branches[scan]):
+        if not ok:
+            raise RootRefinementError(bracket)
+        if any(b == branch and abs(g - gamma) < 1e-9 for b, g in seen):
+            continue
+        k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
+        state = _build_state(EVANESCENT, k, gamma, n0, length, kappa, kappa0)
+        if state is not None:
+            states.append(state)
+            seen.append((branch, gamma))
     return sorted(states, key=lambda s: s.energy)
 
 
@@ -340,14 +350,21 @@ def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
 
 
 def long_time_survival(
-    n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0, mode: int = 1
+    n0: int,
+    length: int,
+    kappa: float = 1.0,
+    kappa0: float = 1.0,
+    mode: int = 1,
+    states: list[BoundState] | None = None,
 ) -> LongTimeSurvival:
     """Stationary survival probability of central-chain eigenmode ``mode``.
 
     After the leaked part disperses, only bound states keep probability in
     the subgraph: P_inf = sum_b |<b|psi0>|^2 * w_b with w_b each bound
     state's weight inside the central chain.  Resonant initial modes give
-    exactly 1.
+    exactly 1.  ``states`` passes bound states already solved for this
+    lattice (resonant, then evanescent, as the solvers return them);
+    otherwise they are solved here.
     """
     lam = 2 * n0 + length
     if not 1 <= mode <= lam:
@@ -358,11 +375,13 @@ def long_time_survival(
         spec = PiLatticeSpec(n0, length, kappa, kappa0, leads=0)
         _, vectors = diagonalize(assemble_hamiltonian(build_pi_lattice(spec).graph))
         psi0 = vectors[:, mode - 1]
+    if states is None:
+        states = resonant_bound_states(n0, length, kappa, kappa0) + \
+            evanescent_bound_states(n0, length, kappa, kappa0)
 
     contributions = []
     total = 0.0
-    for state in resonant_bound_states(n0, length, kappa, kappa0) + \
-            evanescent_bound_states(n0, length, kappa, kappa0):
+    for state in states:
         overlap = float(state.central_amplitudes @ psi0)
         share = overlap**2 * state.subgraph_weight
         total += share

@@ -26,6 +26,7 @@ from .bound_states import (
     resonant_bound_states,
 )
 from .dynamics import (
+    DEFAULT_TIME_SAMPLES,
     SpectralPropagator,
     SurvivalSeries,
     classify_decay,
@@ -43,7 +44,8 @@ from .scattering import (
     common_zeros,
     l_dependent_reflection_zeros,
     peak_dip_report,
-    scattering_point,
+    scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
+    transmission_sweep,
 )
 from .spectra import diagonalize, find_trapping_modes, open_chain_modes
 
@@ -176,7 +178,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_DOMAIN
-    steps = cfg.steps if cfg.steps is not None else 720
+    steps = cfg.steps if cfg.steps is not None else DEFAULT_TIME_SAMPLES
     times = np.linspace(0.0, t_max, steps)
 
     lattice = build_pi_lattice(spec)
@@ -233,18 +235,19 @@ def cmd_bound(cfg: RunConfig) -> int:
     PiLatticeSpec(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)  # parameter validation
     resonant = resonant_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     evanescent = evanescent_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
+    states = resonant + evanescent
     print(f"# bound states: {len(resonant)} resonant, {len(evanescent)} evanescent")
-    for state in resonant + evanescent:
+    for state in states:
         momentum = f"k={_fmt(state.k.real)}+{_fmt(state.k.imag)}i"
         parity = f" parity={state.parity}" if state.parity else ""
         print(f"{state.kind}: {momentum} E={_fmt(state.energy)}"
               f" gamma={_fmt(state.gamma)}{parity}")
     payload: dict = {
-        "states": [s.to_json_dict() for s in resonant + evanescent],
+        "states": [s.to_json_dict() for s in states],
     }
     if cfg.long_time is not None:
         report = long_time_survival(
-            cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, cfg.long_time
+            cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, cfg.long_time, states
         )
         print(f"long-time survival of mode {report.mode}: {report.p_infinity:.6f}")
         payload["long_time"] = {
@@ -274,19 +277,15 @@ def cmd_transmit(cfg: RunConfig) -> int:
         )
         return EXIT_DOMAIN
     steps = cfg.steps if cfg.steps is not None else 800
-    energies = np.linspace(e_min, e_max, steps)
+    momenta = np.arccos(-np.linspace(e_min, e_max, steps) / band)
+    # the energy column is recomputed from k, as the scattering record holds it
+    energies = -2.0 * cfg.kappa * np.cos(momenta)
     lengths = [cfg.length] + ([cfg.compare] if cfg.compare else [])
 
     for length in lengths:
-        rows = []
-        for energy in energies:
-            k = float(np.arccos(-energy / band))
-            point = scattering_point(k, cfg.n0, length, cfg.kappa, cfg.kappa0)
-            rows.append(
-                f"{_fmt(point.k)},{_fmt(point.energy)},"
-                f"{_fmt(point.transmission)},{_fmt(point.reflection)},"
-                f"{_fmt(point.t.real)},{_fmt(point.t.imag)}"
-            )
+        t, _, big_t, big_r = transmission_sweep(momenta, cfg.n0, length, cfg.kappa, cfg.kappa0)
+        columns = (momenta, energies, big_t, big_r, t.real, t.imag)
+        rows = [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
         header = (
             f"# fanonet transmit n0={cfg.n0} len={length} "
             f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps}; "
@@ -300,12 +299,13 @@ def cmd_transmit(cfg: RunConfig) -> int:
         _write_text(out, header + "\n".join(rows) + "\n")
 
     catalog = common_zeros(cfg.n0, cfg.kappa, cfg.kappa0)
-    k0_entries = {
-        length: [
-            ZeroEntry(k0, -2.0 * cfg.kappa * np.cos(k0), 0, "L-dependent")
-            for k0 in l_dependent_reflection_zeros(cfg.n0, length, cfg.kappa, cfg.kappa0)
-        ]
+    zeros = {
+        length: l_dependent_reflection_zeros(cfg.n0, length, cfg.kappa, cfg.kappa0)
         for length in lengths
+    }
+    k0_entries = {
+        length: [ZeroEntry(k0, -2.0 * cfg.kappa * np.cos(k0), 0, "L-dependent") for k0 in ks]
+        for length, ks in zeros.items()
     }
     sidecar = catalog.to_json_dict()
     sidecar["k0"] = {
@@ -315,7 +315,8 @@ def cmd_transmit(cfg: RunConfig) -> int:
         for length, entries in k0_entries.items()
     }
     if cfg.compare:
-        report = peak_dip_report(cfg.n0, cfg.length, cfg.compare, cfg.kappa, cfg.kappa0)
+        report = peak_dip_report(cfg.n0, cfg.length, cfg.compare, cfg.kappa, cfg.kappa0,
+                                 (zeros[cfg.length], zeros[cfg.compare]))
         sidecar["peak_dip"] = report.entries
     if cfg.out:
         _write_text(f"{cfg.out}.zeros.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -354,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     common_lattice(p_evolve, leads=True)
     p_evolve.add_argument("--modes", help="comma-separated mode list or 'all'")
     p_evolve.add_argument("--t-max", dest="t_max", type=float, help="sweep end time")
-    p_evolve.add_argument("--steps", type=int, help="time samples (default 720)")
+    p_evolve.add_argument(
+        "--steps", type=int, help=f"time samples (default {DEFAULT_TIME_SAMPLES})"
+    )
     p_evolve.add_argument(
         "--allow-reflections",
         action="store_const",

@@ -44,9 +44,8 @@ DROP_TO_PLATEAU = "drop_to_plateau"
 NORM_TOL = 1e-10
 # fraction of the reflection-free window actually trusted
 SAFETY_FACTOR = 0.9
-# default survival sweep: leads=400, kappa=1 gives horizon 180
+# time samples of a survival sweep when the caller names none
 DEFAULT_TIME_SAMPLES = 720
-DEFAULT_TIME_MAX = 180.0
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ matching conditions directly.  ``numeric_scatter_oracle`` is a fully
 independent check: it solves the Schrodinger system of the truncated
 lattice with plane-wave boundary rows and never touches the formulas.
 
-Everything is evaluated per incident momentum and is embarrassingly
-parallel across k.
+The formulas take one incident momentum or an array of them, with equal
+results element by element (``_numerics``).  ``transmission_sweep``
+evaluates a whole momentum grid at once, the 4x4 matching systems as one
+stacked solve, and applies every check of ``scattering_point`` to the whole
+array; the reflection-zero scan brackets its roots from one evaluation on
+the grid and bisects all brackets together.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numerics import modulus, mul, power, sign_change_roots
 from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
 
@@ -30,6 +35,7 @@ __all__ = [
     "transmission_amplitude",
     "transmission_probability",
     "scattering_point",
+    "transmission_sweep",
     "single_side_chain_transmission",
     "common_zeros",
     "l_dependent_reflection_zeros",
@@ -71,11 +77,10 @@ class ZeroEntry:
 
 @dataclass(frozen=True)
 class ZeroCatalog:
-    """Transmission/reflection zeros: k_min kills T, k_max and k0 kill R."""
+    """Length-independent zeros: k_min kills T, k_max kills R."""
 
     k_min: list[ZeroEntry]
     k_max: list[ZeroEntry]
-    k0: list[ZeroEntry] = field(default_factory=list)
     dropped: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -85,23 +90,33 @@ class ZeroCatalog:
         return {
             "k_min": [entry(z) for z in self.k_min],
             "k_max": [entry(z) for z in self.k_max],
-            "k0": [entry(z) for z in self.k0],
             "dropped": self.dropped,
         }
 
 
-def side_chain_response(k: float, n0: int, kappa: float, kappa0: float):
+def side_chain_momentum(k, kappa: float, kappa0: float):
+    """Side-chain momentum q of matching energy: cos q = (kappa/kappa0) cos k.
+
+    ``k`` is one momentum (q is then a Python complex) or an array of
+    them, real or complex (the bound-state solver takes k = i*gamma).
+    """
+    q = np.arccos(np.asarray(mul(kappa / kappa0, np.cos(k)), dtype=complex))
+    return complex(q) if q.ndim == 0 else q
+
+
+def side_chain_response(k, n0: int, kappa: float, kappa0: float):
     """Side-chain momentum q and the pair (alpha, beta) controlling the
     scattering: alpha = kappa*sin(q*(n0+1)) vanishes at total reflection,
     beta = kappa0*sin(q*n0) at resonant transmission.
 
     q solves the energy match cos q = (kappa/kappa0) cos k and turns
     complex when the argument leaves [-1, 1]; alpha and beta are then pure
-    imaginary and every downstream formula remains valid.
+    imaginary and every downstream formula remains valid.  ``k`` is one
+    momentum or an array of them.
     """
-    q = complex(np.arccos(np.asarray((kappa / kappa0) * np.cos(k), dtype=complex)))
-    alpha = kappa * np.sin(q * (n0 + 1))
-    beta = kappa0 * np.sin(q * n0)
+    q = side_chain_momentum(k, kappa, kappa0)
+    alpha = mul(kappa, np.sin(mul(q, n0 + 1)))
+    beta = mul(kappa0, np.sin(mul(q, n0)))
     return q, alpha, beta
 
 
@@ -110,48 +125,66 @@ def _check_band(k: float):
         raise ValueError(f"incident momentum must lie in (0, pi), got {k}")
 
 
-def _degenerate_pair(k, n0, kappa, kappa0):
-    """Directional limit of (alpha, beta) when both vanish (q -> 0 or pi).
+def _snapped_response(k, n0, kappa, kappa0):
+    """(alpha, beta, degenerate): the side-chain response, with the
+    degenerate momenta, where alpha and beta vanish together (q -> 0 or pi),
+    replaced by the directional limit along real k.
 
     Both factors go through zero linearly in q, so their ratio survives:
-    replace each by its derivative at the degenerate q.
+    each is replaced by its derivative at the degenerate q.  For one
+    momentum the limit is a real pair and the formulas continue in real
+    arithmetic; an array stays complex, which is why transmission_sweep
+    hands degenerate momenta to scattering_point.
     """
-    q, _, _ = side_chain_response(k, n0, kappa, kappa0)
-    q_star = 0.0 if abs(q) < np.pi / 2 else np.pi
-    alpha = kappa * (n0 + 1) * np.cos(q_star * (n0 + 1))
-    beta = kappa0 * n0 * np.cos(q_star * n0)
-    return alpha, beta
+    q, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
+    scale = kappa + kappa0
+    degenerate = (modulus(alpha) < SNAP_TOL * scale) & (modulus(beta) < SNAP_TOL * scale)
+    if np.any(degenerate):
+        q_star = np.where(modulus(q) < np.pi / 2, 0.0, np.pi)
+        limit_alpha = kappa * (n0 + 1) * np.cos(q_star * (n0 + 1))
+        limit_beta = kappa0 * n0 * np.cos(q_star * n0)
+        if np.ndim(degenerate) == 0:
+            return limit_alpha, limit_beta, True
+        alpha = np.where(degenerate, limit_alpha, alpha)
+        beta = np.where(degenerate, limit_beta, beta)
+    return alpha, beta, degenerate
 
 
 def _amplitude_from(alpha, beta, k, length):
     s = np.sin(k)
-    den = alpha**2 * s**2 - 1j * alpha * beta * s \
-        + (beta / 2.0) ** 2 * (np.exp(2j * k * (length - 1)) - 1.0)
-    return alpha**2 * s**2 / den
+    a2s2 = mul(power(alpha, 2), power(s, 2))
+    den = a2s2 - mul(mul(mul(1j, alpha), beta), s) \
+        + mul(power(beta / 2.0, 2), np.exp(mul(mul(2j, k), length - 1)) - 1.0)
+    return a2s2 / den
 
 
 def _reflection_from(alpha, beta, k, length):
-    """Reflection amplitude from the four matching conditions at the anchors.
+    """Transmission and reflection amplitudes from the four matching
+    conditions at the anchors, one 4x4 solve per momentum (stacked for an
+    array of momenta).
 
     Unknowns (A, B, r, t): interior plane waves, reflection, transmission.
     The equations are homogeneous of degree one in (alpha, beta), so they
     also serve the degenerate limit.
     """
-    th = k * (length - 1)
-    ek = np.exp(1j * k)
-    eth = np.exp(1j * th)
-    system = np.array(
-        [
-            [1, 1, -1, 0],
-            [-alpha * ek, -alpha / ek, alpha / ek - beta, 0],
-            [eth, 1 / eth, 0, -eth],
-            [-alpha * eth / ek, -alpha * ek / eth, 0, alpha * eth / ek - beta * eth],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([1, beta - alpha * ek, 0, 0], dtype=complex)
-    _, _, r, t = np.linalg.solve(system, rhs)
-    return t, r
+    ek = np.exp(mul(1j, k))
+    eth = np.exp(mul(1j, k * (length - 1)))
+    system = np.zeros(np.shape(ek) + (4, 4), dtype=complex)
+    system[..., 0, :3] = [1, 1, -1]
+    system[..., 1, 0] = mul(-alpha, ek)
+    system[..., 1, 1] = -alpha / ek
+    system[..., 1, 2] = alpha / ek - beta
+    system[..., 2, 0] = eth
+    system[..., 2, 1] = 1 / eth
+    system[..., 2, 3] = -eth
+    system[..., 3, 0] = mul(-alpha, eth) / ek
+    system[..., 3, 1] = mul(-alpha, ek) / eth
+    system[..., 3, 3] = mul(alpha, eth) / ek - mul(beta, eth)
+    rhs = np.zeros(np.shape(ek) + (4, 1), dtype=complex)
+    rhs[..., 0, 0] = 1
+    rhs[..., 1, 0] = beta - mul(alpha, ek)
+    solution = np.linalg.solve(system, rhs)[..., 0]
+    return solution[..., 3][()], solution[..., 2][()]
 
 
 def transmission_amplitude(
@@ -163,18 +196,30 @@ def transmission_amplitude(
     directional limit along real k is taken (resonant transmission).
     """
     _check_band(k)
-    _, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
-    scale = kappa + kappa0
-    if abs(alpha) < SNAP_TOL * scale and abs(beta) < SNAP_TOL * scale:
-        alpha, beta = _degenerate_pair(k, n0, kappa, kappa0)
+    alpha, beta, _ = _snapped_response(k, n0, kappa, kappa0)
     t = _amplitude_from(alpha, beta, k, length)
     t_match, r = _reflection_from(alpha, beta, k, length)
-    if abs(t - t_match) > 1e-9:
+    if modulus(t - t_match) > 1e-9:
         raise ArithmeticError(
             f"formula and matching transmission disagree at k={k}: "
             f"{t} vs {t_match}"
         )
     return t, r
+
+
+def _probability_from(alpha, beta, k, length, delta):
+    """T from the closed real form, and whether both of its factors came out
+    real (within 1e-9)."""
+    s = np.sin(k)
+    quartic = mul(power(alpha, 4), power(s, 4))
+    prefactor = mul(
+        power(beta / 2.0, 2), power(beta, 2) + mul(mul(4.0, power(alpha, 2)), power(s, 2))
+    )
+    lost = (np.abs(np.imag(quartic)) > 1e-9 * np.maximum(modulus(quartic), 1e-300)) | \
+        (np.abs(np.imag(prefactor)) > 1e-9 * np.maximum(modulus(prefactor), 1e-300))
+    a4 = np.real(quartic)
+    b2 = np.real(prefactor)
+    return a4 / (a4 + b2 * power(np.sin(k * (length - 1) - delta), 2)), ~lost
 
 
 def transmission_probability(
@@ -188,33 +233,36 @@ def transmission_probability(
     enforced in scattering_point).
     """
     _check_band(k)
-    _, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
-    scale = kappa + kappa0
-    if abs(alpha) < SNAP_TOL * scale and abs(beta) < SNAP_TOL * scale:
-        alpha, beta = _degenerate_pair(k, n0, kappa, kappa0)
-    s = np.sin(k)
-    delta = _phase_shift(alpha, beta, s)
-    quartic = alpha**4 * s**4
-    prefactor = (beta / 2.0) ** 2 * (beta**2 + 4.0 * alpha**2 * s**2)
-    if abs(np.imag(quartic)) > 1e-9 * max(abs(quartic), 1e-300) or \
-            abs(np.imag(prefactor)) > 1e-9 * max(abs(prefactor), 1e-300):
+    alpha, beta, _ = _snapped_response(k, n0, kappa, kappa0)
+    delta = _phase_shift(alpha, beta, np.sin(k))
+    big_t, real = _probability_from(alpha, beta, k, length, delta)
+    if not real:
         raise ArithmeticError(f"transmission lost realness at k={k}")
-    a4 = float(np.real(quartic))
-    b2 = float(np.real(prefactor))
-    return a4 / (a4 + b2 * np.sin(k * (length - 1) - delta) ** 2)
+    return big_t
 
 
-def _phase_shift(alpha, beta, s) -> float:
-    """Quadrant-correct angle of (beta, 2*alpha*s); both components are
-    either real or pure imaginary together, so one atan2 covers both."""
-    u = 2.0 * alpha * s
+def _phase_angle(alpha, beta, s):
+    """(delta, ok): the quadrant-correct angle of (beta, 2*alpha*s) where
+    both components are real or both pure imaginary (one atan2 covers
+    both), nan where they are neither."""
+    u = mul(mul(2.0, alpha), s)
     v = beta + 0j
-    u = complex(u)
-    if abs(u.imag) <= 1e-9 * abs(u) + 1e-300 and abs(v.imag) <= 1e-9 * abs(v) + 1e-300:
-        return float(np.arctan2(u.real, v.real))
-    if abs(u.real) <= 1e-9 * abs(u) + 1e-300 and abs(v.real) <= 1e-9 * abs(v) + 1e-300:
-        return float(np.arctan2(u.imag, v.imag))
-    raise ArithmeticError("alpha and beta are neither both real nor both imaginary")
+    u_tol = 1e-9 * modulus(u) + 1e-300
+    v_tol = 1e-9 * modulus(v) + 1e-300
+    real = (np.abs(np.imag(u)) <= u_tol) & (np.abs(np.imag(v)) <= v_tol)
+    imag = (np.abs(np.real(u)) <= u_tol) & (np.abs(np.real(v)) <= v_tol)
+    delta = np.where(real, np.arctan2(np.real(u), np.real(v)),
+                     np.where(imag, np.arctan2(np.imag(u), np.imag(v)), np.nan))
+    return delta[()], (real | imag)[()]
+
+
+def _phase_shift(alpha, beta, s):
+    """The phase delta of ``_phase_angle``: a float for one momentum, an
+    array for an array; ArithmeticError where it does not exist."""
+    delta, ok = _phase_angle(alpha, beta, s)
+    if not np.all(ok):
+        raise ArithmeticError("alpha and beta are neither both real nor both imaginary")
+    return float(delta) if np.ndim(delta) == 0 else delta
 
 
 def scattering_point(
@@ -222,18 +270,15 @@ def scattering_point(
 ) -> ScatteringPoint:
     """Full scattering record at one momentum, with the dual-path identity
     |t|^2 == T asserted and degeneracies flagged."""
-    _, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
-    scale = kappa + kappa0
-    flag = None
-    if abs(alpha) < SNAP_TOL * scale and abs(beta) < SNAP_TOL * scale:
-        flag = "degenerate-resonant"
+    _, _, degenerate = _snapped_response(k, n0, kappa, kappa0)
+    flag = "degenerate-resonant" if degenerate else None
     t, r = transmission_amplitude(k, n0, length, kappa, kappa0)
     big_t = transmission_probability(k, n0, length, kappa, kappa0)
-    if abs(big_t - abs(t) ** 2) > 1e-12:
+    if abs(big_t - power(modulus(t), 2)) > 1e-12:
         raise ArithmeticError(
             f"dual-path identity violated at k={k}: T={big_t}, |t|^2={abs(t)**2}"
         )
-    big_r = abs(r) ** 2
+    big_r = power(modulus(r), 2)
     if abs(big_t + big_r - 1.0) > FLUX_TOL:
         raise ArithmeticError(f"flux not conserved at k={k}: T+R={big_t + big_r}")
     q, _, _ = side_chain_response(k, n0, kappa, kappa0)
@@ -242,6 +287,41 @@ def scattering_point(
         t=complex(t), r=complex(r), transmission=float(big_t),
         reflection=float(big_r), flag=flag,
     )
+
+
+def transmission_sweep(
+    k: np.ndarray, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t, r, T and R at every momentum of the array ``k``.
+
+    Element i equals, bit for bit, what scattering_point gives at k[i], and
+    every check of scattering_point is applied to the whole array.  A
+    momentum that fails a check, lies outside (0, pi) or sits on a
+    degenerate point is handed to scattering_point itself, in array order:
+    so the sweep raises exactly the error that a loop of scattering_point
+    calls would raise first, and takes the degenerate limit from it.
+    """
+    k = np.asarray(k, dtype=float)
+    with np.errstate(all="ignore"):             # irregular momenta are redone alone
+        alpha, beta, degenerate = _snapped_response(k, n0, kappa, kappa0)
+        t = _amplitude_from(alpha, beta, k, length)
+        try:
+            t_match, r = _reflection_from(alpha, beta, k, length)
+            singular = False
+        except np.linalg.LinAlgError:           # one singular system fails the stack
+            t_match, r = np.full_like(t, np.nan), np.full_like(t, np.nan)
+            singular = True
+        delta, phase_ok = _phase_angle(alpha, beta, np.sin(k))
+        big_t, real = _probability_from(alpha, beta, k, length, delta)
+        big_r = power(modulus(r), 2)
+        irregular = singular | degenerate | ~((0.0 < k) & (k < np.pi)) \
+            | (modulus(t - t_match) > 1e-9) | ~phase_ok | ~real \
+            | (np.abs(big_t - power(modulus(t), 2)) > 1e-12) \
+            | (np.abs(big_t + big_r - 1.0) > FLUX_TOL)
+    for i in np.flatnonzero(irregular):
+        point = scattering_point(float(k[i]), n0, length, kappa, kappa0)
+        t[i], r[i], big_t[i], big_r[i] = point.t, point.r, point.transmission, point.reflection
+    return t, r, big_t, big_r
 
 
 def single_side_chain_transmission(
@@ -301,29 +381,15 @@ def l_dependent_reflection_zeros(
     of the band edges are discarded; each root is validated by its
     residual.
     """
-    def objective(k):
+    def objective(k, scan=None):
         _, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
-        return float(np.sin(k * (length - 1) - _phase_shift(alpha, beta, np.sin(k))))
+        return np.sin(k * (length - 1) - _phase_shift(alpha, beta, np.sin(k)))
 
     grid = np.linspace(K_EDGE_MARGIN, np.pi - K_EDGE_MARGIN, K_GRID_POINTS)
-    vals = np.array([objective(k) for k in grid])
-    roots = []
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
-        lo, hi, flo = grid[i], grid[i + 1], vals[i]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = objective(mid)
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-            if hi - lo < K_REFINE:
-                break
-        k0 = 0.5 * (lo + hi)
-        _, alpha, _ = side_chain_response(k0, n0, kappa, kappa0)
-        if abs(objective(k0)) < 1e-8 and abs(alpha) > 1e-9 * (kappa + kappa0):
-            roots.append(float(k0))
-    return roots
+    k0 = sign_change_roots(objective, grid, objective(grid)[None], K_REFINE)[0]
+    _, alpha, _ = side_chain_response(k0, n0, kappa, kappa0)
+    keep = (np.abs(objective(k0)) < 1e-8) & (modulus(alpha) > 1e-9 * (kappa + kappa0))
+    return k0[keep].tolist()
 
 
 def numeric_scatter_oracle(
@@ -425,17 +491,22 @@ def peak_dip_report(
     length_b: int,
     kappa: float = 1.0,
     kappa0: float = 1.0,
+    zeros: tuple[list[float], list[float]] | None = None,
 ) -> PeakDipReport:
     """Locate, for each common transmission dip, the nearest reflection
     zero of each system and report whether they straddle the dip.
 
     Successive lengths never share a reflection zero away from the common
     ones, so around a dip the two systems' nearest peaks generically fall
-    on opposite sides: the swapped peak-dip profile.
+    on opposite sides: the swapped peak-dip profile.  ``zeros`` passes the
+    two lengths' l_dependent_reflection_zeros when the caller has them
+    already; otherwise they are computed here.
     """
     dips = common_zeros(n0, kappa, kappa0).k_min
-    zeros_a = l_dependent_reflection_zeros(n0, length_a, kappa, kappa0)
-    zeros_b = l_dependent_reflection_zeros(n0, length_b, kappa, kappa0)
+    if zeros is None:
+        zeros = (l_dependent_reflection_zeros(n0, length_a, kappa, kappa0),
+                 l_dependent_reflection_zeros(n0, length_b, kappa, kappa0))
+    zeros_a, zeros_b = zeros
     entries = []
     for dip in dips:
         entry = {"dip_k": dip.k, "dip_energy": dip.energy}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanonet import (
     PiLatticeSpec,
@@ -14,7 +15,16 @@ from fanonet import (
     resonant_existence,
     resonant_momenta,
 )
-from fanonet.bound_states import ANTISYMMETRIC, SYMMETRIC
+from fanonet import bound_states
+from fanonet.bound_states import (
+    ANTISYMMETRIC,
+    EVANESCENT,
+    SCANS,
+    SYMMETRIC,
+    RootRefinementError,
+    _build_state,
+    _transcendental,
+)
 
 
 def test_existence_pairs_and_momenta():
@@ -196,3 +206,106 @@ def test_detuned_hoppings_keep_oracle_equivalence():
 def test_mode_index_validated():
     with pytest.raises(ValueError, match="mode"):
         long_time_survival(2, 4, mode=9)
+
+
+def _scalar_brackets(n0, length, kappa, kappa0, branch, sign):
+    """One gamma scan evaluated one grid point at a time: the objective and
+    its sign-change brackets (lo, hi, f(lo)) in grid order."""
+    grid = np.arange(bound_states.GAMMA_MIN, bound_states.GAMMA_MAX,
+                     bound_states.GAMMA_GRID_STEP)
+    f = lambda g: _transcendental(g, n0, length, kappa, kappa0, branch, sign)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([f(g) for g in grid])
+        crossings = (vals[:-1] * vals[1:] < 0) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+    return f, [(grid[i], grid[i + 1], vals[i]) for i in np.nonzero(crossings)[0]]
+
+
+def _scalar_bisect(f, lo, hi, flo):
+    """(root, None) once the bracket is below GAMMA_REFINE, else (None, (lo, hi))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if flo * fmid <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+            if hi - lo < bound_states.GAMMA_REFINE:
+                return 0.5 * (lo + hi), None
+    return None, (lo, hi)
+
+
+def _scalar_evanescent(n0, length, kappa, kappa0):
+    """Reference for evanescent_bound_states: every scan point by point and
+    every bracket bisected on its own, then confirmed in scan order.
+    Returns the states and the (k, gamma) of every root put to the
+    matching system."""
+    states, seen, tried = [], [], []
+    for branch, sign in SCANS:
+        f, brackets = _scalar_brackets(n0, length, kappa, kappa0, branch, sign)
+        for lo, hi, flo in brackets:
+            gamma, stuck = _scalar_bisect(f, lo, hi, flo)
+            assert stuck is None
+            if any(b == branch and abs(g - gamma) < 1e-9 for b, g in seen):
+                continue
+            k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
+            tried.append((k, gamma))
+            state = _build_state(EVANESCENT, k, gamma, n0, length, kappa, kappa0)
+            if state is not None:
+                states.append(state)
+                seen.append((branch, gamma))
+    return sorted(states, key=lambda s: s.energy), tried
+
+
+@pytest.mark.parametrize("n0, length, kappa0", [(3, 5, 1.0), (2, 4, 0.6), (2, 1000, 1.5)])
+def test_evanescent_roots_equal_scalar_bisection(monkeypatch, n0, length, kappa0):
+    expected, expected_tried = _scalar_evanescent(n0, length, 1.0, kappa0)
+    assert expected_tried
+    tried = []
+
+    def build(kind, k, gamma, *args):
+        tried.append((k, gamma))
+        return _build_state(kind, k, gamma, *args)
+
+    # at length 1000 the matching system rejects every root (ROADMAP item
+    # 2), so the roots are compared where they enter it
+    monkeypatch.setattr(bound_states, "_build_state", build)
+    states = evanescent_bound_states(n0, length, 1.0, kappa0)
+    assert tried == expected_tried
+    assert [(s.k, s.gamma, s.energy) for s in states] == \
+        [(s.k, s.gamma, s.energy) for s in expected]
+    assert [s.to_json_dict() for s in states] == [s.to_json_dict() for s in expected]
+
+
+def test_root_refinement_error_carries_its_bracket(monkeypatch):
+    # with a zero tolerance no bracket ever counts as shrunk: the first
+    # bracket in scan order must surface with its final ends
+    monkeypatch.setattr(bound_states, "GAMMA_REFINE", 0.0)
+    for branch, sign in SCANS:
+        f, brackets = _scalar_brackets(3, 5, 1.0, 1.0, branch, sign)
+        if brackets:
+            break
+    _, expected = _scalar_bisect(f, *brackets[0])
+    with pytest.raises(RootRefinementError) as info:
+        evanescent_bound_states(3, 5)
+    assert info.value.bracket == expected
+    lo, hi = info.value.bracket
+    assert brackets[0][0] <= lo <= hi <= brackets[0][1]
+    assert str(info.value) == f"root refinement failed in bracket {expected}"
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 5),
+    st.integers(2, 1000),
+    st.floats(0.3, 6.0),
+    st.sampled_from(SCANS),
+    st.lists(st.floats(1e-4, 5.0), min_size=1, max_size=30),
+)
+def test_gamma_objective_on_arrays_equals_scalar_calls(n0, length, kappa0, scan, gammas):
+    branch, sign = scan
+    gammas = np.array(gammas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _transcendental(gammas, n0, length, 1.0, kappa0, branch, sign)
+        expected = [_transcendental(g, n0, length, 1.0, kappa0, branch, sign) for g in gammas]
+    np.testing.assert_array_equal(got, np.array(expected))

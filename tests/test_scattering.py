@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from fanonet import scattering
 
 from fanonet import (
     LatticeGraph,
@@ -16,6 +18,7 @@ from fanonet import (
     single_side_chain_transmission,
     transmission_amplitude,
     transmission_probability,
+    transmission_sweep,
 )
 from fanonet.scattering import side_chain_response, _phase_shift
 
@@ -245,3 +248,113 @@ def test_degenerate_point_is_flagged_and_deterministic():
     # the flagged value continues the neighboring momenta smoothly
     t_near, _ = transmission_amplitude(k + 1e-6, 2, 5, 1.0, kappa0)
     assert abs(point.t - t_near) < 1e-4
+
+
+def _scalar_sweep(ks, n0, length, kappa0):
+    """The loop transmission_sweep replaces: its four arrays, or the type
+    and message of the first error a scattering_point call raises."""
+    points = []
+    try:
+        for k in ks:
+            points.append(scattering_point(float(k), n0, length, 1.0, kappa0))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (np.array([p.t for p in points]), np.array([p.r for p in points]),
+            np.array([p.transmission for p in points]),
+            np.array([p.reflection for p in points]))
+
+
+def _assert_sweep_matches_loop(ks, n0, length, kappa0):
+    expected = _scalar_sweep(ks, n0, length, kappa0)
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as info:
+            transmission_sweep(np.array(ks), n0, length, 1.0, kappa0)
+        assert str(info.value) == expected[1]
+        return
+    got = transmission_sweep(np.array(ks), n0, length, 1.0, kappa0)
+    for array, reference in zip(got, expected):
+        assert array.dtype == reference.dtype
+        assert array.tobytes() == reference.tobytes()    # bit for bit, zeros' signs too
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 5),
+    st.integers(2, 1000),
+    st.floats(0.3, 6.0),
+    st.lists(st.floats(1e-6, np.pi - 1e-6), min_size=1, max_size=40),
+)
+def test_transmission_sweep_equals_scalar_loop(n0, length, kappa0, ks):
+    _assert_sweep_matches_loop(ks, n0, length, kappa0)
+
+
+@pytest.mark.parametrize("ks", [
+    # the CLI's default grid: one momentum fails the dual-path check
+    np.arccos(-np.linspace(-2.0 + 1e-3, 2.0 - 1e-3, 800) / 2.0),
+    # a finer grid on which 14 momenta fail it, each with its own message
+    np.linspace(0.01, np.pi - 0.01, 6000),
+])
+def test_transmission_sweep_raises_the_loops_first_error(ks):
+    expected = _scalar_sweep(ks, 1, 1000, 1.5)
+    assert expected[0] is ArithmeticError
+    assert expected[1].startswith("dual-path identity violated")
+    _assert_sweep_matches_loop(ks, 1, 1000, 1.5)
+
+
+def test_transmission_sweep_takes_the_degenerate_limit():
+    k = float(np.arccos(0.5))
+    kappa0 = float(np.cos(k))
+    ks = [k - 1e-3, k, k + 1e-3]
+    _assert_sweep_matches_loop(ks, 2, 5, kappa0)
+
+
+def test_transmission_sweep_survives_a_singular_stack(monkeypatch):
+    # one singular 4x4 system makes the stacked solve fail as a whole; the
+    # sweep then settles every momentum through scattering_point
+    solve = np.linalg.solve
+
+    def stack_fails(a, b):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", stack_fails)
+    _assert_sweep_matches_loop(np.linspace(0.1, 3.0, 25), 3, 7, 0.8)
+
+
+def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
+    """Reference for l_dependent_reflection_zeros: the objective evaluated
+    one momentum at a time and each bracket bisected on its own."""
+    def objective(k):
+        _, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
+        return float(np.sin(k * (length - 1) - _phase_shift(alpha, beta, np.sin(k))))
+
+    grid = np.linspace(scattering.K_EDGE_MARGIN, np.pi - scattering.K_EDGE_MARGIN,
+                       scattering.K_GRID_POINTS)
+    vals = np.array([objective(k) for k in grid])
+    roots = []
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+        lo, hi, flo = grid[i], grid[i + 1], vals[i]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = objective(mid)
+            if flo * fmid <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+            if hi - lo < scattering.K_REFINE:
+                break
+        k0 = 0.5 * (lo + hi)
+        _, alpha, _ = side_chain_response(k0, n0, kappa, kappa0)
+        if abs(objective(k0)) < 1e-8 and abs(alpha) > 1e-9 * (kappa + kappa0):
+            roots.append(float(k0))
+    return roots
+
+
+@pytest.mark.parametrize("n0, length, kappa0", [
+    (2, 5, 1.0), (3, 9, 0.6), (5, 40, 2.7), (1, 1000, 1.5),
+])
+def test_reflection_zeros_equal_scalar_bisection(n0, length, kappa0):
+    expected = _scalar_reflection_zeros(n0, length, 1.0, kappa0)
+    assert expected
+    assert l_dependent_reflection_zeros(n0, length, 1.0, kappa0) == expected
