@@ -12,10 +12,14 @@ Each configuration runs in-process through ``fanonet.cli.main`` in a
 scratch directory.  For each one the script prints the exit code, the
 sha256 of standard output, of standard error and of every file written,
 and the first line of any error: an exception the CLI let through, or
-the first ``error:`` line it printed.  Python warnings are silenced,
+the first ``error:`` line it printed.  The scratch directory's path is
+written as ``{dir}`` before anything is hashed, so a message that names an
+input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
-examples, unequal hoppings, length 1000 and the known defects of ROADMAP
-item 2 (lost evanescent states, the dual-path ArithmeticError).
+examples, the three places a ``--config`` file can be named, unequal
+hoppings, length 1000, config files that are missing or hold no JSON
+object, and the known defects of ROADMAP item 1 (lost evanescent states,
+the dual-path ArithmeticError).
 """
 
 import contextlib
@@ -52,6 +56,7 @@ RUNS = [
                                  "--out", "{dir}/sweep.csv"]),
     ("readme-config", ["--config", "{dir}/run.json"]),
     ("config-flag-override", ["transmit", "--config", "{dir}/run.json", "--len", "7"]),
+    ("config-before-subcommand", ["--config", "{dir}/run.json", "transmit"]),
     ("transmit-stdout", ["transmit", "--n0", "2", "--len", "5", "--steps", "120"]),
     ("transmit-window", ["transmit", "--n0", "3", "--len", "7", "--kappa", "1.3",
                          "--kappa0", "0.9", "--e-min", "-1.5", "--e-max", "0.5",
@@ -72,6 +77,7 @@ RUNS = [
                                  "--long-time", "3", "--out", "{dir}/unequal.json"]),
     ("bound-weak-side", ["bound", "--n0", "3", "--len", "9", "--kappa0", "0.4",
                          "--out", "{dir}/weak.json"]),
+    ("bound-equal-long-time-700", ["bound", "--n0", "4", "--len", "700", "--long-time", "351"]),
     ("bound-length-1000-long-time", ["bound", "--n0", "5", "--len", "1000", "--kappa0", "3.3248",
                                      "--long-time", "418", "--out", "{dir}/b1000.json"]),
     ("defect-bound-lost-states", ["bound", "--n0", "3", "--len", "123",
@@ -85,6 +91,8 @@ RUNS = [
                               "--t-max", "500"]),
     ("error-bound-mode", ["bound", "--n0", "2", "--len", "4", "--long-time", "9"]),
     ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
+    ("error-config-missing", ["--config", "{dir}/missing.json"]),
+    ("error-config-not-object", ["--config", "{dir}/list.json"]),
 ]
 
 
@@ -105,17 +113,18 @@ def fingerprint(argv: list[str], scratch: Path) -> list[str]:
         except Exception as exc:                # reported, not fatal: it is data
             code = None
             error = f"{type(exc).__name__}: {exc}".splitlines()[0]
+    stdout, stderr = (s.getvalue().replace(str(scratch), "{dir}") for s in (out, err))
     if error is None:
-        error = next((line for line in err.getvalue().splitlines() if "error:" in line), None)
+        error = next((line for line in stderr.splitlines() if "error:" in line), None)
     lines = [f"  exit {code}",
-             f"  stdout {sha256(out.getvalue().encode())}",
-             f"  stderr {sha256(err.getvalue().encode())}"]
-    inputs = {"graph.json", "run.json"}
+             f"  stdout {sha256(stdout.encode())}",
+             f"  stderr {sha256(stderr.encode())}"]
+    inputs = {"graph.json", "run.json", "list.json"}
     for path in sorted(p for p in scratch.iterdir() if p.name not in inputs):
         lines.append(f"  file {path.name} {sha256(path.read_bytes())}")
         path.unlink()
     if error is not None:
-        lines.append(f"  error {error}")
+        lines.append(f"  error {error.replace(str(scratch), '{dir}')}")
     return lines
 
 
@@ -125,6 +134,7 @@ def main():
         (scratch / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
         config = {**CONFIG, "out": str(scratch / "config.csv")}
         (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        (scratch / "list.json").write_text("[1, 2]", encoding="utf-8")
         for label, argv in RUNS:
             print(label)
             print("\n".join(fingerprint(argv, scratch)), flush=True)

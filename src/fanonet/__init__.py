@@ -23,12 +23,9 @@ from .spectra import (
 from .dynamics import (
     SpectralPropagator,
     SurvivalSeries,
-    WaveState,
     classify_decay,
-    evolve,
     plateau_value,
     safe_horizon,
-    survival_probability,
 )
 from .bound_states import (
     BoundState,

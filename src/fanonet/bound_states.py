@@ -43,6 +43,7 @@ __all__ = [
     "resonant_bound_states",
     "evanescent_bound_states",
     "bound_state_wavefunction",
+    "central_chain_modes",
     "long_time_survival",
 ]
 
@@ -349,6 +350,21 @@ def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
     return psi.real
 
 
+def central_chain_modes(
+    n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
+) -> np.ndarray:
+    """Eigenmodes of the isolated central chain in columns, energies ascending.
+
+    Analytic open-chain modes at equal hoppings; otherwise the eigenvectors
+    of the lattice without leads, whose Hamiltonian is bitwise the central
+    block of the same lattice with any number of lead sites.
+    """
+    if kappa == kappa0:
+        return np.array([m.amplitudes for m in open_chain_modes(2 * n0 + length, kappa)]).T
+    spec = PiLatticeSpec(n0, length, kappa, kappa0, leads=0)
+    return diagonalize(assemble_hamiltonian(build_pi_lattice(spec).graph))[1]
+
+
 def long_time_survival(
     n0: int,
     length: int,
@@ -369,12 +385,7 @@ def long_time_survival(
     lam = 2 * n0 + length
     if not 1 <= mode <= lam:
         raise ValueError(f"mode must be in [1, {lam}], got {mode}")
-    if kappa == kappa0:
-        psi0 = open_chain_modes(lam, kappa)[mode - 1].amplitudes
-    else:
-        spec = PiLatticeSpec(n0, length, kappa, kappa0, leads=0)
-        _, vectors = diagonalize(assemble_hamiltonian(build_pi_lattice(spec).graph))
-        psi0 = vectors[:, mode - 1]
+    psi0 = central_chain_modes(n0, length, kappa, kappa0)[:, mode - 1]
     if states is None:
         states = resonant_bound_states(n0, length, kappa, kappa0) + \
             evanescent_bound_states(n0, length, kappa, kappa0)

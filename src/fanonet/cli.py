@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound_states import (
+    central_chain_modes,
     evanescent_bound_states,
     long_time_survival,
     resonant_bound_states,
@@ -32,22 +33,16 @@ from .dynamics import (
     classify_decay,
     safe_horizon,
 )
-from .graphs import (
-    GraphSpecError,
-    assemble_hamiltonian,
-    parse_graph_file,
-    subgraph_hamiltonian,
-)
-from .pilattice import CENTRAL, PiLatticeSpec, build_pi_lattice
+from .graphs import GraphSpecError, assemble_hamiltonian, parse_graph_file
+from .pilattice import PiLatticeSpec, build_pi_lattice
 from .scattering import (
-    ZeroEntry,
     common_zeros,
     l_dependent_reflection_zeros,
     peak_dip_report,
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import diagonalize, find_trapping_modes, open_chain_modes
+from .spectra import find_trapping_modes
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,23 +95,35 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _resolve(args: argparse.Namespace, config_path: str | None) -> RunConfig:
-    """Merge explicit flags over --config values over defaults."""
-    overrides = {
-        key: value for key, value in vars(args).items()
-        if key not in ("command", "config") and value is not None
-    }
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """Merge explicit flags over --config values over defaults.
+
+    The subcommand comes from the command line, or else from the config
+    file's "subcommand" key.
+    """
     merged: dict = {}
-    if config_path:
+    if args.config:
         try:
-            merged.update(json.loads(Path(config_path).read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
+            merged = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise GraphSpecError(f"cannot read config: {exc}") from exc
+        except ValueError as exc:           # not JSON, or not UTF-8
             raise GraphSpecError(f"parse failure in config: {exc}") from exc
-        merged.pop("subcommand", None)
-    merged.update(overrides)
+        if not isinstance(merged, dict):
+            raise GraphSpecError(
+                f"config must hold a JSON object, got {type(merged).__name__}"
+            )
+    from_file = merged.pop("subcommand", None)
+    command = args.command or from_file
+    if command not in COMMANDS:
+        raise GraphSpecError(f"config names no valid subcommand: {command!r}")
+    merged.update(
+        (key, value) for key, value in vars(args).items()
+        if key not in ("command", "config") and value is not None
+    )
     if isinstance(merged.get("modes"), str):
         merged["modes"] = _parse_modes(merged["modes"])
-    cfg = RunConfig(subcommand=args.command, **merged)
+    cfg = RunConfig(subcommand=command, **merged)
     cfg.validate()
     return cfg
 
@@ -189,11 +196,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if bad:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
 
-    if cfg.kappa == cfg.kappa0:
-        chain = np.array([m.amplitudes for m in open_chain_modes(lam, cfg.kappa)]).T
-    else:
-        h_central, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
-        chain = diagonalize(h_central)[1]
+    chain = central_chain_modes(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     initial = chain[:, np.asarray(modes) - 1]
     propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
     n_sites = lattice.graph.site_count
@@ -303,16 +306,13 @@ def cmd_transmit(cfg: RunConfig) -> int:
         length: l_dependent_reflection_zeros(cfg.n0, length, cfg.kappa, cfg.kappa0)
         for length in lengths
     }
-    k0_entries = {
-        length: [ZeroEntry(k0, -2.0 * cfg.kappa * np.cos(k0), 0, "L-dependent") for k0 in ks]
-        for length, ks in zeros.items()
-    }
     sidecar = catalog.to_json_dict()
     sidecar["k0"] = {
         str(length): [
-            {"k": z.k, "E": z.energy, "provenance": z.provenance} for z in entries
+            {"k": k0, "E": -2.0 * cfg.kappa * np.cos(k0), "provenance": "L-dependent"}
+            for k0 in ks
         ]
-        for length, entries in k0_entries.items()
+        for length, ks in zeros.items()
     }
     if cfg.compare:
         report = peak_dip_report(cfg.n0, cfg.length, cfg.compare, cfg.kappa, cfg.kappa0,
@@ -343,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
         if leads:
             p.add_argument("--m", dest="leads", type=int, help="lead sites per side")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--config", help="JSON run configuration")
+        # SUPPRESS: a --config given before the subcommand must survive
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON run configuration")
 
     p_trap = sub.add_parser("trap", help="certify trapped modes of a graph file")
     p_trap.add_argument("graph", nargs="?", help="graph spec JSON with a partition")
     p_trap.add_argument("--subgraph", type=int, help="subgraph index (default 0)")
     p_trap.add_argument("--out", help="certificate JSON output")
-    p_trap.add_argument("--config", help="JSON run configuration")
+    p_trap.add_argument("--config", default=argparse.SUPPRESS, help="JSON run configuration")
 
     p_evolve = sub.add_parser("evolve", help="survival-probability time sweep")
     common_lattice(p_evolve, leads=True)
@@ -389,43 +390,15 @@ COMMANDS = {
 }
 
 
-def _config_from_argv(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = args.command
-    # a pre-subcommand --config is clobbered by the subparser default
-    config_path = args.config or _config_from_argv(argv)
-    if command is None:
-        if not config_path:
-            parser.print_usage(sys.stderr)
-            return EXIT_INPUT
-        try:
-            command = json.loads(Path(config_path).read_text(encoding="utf-8")).get(
-                "subcommand"
-            )
-        except json.JSONDecodeError as exc:
-            print(f"error: parse failure in config: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        if command not in COMMANDS:
-            print(f"error: config names no valid subcommand: {command!r}", file=sys.stderr)
-            return EXIT_INPUT
-        args = parser.parse_args([command])
-        args.config = config_path
+    if args.command is None and not args.config:
+        parser.print_usage(sys.stderr)
+        return EXIT_INPUT
     try:
-        cfg = _resolve(args, config_path)
-        cfg.subcommand = command
-        return COMMANDS[command](cfg)
+        cfg = _resolve(args)
+        return COMMANDS[cfg.subcommand](cfg)
     except (GraphSpecError, FileNotFoundError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

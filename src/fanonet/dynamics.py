@@ -1,8 +1,8 @@
 """Unitary time evolution and subgraph survival probability.
 
-Evolution goes through one dense spectral decomposition that is reused for
-every requested time (and, via SpectralPropagator, for every initial
-state), so the propagation is exactly unitary at arbitrary t.  A survival
+Evolution goes through SpectralPropagator alone: one dense spectral
+decomposition, reused for every requested time and every initial state,
+so the propagation is exactly unitary at arbitrary t.  A survival
 sweep costs one O(N^3) eigendecomposition per lattice, then O(T * N * S)
 per initial state for T times and S observed sites: amplitudes are formed
 only on the observed sites, for a block of states at once, and a block of
@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .spectra import DEFAULT_SIZE_CAP, diagonalize
 
 __all__ = [
-    "WaveState",
     "SurvivalSeries",
     "SpectralPropagator",
-    "evolve",
-    "survival_probability",
     "safe_horizon",
     "classify_decay",
     "plateau_value",
@@ -46,18 +43,6 @@ NORM_TOL = 1e-10
 SAFETY_FACTOR = 0.9
 # time samples of a survival sweep when the caller names none
 DEFAULT_TIME_SAMPLES = 720
-
-
-@dataclass(frozen=True)
-class WaveState:
-    """Complex site amplitudes at one instant (units: hbar = 1, time 1/kappa)."""
-
-    amplitudes: np.ndarray
-    time: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -110,25 +95,6 @@ class SpectralPropagator:
         del phase, b, flat      # free the (T, N) and (N, S*M) tables before the result
         amps = re - 1j * im
         return amps.reshape(len(times), *psi0.shape[1:], len(rows))
-
-
-def evolve(h: np.ndarray, psi0: np.ndarray, times: Sequence[float]) -> list[WaveState]:
-    """Evolve ``psi0`` under symmetric ``h`` at every requested time."""
-    amps = SpectralPropagator(h).evolve(psi0, times)
-    return [WaveState(a, float(t)) for a, t in zip(amps, times)]
-
-
-def survival_probability(
-    states: Sequence[WaveState],
-    sites: Iterable[int],
-    mode: object = None,
-    horizon: float = math.inf,
-) -> SurvivalSeries:
-    """P(t) = sum over ``sites`` of |psi_j(t)|^2."""
-    idx = np.asarray(sorted(sites), dtype=int)
-    times = np.array([s.time for s in states])
-    values = np.array([float(np.sum(np.abs(s.amplitudes[idx]) ** 2)) for s in states])
-    return SurvivalSeries(mode, times, values, horizon)
 
 
 def safe_horizon(leads: int, kappa: float, safety_factor: float = SAFETY_FACTOR) -> float:

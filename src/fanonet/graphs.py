@@ -55,18 +55,6 @@ class LatticeGraph:
     potentials: tuple[tuple[int, float], ...] = ()
     labels: tuple[tuple[int, str], ...] = ()
 
-    def potential_map(self) -> dict[int, float]:
-        return dict(self.potentials)
-
-    def neighbors(self, site: int) -> list[int]:
-        out = []
-        for i, j, _ in self.hoppings:
-            if i == site:
-                out.append(j)
-            elif j == site:
-                out.append(i)
-        return sorted(out)
-
 
 def build_graph(spec: Mapping) -> LatticeGraph:
     """Validate a structured graph description and return a LatticeGraph.

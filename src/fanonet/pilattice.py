@@ -62,7 +62,8 @@ class PiLatticeSpec:
 
 
 class PiLattice(NamedTuple):
-    """Built lattice: graph, three-way partition, and the site-name map.
+    """Built lattice: graph, three-way partition, the site-name map and the
+    spec it was built from.
 
     ``site_index`` maps names "a1".."a{n0}", "b1".."b{n0}" and
     "c{1-leads}".."c{length+leads}" to flat site indices.
@@ -71,34 +72,23 @@ class PiLattice(NamedTuple):
     graph: LatticeGraph
     partition: Partition
     site_index: dict[str, int]
-
-    @property
-    def leads(self) -> int:
-        return 1 - min(int(n[1:]) for n in self.site_index if n.startswith("c"))
-
-    @property
-    def n0(self) -> int:
-        return sum(1 for n in self.site_index if n.startswith("a"))
-
-    @property
-    def length(self) -> int:
-        return max(int(n[1:]) for n in self.site_index if n.startswith("c")) - self.leads
+    spec: PiLatticeSpec
 
     @property
     def central_sites(self) -> list[int]:
         """Central-chain sites in path order (positions 1..2*n0+length)."""
-        start = self.leads
-        return list(range(start, start + 2 * self.n0 + self.length))
+        start = self.spec.leads
+        return list(range(start, start + self.spec.central_size))
 
     @property
     def joint_sites(self) -> tuple[int, int]:
         """Flat indices of the two anchors c_1 and c_length."""
-        return self.site_index["c1"], self.site_index[f"c{self.length}"]
+        return self.site_index["c1"], self.site_index[f"c{self.spec.length}"]
 
     @property
     def joint_positions(self) -> tuple[int, int]:
         """1-based central-chain positions of the anchors: n0+1 and n0+length."""
-        return self.n0 + 1, self.n0 + self.length
+        return self.spec.n0 + 1, self.spec.n0 + self.spec.length
 
 
 def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
@@ -138,4 +128,4 @@ def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
 
     graph = LatticeGraph(spec.site_count, tuple(hoppings))
     partition = Partition(graph, tuple([LEFT_LEAD] * m + [CENTRAL] * lam + [RIGHT_LEAD] * m))
-    return PiLattice(graph, partition, site_index)
+    return PiLattice(graph, partition, site_index, spec)

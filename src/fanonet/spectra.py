@@ -11,6 +11,7 @@ basis-dependent per-vector node test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -46,7 +47,6 @@ class EigenMode:
     energy: float
     amplitudes: np.ndarray
     nodes: frozenset[int]
-    degeneracy_group: int
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,9 @@ def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
     Mode n (1-based) has momentum n*pi/(size+1), energy
     -2*kappa*cos(momentum) and amplitude proportional to sin(momentum * j)
     at chain position j.  Its wave nodes sit at positions j with
-    n*j divisible by size+1, evaluated in exact integer arithmetic; the
-    stored amplitude at a node is exactly zero.
+    n*j divisible by size+1, i.e. at the multiples of
+    (size+1)/gcd(n, size+1), in exact integer arithmetic; the stored
+    amplitude at a node is exactly zero.
     """
     if size < 1:
         raise ValueError(f"chain size must be >= 1, got {size}")
@@ -126,7 +127,8 @@ def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
     for n in range(1, size + 1):
         momentum = n * np.pi / (size + 1)
         g = np.sqrt(2.0 / (size + 1)) * np.sin(momentum * positions)
-        nodes = frozenset(int(j) for j in positions if (n * j) % (size + 1) == 0)
+        step = (size + 1) // gcd(n, size + 1)
+        nodes = frozenset(range(step, size + 1, step))
         for j in nodes:
             g[j - 1] = 0.0
         g = g / np.linalg.norm(g)
@@ -135,13 +137,12 @@ def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
                 energy=-2.0 * kappa * np.cos(momentum),
                 amplitudes=g,
                 nodes=nodes,
-                degeneracy_group=n,
             )
         )
     return modes
 
 
-def _degeneracy_groups(energies: np.ndarray, scale: float) -> list[slice]:
+def _energy_groups(energies: np.ndarray, scale: float) -> list[slice]:
     """Slices of ascending ``energies`` whose members lie within tolerance."""
     tol = DEGENERACY_TOL * scale
     groups = []
@@ -188,7 +189,7 @@ def find_trapping_modes(
     h_full = assemble_hamiltonian(graph)
 
     certificates = []
-    for group in _degeneracy_groups(energies, scale):
+    for group in _energy_groups(energies, scale):
         basis = vectors[:, group]              # (n_l, d)
         energy = float(np.mean(energies[group]))
         if coupling is not None:

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanonet import (
+    CENTRAL,
     PiLatticeSpec,
     assemble_hamiltonian,
     bound_state_wavefunction,
     build_pi_lattice,
+    diagonalize,
     evanescent_bound_states,
     long_time_survival,
+    open_chain_modes,
     resonant_bound_states,
     resonant_existence,
     resonant_momenta,
+    subgraph_hamiltonian,
 )
 from fanonet import bound_states
 from fanonet.bound_states import (
@@ -24,6 +28,7 @@ from fanonet.bound_states import (
     RootRefinementError,
     _build_state,
     _transcendental,
+    central_chain_modes,
 )
 
 
@@ -309,3 +314,26 @@ def test_gamma_objective_on_arrays_equals_scalar_calls(n0, length, kappa0, scan,
         got = _transcendental(gammas, n0, length, 1.0, kappa0, branch, sign)
         expected = [_transcendental(g, n0, length, 1.0, kappa0, branch, sign) for g in gammas]
     np.testing.assert_array_equal(got, np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "n0, length, kappa, kappa0",
+    [(1, 2, 1.0, 1.0), (3, 5, 1.3, 1.3), (2, 4, 1.0, 1.7), (3, 41, 1.0, 0.6),
+     (5, 131, 1.4, 3.3)],
+)
+def test_central_chain_modes_are_the_central_block_eigenmodes(n0, length, kappa, kappa0):
+    modes = central_chain_modes(n0, length, kappa, kappa0)
+    bare = assemble_hamiltonian(build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph)
+    if kappa == kappa0:
+        analytic = open_chain_modes(2 * n0 + length, kappa)
+        assert modes.shape == (len(analytic), len(analytic))
+        for column, mode in zip(modes.T, analytic):
+            np.testing.assert_array_equal(column, mode.amplitudes)
+    else:
+        np.testing.assert_array_equal(modes, diagonalize(bare)[1])
+    # the evolution takes its initial modes from the lattice without leads:
+    # that block is bitwise the central block of the lattice with leads
+    for leads in (1, 7, 60):
+        lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
+        block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
+        assert block.tobytes() == bare.tobytes()

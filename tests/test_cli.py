@@ -255,3 +255,24 @@ def test_invalid_parameters_exit_two(tmp_path):
     assert main(["bound", "--n0", "0", "--len", "5"]) == 2
     assert main(["evolve", "--n0", "2", "--len", "4"]) == 2  # missing --m
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [["--config", "{cfg}", "transmit"], ["transmit", "--config", "{cfg}"], ["--config", "{cfg}"]],
+    ids=["before-subcommand", "after-subcommand", "subcommand-from-file"],
+)
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config"), ("[1, 2]", "must hold a JSON object")],
+    ids=["missing", "not-object"],
+)
+def test_config_error_is_one_line_exit_two(tmp_path, capsys, placement, content, message):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main([arg.replace("{cfg}", str(cfg)) for arg in placement]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err

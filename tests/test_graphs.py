@@ -125,10 +125,24 @@ def test_joint_sites_match_recomputation(seed):
     ],
 )
 def test_pi_lattice_counting(n0, length, leads, sites, joints):
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, leads=leads))
+    spec = PiLatticeSpec(n0, length, leads=leads)
+    lattice = build_pi_lattice(spec)
     assert lattice.graph.site_count == sites
     assert lattice.joint_positions == joints
     assert len(lattice.central_sites) == 2 * n0 + length
+    assert lattice.spec == spec
+    # the same site sets, read back from the site names alone
+    names = lattice.site_index
+    host = [int(name[1:]) for name in names if name.startswith("c")]
+    named_n0 = sum(1 for name in names if name.startswith("a"))
+    named_length = max(host) - (1 - min(host))
+    central = [names[f"a{i}"] for i in range(named_n0, 0, -1)] \
+        + [names[f"c{j}"] for j in range(1, named_length + 1)] \
+        + [names[f"b{i}"] for i in range(1, named_n0 + 1)]
+    anchors = names["c1"], names[f"c{named_length}"]
+    assert lattice.central_sites == central
+    assert lattice.joint_sites == anchors
+    assert lattice.joint_positions == tuple(central.index(a) + 1 for a in anchors)
 
 
 def test_pi_lattice_central_block_uniform_tridiagonal():

@@ -74,6 +74,14 @@ def test_open_chain_node_positions(n, nodes):
         assert mode.amplitudes[j - 1] == 0.0
 
 
+@pytest.mark.parametrize("size", range(1, 61))
+def test_open_chain_nodes_match_brute_force_scan(size):
+    for n, mode in enumerate(open_chain_modes(size), start=1):
+        scan = frozenset(j for j in range(1, size + 1) if (n * j) % (size + 1) == 0)
+        assert mode.nodes == scan
+        assert all(mode.amplitudes[j - 1] == 0.0 for j in scan)
+
+
 def test_open_chain_modes_match_numeric_spectrum():
     size, kappa = 9, 1.3
     h = np.zeros((size, size))
