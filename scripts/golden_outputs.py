@@ -17,8 +17,9 @@ written as ``{dir}`` before anything is hashed, so a message that names an
 input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
 examples, the three places a ``--config`` file can be named, unequal
-hoppings, length 1000, config files that are missing or hold no JSON
-object, and the known defects of ROADMAP item 1 (lost evanescent states,
+hoppings, length 1000, config files that are missing, hold no JSON
+object, name an unknown key or give a value of the wrong type, an output
+path that is a directory, and the known defects of ROADMAP item 1 (lost evanescent states,
 the dual-path ArithmeticError).
 """
 
@@ -44,6 +45,8 @@ GRAPH = {
 }
 # a --config run; "out" is set below the scratch directory
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
+# files and the directory put in the scratch directory before the runs
+INPUTS = {"graph.json", "run.json", "list.json", "unknown_key.json", "bad_type.json", "outdir"}
 
 # (label, argv); {dir} is the scratch directory
 RUNS = [
@@ -93,6 +96,10 @@ RUNS = [
     ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
     ("error-config-missing", ["--config", "{dir}/missing.json"]),
     ("error-config-not-object", ["--config", "{dir}/list.json"]),
+    ("error-config-unknown-key", ["--config", "{dir}/unknown_key.json"]),
+    ("error-config-bad-type", ["--config", "{dir}/bad_type.json"]),
+    ("error-out-is-directory", ["transmit", "--n0", "2", "--len", "5", "--steps", "10",
+                                "--out", "{dir}/outdir"]),
 ]
 
 
@@ -119,8 +126,7 @@ def fingerprint(argv: list[str], scratch: Path) -> list[str]:
     lines = [f"  exit {code}",
              f"  stdout {sha256(stdout.encode())}",
              f"  stderr {sha256(stderr.encode())}"]
-    inputs = {"graph.json", "run.json", "list.json"}
-    for path in sorted(p for p in scratch.iterdir() if p.name not in inputs):
+    for path in sorted(p for p in scratch.iterdir() if p.name not in INPUTS):
         lines.append(f"  file {path.name} {sha256(path.read_bytes())}")
         path.unlink()
     if error is not None:
@@ -135,6 +141,11 @@ def main():
         config = {**CONFIG, "out": str(scratch / "config.csv")}
         (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
         (scratch / "list.json").write_text("[1, 2]", encoding="utf-8")
+        (scratch / "unknown_key.json").write_text(
+            json.dumps({"subcommand": "transmit", "len": 5}), encoding="utf-8")
+        (scratch / "bad_type.json").write_text(
+            json.dumps({"subcommand": "transmit", "n0": "two", "length": 5}), encoding="utf-8")
+        (scratch / "outdir").mkdir()
         for label, argv in RUNS:
             print(label)
             print("\n".join(fingerprint(argv, scratch)), flush=True)

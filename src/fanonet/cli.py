@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,8 +93,41 @@ def _fmt(x: float) -> str:
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:              # a directory, a missing parent, no permission
+        raise GraphSpecError(f"cannot write output: {exc}") from exc
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for option in options:
+        kind = typing.get_origin(option) or option
+        if isinstance(value, bool) and kind is not bool:
+            continue
+        if kind is float and isinstance(value, int):       # JSON has one number type
+            return True
+        if isinstance(value, kind):
+            return kind is not list or all(_fits(v, typing.get_args(option)[0]) for v in value)
+    return False
+
+
+def _check_config(values: dict):
+    """Every key of a config file names a RunConfig field, and its value
+    fits that field's type; GraphSpecError naming the key otherwise."""
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in values.items():
+        if key not in hints:
+            raise GraphSpecError(f"unknown config key {key!r}")
+        if key == "modes" and isinstance(value, str):      # the --modes text
+            continue
+        if not _fits(value, hints[key]):
+            expected = getattr(hints[key], "__name__", None) or str(hints[key])
+            raise GraphSpecError(
+                f"config key {key!r} expects {expected}, got {json.dumps(value)}"
+            )
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -113,6 +148,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise GraphSpecError(
                 f"config must hold a JSON object, got {type(merged).__name__}"
             )
+        _check_config(merged)
     from_file = merged.pop("subcommand", None)
     command = args.command or from_file
     if command not in COMMANDS:
@@ -399,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         return COMMANDS[cfg.subcommand](cfg)
-    except (GraphSpecError, FileNotFoundError, TypeError) as exc:
+    except (GraphSpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

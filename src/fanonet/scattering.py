@@ -5,7 +5,12 @@ probability obtained from the piecewise scattering ansatz; the reflection
 amplitude, which has no closed form, is recovered by solving the four
 matching conditions directly.  ``numeric_scatter_oracle`` is a fully
 independent check: it solves the Schrodinger system of the truncated
-lattice with plane-wave boundary rows and never touches the formulas.
+lattice with plane-wave boundary rows and never touches the formulas.  It
+reads only the lattice graph, eliminates each side branch from its leaves
+inward into a self-energy on its anchor and runs one recurrence along the
+host chain, so it costs O(N) time and memory for N sites (the recursive
+Green's-function / decimation idea: MacKinnon, Z. Phys. B 59, 385 (1985);
+Sancho et al., J. Phys. F 15, 851 (1985)).
 
 The formulas take one incident momentum or an array of them, with equal
 results element by element (``_numerics``).  ``transmission_sweep``
@@ -17,13 +22,12 @@ the grid and bisects all brackets together.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._numerics import modulus, mul, power, sign_change_roots
-from .graphs import assemble_hamiltonian
+from .graphs import LatticeGraph
 from .pilattice import PiLatticeSpec, build_pi_lattice
 
 __all__ = [
@@ -392,6 +396,65 @@ def l_dependent_reflection_zeros(
     return k0[keep].tolist()
 
 
+def _branch_self_energies(graph: LatticeGraph, source: int, drain: int, energy: float):
+    """Host path of a tree-shaped graph and the self-energies of its branches.
+
+    The host path runs from ``source`` to ``drain``; every other site sits
+    on a branch that hangs off one path site, its anchor.  Each branch is
+    eliminated from its leaves inward: once the part of the branch beyond a
+    site v has been folded into v's self-energy S_v, the Schrodinger
+    equation at v is solved for psi_v and leaves v's parent the self-energy
+    s^2 / (E - mu_v - S_v), s being the hopping between them (a Schur
+    complement of H - E).  A self-energy is kept as a pair (a, b) with
+    S = a / b, scaled so that max(|a|, |b|) = 1; a pivot E - mu_v - S_v that
+    is exactly zero then gives b = 0, which pins the parent to zero
+    amplitude, instead of a division by zero.
+
+    Returns the path sites in order, the hopping from each path site to the
+    next, every site's potential and a dict {anchor: (a, b)}.
+    """
+    n = graph.site_count
+    neighbours: list[list] = [[] for _ in range(n)]
+    for i, j, s in graph.hoppings:
+        neighbours[i].append((j, s))
+        neighbours[j].append((i, s))
+    mu = [0.0] * n
+    for i, value in graph.potentials:
+        mu[i] = value
+    # breadth-first from the drain: every site's parent lies towards it
+    parent, bond = [-1] * n, [0.0] * n
+    parent[drain] = drain
+    order = [drain]
+    for u in order:
+        for v, s in neighbours[u]:
+            if parent[v] < 0:
+                parent[v], bond[v] = u, s
+                order.append(v)
+    if len(order) != n or len(graph.hoppings) != n - 1:
+        raise ValueError("the scatterer's graph must be a tree")
+    path = [source]
+    while path[-1] != drain:
+        path.append(parent[path[-1]])
+    on_path = set(path)
+
+    sigma: dict[int, tuple[complex, complex]] = {}
+    for v in reversed(order):                   # leaves before the sites they hang from
+        if v in on_path:
+            continue
+        a, b = sigma.pop(v, (0.0, 1.0))
+        s = bond[v]
+        a, b = s * s * b, (energy - mu[v]) * b - a
+        u = parent[v]
+        if u in sigma:                          # add to what u's other branches left
+            a_u, b_u = sigma[u]
+            a, b = a_u * b + a * b_u, b_u * b
+        scale = max(abs(a), abs(b))
+        if scale == 0.0:
+            raise np.linalg.LinAlgError(f"branch at site {u} is singular at E={energy}")
+        sigma[u] = (a / scale, b / scale)
+    return path, [bond[v] for v in path[:-1]], mu, sigma
+
+
 def numeric_scatter_oracle(
     n0: int,
     length: int,
@@ -401,16 +464,25 @@ def numeric_scatter_oracle(
     leads: int,
     incident: str = "left",
 ) -> tuple[complex, complex]:
-    """Scattering amplitudes from the truncated lattice, formula-free.
+    """Scattering amplitudes (t, r) from the truncated lattice, formula-free.
 
-    The Schrodinger equation is imposed on every interior site of the
-    ``leads``-site truncation, and the two outermost sites of each lead are
-    pinned to the plane-wave form (incoming + r-reflected on the incident
-    side, t-transmitted on the other), with r and t as extra unknowns.
+    The equations are those of the ``leads``-site truncation: the
+    Schrodinger equation on every site but the outermost site of each lead,
+    and the two outermost sites of each lead pinned to the plane-wave form
+    (incoming + r-reflected on the incident side, t-transmitted on the
+    other).  They are solved in O(N) from the lattice graph alone, with no
+    formula of this module and no dense matrix:
+
+    1. every side branch is eliminated from its leaves inward into a
+       self-energy on its anchor (``_branch_self_energies``);
+    2. the host-path recurrence runs from the outgoing side, starting from
+       the pinned transmitted wave with t = 1, and carries the scale of t
+       along, so an anchor pinned to zero amplitude (total reflection)
+       gives t = 0 exactly;
+    3. one 2x2 solve splits the two incoming-side pinned values into the
+       incoming and reflected waves, which scales t and gives r.
+
     Uniform leads make this construction exact for any leads >= length+20.
-
-    A singular system (momentum on a truncation resonance) is retried once
-    at k + 1e-9 with a warning.
     """
     _check_band(k)
     if leads < length + 20:
@@ -418,57 +490,39 @@ def numeric_scatter_oracle(
     if incident not in ("left", "right"):
         raise ValueError(f"incident must be 'left' or 'right', got {incident!r}")
 
-    def solve(k):
-        lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
-        h = assemble_hamiltonian(lattice.graph)
-        n = lattice.graph.site_count
-        energy = -2.0 * kappa * np.cos(k)
-        # host-chain coordinates of the four pinned sites
-        left_pair = [(lattice.site_index[f"c{1 - leads}"], 1 - leads),
-                     (lattice.site_index[f"c{2 - leads}"], 2 - leads)]
-        right_pair = [(lattice.site_index[f"c{length + leads}"], length + leads),
-                      (lattice.site_index[f"c{length + leads - 1}"], length + leads - 1)]
-        if incident == "left":
-            incoming = lambda j: np.exp(1j * k * (j - 1))
-            reflected = lambda j: np.exp(-1j * k * (j - 1))
-            transmitted = lambda j: np.exp(1j * k * (j - 1))
-            in_pair, out_pair = left_pair, right_pair
-        else:
-            incoming = lambda j: np.exp(-1j * k * (j - 1))
-            reflected = lambda j: np.exp(1j * k * (j - 1))
-            transmitted = lambda j: np.exp(-1j * k * (j - 1))
-            in_pair, out_pair = right_pair, left_pair
-        outermost = {in_pair[0][0], out_pair[0][0]}
-        system = np.zeros((n + 2, n + 2), dtype=complex)
-        rhs = np.zeros(n + 2, dtype=complex)
-        row = 0
-        for site in range(n):
-            if site in outermost:
-                continue
-            system[row, :n] = h[site]
-            system[row, site] -= energy
-            row += 1
-        for site, j in in_pair:           # psi = incoming + r * reflected
-            system[row, site] = 1.0
-            system[row, n] = -reflected(j)
-            rhs[row] = incoming(j)
-            row += 1
-        for site, j in out_pair:          # psi = t * transmitted
-            system[row, site] = 1.0
-            system[row, n + 1] = -transmitted(j)
-            row += 1
-        solution = np.linalg.solve(system, rhs)
-        return solution[n + 1], solution[n]
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
+    energy = -2.0 * kappa * float(np.cos(k))
+    # host coordinates j of the incoming and outgoing lead ends, and the
+    # direction of j along the path; plane waves are e^{+-ik(j-1)}
+    step = 1 if incident == "left" else -1
+    ends = [1 - leads, length + leads][::step]
+    wave = lambda j, sign: complex(np.exp(sign * 1j * k * (j - 1)))
+    source, drain = (lattice.site_index[f"c{j}"] for j in ends)
+    path, hop, mu, sigma = _branch_self_energies(lattice.graph, source, drain, energy)
 
-    try:
-        return solve(k)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            f"scattering system singular at k={k}; retrying at k+1e-9",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return solve(k + 1e-9)
+    # (u, w) = (psi at path[m], psi at path[m+1]) up to the common scale tau of t
+    u, w, tau = wave(ends[1] - step, step), wave(ends[1], step), 1.0
+    for m in range(len(path) - 2, 0, -1):
+        site = path[m]
+        diag = mu[site] - energy
+        if site in sigma:                       # the equation times b: no division by b
+            a, b = sigma[site]
+            u, w, tau = ((diag * b + a) * u - b * hop[m] * w) / hop[m - 1], b * u, b * tau
+            scale = max(abs(u), abs(w))
+            if scale == 0.0:
+                raise np.linalg.LinAlgError(f"scattering system singular at k={k}")
+            u, w, tau = u / scale, w / scale, tau / scale
+        else:
+            u, w = (diag * u - hop[m] * w) / hop[m - 1], u
+    # u = lam * (in_0 + r ref_0) and w = lam * (in_1 + r ref_1) -> (1/lam, r/lam)
+    in_0, in_1 = wave(ends[0], step), wave(ends[0] + step, step)
+    ref_0, ref_1 = wave(ends[0], -step), wave(ends[0] + step, -step)
+    det = in_0 * ref_1 - in_1 * ref_0
+    inv_lam = (u * ref_1 - w * ref_0) / det
+    r_over = (in_0 * w - in_1 * u) / det
+    if inv_lam == 0:
+        raise np.linalg.LinAlgError(f"scattering system singular at k={k}")
+    return tau / inv_lam, r_over / inv_lam
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
-"""Shared test helpers: random graph generation and a brute-force trapping
-oracle that searches the full-graph eigenbasis instead of the subgraph one."""
+"""Shared test helpers: random graph generation, a brute-force trapping
+oracle that searches the full-graph eigenbasis instead of the subgraph one,
+and a dense reference for the numeric scattering oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from fanonet import LatticeGraph, Partition, assemble_hamiltonian
+from fanonet import (
+    LatticeGraph,
+    Partition,
+    PiLatticeSpec,
+    assemble_hamiltonian,
+    build_pi_lattice,
+)
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -82,3 +89,50 @@ def same_trapped_content(certificates, brute, energy_tol=1e-8):
         if np.linalg.norm(projection - cert.vector) > energy_tol:
             return False
     return True
+
+
+def dense_scatter_reference(n0, length, kappa, kappa0, k, leads, incident="left"):
+    """(t, r, psi) from one dense solve of the equations numeric_scatter_oracle
+    solves by elimination, for small lattices only: O(N^2) memory.
+
+    Unknowns are the amplitudes of all N sites plus r and t.  The rows are
+    the Schrodinger equation on every site but the outermost site of each
+    lead, and the two outermost sites of each lead pinned to the plane-wave
+    form (incoming + r-reflected on the incident side, t-transmitted on the
+    other).  ``psi`` holds the site amplitudes, incoming amplitude 1.  A
+    singular system raises numpy's LinAlgError.
+    """
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
+    h = assemble_hamiltonian(lattice.graph)
+    n = lattice.graph.site_count
+    energy = -2.0 * kappa * np.cos(k)
+    # host-chain coordinates of the four pinned sites
+    left_pair = [(lattice.site_index[f"c{1 - leads}"], 1 - leads),
+                 (lattice.site_index[f"c{2 - leads}"], 2 - leads)]
+    right_pair = [(lattice.site_index[f"c{length + leads}"], length + leads),
+                  (lattice.site_index[f"c{length + leads - 1}"], length + leads - 1)]
+    sign = 1 if incident == "left" else -1
+    incoming = lambda j: np.exp(sign * 1j * k * (j - 1))
+    reflected = lambda j: np.exp(-sign * 1j * k * (j - 1))
+    in_pair, out_pair = (left_pair, right_pair) if incident == "left" else (right_pair, left_pair)
+    outermost = {in_pair[0][0], out_pair[0][0]}
+    system = np.zeros((n + 2, n + 2), dtype=complex)
+    rhs = np.zeros(n + 2, dtype=complex)
+    row = 0
+    for site in range(n):
+        if site in outermost:
+            continue
+        system[row, :n] = h[site]
+        system[row, site] -= energy
+        row += 1
+    for site, j in in_pair:               # psi = incoming + r * reflected
+        system[row, site] = 1.0
+        system[row, n] = -reflected(j)
+        rhs[row] = incoming(j)
+        row += 1
+    for site, j in out_pair:              # psi = t * transmitted
+        system[row, site] = 1.0
+        system[row, n + 1] = -incoming(j)
+        row += 1
+    solution = np.linalg.solve(system, rhs)
+    return complex(solution[n + 1]), complex(solution[n]), solution[:n]

@@ -264,8 +264,11 @@ def test_invalid_parameters_exit_two(tmp_path):
 )
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "cannot read config"), ("[1, 2]", "must hold a JSON object")],
-    ids=["missing", "not-object"],
+    [(None, "cannot read config"), ("[1, 2]", "must hold a JSON object"),
+     ('{"subcommand": "transmit", "len": 5}', "unknown config key 'len'"),
+     ('{"subcommand": "transmit", "n0": "two", "length": 5}',
+      "config key 'n0' expects int | None, got \"two\"")],
+    ids=["missing", "not-object", "unknown-key", "bad-type"],
 )
 def test_config_error_is_one_line_exit_two(tmp_path, capsys, placement, content, message):
     cfg = tmp_path / "run.json"
@@ -276,3 +279,26 @@ def test_config_error_is_one_line_exit_two(tmp_path, capsys, placement, content,
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_unwritable_output_is_one_line_exit_two(tmp_path, capsys):
+    target = tmp_path / "existing_dir"
+    target.mkdir()
+    args = ["transmit", "--n0", "2", "--len", "5", "--steps", "10", "--out", str(target)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write output:")
+    assert "Is a directory" in captured.err
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("n0", 3, 0), ("n0", True, 2), ("n0", 3.0, 2), ("kappa0", 2, 0), ("kappa0", "2", 2),
+    ("out", None, 0), ("kappa", None, 2),
+])
+def test_config_values_are_checked_against_the_field_types(tmp_path, key, value, code):
+    # JSON has one number type, so an integer fits a float field; a bool
+    # fits no number field, and null only an optional one
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"subcommand": "bound", "n0": 2, "length": 4, key: value}))
+    assert main(["--config", str(cfg)]) == code

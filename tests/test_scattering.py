@@ -1,5 +1,7 @@
 """Analytic transmission, zero structure and the numeric scattering oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from fanonet import scattering
 from fanonet import (
     LatticeGraph,
     Partition,
+    assemble_hamiltonian,
     common_zeros,
     find_trapping_modes,
     l_dependent_reflection_zeros,
@@ -21,6 +24,8 @@ from fanonet import (
     transmission_sweep,
 )
 from fanonet.scattering import side_chain_response, _phase_shift
+
+from _support import dense_scatter_reference
 
 
 def test_resonant_transmission_point():
@@ -185,6 +190,95 @@ def test_oracle_validates_input():
         numeric_scatter_oracle(2, 4, 1.0, 1.0, 1.0, leads=10)
     with pytest.raises(ValueError, match="incident"):
         numeric_scatter_oracle(2, 4, 1.0, 1.0, 1.0, leads=30, incident="top")
+
+
+def _oracle_tolerance(n0, length, k, leads, psi):
+    """Bound on |oracle - dense reference| in t and in r.
+
+    Each of the N host steps of the oracle's recurrence rounds at most four
+    operations on amplitudes no larger than G = max|psi| (incoming wave of
+    amplitude 1): a local error of at most 8 eps G.  The lead's transfer
+    matrices carry it to the incoming pins with norm at most 1/sin k, and
+    the 2x2 split of the pins into incoming and reflected waves has an
+    inverse of norm at most 1/sin k.  The dense LU solve obeys a bound of
+    the same form, so their difference is within twice the oracle's bound.
+    """
+    sites = 2 * leads + 2 * n0 + length
+    amplitude = max(1.0, float(np.max(np.abs(psi))))
+    return 2 * 8 * sites * np.finfo(float).eps * amplitude / np.sin(k) ** 2
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 60),
+    st.floats(0.3, 6.0),
+    st.floats(0.05, np.pi - 0.05),
+    st.integers(20, 60),
+)
+def test_oracle_matches_dense_reference(n0, length, kappa0, k, extra_leads):
+    leads = length + extra_leads
+    t_sides, tols = [], []
+    for incident in ("left", "right"):
+        t, r = numeric_scatter_oracle(n0, length, 1.0, kappa0, k, leads, incident)
+        t_ref, r_ref, psi = dense_scatter_reference(n0, length, 1.0, kappa0, k, leads, incident)
+        tol = _oracle_tolerance(n0, length, k, leads, psi)
+        assert abs(t - t_ref) <= tol
+        assert abs(r - r_ref) <= tol
+        assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-10
+        t_sides.append(t)
+        tols.append(tol)
+    assert abs(t_sides[0] - t_sides[1]) <= max(tols)         # reciprocity
+
+
+@pytest.mark.parametrize("n0, length, kappa0", [(2, 5, 1.0), (3, 40, 1.0), (1, 7, 0.6), (4, 9, 1.7)])
+def test_oracle_at_total_reflection(n0, length, kappa0):
+    # at (4, 9, 1.7) and its first momentum a side-chain pivot is exactly
+    # zero: the anchor is pinned to zero amplitude and t must come out 0
+    leads = length + 20
+    momenta = [z.k for z in common_zeros(n0, 1.0, kappa0).k_min]
+    assert momenta
+    for k in momenta:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t, r = numeric_scatter_oracle(n0, length, 1.0, kappa0, k, leads)
+        assert np.isfinite(t) and np.isfinite(r)
+        assert abs(t) <= 1e-12
+        t_ref, r_ref, psi = dense_scatter_reference(n0, length, 1.0, kappa0, k, leads)
+        tol = _oracle_tolerance(n0, length, k, leads, psi)
+        assert abs(t - t_ref) <= tol
+        assert abs(r - r_ref) <= tol
+
+
+def test_branch_elimination_is_the_schur_complement():
+    # a host path 0..9 with a forked, uneven branch on site 3 and a single
+    # site on site 7, potentials on both: each anchor's self-energy must be
+    # h_ab (E - H_bb)^-1 h_ba over its branch's sites b
+    hoppings = [(i, i + 1, 1.0) for i in range(9)]
+    hoppings += [(3, 10, 0.7), (10, 11, 1.3), (10, 12, -0.4), (12, 13, 0.9), (7, 14, 2.0)]
+    potentials = ((11, 0.3), (13, -0.8), (14, 0.5))
+    graph = LatticeGraph(15, tuple(hoppings), potentials)
+    h = assemble_hamiltonian(graph)
+    energy = 0.37
+    path, hop, mu, sigma = scattering._branch_self_energies(graph, 0, 9, energy)
+    assert path == list(range(10)) and hop == [1.0] * 9 and mu[11] == 0.3
+    assert sorted(sigma) == [3, 7]
+    for anchor, branch in ((3, [10, 11, 12, 13]), (7, [14])):
+        block = energy * np.eye(len(branch)) - h[np.ix_(branch, branch)]
+        coupling = h[anchor, branch]
+        expected = coupling @ np.linalg.solve(block, coupling)
+        a, b = sigma[anchor]
+        assert a / b == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match="tree"):
+        scattering._branch_self_energies(LatticeGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))),
+                                         0, 2, energy)
+
+
+def test_oracle_with_long_leads():
+    # 200k sites: a dense system of this size could not even be allocated
+    t, r = numeric_scatter_oracle(3, 123, 1.0, 1.0, 1.0, leads=100_000)
+    point = scattering_point(1.0, 3, 123)
+    assert abs(t - point.t) < 1e-8
+    assert abs(r - point.r) < 1e-8
 
 
 def test_peak_dip_swapping_for_successive_lengths():
