@@ -19,8 +19,9 @@ because their text names source lines.  The list covers the README
 examples, the three places a ``--config`` file can be named, unequal
 hoppings, length 1000, config files that are missing, hold no JSON
 object, name an unknown key or give a value of the wrong type, an output
-path that is a directory, and the known defects of ROADMAP item 1 (lost evanescent states,
-the dual-path ArithmeticError).
+path that is a directory, an infinite hopping, an empty evolve mode list, a
+negative evolve end time, and the known defects of ROADMAP item 1 (lost
+evanescent states, the dual-path ArithmeticError).
 """
 
 import contextlib
@@ -93,6 +94,11 @@ RUNS = [
     ("error-evolve-horizon", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
                               "--t-max", "500"]),
     ("error-bound-mode", ["bound", "--n0", "2", "--len", "4", "--long-time", "9"]),
+    ("error-bound-kappa0-inf", ["bound", "--n0", "1", "--len", "3", "--kappa0", "inf"]),
+    ("error-evolve-empty-modes", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
+                                  "--modes", ","]),
+    ("error-evolve-negative-t-max", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
+                                     "--t-max", "-2"]),
     ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
     ("error-config-missing", ["--config", "{dir}/missing.json"]),
     ("error-config-not-object", ["--config", "{dir}/list.json"]),

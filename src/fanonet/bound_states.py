@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import mul, sign_change_roots
+from ._numerics import sign_change_roots
 from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
 from .scattering import side_chain_momentum
@@ -268,15 +268,15 @@ def _transcendental(gamma, n0, length, kappa, kappa0, branch, sign):
     one value (a float is returned) or an array; ``branch`` (0 or 1) and
     ``sign`` (+1 or -1) are numbers or arrays that broadcast against it.
     """
-    k = mul(1j, gamma)
-    k = np.where(branch == 1, np.pi + k, k)[()]
+    k = 1j * np.atleast_1d(gamma)              # one gamma runs as a one-element array
+    k = np.where(branch == 1, np.pi + k, k)
     q = side_chain_momentum(k, kappa, kappa0)
-    zeta = lambda th: mul(1j, np.sin(th))
-    lead = np.exp(mul(mul(-1j, k), length - 1)) + sign
-    value = mul(mul(mul(kappa, zeta(k)), lead), zeta(mul(q, n0 + 1))) \
-        - mul(mul(kappa0, zeta(mul(q, n0))), zeta(mul(k, length - 1)))
-    value = np.real(value) + np.imag(value)
-    return float(value) if np.ndim(value) == 0 else value
+    zeta = lambda th: 1j * np.sin(th)
+    lead = np.exp(-1j * k * (length - 1)) + sign
+    value = kappa * zeta(k) * lead * zeta(q * (n0 + 1)) \
+        - kappa0 * zeta(q * n0) * zeta(k * (length - 1))
+    value = value.real + value.imag
+    return float(value[0]) if np.ndim(gamma) == 0 else value
 
 
 # the four (branch, sign) scans of the gamma grid, in the order their roots

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import types
 import typing
@@ -84,6 +85,8 @@ class RunConfig:
             raise GraphSpecError(f"steps must be >= 2, got {self.steps}")
         if self.e_min is not None and self.e_max is not None and not self.e_min < self.e_max:
             raise GraphSpecError("empty energy range: e_min must be < e_max")
+        if self.t_max is not None and not 0 <= self.t_max < math.inf:
+            raise GraphSpecError(f"t_max must be finite and >= 0, got {self.t_max}")
 
 
 def _fmt(x: float) -> str:
@@ -227,7 +230,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     lattice = build_pi_lattice(spec)
     central = lattice.central_sites
     lam = spec.central_size
-    modes = cfg.modes if cfg.modes else list(range(1, lam + 1))
+    modes = list(range(1, lam + 1)) if cfg.modes is None else cfg.modes
+    if not modes:
+        raise GraphSpecError("empty mode list (give mode numbers or 'all')")
     bad = [n for n in modes if not 1 <= n <= lam]
     if bad:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
@@ -275,6 +280,11 @@ def cmd_bound(cfg: RunConfig) -> int:
     resonant = resonant_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     evanescent = evanescent_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     states = resonant + evanescent
+    report = None
+    if cfg.long_time is not None:               # before any output: it checks the mode
+        report = long_time_survival(
+            cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, cfg.long_time, states
+        )
     print(f"# bound states: {len(resonant)} resonant, {len(evanescent)} evanescent")
     for state in states:
         momentum = f"k={_fmt(state.k.real)}+{_fmt(state.k.imag)}i"
@@ -284,10 +294,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     payload: dict = {
         "states": [s.to_json_dict() for s in states],
     }
-    if cfg.long_time is not None:
-        report = long_time_survival(
-            cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, cfg.long_time, states
-        )
+    if report is not None:
         print(f"long-time survival of mode {report.mode}: {report.p_infinity:.6f}")
         payload["long_time"] = {
             "mode": report.mode,

@@ -12,6 +12,7 @@ matrix, and general-graph code never has to special-case this family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,8 +29,8 @@ class PiLatticeSpec:
 
     n0      -- sites per side chain (>= 1)
     length  -- host-chain separation of the anchors, inclusive (>= 2)
-    kappa   -- host-chain hopping (> 0)
-    kappa0  -- side-chain and anchor hopping (> 0)
+    kappa   -- host-chain hopping (finite, > 0)
+    kappa0  -- side-chain and anchor hopping (finite, > 0)
     leads   -- host sites kept on each side beyond the anchors (>= 0)
     """
 
@@ -44,10 +45,10 @@ class PiLatticeSpec:
             raise GraphSpecError(f"n0 must be >= 1, got {self.n0}")
         if self.length < 2:
             raise GraphSpecError(f"length must be >= 2, got {self.length}")
-        if not self.kappa > 0:
-            raise GraphSpecError(f"kappa must be > 0, got {self.kappa}")
-        if not self.kappa0 > 0:
-            raise GraphSpecError(f"kappa0 must be > 0, got {self.kappa0}")
+        for name in ("kappa", "kappa0"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:            # nan fails both comparisons
+                raise GraphSpecError(f"{name} must be finite and > 0, got {value}")
         if self.leads < 0:
             raise GraphSpecError(f"leads must be >= 0, got {self.leads}")
 

@@ -12,21 +12,27 @@ host chain, so it costs O(N) time and memory for N sites (the recursive
 Green's-function / decimation idea: MacKinnon, Z. Phys. B 59, 385 (1985);
 Sancho et al., J. Phys. F 15, 851 (1985)).
 
-The formulas take one incident momentum or an array of them, with equal
-results element by element (``_numerics``).  ``transmission_sweep``
-evaluates a whole momentum grid at once, the 4x4 matching systems as one
-stacked solve, and applies every check of ``scattering_point`` to the whole
-array; the reflection-zero scan brackets its roots from one evaluation on
-the grid and bisects all brackets together.
+One private evaluation serves every entry point: it runs the closed forms
+and the 4x4 matching systems (one stacked solve) on an array of momenta,
+takes the degenerate limit element by element, and applies each check
+(band, singular system, formula against matching t, phase, realness,
+dual path, flux) once to the whole array.  ``scattering_point``,
+``transmission_amplitude`` and ``transmission_probability`` run it on a
+one-element array (numpy's scalar arithmetic rounds complex products and
+powers differently from its array loops), so ``transmission_sweep``
+equals a loop of ``scattering_point`` calls bit for bit and raises the
+error that loop would raise first.  The reflection-zero scan brackets its
+roots from one evaluation on the grid and bisects all brackets together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import modulus, mul, power, sign_change_roots
+from ._numerics import sign_change_roots
 from .graphs import LatticeGraph
 from .pilattice import PiLatticeSpec, build_pi_lattice
 
@@ -55,6 +61,17 @@ SNAP_TOL = 1e-12
 K_GRID_POINTS = 2000
 K_EDGE_MARGIN = 1e-3
 K_REFINE = 1e-13
+# the checks of one momentum, in the order they apply: name -> error, message
+_CHECKS = {
+    "band": (ValueError, "incident momentum must lie in (0, pi), got {k}"),
+    "singular": (np.linalg.LinAlgError, "matching system singular at k={k}"),
+    "formula": (ArithmeticError,
+                "formula and matching transmission disagree at k={k}: {t} vs {t_match}"),
+    "phase": (ArithmeticError, "alpha and beta are neither both real nor both imaginary"),
+    "real": (ArithmeticError, "transmission lost realness at k={k}"),
+    "dual": (ArithmeticError, "dual-path identity violated at k={k}: T={T}, |t|^2={abs_t2}"),
+    "flux": (ArithmeticError, "flux not conserved at k={k}: T+R={flux}"),
+}
 
 
 @dataclass(frozen=True)
@@ -104,7 +121,7 @@ def side_chain_momentum(k, kappa: float, kappa0: float):
     ``k`` is one momentum (q is then a Python complex) or an array of
     them, real or complex (the bound-state solver takes k = i*gamma).
     """
-    q = np.arccos(np.asarray(mul(kappa / kappa0, np.cos(k)), dtype=complex))
+    q = np.arccos(np.asarray(kappa / kappa0 * np.cos(k), dtype=complex))
     return complex(q) if q.ndim == 0 else q
 
 
@@ -119,76 +136,171 @@ def side_chain_response(k, n0: int, kappa: float, kappa0: float):
     momentum or an array of them.
     """
     q = side_chain_momentum(k, kappa, kappa0)
-    alpha = mul(kappa, np.sin(mul(q, n0 + 1)))
-    beta = mul(kappa0, np.sin(mul(q, n0)))
-    return q, alpha, beta
+    return q, kappa * np.sin(q * (n0 + 1)), kappa0 * np.sin(q * n0)
 
 
 def _check_band(k: float):
     if not 0.0 < k < np.pi:
-        raise ValueError(f"incident momentum must lie in (0, pi), got {k}")
+        raise ValueError(_CHECKS["band"][1].format(k=k))
 
 
 def _snapped_response(k, n0, kappa, kappa0):
-    """(alpha, beta, degenerate): the side-chain response, with the
-    degenerate momenta, where alpha and beta vanish together (q -> 0 or pi),
-    replaced by the directional limit along real k.
+    """(q, alpha, beta, degenerate) at the momenta of the array ``k``, with
+    the degenerate momenta, where alpha and beta vanish together (q -> 0 or
+    pi), given the directional limit along real k.
 
     Both factors go through zero linearly in q, so their ratio survives:
-    each is replaced by its derivative at the degenerate q.  For one
-    momentum the limit is a real pair and the formulas continue in real
-    arithmetic; an array stays complex, which is why transmission_sweep
-    hands degenerate momenta to scattering_point.
+    each is replaced by its derivative at the degenerate q.
     """
     q, alpha, beta = side_chain_response(k, n0, kappa, kappa0)
     scale = kappa + kappa0
-    degenerate = (modulus(alpha) < SNAP_TOL * scale) & (modulus(beta) < SNAP_TOL * scale)
-    if np.any(degenerate):
-        q_star = np.where(modulus(q) < np.pi / 2, 0.0, np.pi)
-        limit_alpha = kappa * (n0 + 1) * np.cos(q_star * (n0 + 1))
-        limit_beta = kappa0 * n0 * np.cos(q_star * n0)
-        if np.ndim(degenerate) == 0:
-            return limit_alpha, limit_beta, True
-        alpha = np.where(degenerate, limit_alpha, alpha)
-        beta = np.where(degenerate, limit_beta, beta)
-    return alpha, beta, degenerate
+    degenerate = (np.abs(alpha) < SNAP_TOL * scale) & (np.abs(beta) < SNAP_TOL * scale)
+    q_star = np.where(np.abs(q) < np.pi / 2, 0.0, np.pi)
+    alpha = np.where(degenerate, kappa * (n0 + 1) * np.cos(q_star * (n0 + 1)), alpha)
+    beta = np.where(degenerate, kappa0 * n0 * np.cos(q_star * n0), beta)
+    return q, alpha, beta, degenerate
 
 
 def _amplitude_from(alpha, beta, k, length):
     s = np.sin(k)
-    a2s2 = mul(power(alpha, 2), power(s, 2))
-    den = a2s2 - mul(mul(mul(1j, alpha), beta), s) \
-        + mul(power(beta / 2.0, 2), np.exp(mul(mul(2j, k), length - 1)) - 1.0)
+    a2s2 = alpha**2 * s**2
+    den = a2s2 - 1j * alpha * beta * s \
+        + (beta / 2.0) ** 2 * (np.exp(2j * k * (length - 1)) - 1.0)
     return a2s2 / den
 
 
 def _reflection_from(alpha, beta, k, length):
     """Transmission and reflection amplitudes from the four matching
-    conditions at the anchors, one 4x4 solve per momentum (stacked for an
-    array of momenta).
+    conditions at the anchors, one stacked 4x4 solve over the momenta, and
+    the mask of momenta whose system is singular (t and r are nan there).
 
     Unknowns (A, B, r, t): interior plane waves, reflection, transmission.
     The equations are homogeneous of degree one in (alpha, beta), so they
     also serve the degenerate limit.
     """
-    ek = np.exp(mul(1j, k))
-    eth = np.exp(mul(1j, k * (length - 1)))
-    system = np.zeros(np.shape(ek) + (4, 4), dtype=complex)
-    system[..., 0, :3] = [1, 1, -1]
-    system[..., 1, 0] = mul(-alpha, ek)
-    system[..., 1, 1] = -alpha / ek
-    system[..., 1, 2] = alpha / ek - beta
-    system[..., 2, 0] = eth
-    system[..., 2, 1] = 1 / eth
-    system[..., 2, 3] = -eth
-    system[..., 3, 0] = mul(-alpha, eth) / ek
-    system[..., 3, 1] = mul(-alpha, ek) / eth
-    system[..., 3, 3] = mul(alpha, eth) / ek - mul(beta, eth)
-    rhs = np.zeros(np.shape(ek) + (4, 1), dtype=complex)
-    rhs[..., 0, 0] = 1
-    rhs[..., 1, 0] = beta - mul(alpha, ek)
-    solution = np.linalg.solve(system, rhs)[..., 0]
-    return solution[..., 3][()], solution[..., 2][()]
+    ek = np.exp(1j * k)
+    eth = np.exp(1j * (k * (length - 1)))
+    system = np.zeros(k.shape + (4, 4), dtype=complex)
+    system[:, 0, :3] = [1, 1, -1]
+    system[:, 1, 0] = -alpha * ek
+    system[:, 1, 1] = -alpha / ek
+    system[:, 1, 2] = alpha / ek - beta
+    system[:, 2, 0] = eth
+    system[:, 2, 1] = 1 / eth
+    system[:, 2, 3] = -eth
+    system[:, 3, 0] = -alpha * eth / ek
+    system[:, 3, 1] = -alpha * ek / eth
+    system[:, 3, 3] = alpha * eth / ek - beta * eth
+    rhs = np.zeros(k.shape + (4, 1), dtype=complex)
+    rhs[:, 0, 0] = 1
+    rhs[:, 1, 0] = beta - alpha * ek
+    singular = np.zeros(k.shape, dtype=bool)
+    try:
+        solution = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:               # one singular system fails the stack
+        solution = np.full_like(rhs, np.nan)
+        for i in range(len(k)):
+            try:
+                solution[i] = np.linalg.solve(system[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    return solution[:, 3, 0], solution[:, 2, 0], singular
+
+
+def _probability_from(alpha, beta, k, length, delta):
+    """T from the closed real form, and whether both of its factors came out
+    real (within 1e-9)."""
+    s = np.sin(k)
+    quartic = alpha**4 * s**4
+    prefactor = (beta / 2.0) ** 2 * (beta**2 + 4.0 * alpha**2 * s**2)
+    lost = (np.abs(quartic.imag) > 1e-9 * np.maximum(np.abs(quartic), 1e-300)) | \
+        (np.abs(prefactor.imag) > 1e-9 * np.maximum(np.abs(prefactor), 1e-300))
+    a4, b2 = quartic.real, prefactor.real
+    return a4 / (a4 + b2 * np.sin(k * (length - 1) - delta) ** 2), ~lost
+
+
+def _phase_angle(alpha, beta, s):
+    """(delta, ok): the quadrant-correct angle of (beta, 2*alpha*s) where
+    both components are real or both pure imaginary (one atan2 covers
+    both), nan where they are neither; arrays in, arrays out."""
+    u = 2.0 * alpha * s
+    v = beta + 0j
+    u_tol = 1e-9 * np.abs(u) + 1e-300
+    v_tol = 1e-9 * np.abs(v) + 1e-300
+    real = (np.abs(u.imag) <= u_tol) & (np.abs(v.imag) <= v_tol)
+    imag = (np.abs(u.real) <= u_tol) & (np.abs(v.real) <= v_tol)
+    delta = np.where(real, np.arctan2(u.real, v.real),
+                     np.where(imag, np.arctan2(u.imag, v.imag), np.nan))
+    return delta, real | imag
+
+
+def _phase_shift(alpha, beta, s):
+    """The phase delta of ``_phase_angle``: a float for one momentum, an
+    array for an array; ArithmeticError where it does not exist."""
+    delta, ok = _phase_angle(*np.atleast_1d(alpha, beta, s))
+    if not np.all(ok):
+        raise ArithmeticError(_CHECKS["phase"][1])
+    return float(delta[0]) if np.ndim(s) == 0 else delta
+
+
+class _Evaluation(NamedTuple):
+    """Everything ``_evaluate`` finds at an array of momenta."""
+
+    k: np.ndarray
+    q: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    big_t: np.ndarray
+    big_r: np.ndarray
+    degenerate: np.ndarray
+    t_match: np.ndarray
+    abs_t2: np.ndarray
+    failed: dict              # check name -> mask of the momenta failing it
+
+    def raise_first(self, checks=tuple(_CHECKS)):
+        """Raise the error of the first momentum, in array order, that fails
+        one of ``checks``: of the first of them, in ``_CHECKS`` order, that
+        it fails."""
+        names = [name for name in _CHECKS if name in checks]
+        failed = np.array([self.failed[name] for name in names])
+        hits = np.flatnonzero(failed.any(axis=0))
+        if hits.size:
+            i = hits[0]
+            kind, message = _CHECKS[names[int(np.argmax(failed[:, i]))]]
+            raise kind(message.format(
+                k=self.k[i], t=self.t[i], t_match=self.t_match[i], T=self.big_t[i],
+                abs_t2=self.abs_t2[i], flux=self.big_t[i] + self.big_r[i],
+            ))
+
+
+def _evaluate(k, n0, length, kappa, kappa0) -> _Evaluation:
+    """t, r, T and R at the momenta of the 1-D array ``k``, and which of
+    the ``_CHECKS`` each momentum fails; values at a failing momentum are
+    whatever the arithmetic gave."""
+    with np.errstate(all="ignore"):             # a failing momentum is caught by its checks
+        q, alpha, beta, degenerate = _snapped_response(k, n0, kappa, kappa0)
+        t = _amplitude_from(alpha, beta, k, length)
+        t_match, r, singular = _reflection_from(alpha, beta, k, length)
+        delta, phase_ok = _phase_angle(alpha, beta, np.sin(k))
+        big_t, real = _probability_from(alpha, beta, k, length, delta)
+        big_r = np.abs(r) ** 2
+        abs_t2 = np.abs(t) ** 2
+        failed = {
+            "band": ~((0.0 < k) & (k < np.pi)),
+            "singular": singular,
+            "formula": np.abs(t - t_match) > 1e-9,
+            "phase": ~phase_ok,
+            "real": ~real,
+            "dual": np.abs(big_t - abs_t2) > 1e-12,
+            "flux": np.abs(big_t + big_r - 1.0) > FLUX_TOL,
+        }
+    return _Evaluation(k, q, t, r, big_t, big_r, degenerate, t_match, abs_t2, failed)
+
+
+def _evaluate_one(k, n0, length, kappa, kappa0) -> _Evaluation:
+    """``_evaluate`` at the single momentum k, as a one-element array: numpy
+    rounds products and powers of scalars differently from its array loops."""
+    return _evaluate(np.array([k], dtype=float), n0, length, kappa, kappa0)
 
 
 def transmission_amplitude(
@@ -199,31 +311,9 @@ def transmission_amplitude(
     At the degenerate points where alpha and beta vanish together the
     directional limit along real k is taken (resonant transmission).
     """
-    _check_band(k)
-    alpha, beta, _ = _snapped_response(k, n0, kappa, kappa0)
-    t = _amplitude_from(alpha, beta, k, length)
-    t_match, r = _reflection_from(alpha, beta, k, length)
-    if modulus(t - t_match) > 1e-9:
-        raise ArithmeticError(
-            f"formula and matching transmission disagree at k={k}: "
-            f"{t} vs {t_match}"
-        )
-    return t, r
-
-
-def _probability_from(alpha, beta, k, length, delta):
-    """T from the closed real form, and whether both of its factors came out
-    real (within 1e-9)."""
-    s = np.sin(k)
-    quartic = mul(power(alpha, 4), power(s, 4))
-    prefactor = mul(
-        power(beta / 2.0, 2), power(beta, 2) + mul(mul(4.0, power(alpha, 2)), power(s, 2))
-    )
-    lost = (np.abs(np.imag(quartic)) > 1e-9 * np.maximum(modulus(quartic), 1e-300)) | \
-        (np.abs(np.imag(prefactor)) > 1e-9 * np.maximum(modulus(prefactor), 1e-300))
-    a4 = np.real(quartic)
-    b2 = np.real(prefactor)
-    return a4 / (a4 + b2 * power(np.sin(k * (length - 1) - delta), 2)), ~lost
+    ev = _evaluate_one(k, n0, length, kappa, kappa0)
+    ev.raise_first(("band", "singular", "formula"))
+    return ev.t[0], ev.r[0]
 
 
 def transmission_probability(
@@ -236,96 +326,40 @@ def transmission_probability(
     (beta, 2*alpha*sin k).  Agrees with |t|^2 to 1e-12 (dual-path check
     enforced in scattering_point).
     """
-    _check_band(k)
-    alpha, beta, _ = _snapped_response(k, n0, kappa, kappa0)
-    delta = _phase_shift(alpha, beta, np.sin(k))
-    big_t, real = _probability_from(alpha, beta, k, length, delta)
-    if not real:
-        raise ArithmeticError(f"transmission lost realness at k={k}")
-    return big_t
-
-
-def _phase_angle(alpha, beta, s):
-    """(delta, ok): the quadrant-correct angle of (beta, 2*alpha*s) where
-    both components are real or both pure imaginary (one atan2 covers
-    both), nan where they are neither."""
-    u = mul(mul(2.0, alpha), s)
-    v = beta + 0j
-    u_tol = 1e-9 * modulus(u) + 1e-300
-    v_tol = 1e-9 * modulus(v) + 1e-300
-    real = (np.abs(np.imag(u)) <= u_tol) & (np.abs(np.imag(v)) <= v_tol)
-    imag = (np.abs(np.real(u)) <= u_tol) & (np.abs(np.real(v)) <= v_tol)
-    delta = np.where(real, np.arctan2(np.real(u), np.real(v)),
-                     np.where(imag, np.arctan2(np.imag(u), np.imag(v)), np.nan))
-    return delta[()], (real | imag)[()]
-
-
-def _phase_shift(alpha, beta, s):
-    """The phase delta of ``_phase_angle``: a float for one momentum, an
-    array for an array; ArithmeticError where it does not exist."""
-    delta, ok = _phase_angle(alpha, beta, s)
-    if not np.all(ok):
-        raise ArithmeticError("alpha and beta are neither both real nor both imaginary")
-    return float(delta) if np.ndim(delta) == 0 else delta
+    ev = _evaluate_one(k, n0, length, kappa, kappa0)
+    ev.raise_first(("band", "phase", "real"))
+    return ev.big_t[0]
 
 
 def scattering_point(
     k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
 ) -> ScatteringPoint:
-    """Full scattering record at one momentum, with the dual-path identity
-    |t|^2 == T asserted and degeneracies flagged."""
-    _, _, degenerate = _snapped_response(k, n0, kappa, kappa0)
-    flag = "degenerate-resonant" if degenerate else None
-    t, r = transmission_amplitude(k, n0, length, kappa, kappa0)
-    big_t = transmission_probability(k, n0, length, kappa, kappa0)
-    if abs(big_t - power(modulus(t), 2)) > 1e-12:
-        raise ArithmeticError(
-            f"dual-path identity violated at k={k}: T={big_t}, |t|^2={abs(t)**2}"
-        )
-    big_r = power(modulus(r), 2)
-    if abs(big_t + big_r - 1.0) > FLUX_TOL:
-        raise ArithmeticError(f"flux not conserved at k={k}: T+R={big_t + big_r}")
-    q, _, _ = side_chain_response(k, n0, kappa, kappa0)
+    """Full scattering record at one momentum, with every check applied
+    (the dual-path identity |t|^2 == T and flux conservation among them)
+    and degeneracies flagged."""
+    ev = _evaluate_one(k, n0, length, kappa, kappa0)
+    ev.raise_first()
     return ScatteringPoint(
-        k=float(k), energy=float(-2.0 * kappa * np.cos(k)), q=q,
-        t=complex(t), r=complex(r), transmission=float(big_t),
-        reflection=float(big_r), flag=flag,
+        k=float(k), energy=float(-2.0 * kappa * np.cos(k)), q=complex(ev.q[0]),
+        t=complex(ev.t[0]), r=complex(ev.r[0]), transmission=float(ev.big_t[0]),
+        reflection=float(ev.big_r[0]),
+        flag="degenerate-resonant" if ev.degenerate[0] else None,
     )
 
 
 def transmission_sweep(
     k: np.ndarray, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """t, r, T and R at every momentum of the array ``k``.
+    """t, r, T and R at every momentum of the array ``k``, in its shape.
 
-    Element i equals, bit for bit, what scattering_point gives at k[i], and
-    every check of scattering_point is applied to the whole array.  A
-    momentum that fails a check, lies outside (0, pi) or sits on a
-    degenerate point is handed to scattering_point itself, in array order:
-    so the sweep raises exactly the error that a loop of scattering_point
-    calls would raise first, and takes the degenerate limit from it.
+    Element i equals, bit for bit, what scattering_point gives at k[i]: both
+    run the same array evaluation.  The sweep raises the error that a loop
+    of scattering_point calls would raise first.
     """
     k = np.asarray(k, dtype=float)
-    with np.errstate(all="ignore"):             # irregular momenta are redone alone
-        alpha, beta, degenerate = _snapped_response(k, n0, kappa, kappa0)
-        t = _amplitude_from(alpha, beta, k, length)
-        try:
-            t_match, r = _reflection_from(alpha, beta, k, length)
-            singular = False
-        except np.linalg.LinAlgError:           # one singular system fails the stack
-            t_match, r = np.full_like(t, np.nan), np.full_like(t, np.nan)
-            singular = True
-        delta, phase_ok = _phase_angle(alpha, beta, np.sin(k))
-        big_t, real = _probability_from(alpha, beta, k, length, delta)
-        big_r = power(modulus(r), 2)
-        irregular = singular | degenerate | ~((0.0 < k) & (k < np.pi)) \
-            | (modulus(t - t_match) > 1e-9) | ~phase_ok | ~real \
-            | (np.abs(big_t - power(modulus(t), 2)) > 1e-12) \
-            | (np.abs(big_t + big_r - 1.0) > FLUX_TOL)
-    for i in np.flatnonzero(irregular):
-        point = scattering_point(float(k[i]), n0, length, kappa, kappa0)
-        t[i], r[i], big_t[i], big_r[i] = point.t, point.r, point.transmission, point.reflection
-    return t, r, big_t, big_r
+    ev = _evaluate(k.ravel(), n0, length, kappa, kappa0)
+    ev.raise_first()
+    return tuple(a.reshape(k.shape)[()] for a in (ev.t, ev.r, ev.big_t, ev.big_r))
 
 
 def single_side_chain_transmission(
@@ -392,7 +426,7 @@ def l_dependent_reflection_zeros(
     grid = np.linspace(K_EDGE_MARGIN, np.pi - K_EDGE_MARGIN, K_GRID_POINTS)
     k0 = sign_change_roots(objective, grid, objective(grid)[None], K_REFINE)[0]
     _, alpha, _ = side_chain_response(k0, n0, kappa, kappa0)
-    keep = (np.abs(objective(k0)) < 1e-8) & (modulus(alpha) > 1e-9 * (kappa + kappa0))
+    keep = (np.abs(objective(k0)) < 1e-8) & (np.abs(alpha) > 1e-9 * (kappa + kappa0))
     return k0[keep].tolist()
 
 

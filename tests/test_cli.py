@@ -302,3 +302,54 @@ def test_config_values_are_checked_against_the_field_types(tmp_path, key, value,
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"subcommand": "bound", "n0": 2, "length": 4, key: value}))
     assert main(["--config", str(cfg)]) == code
+
+
+def _one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--n0", "1", "--len", "3", "--kappa0", "inf"], "kappa0 must be finite and > 0"),
+    (["bound", "--n0", "1", "--len", "3", "--kappa0", "nan"], "kappa0 must be finite and > 0"),
+    (["transmit", "--n0", "2", "--len", "5", "--kappa", "inf"], "kappa must be finite and > 0"),
+    (["evolve", "--n0", "2", "--len", "4", "--m", "40", "--kappa", "inf"],
+     "kappa must be finite and > 0"),
+])
+def test_non_finite_hopping_is_one_line_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    _one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--modes", ","], "empty mode list"),
+    (["--modes", ""], "empty mode list"),
+    (["--t-max", "-2"], "t_max must be finite and >= 0, got -2.0"),
+    (["--t-max", "inf", "--allow-reflections"], "t_max must be finite and >= 0, got inf"),
+    (["--t-max", "nan"], "t_max must be finite and >= 0, got nan"),
+])
+def test_evolve_rejects_empty_modes_and_bad_t_max(tmp_path, capsys, extra, message):
+    out = tmp_path / "s.csv"
+    argv = ["evolve", "--n0", "2", "--len", "4", "--m", "40", "--out", str(out)]
+    assert main(argv + extra) == 2
+    _one_error_line(capsys, message)
+    assert not out.exists()
+
+
+def test_evolve_rejects_an_empty_mode_list_in_a_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"subcommand": "evolve", "n0": 2, "length": 4, "leads": 40,
+                               "modes": []}))
+    assert main(["--config", str(cfg)]) == 2
+    _one_error_line(capsys, "empty mode list")
+
+
+@pytest.mark.parametrize("mode", ["0", "9", "-3"])
+def test_bound_long_time_mode_is_checked_before_any_output(tmp_path, capsys, mode):
+    out = tmp_path / "b.json"
+    assert main(["bound", "--n0", "2", "--len", "4", "--long-time", mode,
+                 "--out", str(out)]) == 4
+    _one_error_line(capsys, f"mode must be in [1, 8], got {mode}")
+    assert not out.exists()

@@ -175,6 +175,10 @@ def test_pi_lattice_name_map_consistent():
         {"n0": 2, "length": 4, "kappa": 0.0},
         {"n0": 2, "length": 4, "kappa0": -1.0},
         {"n0": 2, "length": 4, "leads": -1},
+        {"n0": 2, "length": 4, "kappa": np.inf},
+        {"n0": 2, "length": 4, "kappa0": np.inf},
+        {"n0": 2, "length": 4, "kappa": np.nan},
+        {"n0": 2, "length": 4, "kappa0": np.nan},
     ],
 )
 def test_pi_lattice_invariants_enforced(kwargs):

@@ -403,8 +403,9 @@ def test_transmission_sweep_takes_the_degenerate_limit():
 
 
 def test_transmission_sweep_survives_a_singular_stack(monkeypatch):
-    # one singular 4x4 system makes the stacked solve fail as a whole; the
-    # sweep then settles every momentum through scattering_point
+    # one singular 4x4 system makes the stacked solve fail as a whole; each
+    # 4x4 system is then solved alone, by the sweep and by every
+    # scattering_point call of the loop alike
     solve = np.linalg.solve
 
     def stack_fails(a, b):
@@ -414,6 +415,47 @@ def test_transmission_sweep_survives_a_singular_stack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", stack_fails)
     _assert_sweep_matches_loop(np.linspace(0.1, 3.0, 25), 3, 7, 0.8)
+
+
+def test_a_singular_system_fails_only_its_own_momentum(monkeypatch):
+    # the stacked solve fails as a whole, so every momentum is solved alone:
+    # the values do not change, and only a momentum whose own system is
+    # singular raises, naming its k
+    ks = np.linspace(0.1, 3.0, 25)
+    expected = transmission_sweep(ks, 3, 7, 1.0, 0.8)
+    solve, alone, singular = np.linalg.solve, [], []
+
+    def patched(a, b):
+        if np.ndim(a) > 2 or any(np.array_equal(a, m) for m in singular):
+            raise np.linalg.LinAlgError("Singular matrix")
+        alone.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", patched)
+    got = transmission_sweep(ks, 3, 7, 1.0, 0.8)
+    for array, reference in zip(got, expected):
+        assert array.tobytes() == reference.tobytes()
+    assert len(alone) == len(ks)
+    singular.append(alone[4])
+    message = f"matching system singular at k={ks[4]}"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        transmission_sweep(ks, 3, 7, 1.0, 0.8)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        scattering_point(ks[4], 3, 7, 1.0, 0.8)
+    assert scattering_point(ks[5], 3, 7, 1.0, 0.8).t == expected[0][5]
+
+
+def test_each_one_momentum_function_applies_its_own_checks(monkeypatch):
+    # a closed-form t off by 1e-6 fails the formula-against-matching check:
+    # the amplitude and the full record refuse it, T does not depend on it
+    k = 1.1
+    big_t = transmission_probability(k, 2, 5, 1.0, 1.3)
+    amplitude = scattering._amplitude_from
+    monkeypatch.setattr(scattering, "_amplitude_from", lambda *a: amplitude(*a) * (1 + 1e-6))
+    for function in (transmission_amplitude, scattering_point):
+        with pytest.raises(ArithmeticError, match="formula and matching transmission disagree"):
+            function(k, 2, 5, 1.0, 1.3)
+    assert transmission_probability(k, 2, 5, 1.0, 1.3) == big_t
 
 
 def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
