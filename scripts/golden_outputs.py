@@ -20,8 +20,12 @@ examples, the three places a ``--config`` file can be named, unequal
 hoppings, length 1000, config files that are missing, hold no JSON
 object, name an unknown key or give a value of the wrong type, an output
 path that is a directory, an infinite hopping, an empty evolve mode list, a
-negative evolve end time, and the known defects of ROADMAP item 1 (lost
-evanescent states, the dual-path ArithmeticError).
+negative evolve end time, --compare lengths that are no lattice length,
+bound states of the paper's long lattice and of strong side coupling, and
+the known defect of ROADMAP item 1 (transmit's dual-path ArithmeticError).
+
+CI runs the script twice and diffs the two listings: identical
+configurations must give identical bytes.
 """
 
 import contextlib
@@ -84,10 +88,11 @@ RUNS = [
     ("bound-equal-long-time-700", ["bound", "--n0", "4", "--len", "700", "--long-time", "351"]),
     ("bound-length-1000-long-time", ["bound", "--n0", "5", "--len", "1000", "--kappa0", "3.3248",
                                      "--long-time", "418", "--out", "{dir}/b1000.json"]),
-    ("defect-bound-lost-states", ["bound", "--n0", "3", "--len", "123",
-                                  "--out", "{dir}/lost.json"]),
-    ("defect-bound-lost-states-long-time", ["bound", "--n0", "1", "--len", "123",
-                                            "--long-time", "62", "--out", "{dir}/lost1.json"]),
+    ("bound-length-123", ["bound", "--n0", "3", "--len", "123", "--out", "{dir}/b123.json"]),
+    ("bound-length-123-long-time", ["bound", "--n0", "1", "--len", "123",
+                                    "--long-time", "62", "--out", "{dir}/b123_mode62.json"]),
+    ("bound-strong-side", ["bound", "--n0", "4", "--len", "7", "--kappa0", "10",
+                           "--out", "{dir}/strong.json"]),
     ("evolve-unequal", ["evolve", "--n0", "2", "--len", "5", "--m", "60", "--kappa0", "1.3",
                         "--steps", "60", "--modes", "5", "--out", "{dir}/unequal.csv"]),
     ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),
@@ -99,6 +104,12 @@ RUNS = [
                                   "--modes", ","]),
     ("error-evolve-negative-t-max", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
                                      "--t-max", "-2"]),
+    ("error-transmit-compare-negative", ["transmit", "--n0", "2", "--len", "5", "--compare", "-3",
+                                         "--steps", "3", "--out", "{dir}/c.csv"]),
+    ("error-transmit-compare-zero", ["transmit", "--n0", "2", "--len", "5", "--compare", "0",
+                                     "--steps", "3", "--out", "{dir}/c.csv"]),
+    ("error-transmit-compare-one", ["transmit", "--n0", "2", "--len", "5", "--compare", "1",
+                                    "--steps", "3", "--out", "{dir}/c.csv"]),
     ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
     ("error-config-missing", ["--config", "{dir}/missing.json"]),
     ("error-config-not-object", ["--config", "{dir}/list.json"]),

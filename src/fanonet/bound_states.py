@@ -1,25 +1,31 @@
-"""Exact bound states of the side-coupled lattice.
+"""Exact bound states of the side-coupled lattice, in closed form.
 
-The bound-state wavefunction is a piecewise trial form: plane waves (or
-decaying exponentials) on the host chain, standing waves on the side
-chains, glued together by site-wise Schrodinger matching at the anchors.
-Two families solve the matching problem:
+The lattice with its leads is mirror-symmetric (a_i <-> b_i,
+c_j <-> c_{length+1-j}), so every bound state is even (s = +1) or odd
+(s = -1) under the mirror.  Write z = e^{ik}, E = -kappa*(z + 1/z),
+x = -E/(2*kappa0) and U_n for the Chebyshev polynomials of the second
+kind: a side chain ending in a hard wall carries U_{n0-i}(x) on its site
+i.  Two families solve the Schrodinger equation:
 
-* resonant  -- real momenta on an integer grid, zero amplitude on the
-  leads, energy inside the band |E| <= 2*kappa;
-* evanescent -- complex momentum k = i*gamma or pi + i*gamma, energy
-  outside the band, exponentially decaying lead tails.
+* resonant -- real host momentum k = a*pi/(length-1) that a side chain
+  shares: the host chain carries sin(k(j-1)), which vanishes at both
+  anchors, so no amplitude reaches the leads; energy inside the band
+  |E| <= 2*kappa;
+* evanescent -- real z with 0 < |z| < 1 (k = i*gamma below the band,
+  k = pi + i*gamma above it) and lead tails psi(anchor)*z^j.  Mirror
+  sector s holds one exactly where
 
-Coefficients are recovered as the null space of the 8x8 matching system,
-so one code path serves both families and the construction is verified
-site by site against the Schrodinger equation.
+      kappa*(1 - z^2)*U_{n0}(x) = kappa0*z*(1 + s*z^{length-1})*U_{n0-1}(x),
 
-Evanescent momenta are roots gamma of a transcendental matching
-condition, scanned on a fixed gamma grid for two band branches and two
-parity signs.  All four scans are evaluated on the whole grid in one call
-and all of their sign-change brackets are bisected together; every root
-found is then confirmed (or rejected) by the matching system, one root at
-a time in scan order.
+  and the state is U_{n0}(x)*(z^{j-1} + s*z^{length-j}) on c_j,
+  (1 + s*z^{length-1})*U_{n0-i}(x) on a_i and s times that on b_i.
+
+No power of z has a negative exponent, so nothing overflows at any length,
+and the parity is known by construction.  The roots gamma are bracketed
+on a grid that ends just past the Gershgorin bound on |E|, in four scans
+(the sign of z and s) evaluated at once, and all brackets are bisected
+together.  Every state is checked site by site against the Schrodinger
+equation of the infinite lattice; one that fails raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -54,12 +60,16 @@ ANTISYMMETRIC = "antisymmetric"
 
 # resonant solutions need exact energy coincidence; float noise sits far below
 ENERGY_MATCH_TOL = 1e-10
-# gamma search window: states localized harder than gamma=5 cannot arise for
-# desk-scale hopping ratios
 GAMMA_GRID_STEP = 1e-3
 GAMMA_MIN = 1e-4
-GAMMA_MAX = 5.0
 GAMMA_REFINE = 1e-13
+# rounding allowance of the site-by-site check, in units of ||H||_inf
+# times the largest term of the closed form (derived in CHANGES.md)
+RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
+
+# the four gamma scans, (sign of z, mirror sector s), in the order their
+# roots are built
+SCANS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
 class RootRefinementError(RuntimeError):
@@ -74,10 +84,11 @@ class RootRefinementError(RuntimeError):
 class BoundState:
     """One exact bound state of the side-coupled lattice.
 
-    ``coefficients`` are (c1, c2, c3, c4, a1, a2, b1, b2) of the piecewise
-    form, normalized so the state has unit norm on the *infinite* lattice;
     ``central_amplitudes`` are the (real) values on the central chain in
-    path order and ``subgraph_weight`` is the probability carried there.
+    path order, normalized so the state has unit norm on the *infinite*
+    lattice, and ``subgraph_weight`` is the probability carried there.
+    ``z`` is the ratio of successive lead amplitudes, e^{ik} for an
+    evanescent state and 0 for a resonant one, whose leads are empty.
     ``gamma`` is Im(k) (zero for resonant states).
     """
 
@@ -91,7 +102,7 @@ class BoundState:
     energy: float
     gamma: float
     parity: str | None
-    coefficients: tuple[complex, ...]
+    z: float
     central_amplitudes: np.ndarray
     subgraph_weight: float
 
@@ -137,99 +148,49 @@ def resonant_momenta(n0: int, length: int) -> list[float]:
     return [m * np.pi / (n0 + 1) for m, _ in resonant_existence(n0, length)]
 
 
-def _matching_matrix(k, q, energy, n0, length, kappa, kappa0):
-    """Homogeneous matching system for the piecewise bound-state ansatz.
+def _gershgorin(kappa: float, kappa0: float) -> float:
+    """Largest absolute row sum of the infinite lattice's H: a bound on |E|."""
+    return max(2 * kappa + kappa0, 2 * kappa0)
 
-    Unknowns (c1, c2, c3, c4, a1, a2, b1, b2): lead amplitudes c1/c4,
-    host-chain interior plane waves c2/c3, side-chain waves a*/b*.  Rows:
-    value continuity at the two anchors, side-chain hard walls and joints,
-    and the Schrodinger equation at the anchor sites themselves (it holds
-    automatically everywhere else by construction of the plane-wave forms).
+
+def _chebyshev(x, n: int) -> np.ndarray:
+    """U_0(x) .. U_n(x) stacked along a new first axis (n >= 1)."""
+    u = [np.ones_like(x), 2 * x]
+    for _ in range(n - 1):
+        u.append(2 * x * u[-1] - u[-2])
+    return np.stack(u)
+
+
+def _state(kind, k, gamma, parity, z, values, tail, tolerance, n0, length, kappa, kappa0):
+    """BoundState from unnormalized central-chain amplitudes ``values`` in
+    path order, whose two leads together carry ``tail``.
+
+    The amplitudes must solve the Schrodinger equation of the infinite
+    lattice on every central site, each lead entering its anchor as
+    -kappa*z*psi(anchor), to within ``tolerance``; ArithmeticError
+    otherwise.
     """
-    ek = np.exp(1j * k)
-    ekL = np.exp(1j * k * length)
-    eq1 = np.exp(1j * q)
-    eqw = np.exp(1j * q * (n0 + 1))
-    rows = [
-        [-1, ek, 1 / ek, 0, 0, 0, 0, 0],
-        [0, ekL, 1 / ekL, -1, 0, 0, 0, 0],
-        [-1, 0, 0, 0, 1, 1, 0, 0],
-        [0, 0, 0, 0, eqw, 1 / eqw, 0, 0],
-        [0, 0, 0, -1, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0, 0, eqw, 1 / eqw],
-        [-kappa * ek - energy, -kappa * ek**2, -kappa / ek**2, 0,
-         -kappa0 * eq1, -kappa0 / eq1, 0, 0],
-        [0, -kappa * ekL / ek, -kappa * ek / ekL, -kappa * ek - energy,
-         0, 0, -kappa0 * eq1, -kappa0 / eq1],
-    ]
-    return np.array(rows, dtype=complex)
-
-
-def _central_values(coeff, k, q, n0, length):
-    """Amplitudes on the central chain (path order, positions 1..2*n0+length)."""
-    c1, c2, c3, c4, a1, a2, b1, b2 = coeff
-    vals = []
-    for i in range(n0, 0, -1):                        # a_{n0} .. a_1
-        vals.append(a1 * np.exp(1j * q * i) + a2 * np.exp(-1j * q * i))
-    for j in range(1, length + 1):                    # c_1 .. c_length
-        if j == 1:
-            vals.append(c1)
-        elif j == length:
-            vals.append(c4)
-        else:
-            vals.append(c2 * np.exp(1j * k * j) + c3 * np.exp(-1j * k * j))
-    for i in range(1, n0 + 1):                        # b_1 .. b_{n0}
-        vals.append(b1 * np.exp(1j * q * i) + b2 * np.exp(-1j * q * i))
-    return np.array(vals)
-
-
-def _build_state(kind, k, gamma, n0, length, kappa, kappa0):
-    """Solve the matching system at momentum k; None if it has no null space."""
-    q = side_chain_momentum(k, kappa, kappa0)
     energy = float((-2.0 * kappa * np.cos(k)).real)
-    system = _matching_matrix(k, q, energy, n0, length, kappa, kappa0)
-    _, svals, vh = np.linalg.svd(system)
-    if svals[-1] > 1e-8 * svals[0]:
-        return None
-    coeff = vh[-1].conj()
-
-    values = _central_values(coeff, k, q, n0, length)
-    # fix the global phase on the dominant amplitude; bound states of a real
-    # symmetric H can always be made real
-    pivot = values[int(np.argmax(np.abs(values)))]
-    coeff = coeff / (pivot / abs(pivot))
-    values = _central_values(coeff, k, q, n0, length)
-    if np.max(np.abs(values.imag)) > 1e-9 * np.max(np.abs(values)):
-        return None
-
-    c1, c4 = coeff[0], coeff[3]
-    if kind == RESONANT:
-        if max(abs(c1), abs(c4)) > 1e-10:
-            return None
-        tail = 0.0
-        coeff = (0.0 + 0j, *coeff[1:3], 0.0 + 0j, *coeff[4:])
-        values = _central_values(coeff, k, q, n0, length)
-    else:
-        tail = (abs(c1) ** 2 + abs(c4) ** 2) / (np.exp(2 * gamma) - 1.0)
-    central_weight = float(np.sum(np.abs(values) ** 2))
-    norm = np.sqrt(central_weight + tail)
-    coeff = tuple(c / norm for c in coeff)
-    values = values.real / norm
-    weight = central_weight / norm**2
-
-    parity = None
-    if kind == EVANESCENT:
-        c1n, c4n = coeff[0], coeff[3]
-        tail_cross = 2.0 * (c1n * c4n).real / (np.exp(2 * gamma) - 1.0)
-        mirror = float(values @ values[::-1] + tail_cross)
-        if abs(abs(mirror) - 1.0) > 1e-8:
-            return None
-        parity = SYMMETRIC if mirror > 0 else ANTISYMMETRIC
-
+    hop = np.full(len(values) - 1, kappa0)
+    hop[n0:n0 + length - 1] = kappa
+    h_psi = np.zeros_like(values)
+    h_psi[:-1] -= hop * values[1:]
+    h_psi[1:] -= hop * values[:-1]
+    anchors = [n0, n0 + length - 1]
+    h_psi[anchors] -= kappa * z * values[anchors]
+    residual = np.max(np.abs(h_psi - energy * values))
+    if not residual <= tolerance:
+        raise ArithmeticError(
+            f"{kind} state at E={energy!r} misses the Schrodinger equation "
+            f"by {residual:.3e} (bound {tolerance:.3e})"
+        )
+    central = float(values @ values)
+    norm_sq = central + tail
     return BoundState(
         kind=kind, n0=n0, length=length, kappa=kappa, kappa0=kappa0,
-        k=complex(k), q=q, energy=energy, gamma=gamma, parity=parity,
-        coefficients=coeff, central_amplitudes=values, subgraph_weight=weight,
+        k=complex(k), q=side_chain_momentum(k, kappa, kappa0), energy=energy, gamma=gamma,
+        parity=parity, z=z, central_amplitudes=values / np.sqrt(norm_sq),
+        subgraph_weight=central / norm_sq,
     )
 
 
@@ -239,49 +200,60 @@ def resonant_bound_states(
     """Bound states with real momenta on the integer grids.
 
     Host momenta a*pi/(length-1) and side momenta b*pi/(n0+1) are paired
-    whenever their band energies coincide to within 1e-10; the resulting
-    states carry no lead amplitude (c1 = c4 = 0) and |E| <= 2*kappa.
+    whenever their band energies coincide to within 1e-10.  The host chain
+    carries sin(k(j-1)), zero at both anchors, so the leads stay empty and
+    |E| <= 2*kappa; each side chain carries sin(q*i), scaled by its anchor
+    equation kappa0*psi(a_1) = -kappa*psi(c_2).
     """
     states = []
     for a in range(1, length - 1):
         k = a * np.pi / (length - 1)
         for b in range(1, n0 + 1):
             q = b * np.pi / (n0 + 1)
-            if abs(kappa * np.cos(k) - kappa0 * np.cos(q)) < ENERGY_MATCH_TOL:
-                state = _build_state(RESONANT, k + 0j, 0.0, n0, length, kappa, kappa0)
-                if state is not None:
-                    states.append(state)
+            mismatch = abs(kappa * np.cos(k) - kappa0 * np.cos(q))
+            if mismatch < ENERGY_MATCH_TOL:
+                host = np.sin(k * np.arange(length))
+                host[[0, -1]] = 0.0                 # k*(length-1) = a*pi
+                side = -kappa / kappa0 * np.sin(q * np.arange(1, n0 + 1)) / np.sin(q)
+                values = np.concatenate([host[1] * side[::-1], host, host[-2] * side])
+                # rounding, that of the sine arguments (3*eps*pi per site of
+                # the chains, see CHANGES.md) and the energy mismatch
+                scale = np.max(np.abs(values))
+                rounding = RESIDUAL_ROUNDING + 32 * np.finfo(float).eps * (length + n0)
+                tolerance = (rounding * _gershgorin(kappa, kappa0) + 2 * mismatch) * scale
+                states.append(_state(RESONANT, complex(k), 0.0, None, 0.0, values, 0.0,
+                                     tolerance, n0, length, kappa, kappa0))
     return states
 
 
-def _transcendental(gamma, n0, length, kappa, kappa0, branch, sign):
-    """Denominator-cleared matching condition for decaying-lead states.
-
-    With zeta(x) = (e^{ix} - e^{-ix})/2, the condition
-    kappa*zeta(k)/zeta(k(length-1)) * [e^{-ik(length-1)} +- 1]
-        = kappa0*zeta(q*n0)/zeta(q*(n0+1))
-    is multiplied through by both denominators.  Along k = i*gamma and
-    k = pi + i*gamma the result is purely real when q is off the side
-    band and purely imaginary when q is real, so Re + Im extracts the
-    live component either way; spurious sign changes at the crossover are
-    rejected later by the matching-system null-space gate.  ``gamma`` is
-    one value (a float is returned) or an array; ``branch`` (0 or 1) and
-    ``sign`` (+1 or -1) are numbers or arrays that broadcast against it.
-    """
-    k = 1j * np.atleast_1d(gamma)              # one gamma runs as a one-element array
-    k = np.where(branch == 1, np.pi + k, k)
-    q = side_chain_momentum(k, kappa, kappa0)
-    zeta = lambda th: 1j * np.sin(th)
-    lead = np.exp(-1j * k * (length - 1)) + sign
-    value = kappa * zeta(k) * lead * zeta(q * (n0 + 1)) \
-        - kappa0 * zeta(q * n0) * zeta(k * (length - 1))
-    value = value.real + value.imag
-    return float(value[0]) if np.ndim(gamma) == 0 else value
+def _sector_condition(gamma, n0, length, kappa, kappa0, sign_z, s):
+    """kappa*(1 - z^2)*U_{n0}(x) - kappa0*z*(1 + s*z^{length-1})*U_{n0-1}(x)
+    at z = sign_z * e^{-gamma}: zero exactly where mirror sector ``s``
+    holds an evanescent state.  ``gamma`` is one value or an array;
+    ``sign_z`` and ``s`` broadcast against it."""
+    z = sign_z * np.exp(-gamma)
+    u = _chebyshev(kappa * (z + 1 / z) / (2 * kappa0), n0)
+    return kappa * (1 - z * z) * u[n0] - kappa0 * z * (1 + s * z ** (length - 1)) * u[n0 - 1]
 
 
-# the four (branch, sign) scans of the gamma grid, in the order their roots
-# are confirmed
-SCANS = ((0, +1), (0, -1), (1, +1), (1, -1))
+def _evanescent_state(gamma, sign_z, s, spread, n0, length, kappa, kappa0):
+    """The closed-form state of sector ``s`` at a root ``gamma``, whose
+    sector condition is at most ``spread`` in size there."""
+    z = sign_z * np.exp(-gamma)
+    u = _chebyshev(kappa * (z + 1 / z) / (2 * kappa0), n0)
+    side = (1 + s * z ** (length - 1)) * u[:n0]      # a_{n0} .. a_1
+    powers = z ** np.arange(length)
+    host = u[n0] * (powers + s * powers[::-1])       # c_1 .. c_length
+    values = np.concatenate([side, host, s * side[::-1]])
+    tail = 2 * host[0] ** 2 * z * z / (1 - z * z)
+    k = 1j * gamma if sign_z > 0 else np.pi + 1j * gamma
+    parity = SYMMETRIC if s > 0 else ANTISYMMETRIC
+    # rounding in terms no larger than 2*max|U_m|, plus the anchor
+    # residual, which is the sector condition over z
+    tolerance = RESIDUAL_ROUNDING * _gershgorin(kappa, kappa0) * 2 * np.max(np.abs(u)) \
+        + spread / abs(z)
+    return _state(EVANESCENT, k, gamma, parity, z, values, tail, tolerance,
+                  n0, length, kappa, kappa0)
 
 
 def evanescent_bound_states(
@@ -289,38 +261,33 @@ def evanescent_bound_states(
 ) -> list[BoundState]:
     """Bound states with complex momentum and energy outside the band.
 
-    Both band branches (k = i*gamma below, k = pi + i*gamma above) and
-    both parity signs of the matching condition are scanned on a gamma
-    grid, bracketed sign changes are bisected to ~1e-13, and every root is
-    confirmed by constructing the full coefficient set, scan by scan in
-    the order of SCANS.  A bracket that does not shrink raises
-    RootRefinementError, the first in that order.
+    Each of the four SCANS evaluates its sector condition on a gamma grid
+    from GAMMA_MIN to just past acosh(G/(2*kappa)), G the Gershgorin bound
+    on |E|; bracketed sign changes are bisected to ~1e-13 and every root
+    gives one state.  A bracket that does not shrink raises
+    RootRefinementError, the first in the order of SCANS.
     """
-    branches, signs = np.array(SCANS).T
+    sign_z, sector = np.array(SCANS).T
 
     def f(gamma, scan):
-        return _transcendental(gamma, n0, length, kappa, kappa0, branches[scan], signs[scan])
+        return _sector_condition(gamma, n0, length, kappa, kappa0, sign_z[scan], sector[scan])
 
-    grid = np.arange(GAMMA_MIN, GAMMA_MAX, GAMMA_GRID_STEP)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # rows in SCANS order; the two signs of a branch share all but the last products
-        vals = np.concatenate([
-            _transcendental(grid, n0, length, kappa, kappa0, branch, np.array([[+1], [-1]]))
-            for branch in (0, 1)
-        ])
+    # two grid steps past the bound put a grid point beyond every root
+    top = np.arccosh(_gershgorin(kappa, kappa0) / (2 * kappa)) + 2 * GAMMA_GRID_STEP
+    grid = np.arange(GAMMA_MIN, top, GAMMA_GRID_STEP)
+    # a value that overflows raises instead of silently losing its bracket
+    with np.errstate(over="raise", invalid="raise"):
+        vals = f(grid, np.arange(len(SCANS))[:, None])
         roots, lo, hi, converged, scan = sign_change_roots(f, grid, vals, GAMMA_REFINE)
-    states: list[BoundState] = []
-    seen: list[tuple[int, float]] = []
-    for gamma, bracket, ok, branch in zip(roots, zip(lo, hi), converged, branches[scan]):
+        # the condition at the root lies between its values at the bracket
+        # ends, which have opposite signs
+        spread = np.abs(f(hi, scan) - f(lo, scan))
+    states = []
+    for gamma, bracket, ok, index, width in zip(roots, zip(lo, hi), converged, scan, spread):
         if not ok:
             raise RootRefinementError(bracket)
-        if any(b == branch and abs(g - gamma) < 1e-9 for b, g in seen):
-            continue
-        k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
-        state = _build_state(EVANESCENT, k, gamma, n0, length, kappa, kappa0)
-        if state is not None:
-            states.append(state)
-            seen.append((branch, gamma))
+        states.append(_evanescent_state(gamma, sign_z[index], sector[index], width,
+                                        n0, length, kappa, kappa0))
     return sorted(states, key=lambda s: s.energy)
 
 
@@ -331,23 +298,18 @@ def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
     evanescent tail: the amplitude at the outermost lead site has to fall
     below 1e-12, otherwise the hard wall would distort the state.
     """
-    c1, c2, c3, c4, a1, a2, b1, b2 = state.coefficients
-    k = state.k
+    central = state.central_amplitudes
+    first, last = central[state.n0], central[state.n0 + state.length - 1]
     if state.kind == EVANESCENT:
-        wall = max(abs(c1), abs(c4)) * np.exp(-state.gamma * leads)
+        wall = max(abs(first), abs(last)) * np.exp(-state.gamma * leads)
         if wall >= 1e-12:
             raise ValueError(
                 f"evanescent tail {wall:.2e} at the wall; increase leads "
                 f"(gamma={state.gamma:.4f} needs roughly {int(28 / state.gamma) + 1})"
             )
-    left = [c1 * np.exp(-1j * k * (j - 1)) for j in range(1 - leads, 1)]
-    right = [c4 * np.exp(1j * k * (j - state.length)) for j in
-             range(state.length + 1, state.length + leads + 1)]
-    psi = np.concatenate([left, state.central_amplitudes.astype(complex), right])
-    psi = psi / np.linalg.norm(psi)
-    if np.max(np.abs(psi.imag)) > 1e-9:
-        raise ArithmeticError("bound state failed to realize as a real vector")
-    return psi.real
+    tail = state.z ** np.arange(1, leads + 1)         # 1 .. leads sites out
+    psi = np.concatenate([first * tail[::-1], central, last * tail])
+    return psi / np.linalg.norm(psi)
 
 
 def central_chain_modes(

@@ -311,7 +311,9 @@ def cmd_bound(cfg: RunConfig) -> int:
 def cmd_transmit(cfg: RunConfig) -> int:
     if cfg.n0 is None or cfg.length is None:
         raise GraphSpecError("transmit needs --n0 and --len")
-    PiLatticeSpec(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
+    lengths = [cfg.length] + ([] if cfg.compare is None else [cfg.compare])
+    for length in lengths:                              # parameter validation
+        PiLatticeSpec(cfg.n0, length, cfg.kappa, cfg.kappa0)
     band = 2.0 * cfg.kappa
     e_min = cfg.e_min if cfg.e_min is not None else -band + 1e-3 * cfg.kappa
     e_max = cfg.e_max if cfg.e_max is not None else band - 1e-3 * cfg.kappa
@@ -326,7 +328,6 @@ def cmd_transmit(cfg: RunConfig) -> int:
     momenta = np.arccos(-np.linspace(e_min, e_max, steps) / band)
     # the energy column is recomputed from k, as the scattering record holds it
     energies = -2.0 * cfg.kappa * np.cos(momenta)
-    lengths = [cfg.length] + ([cfg.compare] if cfg.compare else [])
 
     for length in lengths:
         t, _, big_t, big_r = transmission_sweep(momenta, cfg.n0, length, cfg.kappa, cfg.kappa0)
@@ -357,7 +358,7 @@ def cmd_transmit(cfg: RunConfig) -> int:
         ]
         for length, ks in zeros.items()
     }
-    if cfg.compare:
+    if cfg.compare is not None:
         report = peak_dip_report(cfg.n0, cfg.length, cfg.compare, cfg.kappa, cfg.kappa0,
                                  (zeros[cfg.length], zeros[cfg.compare]))
         sidecar["peak_dip"] = report.entries

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import DEFAULT_SIZE_CAP, diagonalize
+from .spectra import diagonalize
 
 __all__ = [
     "SurvivalSeries",
@@ -58,8 +58,8 @@ class SurvivalSeries:
 class SpectralPropagator:
     """Spectral decomposition of H, reusable across times and initial states."""
 
-    def __init__(self, h: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
-        self.energies, self.vectors = diagonalize(h, size_cap=size_cap)
+    def __init__(self, h: np.ndarray):
+        self.energies, self.vectors = diagonalize(h)
 
     def evolve(
         self,
@@ -97,16 +97,16 @@ class SpectralPropagator:
         return amps.reshape(len(times), *psi0.shape[1:], len(rows))
 
 
-def safe_horizon(leads: int, kappa: float, safety_factor: float = SAFETY_FACTOR) -> float:
+def safe_horizon(leads: int, kappa: float) -> float:
     """Largest trusted evolution time for a ``leads``-site hard-wall lead.
 
     Leaked probability travels at most 2*kappa sites per unit time, so it
-    cannot make the round trip off the wall before leads/(2*kappa); a
-    safety factor keeps slower wave-packet fronts out too.
+    cannot make the round trip off the wall before leads/(2*kappa); the
+    factor SAFETY_FACTOR keeps slower wave-packet fronts out too.
     """
     if leads < 0:
         raise ValueError(f"leads must be >= 0, got {leads}")
-    return leads / (2.0 * kappa) * safety_factor
+    return leads / (2.0 * kappa) * SAFETY_FACTOR
 
 
 def classify_decay(series: SurvivalSeries) -> str:

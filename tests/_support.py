@@ -1,6 +1,7 @@
 """Shared test helpers: random graph generation, a brute-force trapping
 oracle that searches the full-graph eigenbasis instead of the subgraph one,
-and a dense reference for the numeric scattering oracle."""
+a dense reference for the numeric scattering oracle, and an eigenvalue
+count of the truncated pi lattice by Sylvester's law of inertia."""
 
 from __future__ import annotations
 
@@ -136,3 +137,50 @@ def dense_scatter_reference(n0, length, kappa, kappa0, k, leads, incident="left"
         row += 1
     solution = np.linalg.solve(system, rhs)
     return complex(solution[n + 1]), complex(solution[n]), solution[:n]
+
+
+def eigenvalues_below(x, n0, length, kappa, kappa0, leads):
+    """Eigenvalues below ``x`` of the pi lattice with ``leads`` lead sites
+    per side, in O(n0 + length + leads) time.
+
+    By Sylvester's law of inertia they number the negative pivots of an
+    LDL^T factorization of H - x.  The lattice is a tree, so eliminating
+    it from its leaves (the lead ends and the side-chain tips) inward
+    fills in nothing: each eliminated site adds -hop^2/pivot to the
+    diagonal of the site it hangs from.  A pivot that is exactly zero is
+    nudged to a tiny positive value, which counts an eigenvalue at
+    exactly ``x`` as not below it.
+    """
+    negative = 0
+
+    def eliminate(diagonals, hops):
+        """Pivots of a path eliminated in order; returns the last one."""
+        nonlocal negative
+        pivot = None
+        for diagonal, hop in zip(diagonals, hops):
+            pivot = diagonal - x - (0.0 if pivot is None else hop * hop / pivot)
+            pivot = pivot or 1e-300
+            negative += pivot < 0
+        return pivot
+
+    # one lead and one side chain, each up to the site before its anchor;
+    # the mirror image has the same pivots
+    lead = eliminate([0.0] * leads, [kappa] * leads) if leads else None
+    side = eliminate([0.0] * n0, [kappa0] * n0)
+    negative *= 2
+    feed = -kappa0 * kappa0 / side - (kappa * kappa / lead if lead else 0.0)
+    host = [0.0] * length
+    host[0] += feed
+    host[-1] += feed
+    eliminate(host, [kappa] * length)
+    return negative
+
+
+def out_of_band_count(n0, length, kappa, kappa0, leads=20000):
+    """Eigenvalues of the truncated lattice outside the band [-2*kappa,
+    2*kappa]: its evanescent bound states, every state whose decay rate
+    gamma is well above 1/leads."""
+    sites = 2 * leads + 2 * n0 + length
+    edge = 2.0 * kappa
+    return eigenvalues_below(-edge, n0, length, kappa, kappa0, leads) + sites \
+        - eigenvalues_below(edge, n0, length, kappa, kappa0, leads)

@@ -1,8 +1,10 @@
 """Resonant enumeration, evanescent root finding and long-time survival."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanonet import (
     CENTRAL,
@@ -22,14 +24,15 @@ from fanonet import (
 from fanonet import bound_states
 from fanonet.bound_states import (
     ANTISYMMETRIC,
-    EVANESCENT,
     SCANS,
     SYMMETRIC,
     RootRefinementError,
-    _build_state,
-    _transcendental,
+    _evanescent_state,
+    _sector_condition,
     central_chain_modes,
 )
+
+from _support import eigenvalues_below, out_of_band_count
 
 
 def test_existence_pairs_and_momenta():
@@ -52,8 +55,8 @@ def test_resonant_states_canonical_case():
     for state in states:
         assert state.kind == "resonant"
         assert state.k.imag == 0.0
-        assert abs(state.coefficients[0]) == 0.0       # c1
-        assert abs(state.coefficients[3]) == 0.0       # c4
+        assert state.central_amplitudes[3] == 0.0       # c1
+        assert state.central_amplitudes[7] == 0.0       # c5
         assert abs(state.energy) <= 2.0 + 1e-12
         assert state.subgraph_weight == pytest.approx(1.0, abs=1e-12)
 
@@ -213,70 +216,64 @@ def test_mode_index_validated():
         long_time_survival(2, 4, mode=9)
 
 
-def _scalar_brackets(n0, length, kappa, kappa0, branch, sign):
-    """One gamma scan evaluated one grid point at a time: the objective and
-    its sign-change brackets (lo, hi, f(lo)) in grid order."""
-    grid = np.arange(bound_states.GAMMA_MIN, bound_states.GAMMA_MAX,
+def _scalar_brackets(n0, length, kappa, kappa0, sign_z, s):
+    """One gamma scan evaluated one grid point at a time: the sector
+    condition and its sign-change brackets (lo, hi, f(lo)) in grid order.
+    The grid ends two steps past acosh(G / (2*kappa)), with G the largest
+    absolute row sum of the lattice Hamiltonian."""
+    top = np.arccosh(max(2 * kappa + kappa0, 2 * kappa0) / (2 * kappa))
+    grid = np.arange(bound_states.GAMMA_MIN, top + 2 * bound_states.GAMMA_GRID_STEP,
                      bound_states.GAMMA_GRID_STEP)
-    f = lambda g: _transcendental(g, n0, length, kappa, kappa0, branch, sign)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([f(g) for g in grid])
-        crossings = (vals[:-1] * vals[1:] < 0) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+    f = lambda g: _sector_condition(g, n0, length, kappa, kappa0, sign_z, s)
+    vals = np.array([f(g) for g in grid])
+    crossings = (vals[:-1] * vals[1:] < 0) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
     return f, [(grid[i], grid[i + 1], vals[i]) for i in np.nonzero(crossings)[0]]
 
 
 def _scalar_bisect(f, lo, hi, flo):
-    """(root, None) once the bracket is below GAMMA_REFINE, else (None, (lo, hi))."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = f(mid)
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-            if hi - lo < bound_states.GAMMA_REFINE:
-                return 0.5 * (lo + hi), None
+    """(root, (lo, hi)) once the bracket is below GAMMA_REFINE, else
+    (None, (lo, hi))."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if flo * fmid <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo < bound_states.GAMMA_REFINE:
+            return 0.5 * (lo + hi), (lo, hi)
     return None, (lo, hi)
 
 
 def _scalar_evanescent(n0, length, kappa, kappa0):
     """Reference for evanescent_bound_states: every scan point by point and
-    every bracket bisected on its own, then confirmed in scan order.
-    Returns the states and the (k, gamma) of every root put to the
-    matching system."""
-    states, seen, tried = [], [], []
-    for branch, sign in SCANS:
-        f, brackets = _scalar_brackets(n0, length, kappa, kappa0, branch, sign)
+    every bracket bisected on its own, in scan order.  Returns the states
+    and the (gamma, sign of z, s) of every root."""
+    states, roots = [], []
+    for sign_z, s in SCANS:
+        f, brackets = _scalar_brackets(n0, length, kappa, kappa0, sign_z, s)
         for lo, hi, flo in brackets:
-            gamma, stuck = _scalar_bisect(f, lo, hi, flo)
-            assert stuck is None
-            if any(b == branch and abs(g - gamma) < 1e-9 for b, g in seen):
-                continue
-            k = 1j * gamma if branch == 0 else np.pi + 1j * gamma
-            tried.append((k, gamma))
-            state = _build_state(EVANESCENT, k, gamma, n0, length, kappa, kappa0)
-            if state is not None:
-                states.append(state)
-                seen.append((branch, gamma))
-    return sorted(states, key=lambda s: s.energy), tried
+            gamma, (lo, hi) = _scalar_bisect(f, lo, hi, flo)
+            assert gamma is not None
+            roots.append((gamma, sign_z, s))
+            states.append(_evanescent_state(gamma, sign_z, s, abs(f(hi) - f(lo)),
+                                            n0, length, kappa, kappa0))
+    return sorted(states, key=lambda s: s.energy), roots
 
 
 @pytest.mark.parametrize("n0, length, kappa0", [(3, 5, 1.0), (2, 4, 0.6), (2, 1000, 1.5)])
 def test_evanescent_roots_equal_scalar_bisection(monkeypatch, n0, length, kappa0):
-    expected, expected_tried = _scalar_evanescent(n0, length, 1.0, kappa0)
-    assert expected_tried
-    tried = []
+    expected, expected_roots = _scalar_evanescent(n0, length, 1.0, kappa0)
+    assert expected_roots
+    roots = []
 
-    def build(kind, k, gamma, *args):
-        tried.append((k, gamma))
-        return _build_state(kind, k, gamma, *args)
+    def build(gamma, sign_z, s, *args):
+        roots.append((gamma, sign_z, s))
+        return _evanescent_state(gamma, sign_z, s, *args)
 
-    # at length 1000 the matching system rejects every root (ROADMAP item
-    # 2), so the roots are compared where they enter it
-    monkeypatch.setattr(bound_states, "_build_state", build)
+    monkeypatch.setattr(bound_states, "_evanescent_state", build)
     states = evanescent_bound_states(n0, length, 1.0, kappa0)
-    assert tried == expected_tried
+    assert roots == expected_roots
     assert [(s.k, s.gamma, s.energy) for s in states] == \
         [(s.k, s.gamma, s.energy) for s in expected]
     assert [s.to_json_dict() for s in states] == [s.to_json_dict() for s in expected]
@@ -286,8 +283,8 @@ def test_root_refinement_error_carries_its_bracket(monkeypatch):
     # with a zero tolerance no bracket ever counts as shrunk: the first
     # bracket in scan order must surface with its final ends
     monkeypatch.setattr(bound_states, "GAMMA_REFINE", 0.0)
-    for branch, sign in SCANS:
-        f, brackets = _scalar_brackets(3, 5, 1.0, 1.0, branch, sign)
+    for sign_z, s in SCANS:
+        f, brackets = _scalar_brackets(3, 5, 1.0, 1.0, sign_z, s)
         if brackets:
             break
     _, expected = _scalar_bisect(f, *brackets[0])
@@ -308,12 +305,48 @@ def test_root_refinement_error_carries_its_bracket(monkeypatch):
     st.lists(st.floats(1e-4, 5.0), min_size=1, max_size=30),
 )
 def test_gamma_objective_on_arrays_equals_scalar_calls(n0, length, kappa0, scan, gammas):
-    branch, sign = scan
+    sign_z, s = scan
     gammas = np.array(gammas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _transcendental(gammas, n0, length, 1.0, kappa0, branch, sign)
-        expected = [_transcendental(g, n0, length, 1.0, kappa0, branch, sign) for g in gammas]
+    got = _sector_condition(gammas, n0, length, 1.0, kappa0, sign_z, s)
+    expected = [_sector_condition(g, n0, length, 1.0, kappa0, sign_z, s) for g in gammas]
     np.testing.assert_array_equal(got, np.array(expected))
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 5), st.integers(2, 1000), st.floats(0.3, 10.0))
+@example(3, 123, 1.0)
+@example(1, 1000, 1.5)
+@example(4, 7, 10.0)
+def test_evanescent_count_equals_out_of_band_count(n0, length, kappa0):
+    # the truncated lattice with 20,000-site leads has one eigenvalue out of
+    # the band for every evanescent state of decay rate well above 1/20,000
+    states = evanescent_bound_states(n0, length, 1.0, kappa0)
+    assert len(states) == out_of_band_count(n0, length, 1.0, kappa0)
+
+
+@pytest.mark.parametrize(
+    "n0, length, kappa0",
+    [(3, 123, 1.0), (1, 1000, 1.5), (2, 40, 6.0), (4, 7, 10.0), (5, 1000, 3.3248)],
+)
+def test_long_and_strongly_coupled_lattices_keep_every_state(n0, length, kappa0):
+    leads = 450                                   # swallows tails down to gamma = 0.063
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        states = evanescent_bound_states(n0, length, 1.0, kappa0)
+        psis = [bound_state_wavefunction(state, leads) for state in states]
+    assert len(states) == out_of_band_count(n0, length, 1.0, kappa0)
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads))
+    h = assemble_hamiltonian(lattice.graph)
+    for state, psi in zip(states, psis):
+        # the truncated lattice holds as many eigenvalues within 1e-9 of E as
+        # there are states there (mirror partners of a long lattice coincide)
+        window = [eigenvalues_below(state.energy + d, n0, length, 1.0, kappa0, leads)
+                  for d in (-1e-9, 1e-9)]
+        assert window[1] - window[0] == sum(abs(s.energy - state.energy) < 1e-9 for s in states)
+        scale = max(2 + kappa0, 2 * kappa0)
+        assert np.max(np.abs(h @ psi - state.energy * psi)) < 1e-12 * scale
+        sign = 1.0 if state.parity == SYMMETRIC else -1.0
+        np.testing.assert_allclose(psi[::-1], sign * psi, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -353,3 +353,12 @@ def test_bound_long_time_mode_is_checked_before_any_output(tmp_path, capsys, mod
                  "--out", str(out)]) == 4
     _one_error_line(capsys, f"mode must be in [1, 8], got {mode}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("compare", ["-3", "0", "1"])
+def test_transmit_compare_length_is_validated_before_any_output(tmp_path, capsys, compare):
+    out = tmp_path / "c.csv"
+    assert main(["transmit", "--n0", "2", "--len", "5", "--compare", compare, "--steps", "3",
+                 "--out", str(out)]) == 2
+    _one_error_line(capsys, f"length must be >= 2, got {compare}")
+    assert list(tmp_path.iterdir()) == []
