@@ -16,13 +16,15 @@ the first ``error:`` line it printed.  The scratch directory's path is
 written as ``{dir}`` before anything is hashed, so a message that names an
 input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
-examples, the three places a ``--config`` file can be named, unequal
-hoppings, length 1000, config files that are missing, hold no JSON
-object, name an unknown key or give a value of the wrong type, an output
-path that is a directory, an infinite hopping, an empty evolve mode list, a
-negative evolve end time, --compare lengths that are no lattice length,
-bound states of the paper's long lattice and of strong side coupling, and
-the known defect of ROADMAP item 1 (transmit's dual-path ArithmeticError).
+examples, trap runs on a larger network (many certificates, degenerate
+dark states, nothing trapped), the three places a ``--config`` file can
+be named, unequal hoppings, length 1000, config files that are missing,
+hold no JSON object, name an unknown key or give a value of the wrong
+type, an output path that is a directory, an infinite hopping, an empty
+evolve mode list, a negative evolve end time, --compare lengths that are
+no lattice length or equal --len, bound states of the paper's long
+lattice and of strong side coupling, and the known defect of ROADMAP
+item 1 (transmit's dual-path ArithmeticError).
 
 CI runs the script twice and diffs the two listings: identical
 configurations must give identical bytes.
@@ -48,14 +50,36 @@ GRAPH = {
     "potentials": {"4": -0.3},
     "partition": [0, 0, 1, 1, 0],
 }
+# three subgraphs joined into a tree: a 59-site chain (0) joined at chain
+# positions 20 and 40, so every third of its modes has a node on both
+# joints (19 certificates); a 16-site ring (1) with a potential, joined at
+# one site, so each degenerate pair leaves one dark state; and a 12-site
+# chain (2) joined at position 5, coprime to 13, which traps nothing
+NETWORK = {
+    "sites": 87,
+    "hoppings": ([[p, p + 1, 1.0] for p in range(58)]
+                 + [[59 + p, 59 + (p + 1) % 16, 1.0] for p in range(16)]
+                 + [[75 + p, 76 + p, 1.0] for p in range(11)]
+                 + [[19, 59, 0.7], [39, 79, 1.3]]),
+    "potentials": {**{str(p): -0.1 for p in range(59)},
+                   **{str(59 + p): 0.25 for p in range(16)},
+                   **{str(75 + p): 0.3 for p in range(12)}},
+    "partition": [0] * 59 + [1] * 16 + [2] * 12,
+}
 # a --config run; "out" is set below the scratch directory
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
 # files and the directory put in the scratch directory before the runs
-INPUTS = {"graph.json", "run.json", "list.json", "unknown_key.json", "bad_type.json", "outdir"}
+INPUTS = {"graph.json", "network.json", "run.json", "list.json", "unknown_key.json", "bad_type.json", "outdir"}
 
 # (label, argv); {dir} is the scratch directory
 RUNS = [
     ("readme-trap", ["trap", "{dir}/graph.json", "--subgraph", "1", "--out", "{dir}/certs.json"]),
+    ("trap-chain-59", ["trap", "{dir}/network.json", "--subgraph", "0",
+                       "--out", "{dir}/chain.json"]),
+    ("trap-ring-dark-states", ["trap", "{dir}/network.json", "--subgraph", "1",
+                               "--out", "{dir}/ring.json"]),
+    ("trap-chain-coprime-joint", ["trap", "{dir}/network.json", "--subgraph", "2",
+                                  "--out", "{dir}/bare.json"]),
     ("readme-evolve", ["evolve", "--n0", "2", "--len", "4", "--m", "400",
                        "--out", "{dir}/survival.csv"]),
     ("readme-bound", ["bound", "--n0", "3", "--len", "5"]),
@@ -110,6 +134,8 @@ RUNS = [
                                      "--steps", "3", "--out", "{dir}/c.csv"]),
     ("error-transmit-compare-one", ["transmit", "--n0", "2", "--len", "5", "--compare", "1",
                                     "--steps", "3", "--out", "{dir}/c.csv"]),
+    ("error-transmit-compare-equal", ["transmit", "--n0", "2", "--len", "5", "--compare", "5",
+                                      "--steps", "3", "--out", "{dir}/c.csv"]),
     ("error-unknown-flag", ["transmit", "--n0", "2", "--len", "5", "--colour", "red"]),
     ("error-config-missing", ["--config", "{dir}/missing.json"]),
     ("error-config-not-object", ["--config", "{dir}/list.json"]),
@@ -155,6 +181,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         (scratch / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
+        (scratch / "network.json").write_text(json.dumps(NETWORK), encoding="utf-8")
         config = {**CONFIG, "out": str(scratch / "config.csv")}
         (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
         (scratch / "list.json").write_text("[1, 2]", encoding="utf-8")

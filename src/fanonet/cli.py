@@ -6,8 +6,11 @@ Subcommands: ``trap`` (certify trapped modes of a user graph), ``evolve``
 error, 3 empty trap search, 4 domain violation.
 
 Identical run configurations produce byte-identical output files: no
-timestamps, fixed float formatting, deterministic ordering.  Energies are
-in units of the host hopping (kappa = 1) unless --kappa is given.
+timestamps, fixed float formatting, deterministic ordering.  Every JSON
+output (trap certificates, bound states, the transmit zero catalog) comes
+from one writer, ``_json_text``, whose text matches
+``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte.  Energies
+are in units of the host hopping (kappa = 1) unless --kappa is given.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 import types
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +95,53 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    json's own encoder runs in pure Python whenever ``indent`` is set; here
+    a list of finite floats or of ints is written with one join.  Any other
+    value, a non-str key among them, raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:                   # bools before int: bool subclasses int
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):        # np.float64 included, by float's repr
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = (
+            encode_basestring_ascii(key) + ": " + _json_text(v, inner)
+            for key, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_text(path: str | None, text: str):
@@ -205,7 +256,7 @@ def cmd_trap(cfg: RunConfig) -> int:
     print("\n".join(lines))
     if cfg.out:
         payload = [c.to_json_dict() for c in certificates]
-        _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(cfg.out, _json_text(payload) + "\n")
     return EXIT_OK if certificates else EXIT_EMPTY
 
 
@@ -244,6 +295,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # per_block * len(central) <= n_sites: a block of modes needs no more
     # memory than one mode projected onto every site
     per_block = max(1, n_sites // len(central))
+    time_texts = [_fmt(t) for t in times.tolist()]
     rows = []
     for start in range(0, len(modes), per_block):
         columns = initial[:, start:start + per_block]
@@ -257,9 +309,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
                 label = classify_decay(series)
             except ValueError:          # too few samples to call the shape
                 label = "unclassified"
+            prefix = f"{cfg.n0},{cfg.length},{n},"
+            suffix = f",{label}"
             rows.extend(
-                f"{cfg.n0},{cfg.length},{n},{_fmt(t)},{_fmt(p)},{label}"
-                for t, p in zip(times, values)
+                prefix + t + "," + _fmt(p) + suffix
+                for t, p in zip(time_texts, values.tolist())
             )
     header = (
         f"# fanonet evolve n0={cfg.n0} len={cfg.length} m={cfg.leads} "
@@ -302,7 +356,7 @@ def cmd_bound(cfg: RunConfig) -> int:
             "overlaps": report.contributions,
         }
     if cfg.out:
-        _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(cfg.out, _json_text(payload) + "\n")
     return EXIT_OK
 
 
@@ -314,6 +368,8 @@ def cmd_transmit(cfg: RunConfig) -> int:
     lengths = [cfg.length] + ([] if cfg.compare is None else [cfg.compare])
     for length in lengths:                              # parameter validation
         PiLatticeSpec(cfg.n0, length, cfg.kappa, cfg.kappa0)
+    if cfg.compare == cfg.length:
+        raise GraphSpecError(f"--compare must differ from --len, got {cfg.compare} for both")
     band = 2.0 * cfg.kappa
     e_min = cfg.e_min if cfg.e_min is not None else -band + 1e-3 * cfg.kappa
     e_max = cfg.e_max if cfg.e_max is not None else band - 1e-3 * cfg.kappa
@@ -329,10 +385,12 @@ def cmd_transmit(cfg: RunConfig) -> int:
     # the energy column is recomputed from k, as the scattering record holds it
     energies = -2.0 * cfg.kappa * np.cos(momenta)
 
+    # the k and E columns are the same in every file
+    shared = [list(map(_fmt, c.tolist())) for c in (momenta, energies)]
     for length in lengths:
         t, _, big_t, big_r = transmission_sweep(momenta, cfg.n0, length, cfg.kappa, cfg.kappa0)
-        columns = (momenta, energies, big_t, big_r, t.real, t.imag)
-        rows = [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
+        columns = (map(_fmt, c.tolist()) for c in (big_t, big_r, t.real, t.imag))
+        rows = [",".join(row) for row in zip(*shared, *columns)]
         header = (
             f"# fanonet transmit n0={cfg.n0} len={length} "
             f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps}; "
@@ -363,9 +421,9 @@ def cmd_transmit(cfg: RunConfig) -> int:
                                  (zeros[cfg.length], zeros[cfg.compare]))
         sidecar["peak_dip"] = report.entries
     if cfg.out:
-        _write_text(f"{cfg.out}.zeros.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        _write_text(f"{cfg.out}.zeros.json", _json_text(sidecar) + "\n")
     else:
-        print(json.dumps(sidecar, indent=2, sort_keys=True), file=sys.stderr)
+        print(_json_text(sidecar), file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ here is a pure function, so they are safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -90,7 +91,7 @@ def build_graph(spec: Mapping) -> LatticeGraph:
             raise GraphSpecError(f"self-loop: hopping ({i}, {j}) is not allowed")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphSpecError(f"site index out of range: hopping ({i}, {j}) with {n} sites")
-        if not np.isfinite(strength):
+        if not math.isfinite(strength):
             raise GraphSpecError(f"parse failure: non-finite hopping strength on ({i}, {j})")
         key = (min(i, j), max(i, j))
         if key in seen:
@@ -106,7 +107,7 @@ def build_graph(spec: Mapping) -> LatticeGraph:
             raise GraphSpecError(f"parse failure: bad potential entry {raw_site!r}") from exc
         if not 0 <= site < n:
             raise GraphSpecError(f"site index out of range: potential on site {site}")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise GraphSpecError(f"parse failure: non-finite potential on site {site}")
         potentials.append((site, value))
 

@@ -64,21 +64,25 @@ class TrappingCertificate:
     vector: np.ndarray
     residual: float
 
+    def _support(self, tol: float) -> np.ndarray:
+        magnitude = np.abs(self.vector)
+        return np.flatnonzero(magnitude > tol * np.max(magnitude))
+
     def support_sites(self, tol: float = NODE_TOL) -> list[int]:
-        scale = np.max(np.abs(self.vector))
-        return [int(i) for i in np.nonzero(np.abs(self.vector) > tol * scale)[0]]
+        return self._support(tol).tolist()
 
     def node_sites(self, sites, tol: float = NODE_TOL) -> list[int]:
         """Sites among ``sites`` where the certified mode has a wave node."""
-        scale = np.max(np.abs(self.vector))
-        return [int(s) for s in sites if abs(self.vector[s]) < tol * scale]
+        sites = np.asarray(sites, dtype=int)
+        magnitude = np.abs(self.vector)
+        return sites[magnitude[sites] < tol * np.max(magnitude)].tolist()
 
     def to_json_dict(self) -> dict:
-        sites = self.support_sites()
+        sites = self._support(NODE_TOL)
         return {
             "energy": float(self.energy),
-            "sites": sites,
-            "amplitudes": [float(self.vector[s]) for s in sites],
+            "sites": sites.tolist(),
+            "amplitudes": self.vector[sites].tolist(),
             "residual": float(self.residual),
         }
 
@@ -183,6 +187,7 @@ def find_trapping_modes(
             continue
         rows.setdefault(outer, np.zeros(len(sites)))[local[inner]] = s
     coupling = np.array([rows[m] for m in sorted(rows)]) if rows else None
+    coupling_peak = np.max(np.abs(coupling)) if rows else None
 
     energies, vectors = diagonalize(h_l)
     scale = np.linalg.norm(h_l, np.inf)
@@ -191,13 +196,18 @@ def find_trapping_modes(
     certificates = []
     for group in _energy_groups(energies, scale):
         basis = vectors[:, group]              # (n_l, d)
-        energy = float(np.mean(energies[group]))
         if coupling is not None:
             leak = coupling @ basis            # (n_outside, d)
+            peak = np.max(np.abs(leak))
+            tol = NODE_TOL * max(peak, coupling_peak)
+            # one column: its only singular value is its 2-norm >= peak, so
+            # with peak > 2*tol (the 2 leaves room for the SVD's rounding)
+            # the SVD below would keep nothing
+            if basis.shape[1] == 1 and peak > 2.0 * tol:
+                continue
             # combinations u with leak @ u = 0: trailing right-singular
             # vectors whose singular value is below node tolerance
             _, svals, vh = np.linalg.svd(leak)
-            tol = NODE_TOL * max(np.max(np.abs(leak)), np.max(np.abs(coupling)))
             keep = [
                 vh[r]
                 for r in range(basis.shape[1])
@@ -206,6 +216,7 @@ def find_trapping_modes(
             trapped = [basis @ u for u in keep]
         else:
             trapped = [basis[:, i] for i in range(basis.shape[1])]
+        energy = float(np.mean(energies[group]))
         for vec in trapped:
             full = np.zeros(graph.site_count)
             full[sites] = vec / np.linalg.norm(vec)

@@ -1,5 +1,7 @@
 """Shared test helpers: random graph generation, a brute-force trapping
 oracle that searches the full-graph eigenbasis instead of the subgraph one,
+the per-group SVD search and per-site certificate methods that
+``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
 a dense reference for the numeric scattering oracle, and an eigenvalue
 count of the truncated pi lattice by Sylvester's law of inertia."""
 
@@ -11,9 +13,13 @@ from fanonet import (
     LatticeGraph,
     Partition,
     PiLatticeSpec,
+    TrappingCertificate,
     assemble_hamiltonian,
     build_pi_lattice,
+    diagonalize,
+    subgraph_hamiltonian,
 )
+from fanonet.spectra import NODE_TOL, _energy_groups
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -90,6 +96,75 @@ def same_trapped_content(certificates, brute, energy_tol=1e-8):
         if np.linalg.norm(projection - cert.vector) > energy_tol:
             return False
     return True
+
+
+def reference_trapping_modes(graph, partition, l):
+    """``find_trapping_modes`` with an SVD of every energy group's leak,
+    one-column groups included, which the library skips when the SVD can
+    keep nothing there."""
+    sites = partition.sites_of(l)
+    if not sites:
+        raise ValueError(f"subgraph {l} is empty")
+    h_l, sites = subgraph_hamiltonian(graph, partition, l)
+    local = {s: i for i, s in enumerate(sites)}
+
+    rows: dict[int, np.ndarray] = {}
+    for i, j, s in partition.couplings():
+        inner, outer = (i, j) if partition.assignment[i] == l else (j, i)
+        if partition.assignment[inner] != l:
+            continue
+        rows.setdefault(outer, np.zeros(len(sites)))[local[inner]] = s
+    coupling = np.array([rows[m] for m in sorted(rows)]) if rows else None
+
+    energies, vectors = diagonalize(h_l)
+    scale = np.linalg.norm(h_l, np.inf)
+    h_full = assemble_hamiltonian(graph)
+
+    certificates = []
+    for group in _energy_groups(energies, scale):
+        basis = vectors[:, group]
+        energy = float(np.mean(energies[group]))
+        if coupling is not None:
+            leak = coupling @ basis
+            _, svals, vh = np.linalg.svd(leak)
+            tol = NODE_TOL * max(np.max(np.abs(leak)), np.max(np.abs(coupling)))
+            keep = [
+                vh[r]
+                for r in range(basis.shape[1])
+                if r >= len(svals) or svals[r] < tol
+            ]
+            trapped = [basis @ u for u in keep]
+        else:
+            trapped = [basis[:, i] for i in range(basis.shape[1])]
+        for vec in trapped:
+            full = np.zeros(graph.site_count)
+            full[sites] = vec / np.linalg.norm(vec)
+            residual = float(np.max(np.abs(h_full @ full - energy * full)))
+            certificates.append(TrappingCertificate(l, energy, full, residual))
+    return certificates
+
+
+def reference_support_sites(cert, tol=NODE_TOL):
+    """``TrappingCertificate.support_sites``, one site at a time."""
+    scale = np.max(np.abs(cert.vector))
+    return [int(i) for i in np.nonzero(np.abs(cert.vector) > tol * scale)[0]]
+
+
+def reference_node_sites(cert, sites, tol=NODE_TOL):
+    """``TrappingCertificate.node_sites``, one site at a time."""
+    scale = np.max(np.abs(cert.vector))
+    return [int(s) for s in sites if abs(cert.vector[s]) < tol * scale]
+
+
+def reference_json_dict(cert):
+    """``TrappingCertificate.to_json_dict``, one site at a time."""
+    sites = reference_support_sites(cert)
+    return {
+        "energy": float(cert.energy),
+        "sites": sites,
+        "amplitudes": [float(cert.vector[s]) for s in sites],
+        "residual": float(cert.residual),
+    }
 
 
 def dense_scatter_reference(n0, length, kappa, kappa0, k, leads, incident="left"):

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanonet import (
     CENTRAL,
@@ -15,7 +17,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
-from fanonet.cli import main
+from fanonet.cli import _json_text, main
 
 
 def pi_graph_file(tmp_path, n0, length, leads, name="graph.json"):
@@ -355,10 +357,49 @@ def test_bound_long_time_mode_is_checked_before_any_output(tmp_path, capsys, mod
     assert not out.exists()
 
 
-@pytest.mark.parametrize("compare", ["-3", "0", "1"])
-def test_transmit_compare_length_is_validated_before_any_output(tmp_path, capsys, compare):
+@pytest.mark.parametrize("compare, message", [
+    pytest.param(compare, f"length must be >= 2, got {compare}", id=compare)
+    for compare in ("-3", "0", "1")
+] + [pytest.param("5", "--compare must differ from --len, got 5 for both", id="5")])
+def test_transmit_compare_length_is_validated_before_any_output(tmp_path, capsys, compare,
+                                                                message):
     out = tmp_path / "c.csv"
     assert main(["transmit", "--n0", "2", "--len", "5", "--compare", compare, "--steps", "3",
                  "--out", str(out)]) == 2
-    _one_error_line(capsys, f"length must be >= 2, got {compare}")
+    _one_error_line(capsys, message)
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------------ JSON writer ----
+
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+                       math.nan, math.inf, -math.inf])
+    | st.floats().map(np.float64)
+)
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | _FLOATS
+           | st.text(st.characters(), max_size=6))
+# keys with non-ASCII characters, quotes, backslashes and control characters
+_KEYS = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\u00e9\u2028'), max_size=6)
+_PAYLOADS = st.recursive(
+    _LEAVES | st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=200)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [1, np.int64(2)], {1, 2}, {"a": {1: 2}}, {"a": [{2.5: "b"}]}, {"a": b"x"},
+], ids=["np.int64", "np.int64-item", "set", "int-key", "float-key", "bytes"])
+def test_json_writer_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanonet import (
     LatticeGraph,
@@ -17,7 +17,15 @@ from fanonet import (
     verify_trapping,
 )
 
-from _support import brute_force_trapped, random_graph, same_trapped_content
+from _support import (
+    brute_force_trapped,
+    random_graph,
+    reference_json_dict,
+    reference_node_sites,
+    reference_support_sites,
+    reference_trapping_modes,
+    same_trapped_content,
+)
 
 
 def test_dimer_diagonalization():
@@ -220,3 +228,59 @@ def test_certificate_json_roundtrip():
     assert set(payload) == {"energy", "sites", "amplitudes", "residual"}
     assert len(payload["sites"]) == len(payload["amplitudes"])
     assert payload["residual"] < 1e-10
+
+
+def chain_or_ring_network(kind, size, joints, mu, hop, host, seed):
+    """A chain or ring of ``size`` sites (hopping ``hop``, potential ``mu``
+    on every site; subgraph 1) whose ``joints`` couple to random sites of
+    a host chain of ``host`` sites (subgraph 0), all sites renumbered at
+    random.  Rings keep their degenerate pairs, chains their wave nodes."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(size + host)
+    bonds = [(p, p + 1, hop) for p in range(size - 1)]
+    if kind == "ring":
+        bonds.append((size - 1, 0, hop))
+    bonds += [(size + p, size + p + 1, 1.0) for p in range(host - 1)]
+    bonds += [(j % size, size + int(rng.integers(host)), float(rng.uniform(0.3, 1.5)))
+              for j in sorted({j % size for j in joints})]
+    potentials = [(p, mu) for p in range(size)]
+    potentials += [(size + p, float(rng.uniform(-0.5, 0.5))) for p in range(host)]
+    graph = LatticeGraph(
+        size + host,
+        tuple((int(order[i]), int(order[j]), s) for i, j, s in bonds),
+        tuple(sorted((int(order[p]), v) for p, v in potentials)),
+    )
+    assignment = [0] * (size + host)
+    for p in range(size):
+        assignment[order[p]] = 1
+    return graph, Partition(graph, tuple(assignment))
+
+
+@given(
+    kind=st.sampled_from(["chain", "ring"]),
+    size=st.integers(3, 40),
+    joints=st.lists(st.integers(0, 39), min_size=1, max_size=3),
+    mu=st.sampled_from([0.0, 0.25, -0.7]) | st.floats(-1.0, 1.0),
+    hop=st.sampled_from([1.0, 0.6, 1.7]),
+    host=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="ring", size=16, joints=[0], mu=0.25, hop=1.0, host=5, seed=0)
+@example(kind="chain", size=59, joints=[19, 39], mu=-0.1, hop=1.0, host=4, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_certificates_are_bitwise_those_of_the_reference(kind, size, joints, mu, hop, host,
+                                                         seed):
+    graph, partition = chain_or_ring_network(kind, size, joints, mu, hop, host, seed)
+    for l in partition.subgraph_indices():
+        found = find_trapping_modes(graph, partition, l)
+        reference = reference_trapping_modes(graph, partition, l)
+        assert len(found) == len(reference)
+        sites = partition.sites_of(l)
+        for cert, ref in zip(found, reference):
+            assert cert.energy.hex() == ref.energy.hex()
+            assert cert.residual.hex() == ref.residual.hex()
+            assert cert.vector.tobytes() == ref.vector.tobytes()
+            # repr tells float from np.float64, int from np.int64 and -0.0 from 0.0
+            assert repr(cert.to_json_dict()) == repr(reference_json_dict(ref))
+            assert repr(cert.support_sites()) == repr(reference_support_sites(ref))
+            assert repr(cert.node_sites(sites)) == repr(reference_node_sites(ref, sites))
