@@ -18,9 +18,11 @@ input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
 examples, trap runs on a larger network (many certificates, degenerate
 dark states, nothing trapped), the three places a ``--config`` file can
-be named, unequal hoppings, length 1000, config files that are missing,
-hold no JSON object, name an unknown key or give a value of the wrong
-type, an output path that is a directory, an infinite hopping, an empty
+be named, unequal hoppings, length 1000, evolve runs in both mirror
+sectors (every mode of an odd central chain, no leads, the side-chain
+edge pairs that eigh cannot split, a long unequal chain mid-spectrum),
+config files that are missing, hold no JSON object, name an unknown key
+or give a value of the wrong type, an output path that is a directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
 no lattice length or equal --len, bound states of the paper's long
 lattice and of strong side coupling, and the known defect of ROADMAP
@@ -119,6 +121,18 @@ RUNS = [
                            "--out", "{dir}/strong.json"]),
     ("evolve-unequal", ["evolve", "--n0", "2", "--len", "5", "--m", "60", "--kappa0", "1.3",
                         "--steps", "60", "--modes", "5", "--out", "{dir}/unequal.csv"]),
+    ("evolve-equal-odd-all-modes", ["evolve", "--n0", "2", "--len", "7", "--m", "80",
+                                    "--steps", "100", "--modes", "all",
+                                    "--out", "{dir}/odd_all.csv"]),
+    ("evolve-no-leads", ["evolve", "--n0", "2", "--len", "5", "--m", "0", "--kappa0", "0.8",
+                         "--t-max", "10", "--allow-reflections", "--steps", "60",
+                         "--modes", "all", "--out", "{dir}/no_leads.csv"]),
+    ("evolve-edge-pairs", ["evolve", "--n0", "3", "--len", "41", "--kappa0", "1.7", "--m", "60",
+                           "--steps", "200", "--modes", "1,2,46,47", "--out", "{dir}/edge.csv"]),
+    ("evolve-unequal-long-mid-spectrum", ["evolve", "--n0", "4", "--len", "101", "--m", "300",
+                                          "--kappa0", "1.37", "--steps", "400",
+                                          "--modes", "53,54,55,56,57",
+                                          "--out", "{dir}/mid.csv"]),
     ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),
     ("error-evolve-horizon", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
                               "--t-max", "500"]),

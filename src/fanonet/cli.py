@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound_states import (
-    central_chain_modes,
+    central_chain_sector_modes,
     evanescent_bound_states,
     long_time_survival,
     resonant_bound_states,
@@ -49,7 +49,7 @@ from .scattering import (
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import find_trapping_modes
+from .spectra import find_trapping_modes, mirror_blocks, mirror_mode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -279,7 +279,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     times = np.linspace(0.0, t_max, steps)
 
     lattice = build_pi_lattice(spec)
-    central = lattice.central_sites
     lam = spec.central_size
     modes = list(range(1, lam + 1)) if cfg.modes is None else cfg.modes
     if not modes:
@@ -288,33 +287,43 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if bad:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
 
-    chain = central_chain_modes(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
-    initial = chain[:, np.asarray(modes) - 1]
-    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
-    n_sites = lattice.graph.site_count
-    # per_block * len(central) <= n_sites: a block of modes needs no more
-    # memory than one mode projected onto every site
-    per_block = max(1, n_sites // len(central))
+    # mode n lies in mirror sector (-1)^(n-1): evolve each sector that holds
+    # a requested mode under its own half-size block of the lattice, where
+    # the chain's sector coordinates sit at offset ``leads`` and
+    # P = sum |w|^2 over them
+    blocks = dict(zip((1, -1), mirror_blocks(assemble_hamiltonian(lattice.graph))))
+    survival = {}
+    for sector, block in blocks.items():
+        wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
+        if not wanted:
+            continue
+        chain = central_chain_sector_modes(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, sector)
+        observed = np.arange(cfg.leads, cfg.leads + len(chain))
+        propagator = SpectralPropagator(block)
+        # per_block * len(observed) <= len(block): a block of modes needs no
+        # more memory than one mode projected onto the whole sector
+        per_block = max(1, len(block) // len(observed))
+        for start in range(0, len(wanted), per_block):
+            batch = wanted[start:start + per_block]
+            psi0 = np.zeros((len(block), len(batch)))
+            psi0[observed] = chain[:, [mirror_mode(n)[1] for n in batch]]
+            amps = propagator.evolve(psi0, times, sites=observed)
+            survival.update(zip(batch, np.sum(np.abs(amps) ** 2, axis=2).T))
     time_texts = [_fmt(t) for t in times.tolist()]
     rows = []
-    for start in range(0, len(modes), per_block):
-        columns = initial[:, start:start + per_block]
-        psi0 = np.zeros((n_sites, columns.shape[1]))
-        psi0[central] = columns
-        amps = propagator.evolve(psi0, times, sites=central)
-        survival = np.sum(np.abs(amps) ** 2, axis=2)
-        for n, values in zip(modes[start:start + per_block], survival.T):
-            series = SurvivalSeries(n, times, values, horizon)
-            try:
-                label = classify_decay(series)
-            except ValueError:          # too few samples to call the shape
-                label = "unclassified"
-            prefix = f"{cfg.n0},{cfg.length},{n},"
-            suffix = f",{label}"
-            rows.extend(
-                prefix + t + "," + _fmt(p) + suffix
-                for t, p in zip(time_texts, values.tolist())
-            )
+    for n in modes:
+        values = survival[n]
+        series = SurvivalSeries(n, times, values, horizon)
+        try:
+            label = classify_decay(series)
+        except ValueError:              # too few samples to call the shape
+            label = "unclassified"
+        prefix = f"{cfg.n0},{cfg.length},{n},"
+        suffix = f",{label}"
+        rows.extend(
+            prefix + t + "," + _fmt(p) + suffix
+            for t, p in zip(time_texts, values.tolist())
+        )
     header = (
         f"# fanonet evolve n0={cfg.n0} len={cfg.length} m={cfg.leads} "
         f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps} "

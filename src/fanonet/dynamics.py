@@ -7,7 +7,12 @@ sweep costs one O(N^3) eigendecomposition per lattice, then O(T * N * S)
 per initial state for T times and S observed sites: amplitudes are formed
 only on the observed sites, for a block of states at once, and a block of
 M states with S * M <= N needs no more memory than one state projected
-onto all N sites.  Hard-wall truncated leads stay faithful to the infinite
+onto all N sites.  The pi lattice is mirror-symmetric and its central
+chain's mode n lies in mirror sector (-1)^(n-1) (``spectra.mirror_mode``),
+so ``fanonet evolve`` gives the propagator one half-size block
+(``spectra.mirror_blocks``) per sector that holds a requested mode, with N
+and S the sector's sizes: each decomposition costs an eighth of the
+whole lattice's.  Hard-wall truncated leads stay faithful to the infinite
 lattice only until leaked probability can bounce off the wall and return;
 ``safe_horizon`` bounds that window using the maximal group velocity
 2*kappa of the host chain.

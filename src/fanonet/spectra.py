@@ -6,6 +6,11 @@ exact eigenvector of the full network: the particle stays in the subgraph
 forever.  ``find_trapping_modes`` certifies all such modes, handling
 degenerate eigenspaces through a null-space criterion instead of the
 basis-dependent per-vector node test.
+
+A Hamiltonian equal to its mirror image splits into an even and an odd
+block of half the size (``mirror_blocks``); ``fold`` and ``unfold`` move
+states between site and sector coordinates, and ``mirror_mode`` says in
+which block, and where, a Jacobi matrix's mode n lies.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ __all__ = [
     "EigenMode",
     "TrappingCertificate",
     "diagonalize",
+    "mirror_blocks",
+    "mirror_mode",
+    "fold",
+    "unfold",
     "open_chain_modes",
     "find_trapping_modes",
     "verify_trapping",
@@ -114,6 +123,77 @@ def diagonalize(h: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
     return energies, vectors
 
 
+def mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a matrix that commutes with the mirror
+    i -> N-1-i, that is ``h == h[::-1, ::-1]``.
+
+    Sector s (+1 even, -1 odd) has the basis (|i> + s|N-1-i>)/sqrt(2) for
+    i < half = N // 2, and in the even sector of odd N also the middle site
+    |half>, last (see ``fold``).  There H is top + s*cross, with
+    top = h[:half, :half] and cross[i, j] = h[i, N-1-j]; the middle site's
+    row and column in the even block carry sqrt(2) times its matrix
+    elements.  The blocks come from slices and one add or subtract, with
+    no basis product, so each is exactly symmetric when ``h`` is.
+
+    Raises ValueError unless ``h`` is square and mirror-symmetric.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.array_equal(h, h[::-1, ::-1]):
+        raise ValueError("matrix is not mirror-symmetric")
+    half = len(h) // 2
+    top = h[:half, :half]
+    cross = h[:half, ::-1][:, :half]
+    even, odd = top + cross, top - cross
+    if len(h) % 2:
+        middle = np.sqrt(2.0) * h[:half, half]
+        even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
+    return even, odd
+
+
+def mirror_mode(n: int) -> tuple[int, int]:
+    """Sector and block column (0-based) of eigenvector ``n`` (1-based,
+    energies ascending) of a mirror-symmetric Jacobi matrix whose hoppings
+    are all negative, such as the pi lattice's central chain.
+
+    Eigenvector n has exactly n-1 sign changes (Sturm), and a vector of
+    sector s has an even number of them for s = +1 and an odd number for
+    s = -1, so mode n lies in sector (-1)^(n-1).  The two sectors' energies
+    interlace, even first: mode n is eigenvector ceil(n/2) of the even
+    block or n/2 of the odd block.  The rule holds in exact arithmetic, so
+    it also orders pairs that floating point cannot split.
+    """
+    return (1, (n - 1) // 2) if n % 2 else (-1, n // 2 - 1)
+
+
+def fold(psi: np.ndarray, sector: int) -> np.ndarray:
+    """Coordinates of the sector-``sector`` part of ``psi`` (site order,
+    states in columns) in the basis of ``mirror_blocks``:
+    (psi_i + sector*psi_{N-1-i})/sqrt(2) for i < N // 2, then psi at the
+    middle site in the even sector of odd N."""
+    psi = np.asarray(psi)
+    half = len(psi) // 2
+    folded = (psi[:half] + sector * psi[::-1][:half]) / np.sqrt(2.0)
+    if sector > 0 and len(psi) % 2:
+        folded = np.concatenate([folded, psi[half:half + 1]])
+    return folded
+
+
+def unfold(w: np.ndarray, sector: int, size: int) -> np.ndarray:
+    """Site amplitudes on ``size`` sites of the sector-``sector`` state
+    with coordinates ``w`` (states in columns); the inverse of ``fold`` on
+    that sector.  Odd states vanish at the middle site of odd ``size``."""
+    w = np.asarray(w)
+    half = size // 2
+    if len(w) != half + (sector > 0 and size % 2):
+        raise ValueError(f"{len(w)} coordinates do not fit sector {sector} of {size} sites")
+    top = w[:half] / np.sqrt(2.0)
+    # the middle site of odd ``size``: the last coordinate if even, else 0
+    middle = w[half:] if sector > 0 else np.zeros((size % 2, *w.shape[1:]), w.dtype)
+    return np.concatenate([top, middle, sector * top[::-1]])
+
+
 def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
     """Analytic eigenmodes of the uniform open chain of ``size`` sites.
 
@@ -191,7 +271,7 @@ def find_trapping_modes(
 
     energies, vectors = diagonalize(h_l)
     scale = np.linalg.norm(h_l, np.inf)
-    h_full = assemble_hamiltonian(graph)
+    h_full = None                       # the whole network, once a mode is trapped
 
     certificates = []
     for group in _energy_groups(energies, scale):
@@ -217,6 +297,8 @@ def find_trapping_modes(
         else:
             trapped = [basis[:, i] for i in range(basis.shape[1])]
         energy = float(np.mean(energies[group]))
+        if trapped and h_full is None:
+            h_full = assemble_hamiltonian(graph)
         for vec in trapped:
             full = np.zeros(graph.site_count)
             full[sites] = vec / np.linalg.norm(vec)

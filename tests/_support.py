@@ -2,8 +2,10 @@
 oracle that searches the full-graph eigenbasis instead of the subgraph one,
 the per-group SVD search and per-site certificate methods that
 ``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
-a dense reference for the numeric scattering oracle, and an eigenvalue
-count of the truncated pi lattice by Sylvester's law of inertia."""
+a dense reference for the numeric scattering oracle, an eigenvalue
+count of the truncated pi lattice by Sylvester's law of inertia, and
+survival evolved on the whole lattice, as evolve did before it split the
+lattice into mirror sectors."""
 
 from __future__ import annotations
 
@@ -13,12 +15,14 @@ from fanonet import (
     LatticeGraph,
     Partition,
     PiLatticeSpec,
+    SpectralPropagator,
     TrappingCertificate,
     assemble_hamiltonian,
     build_pi_lattice,
     diagonalize,
     subgraph_hamiltonian,
 )
+from fanonet.bound_states import central_chain_modes
 from fanonet.spectra import NODE_TOL, _energy_groups
 
 
@@ -259,3 +263,17 @@ def out_of_band_count(n0, length, kappa, kappa0, leads=20000):
     edge = 2.0 * kappa
     return eigenvalues_below(-edge, n0, length, kappa, kappa0, leads) + sites \
         - eigenvalues_below(edge, n0, length, kappa, kappa0, leads)
+
+
+def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
+    """P(t) of central-chain modes ``modes`` (1-based), (len(modes), T),
+    from one SpectralPropagator of the whole lattice: the initial modes of
+    ``central_chain_modes`` on the central sites, amplitudes observed on
+    them."""
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
+    central = lattice.central_sites
+    psi0 = np.zeros((lattice.graph.site_count, len(modes)))
+    psi0[central] = central_chain_modes(n0, length, kappa, kappa0)[:, np.asarray(modes) - 1]
+    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
+    amps = propagator.evolve(psi0, times, sites=central)
+    return np.sum(np.abs(amps) ** 2, axis=2).T

@@ -129,7 +129,19 @@ def test_evolve_all_modes_in_blocks_matches_full_projection(tmp_path):
     phases = np.exp(-1j * np.outer(times, energies))
     rows = [line.split(",") for line in a.read_text().splitlines()[2:]]
     assert len(rows) == len(central) * steps
-    for n, chain_mode in enumerate(np.linalg.eigh(block)[1].T, start=1):
+    chain_energies, chain_modes = np.linalg.eigh(block)
+    # eigh cannot split the side-chain edge pairs (modes 1, 2 and 46, 47,
+    # split by ~4e-16) and returns arbitrary mixtures of their two mirror
+    # states; rotate each such pair into its even and odd state, mode n
+    # taking parity (-1)^(n-1)
+    unresolved = np.flatnonzero(np.diff(chain_energies) < 1e-8 * np.linalg.norm(block, np.inf))
+    assert unresolved.tolist() == [0, 45]
+    for i in unresolved:
+        pair = chain_modes[:, i:i + 2]
+        # <g|J|g'> with J the mirror; eigh orders its parities -1, +1
+        _, rotation = np.linalg.eigh(pair.T @ pair[::-1])
+        chain_modes[:, i:i + 2] = pair @ rotation[:, [1, 0] if i % 2 == 0 else [0, 1]]
+    for n, chain_mode in enumerate(chain_modes.T, start=1):
         psi0 = np.zeros(len(energies))
         psi0[central] = chain_mode
         amps = (phases * (vectors.T @ psi0)) @ vectors.T

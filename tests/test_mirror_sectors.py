@@ -1,0 +1,175 @@
+"""Mirror sectors: the parity blocks of a mirror-symmetric Hamiltonian, the
+numbering of the central chain's modes by sector, and survival evolved in
+one sector at a time."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fanonet import PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, build_pi_lattice, \
+    classify_decay, diagonalize, safe_horizon
+from fanonet.bound_states import central_chain_modes, central_chain_sector_modes
+from fanonet.cli import main
+from fanonet.spectra import RESIDUAL_TOL, fold, mirror_blocks, mirror_mode, unfold
+
+from _support import full_lattice_survival
+
+EPS = np.finfo(float).eps
+
+# the pi lattice's parameters; kappa0 is one ratio for the parity tests,
+# while evolve draws its own, equal hoppings among them
+lattices = st.fixed_dictionaries({
+    "n0": st.integers(1, 5),
+    "length": st.integers(2, 300),
+    "leads": st.integers(0, 80),
+    "kappa0": st.floats(0.3, 10.0),
+})
+
+
+def lattice_hamiltonian(p, kappa=1.0):
+    spec = PiLatticeSpec(p["n0"], p["length"], kappa, p["kappa0"], p["leads"])
+    return assemble_hamiltonian(build_pi_lattice(spec).graph)
+
+
+def sector_spectrum(h):
+    """Energies of both blocks merged by ``mirror_mode`` and the unfolded
+    eigenvectors in the same order."""
+    size = len(h)
+    energies, vectors = np.empty(size), np.empty((size, size))
+    for sector, block in zip((1, -1), mirror_blocks(h)):
+        columns = slice(0 if sector > 0 else 1, None, 2)
+        energies[columns], folded = diagonalize(block)
+        vectors[:, columns] = unfold(folded, sector, size)
+    return energies, vectors
+
+
+@given(p=lattices, kappa=st.sampled_from([1.0, 0.7]))
+@settings(max_examples=40, deadline=None)
+def test_sector_eigenpairs_are_the_full_eigenpairs(p, kappa):
+    h = lattice_hamiltonian(p, kappa)
+    scale = np.linalg.norm(h, np.inf)
+    energies, vectors = sector_spectrum(h)
+    # each eigenvalue carries eigh's backward error, at most about
+    # size*eps*||H|| (the bound central_chain_modes orders by), on each side
+    assert np.max(np.abs(energies - np.linalg.eigvalsh(h))) <= 2 * len(h) * EPS * scale
+    assert np.max(np.abs(h @ vectors - vectors * energies)) < RESIDUAL_TOL * scale
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(len(h)))) < 1e-12
+
+
+@given(p=lattices)
+@settings(max_examples=40, deadline=None)
+def test_mode_numbering_matches_the_parity_of_resolved_eigh_modes(p):
+    # the lattice with its leads is one path, a Jacobi matrix with negative
+    # hoppings, like the central chain: eigenvector n has n-1 sign changes
+    h = lattice_hamiltonian(p)
+    energies, vectors = np.linalg.eigh(h)
+    gaps = np.minimum(np.diff(energies, prepend=-np.inf), np.diff(energies, append=np.inf))
+    parity = np.sum(vectors * vectors[::-1], axis=0)              # <g|J|g>
+    resolved = np.flatnonzero(gaps > 1e-6 * np.linalg.norm(h, np.inf))
+    assert len(resolved) > 0
+    expected = [mirror_mode(n + 1)[0] for n in resolved]
+    np.testing.assert_allclose(parity[resolved], expected, rtol=0, atol=1e-9)
+
+
+def test_mirror_mode_numbers_even_then_odd():
+    assert [mirror_mode(n) for n in range(1, 9)] == [
+        (1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
+
+
+@given(size=st.integers(1, 40), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, size))
+    a = a + a.T
+    h = a + a[::-1, ::-1]
+    even, odd = mirror_blocks(h)
+    assert even.shape == ((size + 1) // 2,) * 2 and odd.shape == (size // 2,) * 2
+    assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+    scale = np.linalg.norm(h, np.inf)
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    assert np.max(np.abs(merged - np.linalg.eigvalsh(h))) <= 2 * size * EPS * scale
+    # fold and unfold move a state of one sector between coordinates exactly
+    psi = rng.normal(size=(size, 3))
+    for sector in (1, -1):
+        part = (psi + sector * psi[::-1]) / 2
+        w = fold(psi, sector)
+        assert np.max(np.abs(unfold(w, sector, size) - part)) < 1e-14
+        block = even if sector > 0 else odd
+        assert np.max(np.abs(unfold(block @ w, sector, size) - h @ part)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("size", [2, 5, 8])
+def test_a_matrix_that_is_not_mirror_symmetric_is_refused(size):
+    h = np.diag(np.arange(size, dtype=float))        # symmetric, not mirror-symmetric
+    with pytest.raises(ValueError, match="mirror"):
+        mirror_blocks(h)
+    lattice = lattice_hamiltonian({"n0": 2, "length": size + 1, "leads": 3, "kappa0": 1.4})
+    lattice[0, 0] = 1e-12                           # one potential breaks the mirror
+    with pytest.raises(ValueError, match="mirror"):
+        mirror_blocks(lattice)
+    with pytest.raises(ValueError, match="square"):
+        mirror_blocks(np.zeros((size, size + 1)))
+
+
+@pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),
+                                                       (2, 7, 1.0, 1.0), (4, 10, 1.3, 0.5)])
+def test_chain_sector_modes_are_the_chain_modes_of_their_sector(n0, length, kappa, kappa0):
+    modes = central_chain_modes(n0, length, kappa, kappa0)
+    size = len(modes)
+    for sector in (1, -1):
+        folded = central_chain_sector_modes(n0, length, kappa, kappa0, sector)
+        numbers = [n for n in range(1, size + 1) if mirror_mode(n)[0] == sector]
+        assert [mirror_mode(n)[1] for n in numbers] == list(range(folded.shape[1]))
+        chain = modes[:, np.asarray(numbers) - 1]
+        # the same mode up to sign (and up to rounding at equal hoppings,
+        # where the analytic mode is folded)
+        signs = np.sign(np.sum(unfold(folded, sector, size) * chain, axis=0))
+        assert np.max(np.abs(unfold(folded, sector, size) * signs - chain)) < 1e-14
+
+
+evolve_runs = st.fixed_dictionaries({
+    "kappa0": st.sampled_from([1.0]) | st.floats(0.3, 10.0),
+    "steps": st.integers(50, 90),
+    "t_max": st.floats(0.0, 60.0),
+    # mode numbers are taken modulo the central size
+    "modes": st.lists(st.integers(1, 310), min_size=1, max_size=6),
+})
+
+
+@given(p=lattices, run=evolve_runs)
+# the side-chain edge pairs that eigh cannot split, both parities of the
+# longest odd and even lattices, and no leads
+@example(p={"n0": 3, "length": 41, "leads": 60, "kappa0": 1.7},
+         run={"kappa0": 1.7, "steps": 60, "t_max": 50.0, "modes": [1, 2, 46, 47]})
+@example(p={"n0": 5, "length": 299, "leads": 80, "kappa0": 10.0},
+         run={"kappa0": 10.0, "steps": 50, "t_max": 60.0, "modes": [1, 2, 155, 156, 309]})
+@example(p={"n0": 5, "length": 300, "leads": 80, "kappa0": 0.3},
+         run={"kappa0": 0.3, "steps": 50, "t_max": 60.0, "modes": [1, 155, 156, 310]})
+@example(p={"n0": 2, "length": 5, "leads": 0, "kappa0": 1.0},
+         run={"kappa0": 1.0, "steps": 50, "t_max": 8.0, "modes": list(range(1, 10))})
+@settings(max_examples=25, deadline=None)
+def test_evolve_matches_the_full_lattice_path(p, run, tmp_path_factory):
+    n0, length, leads = p["n0"], p["length"], p["leads"]
+    kappa0, steps, t_max = run["kappa0"], run["steps"], run["t_max"]
+    modes = [1 + (n - 1) % (2 * n0 + length) for n in run["modes"]]
+    out = tmp_path_factory.mktemp("evolve") / "p.csv"
+    assert main(["evolve", "--n0", str(n0), "--len", str(length), "--m", str(leads),
+                 "--kappa0", repr(kappa0), "--steps", str(steps), "--t-max", repr(t_max),
+                 "--allow-reflections", "--modes", ",".join(map(str, modes)),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [int(r[2]) for r in rows] == [n for n in modes for _ in range(steps)]
+
+    times = np.linspace(0.0, t_max, steps)
+    horizon = safe_horizon(leads, 1.0)
+    expected = full_lattice_survival(n0, length, 1.0, kappa0, leads, modes, times)
+    for i, (n, values) in enumerate(zip(modes, expected)):
+        mode_rows = rows[i * steps:(i + 1) * steps]
+        got = np.array([float(r[4]) for r in mode_rows])
+        assert np.max(np.abs(got - values)) <= 1e-12
+        try:
+            label = classify_decay(SurvivalSeries(n, times, values, horizon))
+        except ValueError:
+            label = "unclassified"
+        assert {r[5] for r in mode_rows} == {label}

@@ -284,3 +284,25 @@ def test_certificates_are_bitwise_those_of_the_reference(kind, size, joints, mu,
             assert repr(cert.to_json_dict()) == repr(reference_json_dict(ref))
             assert repr(cert.support_sites()) == repr(reference_support_sites(ref))
             assert repr(cert.node_sites(sites)) == repr(reference_node_sites(ref, sites))
+
+
+def test_trap_search_assembles_the_network_only_for_a_trapped_mode(monkeypatch):
+    # a 12-site chain joined at position 5, coprime to 13: no mode has a
+    # node there, so nothing is trapped and no N x N matrix is filled; an
+    # 11-site chain joined at its middle (position 6) traps its 5 even
+    # modes and fills the matrix once
+    import fanonet.spectra
+
+    calls = []
+
+    def spy(graph):
+        calls.append(graph)
+        return assemble_hamiltonian(graph)
+
+    monkeypatch.setattr(fanonet.spectra, "assemble_hamiltonian", spy)
+    for size, joint, trapped in ((12, 4, 0), (11, 5, 5)):
+        calls.clear()
+        graph, partition = chain_or_ring_network("chain", size, [joint], 0.0, 1.0, 3, 0)
+        certificates = find_trapping_modes(graph, partition, 1)
+        assert len(certificates) == trapped
+        assert len(calls) == (1 if trapped else 0)
