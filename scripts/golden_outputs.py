@@ -25,8 +25,10 @@ config files that are missing, hold no JSON object, name an unknown key
 or give a value of the wrong type, an output path that is a directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
 no lattice length or equal --len, bound states of the paper's long
-lattice and of strong side coupling, and the known defect of ROADMAP
-item 1 (transmit's dual-path ArithmeticError).
+lattice and of strong side coupling, a reflection zero next to the
+side-chain band edge (x = kappa*cos k/kappa0 near 1), and length 1000 at
+kappa0 1.5, on its own and as the second length of a comparison, where a
+guessed dual-path tolerance once raised ArithmeticError.
 
 CI runs the script twice and diffs the two listings: identical
 configurations must give identical bytes.
@@ -103,10 +105,12 @@ RUNS = [
                               "--out", "{dir}/long.csv"]),
     ("transmit-compare-300", ["transmit", "--n0", "3", "--len", "300", "--kappa0", "2.2",
                               "--compare", "301", "--steps", "400", "--out", "{dir}/c300.csv"]),
-    ("defect-transmit-dual-path", ["transmit", "--n0", "1", "--len", "1000", "--kappa0", "1.5",
-                                   "--out", "{dir}/defect.csv"]),
-    ("defect-transmit-second-length", ["transmit", "--n0", "1", "--len", "5", "--kappa0", "1.5",
-                                       "--compare", "1000", "--out", "{dir}/second.csv"]),
+    ("transmit-dual-path-length-1000", ["transmit", "--n0", "1", "--len", "1000",
+                                        "--kappa0", "1.5", "--out", "{dir}/defect.csv"]),
+    ("transmit-dual-path-second-length", ["transmit", "--n0", "1", "--len", "5", "--kappa0", "1.5",
+                                          "--compare", "1000", "--out", "{dir}/second.csv"]),
+    ("transmit-zero-near-side-band-edge", ["transmit", "--n0", "1", "--len", "48",
+                                           "--kappa0", "0.9112", "--out", "{dir}/edge.csv"]),
     ("bound-unequal-long-time", ["bound", "--n0", "2", "--len", "4", "--kappa0", "1.7",
                                  "--long-time", "3", "--out", "{dir}/unequal.json"]),
     ("bound-weak-side", ["bound", "--n0", "3", "--len", "9", "--kappa0", "0.4",

@@ -35,7 +35,6 @@ from .bound_states import (
     long_time_survival,
     resonant_bound_states,
     resonant_existence,
-    resonant_momenta,
 )
 from .scattering import (
     PeakDipReport,
@@ -46,7 +45,6 @@ from .scattering import (
     numeric_scatter_oracle,
     peak_dip_report,
     scattering_point,
-    single_side_chain_transmission,
     transmission_amplitude,
     transmission_probability,
     transmission_sweep,

@@ -19,6 +19,9 @@ i.  Two families solve the Schrodinger equation:
 
   and the state is U_{n0}(x)*(z^{j-1} + s*z^{length-j}) on c_j,
   (1 + s*z^{length-1})*U_{n0-i}(x) on a_i and s times that on b_i.
+  The difference of the two sides, f_s (``_sector_function``), gives on
+  |z| = 1 the sector's scattering amplitude (``scattering``): bound
+  states and scattering rest on one function.
 
 No power of z has a negative exponent, so nothing overflows at any length,
 and the parity is known by construction.  The roots gamma are bracketed
@@ -42,15 +45,15 @@ import numpy as np
 from ._numerics import sign_change_roots
 from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
-from .scattering import side_chain_momentum
-from .spectra import diagonalize, fold, mirror_blocks, mirror_mode, open_chain_modes, unfold
+from .spectra import (
+    diagonalize, fold, mirror_blocks, mirror_mode, open_chain_mode, open_chain_modes, unfold,
+)
 
 __all__ = [
     "BoundState",
     "LongTimeSurvival",
     "RootRefinementError",
     "resonant_existence",
-    "resonant_momenta",
     "resonant_bound_states",
     "evanescent_bound_states",
     "bound_state_wavefunction",
@@ -152,11 +155,6 @@ def resonant_existence(n0: int, length: int) -> list[tuple[int, int]]:
     ]
 
 
-def resonant_momenta(n0: int, length: int) -> list[float]:
-    """Momenta m*pi/(n0+1) of the resonant pairs from resonant_existence."""
-    return [m * np.pi / (n0 + 1) for m, _ in resonant_existence(n0, length)]
-
-
 def _gershgorin(kappa: float, kappa0: float) -> float:
     """Largest absolute row sum of the infinite lattice's H: a bound on |E|."""
     return max(2 * kappa + kappa0, 2 * kappa0)
@@ -168,6 +166,26 @@ def _chebyshev(x, n: int) -> np.ndarray:
     for _ in range(n - 1):
         u.append(2 * x * u[-1] - u[-2])
     return np.stack(u)
+
+
+def _sector_function(z, one_minus_z2, host, u_top, u_next, kappa, kappa0):
+    """f_s = kappa*(1 - z^2)*U_{n0}(x) - kappa0*z*(1 + s*z^{length-1})*U_{n0-1}(x),
+    the function of mirror sector s whose zeros inside |z| < 1 are its
+    evanescent states and whose values on |z| = 1 give its reflection
+    amplitude (``scattering``).  Each caller forms the wings
+    ``one_minus_z2`` = 1 - z^2 and ``host`` = 1 + s*z^{length-1} its own
+    way, and passes u_top = U_{n0}(x), u_next = U_{n0-1}(x)."""
+    return kappa * one_minus_z2 * u_top - kappa0 * z * host * u_next
+
+
+def side_chain_momentum(k, kappa: float, kappa0: float):
+    """Side-chain momentum q of matching energy: cos q = (kappa/kappa0) cos k.
+
+    ``k`` is one momentum (q is then a Python complex) or an array of
+    them, real or complex (bound states have k = i*gamma or pi + i*gamma).
+    """
+    q = np.arccos(np.asarray(kappa / kappa0 * np.cos(k), dtype=complex))
+    return complex(q) if q.ndim == 0 else q
 
 
 def _state(kind, k, gamma, parity, z, values, tail, tolerance, n0, length, kappa, kappa0):
@@ -242,7 +260,8 @@ def _sector_condition(gamma, n0, length, kappa, kappa0, sign_z, s):
     ``sign_z`` and ``s`` broadcast against it."""
     z = sign_z * np.exp(-gamma)
     u = _chebyshev(kappa * (z + 1 / z) / (2 * kappa0), n0)
-    return kappa * (1 - z * z) * u[n0] - kappa0 * z * (1 + s * z ** (length - 1)) * u[n0 - 1]
+    return _sector_function(z, 1 - z * z, 1 + s * z ** (length - 1), u[n0], u[n0 - 1],
+                            kappa, kappa0)
 
 
 def _evanescent_state(gamma, sign_z, s, spread, n0, length, kappa, kappa0):
@@ -341,7 +360,8 @@ def central_chain_sector_modes(
     eigenvectors of the chain's sector block.
     """
     if kappa == kappa0:
-        modes = open_chain_modes(2 * n0 + length, kappa)[(1 - sector) // 2::2]
+        size, first = 2 * n0 + length, 1 if sector > 0 else 2
+        modes = [open_chain_mode(size, n, kappa) for n in range(first, size + 1, 2)]
         return fold(np.array([m.amplitudes for m in modes]).T, sector)
     return diagonalize(_chain_blocks(n0, length, kappa, kappa0)[sector])[1]
 
@@ -399,7 +419,7 @@ def long_time_survival(
     if not 1 <= mode <= lam:
         raise ValueError(f"mode must be in [1, {lam}], got {mode}")
     if kappa == kappa0:                 # the analytic mode, as central_chain_modes has it
-        psi0 = open_chain_modes(lam, kappa)[mode - 1].amplitudes
+        psi0 = open_chain_mode(lam, mode, kappa).amplitudes
     else:                               # one half-size eigensolve: the mode's sector
         sector, column = mirror_mode(mode)
         vectors = central_chain_sector_modes(n0, length, kappa, kappa0, sector)

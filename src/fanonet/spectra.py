@@ -30,6 +30,7 @@ __all__ = [
     "mirror_mode",
     "fold",
     "unfold",
+    "open_chain_mode",
     "open_chain_modes",
     "find_trapping_modes",
     "verify_trapping",
@@ -194,36 +195,34 @@ def unfold(w: np.ndarray, sector: int, size: int) -> np.ndarray:
     return np.concatenate([top, middle, sector * top[::-1]])
 
 
-def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
-    """Analytic eigenmodes of the uniform open chain of ``size`` sites.
+def open_chain_mode(size: int, n: int, kappa: float = 1.0) -> EigenMode:
+    """Analytic eigenmode n (1-based) of the uniform open chain of ``size``
+    sites.
 
-    Mode n (1-based) has momentum n*pi/(size+1), energy
-    -2*kappa*cos(momentum) and amplitude proportional to sin(momentum * j)
-    at chain position j.  Its wave nodes sit at positions j with
-    n*j divisible by size+1, i.e. at the multiples of
-    (size+1)/gcd(n, size+1), in exact integer arithmetic; the stored
-    amplitude at a node is exactly zero.
+    Its momentum is n*pi/(size+1), its energy -2*kappa*cos(momentum) and
+    its amplitude proportional to sin(momentum * j) at chain position j.
+    Its wave nodes sit at positions j with n*j divisible by size+1, i.e. at
+    the multiples of (size+1)/gcd(n, size+1), in exact integer arithmetic;
+    the stored amplitude at a node is exactly zero.  O(size).
     """
+    if not 1 <= n <= size:
+        raise ValueError(f"mode must be in [1, {size}], got {n}")
+    momentum = n * np.pi / (size + 1)
+    g = np.sqrt(2.0 / (size + 1)) * np.sin(momentum * np.arange(1, size + 1))
+    step = (size + 1) // gcd(n, size + 1)
+    nodes = frozenset(range(step, size + 1, step))
+    for j in nodes:
+        g[j - 1] = 0.0
+    return EigenMode(energy=-2.0 * kappa * np.cos(momentum), amplitudes=g / np.linalg.norm(g),
+                     nodes=nodes)
+
+
+def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
+    """All analytic eigenmodes of the uniform open chain of ``size`` sites,
+    mode 1 first (``open_chain_mode``)."""
     if size < 1:
         raise ValueError(f"chain size must be >= 1, got {size}")
-    modes = []
-    positions = np.arange(1, size + 1)
-    for n in range(1, size + 1):
-        momentum = n * np.pi / (size + 1)
-        g = np.sqrt(2.0 / (size + 1)) * np.sin(momentum * positions)
-        step = (size + 1) // gcd(n, size + 1)
-        nodes = frozenset(range(step, size + 1, step))
-        for j in nodes:
-            g[j - 1] = 0.0
-        g = g / np.linalg.norm(g)
-        modes.append(
-            EigenMode(
-                energy=-2.0 * kappa * np.cos(momentum),
-                amplitudes=g,
-                nodes=nodes,
-            )
-        )
-    return modes
+    return [open_chain_mode(size, n, kappa) for n in range(1, size + 1)]
 
 
 def _energy_groups(energies: np.ndarray, scale: float) -> list[slice]:

@@ -22,14 +22,14 @@ from fanonet import (
     long_time_survival,
     numeric_scatter_oracle,
     open_chain_modes,
+    common_zeros,
     peak_dip_report,
     scattering_point,
-    single_side_chain_transmission,
     transmission_amplitude,
     transmission_probability,
     verify_trapping,
 )
-from fanonet.scattering import side_chain_response, _phase_shift
+from fanonet.scattering import _evaluate_one, _phase_shift
 
 from _support import brute_force_trapped, random_graph, same_trapped_content
 
@@ -150,9 +150,17 @@ def test_criterion_5_zero_structure():
             assert transmission_probability(k, 2, length) > 1.0 - 1e-12
             k = float(np.arccos(0.5))         # E = -1
             assert transmission_probability(k, 3, length) > 1.0 - 1e-12
+        # parity rule at k = pi/2: T = [1 + (-1)^n0]/2 for every length, and
+        # pi/2 is a common zero of T (odd n0) or of R (even n0)
         for n0 in range(1, 7):
             expected = (1 + (-1) ** n0) / 2
-            assert single_side_chain_transmission(np.pi / 2, n0) == expected
+            for length in range(4, 9):
+                point = scattering_point(np.pi / 2, n0, length)
+                bound = _evaluate_one(np.pi / 2, n0, length, 1.0, 1.0).bound["dual"][0]
+                assert abs(point.transmission - expected) <= bound
+            catalog = common_zeros(n0)
+            zeros = catalog.k_min if n0 % 2 else catalog.k_max
+            assert any(abs(z.k - np.pi / 2) < 1e-15 for z in zeros)
 
 
 def test_criterion_6_peak_dip_swapping():
@@ -166,8 +174,7 @@ def test_criterion_6_peak_dip_swapping():
         assert entry["straddle"]
         for length0 in (5, 6):
             for k0 in l_dependent_reflection_zeros(2, length0):
-                _, alpha, beta = side_chain_response(k0, 2, 1.0, 1.0)
-                delta = _phase_shift(alpha, beta, np.sin(k0))
+                delta = _phase_shift(k0, 2, 1.0, 1.0)
                 for m in (1, 2, 3):
                     lhs = np.sin(k0 * (length0 + m - 1) - delta) ** 2
                     rhs = np.sin(m * k0) ** 2
@@ -194,7 +201,8 @@ def test_criterion_7_property_suites(survival_sweep):
         for n0, length, kappa0 in ((2, 4, 1.0), (3, 5, 1.0), (2, 6, 1.6), (4, 7, 0.7)):
             for k in ks:
                 point = scattering_point(k, n0, length, 1.0, kappa0)
-                assert abs(point.transmission - abs(point.t) ** 2) < 1e-12
+                real_form = transmission_probability(k, n0, length, 1.0, kappa0)
+                assert abs(real_form - abs(point.t) ** 2) < 1e-12
 
         # truncation convergence of the survival probability
         spec = {"n0": 2, "length": 4}

@@ -17,7 +17,6 @@ from fanonet import (
     open_chain_modes,
     resonant_bound_states,
     resonant_existence,
-    resonant_momenta,
     subgraph_hamiltonian,
 )
 from fanonet import bound_states
@@ -35,12 +34,11 @@ from _support import eigenvalues_below, out_of_band_count
 
 
 def test_existence_pairs_and_momenta():
+    momenta = lambda n0, length: [m * np.pi / (n0 + 1) for m, _ in resonant_existence(n0, length)]
     assert resonant_existence(3, 5) == [(1, 1), (2, 2), (3, 3)]
-    np.testing.assert_allclose(
-        resonant_momenta(3, 5), [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
-    )
+    np.testing.assert_allclose(momenta(3, 5), [np.pi / 4, np.pi / 2, 3 * np.pi / 4])
     assert resonant_existence(2, 4) == [(1, 1), (2, 2)]
-    np.testing.assert_allclose(resonant_momenta(2, 4), [np.pi / 3, 2 * np.pi / 3])
+    np.testing.assert_allclose(momenta(2, 4), [np.pi / 3, 2 * np.pi / 3])
     assert resonant_existence(1, 4) == []        # even separation, no pairs
     assert resonant_existence(1, 3) == [(1, 1)]  # odd separation: one pi/2 mode
 

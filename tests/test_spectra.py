@@ -16,6 +16,7 @@ from fanonet import (
     resonant_existence,
     verify_trapping,
 )
+from fanonet.spectra import open_chain_mode
 
 from _support import (
     brute_force_trapped,
@@ -88,6 +89,19 @@ def test_open_chain_nodes_match_brute_force_scan(size):
         scan = frozenset(j for j in range(1, size + 1) if (n * j) % (size + 1) == 0)
         assert mode.nodes == scan
         assert all(mode.amplitudes[j - 1] == 0.0 for j in scan)
+
+
+def test_open_chain_mode_builds_one_mode_alone():
+    # open_chain_mode(size, n) is mode n of open_chain_modes, bit for bit,
+    # without building the other size - 1 modes
+    modes = open_chain_modes(12, 1.3)
+    for n, mode in enumerate(modes, start=1):
+        alone = open_chain_mode(12, n, 1.3)
+        assert alone.energy == mode.energy and alone.nodes == mode.nodes
+        assert alone.amplitudes.tobytes() == mode.amplitudes.tobytes()
+    for n in (0, 13):
+        with pytest.raises(ValueError, match="mode must be in"):
+            open_chain_mode(12, n)
 
 
 def test_open_chain_modes_match_numeric_spectrum():
