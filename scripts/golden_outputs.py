@@ -28,7 +28,9 @@ no lattice length or equal --len, bound states of the paper's long
 lattice and of strong side coupling, a reflection zero next to the
 side-chain band edge (x = kappa*cos k/kappa0 near 1), and length 1000 at
 kappa0 1.5, on its own and as the second length of a comparison, where a
-guessed dual-path tolerance once raised ArithmeticError.
+guessed dual-path tolerance once raised ArithmeticError, length 3000,
+past the length where the reflection-zero scan's grid starts to grow with
+it, and a config file with a "format" key, which selects nothing.
 
 CI runs the script twice and diffs the two listings: identical
 configurations must give identical bytes.
@@ -73,7 +75,8 @@ NETWORK = {
 # a --config run; "out" is set below the scratch directory
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
 # files and the directory put in the scratch directory before the runs
-INPUTS = {"graph.json", "network.json", "run.json", "list.json", "unknown_key.json", "bad_type.json", "outdir"}
+INPUTS = {"graph.json", "network.json", "run.json", "list.json", "unknown_key.json", "bad_type.json",
+          "format_key.json", "outdir"}
 
 # (label, argv); {dir} is the scratch directory
 RUNS = [
@@ -109,6 +112,8 @@ RUNS = [
                                         "--kappa0", "1.5", "--out", "{dir}/defect.csv"]),
     ("transmit-dual-path-second-length", ["transmit", "--n0", "1", "--len", "5", "--kappa0", "1.5",
                                           "--compare", "1000", "--out", "{dir}/second.csv"]),
+    ("transmit-length-3000", ["transmit", "--n0", "2", "--len", "3000",
+                              "--out", "{dir}/len3000.csv"]),
     ("transmit-zero-near-side-band-edge", ["transmit", "--n0", "1", "--len", "48",
                                            "--kappa0", "0.9112", "--out", "{dir}/edge.csv"]),
     ("bound-unequal-long-time", ["bound", "--n0", "2", "--len", "4", "--kappa0", "1.7",
@@ -159,6 +164,7 @@ RUNS = [
     ("error-config-not-object", ["--config", "{dir}/list.json"]),
     ("error-config-unknown-key", ["--config", "{dir}/unknown_key.json"]),
     ("error-config-bad-type", ["--config", "{dir}/bad_type.json"]),
+    ("error-config-format-key", ["--config", "{dir}/format_key.json"]),
     ("error-out-is-directory", ["transmit", "--n0", "2", "--len", "5", "--steps", "10",
                                 "--out", "{dir}/outdir"]),
 ]
@@ -207,6 +213,9 @@ def main():
             json.dumps({"subcommand": "transmit", "len": 5}), encoding="utf-8")
         (scratch / "bad_type.json").write_text(
             json.dumps({"subcommand": "transmit", "n0": "two", "length": 5}), encoding="utf-8")
+        (scratch / "format_key.json").write_text(
+            json.dumps({"subcommand": "bound", "n0": 2, "length": 4, "format": "json"}),
+            encoding="utf-8")
         (scratch / "outdir").mkdir()
         for label, argv in RUNS:
             print(label)

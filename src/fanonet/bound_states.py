@@ -31,9 +31,9 @@ together.  Every state is checked site by site against the Schrodinger
 equation of the infinite lattice; one that fails raises ArithmeticError.
 
 The isolated central chain is mirror-symmetric too: its mode n (energies
-ascending) lies in sector (-1)^(n-1), so ``central_chain_sector_modes``
-and ``long_time_survival`` diagonalize one half-size block of it, never
-the whole chain.
+ascending) lies in sector (-1)^(n-1), so ``long_time_survival`` builds its
+initial mode in closed form at equal hoppings and otherwise diagonalizes
+the one half-size block of the chain that holds it, never the whole chain.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ import numpy as np
 from ._numerics import sign_change_roots
 from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
-from .spectra import (
-    diagonalize, fold, mirror_blocks, mirror_mode, open_chain_mode, open_chain_modes, unfold,
-)
+from .spectra import diagonalize, mirror_blocks, mirror_mode, open_chain_mode, unfold
 
 __all__ = [
     "BoundState",
@@ -57,8 +55,6 @@ __all__ = [
     "resonant_bound_states",
     "evanescent_bound_states",
     "bound_state_wavefunction",
-    "central_chain_modes",
-    "central_chain_sector_modes",
     "long_time_survival",
 ]
 
@@ -75,9 +71,6 @@ GAMMA_REFINE = 1e-13
 # rounding allowance of the site-by-site check, in units of ||H||_inf
 # times the largest term of the closed form (derived in CHANGES.md)
 RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
-# eigenvalue rounding of one mirror block of the central chain, in units
-# of the chain size times ||H||_inf (derived in CHANGES.md)
-CHAIN_ORDER_ROUNDING = np.finfo(float).eps
 
 # the four gamma scans, (sign of z, mirror sector s), in the order their
 # roots are built
@@ -340,63 +333,6 @@ def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _chain_blocks(n0: int, length: int, kappa: float, kappa0: float) -> dict:
-    """Even (+1) and odd (-1) mirror blocks of the isolated central chain,
-    from the Hamiltonian of the lattice without leads, which is bitwise the
-    central block of the same lattice with any number of lead sites."""
-    spec = PiLatticeSpec(n0, length, kappa, kappa0, leads=0)
-    return dict(zip((1, -1), mirror_blocks(assemble_hamiltonian(build_pi_lattice(spec).graph))))
-
-
-def central_chain_sector_modes(
-    n0: int, length: int, kappa: float, kappa0: float, sector: int
-) -> np.ndarray:
-    """The central chain's eigenmodes of mirror sector ``sector`` (+1 even,
-    -1 odd) in columns, in that sector's coordinates (``fold``), energies
-    ascending: column c is mode 2c+1 of the chain if even, 2c+2 if odd
-    (``mirror_mode``).
-
-    Folded analytic open-chain modes at equal hoppings; otherwise the
-    eigenvectors of the chain's sector block.
-    """
-    if kappa == kappa0:
-        size, first = 2 * n0 + length, 1 if sector > 0 else 2
-        modes = [open_chain_mode(size, n, kappa) for n in range(first, size + 1, 2)]
-        return fold(np.array([m.amplitudes for m in modes]).T, sector)
-    return diagonalize(_chain_blocks(n0, length, kappa, kappa0)[sector])[1]
-
-
-def central_chain_modes(
-    n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
-) -> np.ndarray:
-    """Eigenmodes of the isolated central chain in columns, energies ascending.
-
-    Analytic open-chain modes at equal hoppings.  Otherwise each mirror
-    block of the chain is diagonalized on its own and the modes are
-    interleaved, even first, as ``mirror_mode`` numbers them: mode n lies in
-    sector (-1)^(n-1).  Merged energies that fall out of ascending order by
-    more than both blocks' eigenvalue rounding, CHAIN_ORDER_ROUNDING times
-    the chain size and ||H||_inf each, raise ArithmeticError.
-    """
-    size = 2 * n0 + length
-    if kappa == kappa0:
-        return np.array([m.amplitudes for m in open_chain_modes(size, kappa)]).T
-    energies, modes = np.empty(size), np.empty((size, size))
-    for sector, block in _chain_blocks(n0, length, kappa, kappa0).items():
-        columns = slice(0 if sector > 0 else 1, None, 2)
-        energies[columns], vectors = diagonalize(block)
-        modes[:, columns] = unfold(vectors, sector, size)
-    scale = 2 * max(kappa, kappa0)                      # >= ||H||_inf of the chain
-    tolerance = 2 * CHAIN_ORDER_ROUNDING * size * scale
-    if np.any(np.diff(energies) < -tolerance):
-        worst = int(np.argmin(np.diff(energies)))
-        raise ArithmeticError(
-            f"mirror sectors out of order at modes {worst + 1}, {worst + 2}: "
-            f"{energies[worst]!r} > {energies[worst + 1]!r} (bound {tolerance:.3e})"
-        )
-    return modes
-
-
 def long_time_survival(
     n0: int,
     length: int,
@@ -418,12 +354,13 @@ def long_time_survival(
     lam = 2 * n0 + length
     if not 1 <= mode <= lam:
         raise ValueError(f"mode must be in [1, {lam}], got {mode}")
-    if kappa == kappa0:                 # the analytic mode, as central_chain_modes has it
+    if kappa == kappa0:                 # the analytic mode, O(lam)
         psi0 = open_chain_mode(lam, mode, kappa).amplitudes
     else:                               # one half-size eigensolve: the mode's sector
         sector, column = mirror_mode(mode)
-        vectors = central_chain_sector_modes(n0, length, kappa, kappa0, sector)
-        psi0 = unfold(vectors[:, column], sector, lam)
+        chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
+        block = mirror_blocks(assemble_hamiltonian(chain))[0 if sector > 0 else 1]
+        psi0 = unfold(diagonalize(block)[1][:, column], sector, lam)
     if states is None:
         states = resonant_bound_states(n0, length, kappa, kappa0) + \
             evanescent_bound_states(n0, length, kappa, kappa0)

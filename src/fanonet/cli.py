@@ -3,7 +3,8 @@
 Subcommands: ``trap`` (certify trapped modes of a user graph), ``evolve``
 (survival-probability sweeps), ``bound`` (exact bound states), ``transmit``
 (transmission spectra with zero catalogs).  Exit codes: 0 success, 2 input
-error, 3 empty trap search, 4 domain violation.
+error, 3 empty trap search, 4 domain violation, 5 internal failure (a
+result failed its own consistency check).
 
 Identical run configurations produce byte-identical output files: no
 timestamps, fixed float formatting, deterministic ordering.  Every JSON
@@ -27,12 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound_states import (
-    central_chain_sector_modes,
-    evanescent_bound_states,
-    long_time_survival,
-    resonant_bound_states,
-)
+from .bound_states import evanescent_bound_states, long_time_survival, resonant_bound_states
 from .dynamics import (
     DEFAULT_TIME_SAMPLES,
     SpectralPropagator,
@@ -49,14 +45,13 @@ from .scattering import (
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import find_trapping_modes, mirror_blocks, mirror_mode
+from .spectra import diagonalize, find_trapping_modes, mirror_blocks, mirror_mode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_DOMAIN = 4
-
-FORMATS = ("csv", "json")
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -80,11 +75,8 @@ class RunConfig:
     graph: str | None = None
     subgraph: int = 0
     out: str | None = None
-    format: str = "csv"
 
     def validate(self):
-        if self.format not in FORMATS:
-            raise GraphSpecError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.steps is not None and self.steps < 2:
             raise GraphSpecError(f"steps must be >= 2, got {self.steps}")
         if self.e_min is not None and self.e_max is not None and not self.e_min < self.e_max:
@@ -269,12 +261,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     horizon = safe_horizon(cfg.leads, cfg.kappa)
     t_max = horizon if cfg.t_max is None else cfg.t_max
     if t_max > horizon and not cfg.allow_reflections:
-        print(
-            f"error: t_max={t_max} exceeds the safe horizon {horizon} "
-            "(rerun with --allow-reflections to override)",
-            file=sys.stderr,
+        raise ValueError(
+            f"t_max={t_max} exceeds the safe horizon {horizon} "
+            "(rerun with --allow-reflections to override)"
         )
-        return EXIT_DOMAIN
     steps = cfg.steps if cfg.steps is not None else DEFAULT_TIME_SAMPLES
     times = np.linspace(0.0, t_max, steps)
 
@@ -289,16 +279,18 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     # mode n lies in mirror sector (-1)^(n-1): evolve each sector that holds
     # a requested mode under its own half-size block of the lattice, where
-    # the chain's sector coordinates sit at offset ``leads`` and
-    # P = sum |w|^2 over them
+    # the chain's ceil(lam/2) even or floor(lam/2) odd sector coordinates
+    # sit at offset ``leads`` and P = sum |w|^2 over them.  Their rows and
+    # columns of the block are bitwise the chain's own sector block, whose
+    # eigenvectors are the chain's modes of that sector
     blocks = dict(zip((1, -1), mirror_blocks(assemble_hamiltonian(lattice.graph))))
     survival = {}
     for sector, block in blocks.items():
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
         if not wanted:
             continue
-        chain = central_chain_sector_modes(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0, sector)
-        observed = np.arange(cfg.leads, cfg.leads + len(chain))
+        observed = np.arange(cfg.leads, cfg.leads + (lam + (sector > 0)) // 2)
+        chain = diagonalize(block[np.ix_(observed, observed)])[1]
         propagator = SpectralPropagator(block)
         # per_block * len(observed) <= len(block): a block of modes needs no
         # more memory than one mode projected onto the whole sector
@@ -383,12 +375,10 @@ def cmd_transmit(cfg: RunConfig) -> int:
     e_min = cfg.e_min if cfg.e_min is not None else -band + 1e-3 * cfg.kappa
     e_max = cfg.e_max if cfg.e_max is not None else band - 1e-3 * cfg.kappa
     if not (-band < e_min < e_max < band):
-        print(
-            f"error: energy range [{e_min}, {e_max}] must lie strictly inside "
-            f"the band (-{band}, {band})",
-            file=sys.stderr,
+        raise ValueError(
+            f"energy range [{e_min}, {e_max}] must lie strictly inside "
+            f"the band (-{band}, {band})"
         )
-        return EXIT_DOMAIN
     steps = cfg.steps if cfg.steps is not None else 800
     momenta = np.arccos(-np.linspace(e_min, e_max, steps) / band)
     # the energy column is recomputed from k, as the scattering record holds it
@@ -516,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,10 +12,12 @@ chain's mode n lies in mirror sector (-1)^(n-1) (``spectra.mirror_mode``),
 so ``fanonet evolve`` gives the propagator one half-size block
 (``spectra.mirror_blocks``) per sector that holds a requested mode, with N
 and S the sector's sizes: each decomposition costs an eighth of the
-whole lattice's.  Hard-wall truncated leads stay faithful to the infinite
-lattice only until leaked probability can bounce off the wall and return;
-``safe_horizon`` bounds that window using the maximal group velocity
-2*kappa of the host chain.
+whole lattice's.  The S observed rows and columns of that block are
+bitwise the isolated chain's sector block, so their eigenvectors are the
+sector's initial chain modes at any hopping ratio.  Hard-wall truncated
+leads stay faithful to the infinite lattice only until leaked probability
+can bounce off the wall and return; ``safe_horizon`` bounds that window
+using the maximal group velocity 2*kappa of the host chain.
 """
 
 from __future__ import annotations

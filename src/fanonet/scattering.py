@@ -83,8 +83,8 @@ __all__ = [
 EPS = np.finfo(float).eps
 # the mirror sectors s = +1, -1 along the first axis of the kernel's arrays
 SECTORS = np.array([[1.0], [-1.0]])
-# reflection-zero scan: grid resolution, exclusion margin at the band edges
-# and bracket width at which bisection stops
+# reflection-zero scan: the fewest grid points, exclusion margin at the band
+# edges and bracket width at which bisection stops
 K_GRID_POINTS = 2000
 K_EDGE_MARGIN = 1e-3
 K_REFINE = 1e-13
@@ -341,14 +341,17 @@ def l_dependent_reflection_zeros(
 
     Sign changes of sin(k*(length-1) - delta), which is continuous in k,
     are bracketed on a uniform grid that keeps a small margin from the band
-    edges, and bisected.  At such a root R = 0 (T = 1), unless a = 0 there
+    edges, and bisected.  The roots lie about pi/(length-1) apart, so the
+    grid has max(K_GRID_POINTS, 2*(length-1)) points: at least two per
+    root spacing.  At such a root R = 0 (T = 1), unless a = 0 there
     too: a bound state in the continuum, where T -> 0 instead; T > 1/2
     tells the two apart.
     """
     def objective(k, scan=None):
         return np.sin(k * (length - 1) - _phase_shift(k, n0, kappa, kappa0))
 
-    grid = np.linspace(K_EDGE_MARGIN, np.pi - K_EDGE_MARGIN, K_GRID_POINTS)
+    points = max(K_GRID_POINTS, 2 * (length - 1))
+    grid = np.linspace(K_EDGE_MARGIN, np.pi - K_EDGE_MARGIN, points)
     k0, _, _, converged, _ = sign_change_roots(objective, grid, objective(grid)[None], K_REFINE)
     keep = converged & (_evaluate(k0, n0, length, kappa, kappa0).big_t > 0.5)
     return k0[keep].tolist()
@@ -440,11 +443,13 @@ def numeric_scatter_oracle(
     3. one 2x2 solve splits the two incoming-side pinned values into the
        incoming and reflected waves, which scales t and gives r.
 
-    Uniform leads make this construction exact for any leads >= length+20.
+    Outside the anchors the leads are free chains, on which the plane-wave
+    form solves the Schrodinger equation exactly, so the amplitudes are
+    exact (up to rounding) for any leads >= 1.
     """
     _check_band(k)
-    if leads < length + 20:
-        raise ValueError(f"leads must be >= length+20 = {length + 20}, got {leads}")
+    if leads < 1:
+        raise ValueError(f"leads must be >= 1, got {leads}")
     if incident not in ("left", "right"):
         raise ValueError(f"incident must be 'left' or 'right', got {incident!r}")
 

@@ -8,9 +8,9 @@ degenerate eigenspaces through a null-space criterion instead of the
 basis-dependent per-vector node test.
 
 A Hamiltonian equal to its mirror image splits into an even and an odd
-block of half the size (``mirror_blocks``); ``fold`` and ``unfold`` move
-states between site and sector coordinates, and ``mirror_mode`` says in
-which block, and where, a Jacobi matrix's mode n lies.
+block of half the size (``mirror_blocks``); ``unfold`` takes a state's
+sector coordinates back to sites, and ``mirror_mode`` says in which
+block, and where, a Jacobi matrix's mode n lies.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "diagonalize",
     "mirror_blocks",
     "mirror_mode",
-    "fold",
     "unfold",
     "open_chain_mode",
     "open_chain_modes",
@@ -130,8 +129,8 @@ def mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Sector s (+1 even, -1 odd) has the basis (|i> + s|N-1-i>)/sqrt(2) for
     i < half = N // 2, and in the even sector of odd N also the middle site
-    |half>, last (see ``fold``).  There H is top + s*cross, with
-    top = h[:half, :half] and cross[i, j] = h[i, N-1-j]; the middle site's
+    |half>, last.  There H is top + s*cross, with top = h[:half, :half]
+    and cross[i, j] = h[i, N-1-j]; the middle site's
     row and column in the even block carry sqrt(2) times its matrix
     elements.  The blocks come from slices and one add or subtract, with
     no basis product, so each is exactly symmetric when ``h`` is.
@@ -168,23 +167,11 @@ def mirror_mode(n: int) -> tuple[int, int]:
     return (1, (n - 1) // 2) if n % 2 else (-1, n // 2 - 1)
 
 
-def fold(psi: np.ndarray, sector: int) -> np.ndarray:
-    """Coordinates of the sector-``sector`` part of ``psi`` (site order,
-    states in columns) in the basis of ``mirror_blocks``:
-    (psi_i + sector*psi_{N-1-i})/sqrt(2) for i < N // 2, then psi at the
-    middle site in the even sector of odd N."""
-    psi = np.asarray(psi)
-    half = len(psi) // 2
-    folded = (psi[:half] + sector * psi[::-1][:half]) / np.sqrt(2.0)
-    if sector > 0 and len(psi) % 2:
-        folded = np.concatenate([folded, psi[half:half + 1]])
-    return folded
-
-
 def unfold(w: np.ndarray, sector: int, size: int) -> np.ndarray:
     """Site amplitudes on ``size`` sites of the sector-``sector`` state
-    with coordinates ``w`` (states in columns); the inverse of ``fold`` on
-    that sector.  Odd states vanish at the middle site of odd ``size``."""
+    with coordinates ``w`` (states in columns) in the basis of
+    ``mirror_blocks``.  Odd states vanish at the middle site of odd
+    ``size``."""
     w = np.asarray(w)
     half = size // 2
     if len(w) != half + (sector > 0 and size % 2):

@@ -20,10 +20,10 @@ from fanonet import (
     assemble_hamiltonian,
     build_pi_lattice,
     diagonalize,
+    open_chain_modes,
     subgraph_hamiltonian,
 )
-from fanonet.bound_states import central_chain_modes
-from fanonet.spectra import NODE_TOL, _energy_groups
+from fanonet.spectra import NODE_TOL, _energy_groups, mirror_blocks, mirror_mode, unfold
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -265,15 +265,28 @@ def out_of_band_count(n0, length, kappa, kappa0, leads=20000):
         - eigenvalues_below(edge, n0, length, kappa, kappa0, leads)
 
 
+def chain_modes(n0, length, kappa, kappa0, modes):
+    """Eigenmodes ``modes`` (1-based, energies ascending) of the isolated
+    central chain in columns: the analytic open-chain modes at equal
+    hoppings, otherwise the unfolded eigenvectors of the chain's two mirror
+    blocks, numbered by ``mirror_mode``."""
+    size = 2 * n0 + length
+    if kappa == kappa0:
+        analytic = open_chain_modes(size, kappa)
+        return np.array([analytic[n - 1].amplitudes for n in modes]).T
+    chain = assemble_hamiltonian(build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph)
+    vectors = {s: diagonalize(b)[1] for s, b in zip((1, -1), mirror_blocks(chain))}
+    return np.array([unfold(vectors[s][:, c], s, size) for s, c in map(mirror_mode, modes)]).T
+
+
 def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
     """P(t) of central-chain modes ``modes`` (1-based), (len(modes), T),
     from one SpectralPropagator of the whole lattice: the initial modes of
-    ``central_chain_modes`` on the central sites, amplitudes observed on
-    them."""
+    ``chain_modes`` on the central sites, amplitudes observed on them."""
     lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
     central = lattice.central_sites
     psi0 = np.zeros((lattice.graph.site_count, len(modes)))
-    psi0[central] = central_chain_modes(n0, length, kappa, kappa0)[:, np.asarray(modes) - 1]
+    psi0[central] = chain_modes(n0, length, kappa, kappa0, modes)
     propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
     amps = propagator.evolve(psi0, times, sites=central)
     return np.sum(np.abs(amps) ** 2, axis=2).T

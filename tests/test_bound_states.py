@@ -27,10 +27,9 @@ from fanonet.bound_states import (
     RootRefinementError,
     _evanescent_state,
     _sector_condition,
-    central_chain_modes,
 )
 
-from _support import eigenvalues_below, out_of_band_count
+from _support import chain_modes, eigenvalues_below, out_of_band_count
 
 
 def test_existence_pairs_and_momenta():
@@ -352,7 +351,8 @@ def test_long_and_strongly_coupled_lattices_keep_every_state(n0, length, kappa0)
      (5, 131, 1.4, 3.3)],
 )
 def test_central_chain_modes_are_the_central_block_eigenmodes(n0, length, kappa, kappa0):
-    modes = central_chain_modes(n0, length, kappa, kappa0)
+    # the initial modes of the whole-lattice survival reference
+    modes = chain_modes(n0, length, kappa, kappa0, range(1, 2 * n0 + length + 1))
     bare = assemble_hamiltonian(build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph)
     if kappa == kappa0:
         analytic = open_chain_modes(2 * n0 + length, kappa)
@@ -375,8 +375,8 @@ def test_central_chain_modes_are_the_central_block_eigenmodes(n0, length, kappa,
         resolved = gaps > 1e-6 * scale
         overlaps = np.abs(np.sum(modes * vectors, axis=0))
         assert np.max(np.abs(overlaps[resolved] - 1.0)) < 1e-12
-    # the evolution takes its initial modes from the lattice without leads:
-    # that block is bitwise the central block of the lattice with leads
+    # the lattice without leads is bitwise the central block of the
+    # lattice with leads
     for leads in (1, 7, 60):
         lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
         block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)

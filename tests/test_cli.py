@@ -17,6 +17,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
+from fanonet import cli
 from fanonet.cli import _json_text, main
 
 
@@ -154,10 +155,14 @@ def test_evolve_all_modes_in_blocks_matches_full_projection(tmp_path):
         assert {r[5] for r in mode_rows} == {label}
 
 
-def test_evolve_horizon_guard(tmp_path):
+def test_evolve_horizon_guard(tmp_path, capsys):
     args = ["evolve", "--n0", "2", "--len", "4", "--m", "10", "--steps", "60",
             "--t-max", "100", "--modes", "1", "--out", str(tmp_path / "x.csv")]
     assert main(args) == 4
+    assert capsys.readouterr().err == (
+        "error: t_max=100.0 exceeds the safe horizon 4.5 "
+        "(rerun with --allow-reflections to override)\n")
+    assert not (tmp_path / "x.csv").exists()
     assert main(args + ["--allow-reflections"]) == 0
 
 
@@ -213,10 +218,13 @@ def test_transmit_steps_rows_exact(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_transmit_band_guard(tmp_path):
+def test_transmit_band_guard(tmp_path, capsys):
     code = main(["transmit", "--n0", "2", "--len", "5", "--e-min", "-3",
                  "--e-max", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: energy range [-3.0, 0.0] must lie strictly inside the band (-2.0, 2.0)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transmit_deterministic_output(tmp_path):
@@ -316,6 +324,32 @@ def test_config_values_are_checked_against_the_field_types(tmp_path, key, value,
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"subcommand": "bound", "n0": 2, "length": 4, key: value}))
     assert main(["--config", str(cfg)]) == code
+
+
+def test_format_is_no_config_key(tmp_path, capsys):
+    # no output format is selectable: a "format" key is an unknown key
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"subcommand": "bound", "n0": 2, "length": 4, "format": "json"}))
+    assert main(["--config", str(cfg)]) == 2
+    _one_error_line(capsys, "unknown config key 'format'")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("transmission_sweep", ["transmit", "--n0", "2", "--len", "5", "--steps", "10"]),
+    ("evanescent_bound_states", ["bound", "--n0", "2", "--len", "4"]),
+    ("long_time_survival", ["bound", "--n0", "2", "--len", "4", "--long-time", "2"]),
+    ("diagonalize", ["evolve", "--n0", "2", "--len", "4", "--m", "40", "--modes", "1"]),
+    ("find_trapping_modes", ["trap", "{graph}"]),
+])
+def test_internal_failure_is_one_line_exit_five(tmp_path, capsys, monkeypatch, name, argv):
+    # a result that fails its own consistency check raises ArithmeticError
+    def fail(*args, **kwargs):
+        raise ArithmeticError("dual-path identity violated at k=1.0")
+
+    monkeypatch.setattr(cli, name, fail)
+    graph = pi_graph_file(tmp_path, 2, 4, 3)
+    assert main([a.replace("{graph}", str(graph)) for a in argv]) == cli.EXIT_INTERNAL == 5
+    _one_error_line(capsys, "error: dual-path identity violated at k=1.0")
 
 
 def _one_error_line(capsys, message):

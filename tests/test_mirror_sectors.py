@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanonet import PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, build_pi_lattice, \
     classify_decay, diagonalize, safe_horizon
-from fanonet.bound_states import central_chain_modes, central_chain_sector_modes
 from fanonet.cli import main
-from fanonet.spectra import RESIDUAL_TOL, fold, mirror_blocks, mirror_mode, unfold
+from fanonet.spectra import RESIDUAL_TOL, mirror_blocks, mirror_mode, unfold
 
-from _support import full_lattice_survival
+from _support import chain_modes, full_lattice_survival
 
 EPS = np.finfo(float).eps
 
@@ -50,7 +49,7 @@ def test_sector_eigenpairs_are_the_full_eigenpairs(p, kappa):
     scale = np.linalg.norm(h, np.inf)
     energies, vectors = sector_spectrum(h)
     # each eigenvalue carries eigh's backward error, at most about
-    # size*eps*||H|| (the bound central_chain_modes orders by), on each side
+    # size*eps*||H||, on each side
     assert np.max(np.abs(energies - np.linalg.eigvalsh(h))) <= 2 * len(h) * EPS * scale
     assert np.max(np.abs(h @ vectors - vectors * energies)) < RESIDUAL_TOL * scale
     assert np.max(np.abs(vectors.T @ vectors - np.eye(len(h)))) < 1e-12
@@ -89,13 +88,13 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
     scale = np.linalg.norm(h, np.inf)
     merged = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
     assert np.max(np.abs(merged - np.linalg.eigvalsh(h))) <= 2 * size * EPS * scale
-    # fold and unfold move a state of one sector between coordinates exactly
-    psi = rng.normal(size=(size, 3))
-    for sector in (1, -1):
-        part = (psi + sector * psi[::-1]) / 2
-        w = fold(psi, sector)
-        assert np.max(np.abs(unfold(w, sector, size) - part)) < 1e-14
-        block = even if sector > 0 else odd
+    # unfold maps sector coordinates to a state of that parity and norm, on
+    # which the block acts as h does
+    for sector, block in ((1, even), (-1, odd)):
+        w = rng.normal(size=(len(block), 3))
+        part = unfold(w, sector, size)
+        np.testing.assert_array_equal(part[::-1], sector * part)
+        assert np.max(np.abs(np.linalg.norm(part, axis=0) - np.linalg.norm(w, axis=0))) < 1e-14
         assert np.max(np.abs(unfold(block @ w, sector, size) - h @ part)) < 1e-12 * scale
 
 
@@ -113,19 +112,35 @@ def test_a_matrix_that_is_not_mirror_symmetric_is_refused(size):
 
 
 @pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),
-                                                       (2, 7, 1.0, 1.0), (4, 10, 1.3, 0.5)])
+                                                       (2, 7, 1.0, 1.0), (4, 10, 1.3, 0.5),
+                                                       (5, 131, 1.0, 1.0)])
 def test_chain_sector_modes_are_the_chain_modes_of_their_sector(n0, length, kappa, kappa0):
-    modes = central_chain_modes(n0, length, kappa, kappa0)
-    size = len(modes)
-    for sector in (1, -1):
-        folded = central_chain_sector_modes(n0, length, kappa, kappa0, sector)
-        numbers = [n for n in range(1, size + 1) if mirror_mode(n)[0] == sector]
-        assert [mirror_mode(n)[1] for n in numbers] == list(range(folded.shape[1]))
-        chain = modes[:, np.asarray(numbers) - 1]
-        # the same mode up to sign (and up to rounding at equal hoppings,
-        # where the analytic mode is folded)
-        signs = np.sign(np.sum(unfold(folded, sector, size) * chain, axis=0))
-        assert np.max(np.abs(unfold(folded, sector, size) * signs - chain)) < 1e-14
+    # evolve takes a sector's chain modes from the central rows and columns
+    # of the lattice's sector block: bitwise the chain's own sector block,
+    # whose eigenvectors, unfolded, are the chain's modes of that sector
+    size = 2 * n0 + length
+    chain = lattice_hamiltonian({"n0": n0, "length": length, "leads": 0, "kappa0": kappa0}, kappa)
+    for leads in (0, 1, 7, 60):
+        h = lattice_hamiltonian({"n0": n0, "length": length, "leads": leads, "kappa0": kappa0},
+                                kappa)
+        for sector, block, own in zip((1, -1), mirror_blocks(h), mirror_blocks(chain)):
+            observed = np.arange(leads, leads + (size + (sector > 0)) // 2)
+            central = block[np.ix_(observed, observed)]
+            assert central.tobytes() == own.tobytes()
+            energies, vectors = diagonalize(central)
+            numbers = [n for n in range(1, size + 1) if mirror_mode(n)[0] == sector]
+            assert [mirror_mode(n)[1] for n in numbers] == list(range(len(central)))
+            expected = chain_modes(n0, length, kappa, kappa0, numbers)
+            got = unfold(vectors, sector, size)
+            got *= np.sign(np.sum(got * expected, axis=0))
+            # the same mode up to sign; at equal hoppings expected is the
+            # analytic mode, and an eigenvector computed with residual
+            # r <= size*eps*||H|| leans by at most r/gap towards its
+            # neighbours in the sector (Davis-Kahan)
+            gaps = np.minimum(np.diff(energies, prepend=-np.inf),
+                              np.diff(energies, append=np.inf))
+            bound = 2 * size * EPS * np.linalg.norm(chain, np.inf) / gaps
+            assert np.all(np.max(np.abs(got - expected), axis=0) <= bound)
 
 
 evolve_runs = st.fixed_dictionaries({

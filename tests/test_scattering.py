@@ -223,8 +223,9 @@ def test_incidence_side_isotropy():
 
 
 def test_oracle_validates_input():
-    with pytest.raises(ValueError, match="leads"):
-        numeric_scatter_oracle(2, 4, 1.0, 1.0, 1.0, leads=10)
+    for leads in (0, -3):
+        with pytest.raises(ValueError, match="leads must be >= 1"):
+            numeric_scatter_oracle(2, 4, 1.0, 1.0, 1.0, leads=leads)
     with pytest.raises(ValueError, match="incident"):
         numeric_scatter_oracle(2, 4, 1.0, 1.0, 1.0, leads=30, incident="top")
 
@@ -265,6 +266,33 @@ def test_oracle_matches_dense_reference(n0, length, kappa0, k, extra_leads):
         t_sides.append(t)
         tols.append(tol)
     assert abs(t_sides[0] - t_sides[1]) <= max(tols)         # reciprocity
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 60),
+    st.floats(0.3, 6.0),
+    st.floats(0.05, np.pi - 0.05),
+    st.integers(1, 3),
+)
+@example(1, 2, 1.0, 1.0, 1)
+def test_oracle_with_the_shortest_leads(n0, length, kappa0, k, leads):
+    # the leads beyond the anchors are free chains that carry the plane
+    # waves exactly, so one lead site per side gives the amplitudes of any
+    # longer truncation
+    long_leads = length + 20
+    t_long, r_long = numeric_scatter_oracle(n0, length, 1.0, kappa0, k, long_leads)
+    _, _, psi_long = dense_scatter_reference(n0, length, 1.0, kappa0, k, long_leads)
+    tol_long = _oracle_tolerance(n0, length, k, long_leads, psi_long)
+    for incident in ("left", "right"):
+        t, r = numeric_scatter_oracle(n0, length, 1.0, kappa0, k, leads, incident)
+        t_ref, r_ref, psi = dense_scatter_reference(n0, length, 1.0, kappa0, k, leads, incident)
+        tol = _oracle_tolerance(n0, length, k, leads, psi)
+        assert abs(t - t_ref) <= tol
+        assert abs(r - r_ref) <= tol
+        if incident == "left":
+            assert abs(t - t_long) <= tol + tol_long
+            assert abs(r - r_long) <= tol + tol_long
 
 
 @pytest.mark.parametrize("n0, length, kappa0", [(2, 5, 1.0), (3, 40, 1.0), (1, 7, 0.6), (4, 9, 1.7)])
@@ -483,7 +511,7 @@ def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
         return float(np.sin(k * (length - 1) - delta)[0])
 
     grid = np.linspace(scattering.K_EDGE_MARGIN, np.pi - scattering.K_EDGE_MARGIN,
-                       scattering.K_GRID_POINTS)
+                       max(scattering.K_GRID_POINTS, 2 * (length - 1)))
     vals = np.array([objective(k) for k in grid])
     roots = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
@@ -547,3 +575,35 @@ def test_reflection_zeros_near_the_side_chain_band_edge_are_listed(n0, length, k
                 for d in (-h, 0.0, h)]
         slope = abs(r_at[2] - r_at[0]) / (2 * h)
         assert abs(r_at[1]) <= slope * scattering.K_REFINE + 1e-12
+
+
+@pytest.mark.parametrize("n0, length, kappa0", [(2, 3000, 1.0), (1, 5000, 1.0), (4, 2000, 0.3)])
+def test_reflection_zeros_at_long_lengths_are_all_found(n0, length, kappa0):
+    # the roots lie about pi/(length-1) apart; a grid of 2000 points found
+    # a third of them at length 3000 and a fifth at 5000.  Here every sign
+    # change of the objective on a grid 100 times finer than the scan's is
+    # bisected to rounding, and those with T > 1/2 at the root (no bound
+    # state in the continuum) must be the listed roots
+    def objective(k):
+        return np.sin(k * (length - 1) - _phase_shift(k, n0, 1.0, kappa0))
+
+    fine = np.linspace(scattering.K_EDGE_MARGIN, np.pi - scattering.K_EDGE_MARGIN,
+                       200 * (length - 1))
+    values = objective(fine)
+    cells = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+    lo, hi, f_lo = fine[cells], fine[cells + 1], values[cells]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = objective(mid)
+        right = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        hi = np.where(right, hi, mid)
+    assert np.max(hi - lo) < scattering.K_REFINE
+    middles = 0.5 * (lo + hi)
+    _, _, big_t, _ = transmission_sweep(middles, n0, length, 1.0, kappa0)
+    expected = middles[big_t > 0.5]
+    roots = np.array(l_dependent_reflection_zeros(n0, length, 1.0, kappa0))
+    assert len(expected) > length - 10
+    assert len(roots) == len(expected)
+    # both brackets hold the same sign change and are narrower than K_REFINE
+    assert np.max(np.abs(roots - expected)) < scattering.K_REFINE
