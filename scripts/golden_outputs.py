@@ -8,6 +8,10 @@ that must not alter what the CLI writes, and compare the two listings.
     python scripts/golden_outputs.py > after.txt      # on the change
     diff before.txt after.txt
 
+With ``--keep DIR`` it also keeps what each configuration wrote, in
+``DIR/<label>/``: ``stdout``, ``stderr`` and every output file, so two
+runs can be compared value by value with ``scripts/compare_outputs.py``.
+
 Each configuration runs in-process through ``fanonet.cli.main`` in a
 scratch directory.  For each one the script prints the exit code, the
 sha256 of standard output, of standard error and of every file written,
@@ -20,7 +24,8 @@ examples, trap runs on a larger network (many certificates, degenerate
 dark states, nothing trapped), the three places a ``--config`` file can
 be named, unequal hoppings, length 1000, evolve runs in both mirror
 sectors (every mode of an odd central chain, no leads, the side-chain
-edge pairs that eigh cannot split, a long unequal chain mid-spectrum),
+edge pairs that eigh cannot split, a long unequal chain mid-spectrum, and
+a run far past the safe horizon, where |tE| reaches about 1.6e4),
 config files that are missing, hold no JSON object, name an unknown key
 or give a value of the wrong type, an output path that is a directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
@@ -36,6 +41,7 @@ CI runs the script twice and diffs the two listings: identical
 configurations must give identical bytes.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -142,6 +148,9 @@ RUNS = [
                                           "--kappa0", "1.37", "--steps", "400",
                                           "--modes", "53,54,55,56,57",
                                           "--out", "{dir}/mid.csv"]),
+    ("evolve-far-past-horizon", ["evolve", "--n0", "2", "--len", "5", "--m", "20",
+                                 "--kappa0", "1.6", "--t-max", "5000", "--allow-reflections",
+                                 "--steps", "1000", "--modes", "1,2,9", "--out", "{dir}/far.csv"]),
     ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),
     ("error-evolve-horizon", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
                               "--t-max", "500"]),
@@ -174,7 +183,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(argv: list[str], scratch: Path) -> list[str]:
+def fingerprint(argv: list[str], scratch: Path, keep: Path | None = None) -> list[str]:
     out, err = io.StringIO(), io.StringIO()
     error = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -193,15 +202,25 @@ def fingerprint(argv: list[str], scratch: Path) -> list[str]:
     lines = [f"  exit {code}",
              f"  stdout {sha256(stdout.encode())}",
              f"  stderr {sha256(stderr.encode())}"]
+    if keep is not None:
+        keep.mkdir(parents=True)
+        (keep / "stdout").write_text(stdout, encoding="utf-8", newline="")
+        (keep / "stderr").write_text(stderr, encoding="utf-8", newline="")
     for path in sorted(p for p in scratch.iterdir() if p.name not in INPUTS):
         lines.append(f"  file {path.name} {sha256(path.read_bytes())}")
-        path.unlink()
+        if keep is None:
+            path.unlink()
+        else:
+            path.replace(keep / path.name)
     if error is not None:
         lines.append(f"  error {error.replace(str(scratch), '{dir}')}")
     return lines
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Fingerprints of the CLI's output.")
+    parser.add_argument("--keep", type=Path, help="keep each configuration's output here")
+    keep = parser.parse_args().keep
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         (scratch / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
@@ -219,7 +238,8 @@ def main():
         (scratch / "outdir").mkdir()
         for label, argv in RUNS:
             print(label)
-            print("\n".join(fingerprint(argv, scratch)), flush=True)
+            kept = None if keep is None else keep / label
+            print("\n".join(fingerprint(argv, scratch, kept)), flush=True)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import sign_change_roots
-from .graphs import assemble_hamiltonian
 from .pilattice import PiLatticeSpec, build_pi_lattice
 from .spectra import diagonalize, mirror_blocks, mirror_mode, open_chain_mode, unfold
 
@@ -359,7 +358,7 @@ def long_time_survival(
     else:                               # one half-size eigensolve: the mode's sector
         sector, column = mirror_mode(mode)
         chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
-        block = mirror_blocks(assemble_hamiltonian(chain))[0 if sector > 0 else 1]
+        block = mirror_blocks(chain)[0 if sector > 0 else 1]
         psi0 = unfold(diagonalize(block)[1][:, column], sector, lam)
     if states is None:
         states = resonant_bound_states(n0, length, kappa, kappa0) + \

@@ -17,6 +17,7 @@ are in units of the host hopping (kappa = 1) unless --kappa is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .dynamics import (
     classify_decay,
     safe_horizon,
 )
-from .graphs import GraphSpecError, assemble_hamiltonian, parse_graph_file
+from .graphs import GraphSpecError, parse_graph_file
 from .pilattice import PiLatticeSpec, build_pi_lattice
 from .scattering import (
     common_zeros,
@@ -278,12 +279,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
 
     # mode n lies in mirror sector (-1)^(n-1): evolve each sector that holds
-    # a requested mode under its own half-size block of the lattice, where
+    # a requested mode under its own half-size block of the lattice, folded
+    # from the lattice's bonds with no N x N matrix, where
     # the chain's ceil(lam/2) even or floor(lam/2) odd sector coordinates
     # sit at offset ``leads`` and P = sum |w|^2 over them.  Their rows and
     # columns of the block are bitwise the chain's own sector block, whose
     # eigenvectors are the chain's modes of that sector
-    blocks = dict(zip((1, -1), mirror_blocks(assemble_hamiltonian(lattice.graph))))
+    blocks = dict(zip((1, -1), mirror_blocks(lattice.graph)))
     survival = {}
     for sector, block in blocks.items():
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
@@ -491,8 +493,16 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process and reused by every
+    ``main`` call: building it takes about 1 ms, and parsing leaves no
+    state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None and not args.config:
         parser.print_usage(sys.stderr)

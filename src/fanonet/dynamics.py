@@ -3,21 +3,28 @@
 Evolution goes through SpectralPropagator alone: one dense spectral
 decomposition, reused for every requested time and every initial state,
 so the propagation is exactly unitary at arbitrary t.  A survival
-sweep costs one O(N^3) eigendecomposition per lattice, then O(T * N * S)
-per initial state for T times and S observed sites: amplitudes are formed
-only on the observed sites, for a block of states at once, and a block of
-M states with S * M <= N needs no more memory than one state projected
-onto all N sites.  The pi lattice is mirror-symmetric and its central
-chain's mode n lies in mirror sector (-1)^(n-1) (``spectra.mirror_mode``),
-so ``fanonet evolve`` gives the propagator one half-size block
-(``spectra.mirror_blocks``) per sector that holds a requested mode, with N
-and S the sector's sizes: each decomposition costs an eighth of the
-whole lattice's.  The S observed rows and columns of that block are
-bitwise the isolated chain's sector block, so their eigenvectors are the
-sector's initial chain modes at any hopping ratio.  Hard-wall truncated
-leads stay faithful to the infinite lattice only until leaked probability
-can bounce off the wall and return; ``safe_horizon`` bounds that window
-using the maximal group velocity 2*kappa of the host chain.
+sweep costs one O(N^3) eigendecomposition per lattice, then per block of
+initial states a phase table cos(tE), sin(tE) of T times by N energies
+and two real GEMMs of O(T * N * S) for S observed sites: amplitudes are
+formed only on the observed sites, for a block of states at once, and a
+block of M states with S * M <= N needs no more memory than one state
+projected onto all N sites.  The phase table comes from angle addition
+(``_PhaseTable``): on a grid where every t_{a*r+q} is t_{a*r} + (t_q - t_0)
+to within rounding, as on any uniform grid, it takes sin and cos of
+T/r anchor rows and r offset rows, r = isqrt(T), so (T/r + r) * N of each
+instead of T * N; any other grid takes r = 1, the plain table.  The pi
+lattice is mirror-symmetric and its central chain's mode n lies in mirror
+sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve`` gives
+the propagator one half-size block (``spectra.mirror_blocks``, folded
+from the lattice's bonds, with no N x N matrix) per sector that holds a
+requested mode, with N and S the sector's sizes: each decomposition costs
+an eighth of the whole lattice's and dominates the run.  The S observed
+rows and columns of that block are bitwise the isolated chain's sector
+block, so their eigenvectors are the sector's initial chain modes at any
+hopping ratio.  Hard-wall truncated leads stay faithful to the infinite
+lattice only until leaked probability can bounce off the wall and return;
+``safe_horizon`` bounds that window using the maximal group velocity
+2*kappa of the host chain.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ NORM_TOL = 1e-10
 SAFETY_FACTOR = 0.9
 # time samples of a survival sweep when the caller names none
 DEFAULT_TIME_SAMPLES = 720
+# a time grid is anchored when every t_{a*r+q} - t_{a*r} - (t_q - t_0) lies
+# within this many ulps of max|t|; linspace and the check itself round it
+# by at most about 10 (CHANGES.md derives the phase table's error from it)
+ANCHOR_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -79,10 +90,11 @@ class SpectralPropagator:
         ``psi0`` is one state (N,) or states in columns (N, M); the result
         is (len(times), S) or (len(times), M, S) for S = len(sites).  With
         b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes are
-        cos(tE) @ b - i sin(tE) @ b: one phase table and two real GEMMs
-        (complex states go through the same GEMMs on interleaved parts).
-        Memory is O(T * S * M + N * S * M); callers batching modes keep
-        S * M <= N to stay within one full-lattice state.
+        cos(tE) @ b - i sin(tE) @ b: two real GEMMs (complex states go
+        through the same GEMMs on interleaved parts) on the (T, N) tables
+        of ``_PhaseTable``, built one at a time.
+        Memory is O(T * N + T * S * M + N * S * M); callers batching modes
+        keep S * M <= N to stay within one full-lattice state.
         """
         psi0 = np.asarray(psi0)
         columns = psi0.reshape(len(psi0), -1)
@@ -96,12 +108,68 @@ class SpectralPropagator:
         flat = b.reshape(len(b), -1)
         if np.iscomplexobj(flat):
             flat = flat.view(np.float64)
-        phase = np.outer(np.asarray(times, dtype=float), self.energies)
-        re = (np.cos(phase) @ flat).view(b.dtype)
-        im = (np.sin(phase, out=phase) @ flat).view(b.dtype)
-        del phase, b, flat      # free the (T, N) and (N, S*M) tables before the result
+        # each (T, N) table is freed after its GEMM, before the next is filled
+        phases = _PhaseTable(times, self.energies)
+        re = (phases.cos() @ flat).view(b.dtype)
+        im = (phases.sin() @ flat).view(b.dtype)
+        del phases, b, flat     # free the phase factors and the (N, S*M) table
         amps = re - 1j * im
         return amps.reshape(len(times), *psi0.shape[1:], len(rows))
+
+
+def _anchor_stride(times: np.ndarray) -> int:
+    """r = isqrt(T) when every t_{a*r+q} equals t_{a*r} + (t_q - t_0) to
+    within ANCHOR_ULPS ulps of max|t|, as on any uniform grid; else 1."""
+    r = math.isqrt(len(times))
+    if r < 2:
+        return 1
+    index = np.arange(len(times))
+    anchored = times[index - index % r] + (times[index % r] - times[0])
+    deviation = np.max(np.abs(times - anchored))
+    return r if deviation <= ANCHOR_ULPS * np.spacing(np.max(np.abs(times))) else 1
+
+
+class _PhaseTable:
+    """cos(t_j E_k) and sin(t_j E_k) on a time grid, one (T, N) table at a
+    time, by angle addition.
+
+    Row j = a*r + q (``_anchor_stride``) is the anchor phase t_{a*r} E plus
+    the offset phase (t_q - t_0) E: cos = cA cD - sA sD and
+    sin = sA cD + cA sD, one rounding per product and one per sum.  Only
+    the T/r anchor rows and r - 1 offset rows go through sin and cos; row
+    q = 0 of each anchor is that anchor's own value, so at r = 1 the tables
+    are ``np.cos(np.outer(times, E))`` and ``np.sin(...)`` bit for bit.
+    """
+
+    def __init__(self, times: Sequence[float], energies: np.ndarray):
+        times = np.asarray(times, dtype=float)
+        self.rows = len(times)
+        self.stride = r = _anchor_stride(times)
+        anchors = np.outer(times[::r], energies)
+        offsets = np.outer(times[1:r] - times[:1], energies)
+        self.cos_a, self.sin_a = np.cos(anchors), np.sin(anchors, out=anchors)
+        self.cos_d, self.sin_d = np.cos(offsets), np.sin(offsets, out=offsets)
+
+    def cos(self) -> np.ndarray:
+        return self._fill(self.cos_a, self.sin_a, np.subtract)
+
+    def sin(self) -> np.ndarray:
+        return self._fill(self.sin_a, self.cos_a, np.add)
+
+    def _fill(self, first, second, combine):
+        """Rows first_a * cD_q (combine) second_a * sD_q; read-only, since at
+        r = 1 it is ``first`` itself, every row an anchor."""
+        r = self.stride
+        if r == 1:
+            return first
+        table = np.empty((self.rows, first.shape[1]))
+        for a, start in enumerate(range(0, self.rows, r)):
+            table[start] = first[a]
+            rows = table[start + 1:start + r]   # a view: filled in place
+            n = len(rows)
+            np.multiply(self.cos_d[:n], first[a], out=rows)
+            combine(rows, self.sin_d[:n] * second[a], out=rows)
+        return table
 
 
 def safe_horizon(leads: int, kappa: float) -> float:

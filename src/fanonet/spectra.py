@@ -7,10 +7,12 @@ forever.  ``find_trapping_modes`` certifies all such modes, handling
 degenerate eigenspaces through a null-space criterion instead of the
 basis-dependent per-vector node test.
 
-A Hamiltonian equal to its mirror image splits into an even and an odd
-block of half the size (``mirror_blocks``); ``unfold`` takes a state's
-sector coordinates back to sites, and ``mirror_mode`` says in which
-block, and where, a Jacobi matrix's mode n lies.
+A graph equal to its mirror image splits its Hamiltonian into an even
+and an odd block of half the size; ``mirror_blocks`` folds them straight
+from the bond list, checking the mirror symmetry there in O(bonds), so
+no N x N matrix is built.  ``unfold`` takes a state's sector coordinates
+back to sites, and ``mirror_mode`` says in which block, and where, a
+Jacobi matrix's mode n lies.
 """
 
 from __future__ import annotations
@@ -123,32 +125,63 @@ def diagonalize(h: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
     return energies, vectors
 
 
-def mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a matrix that commutes with the mirror
-    i -> N-1-i, that is ``h == h[::-1, ::-1]``.
+def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of the Hamiltonian of a graph that equals its
+    mirror image under i -> N-1-i, folded straight from its bonds and
+    potentials: no N x N matrix is built.
 
     Sector s (+1 even, -1 odd) has the basis (|i> + s|N-1-i>)/sqrt(2) for
     i < half = N // 2, and in the even sector of odd N also the middle site
-    |half>, last.  There H is top + s*cross, with top = h[:half, :half]
-    and cross[i, j] = h[i, N-1-j]; the middle site's
-    row and column in the even block carry sqrt(2) times its matrix
-    elements.  The blocks come from slices and one add or subtract, with
-    no basis product, so each is exactly symmetric when ``h`` is.
+    |half>, last.  There H is top + s*cross, with top = H[:half, :half]
+    and cross[i, j] = H[i, N-1-j]; the middle site's row and column in the
+    even block carry sqrt(2) times its matrix elements.  Each bond or
+    potential lands in top, cross or the middle column (only the rows
+    i < half are needed: the mirror gives the rest), and the blocks come
+    from one add or subtract, so they are bitwise the slices of
+    ``assemble_hamiltonian(graph)`` added and subtracted, and exactly
+    symmetric.  O(bonds) besides the blocks themselves.
 
-    Raises ValueError unless ``h`` is square and mirror-symmetric.
+    Raises ValueError unless every matrix element equals its mirror image,
+    checked on the bond list.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.array_equal(h, h[::-1, ::-1]):
-        raise ValueError("matrix is not mirror-symmetric")
-    half = len(h) // 2
-    top = h[:half, :half]
-    cross = h[:half, ::-1][:, :half]
-    even, odd = top + cross, top - cross
-    if len(h) % 2:
-        middle = np.sqrt(2.0) * h[:half, half]
-        even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
+    n, half = graph.site_count, graph.site_count // 2
+    # H[i, j] and H[j, i] of each bond, then the diagonal, in the order in
+    # which assemble_hamiltonian writes them: a later write to an element wins
+    bonds = np.array(graph.hoppings, dtype=float).reshape(-1, 3)
+    diagonal = np.array(graph.potentials, dtype=float).reshape(-1, 2)
+    rows = np.concatenate([bonds[:, :2].ravel(), diagonal[:, 0]]).astype(int)
+    cols = np.concatenate([bonds[:, 1::-1].ravel(), diagonal[:, 0]]).astype(int)
+    values = np.concatenate([np.repeat(-bonds[:, 2], 2), diagonal[:, 1]])
+    keys, last = np.unique((rows * n + cols)[::-1], return_index=True)
+    values = values[::-1][last]
+    rows, cols = np.divmod(keys, n)
+    # H equals its mirror image when each element equals the element at
+    # (N-1-i, N-1-j), an absent one reading 0
+    mirrored = (n - 1 - rows) * n + (n - 1 - cols)
+    at = np.minimum(np.searchsorted(keys, mirrored), len(keys) - 1)
+    image = np.where(keys[at] == mirrored, values[at], 0.0)
+    if not np.all(values == image):
+        raise ValueError("graph is not mirror-symmetric")
+    # fold the rows i < half (the mirror gives the rest): top[i, j] =
+    # H[i, j] for j < half, cross[i, j] = H[i, N-1-j]; each block element
+    # is top + s*cross, written where either is not an absent 0
+    upper = rows < half
+    left, right = upper & (cols < half), upper & (cols >= n - half)
+    top_at = rows[left] * half + cols[left]
+    cross_at = rows[right] * half + (n - 1 - cols[right])
+    at = np.union1d(top_at, cross_at)
+    top, cross = np.zeros(len(at)), np.zeros(len(at))
+    top[np.searchsorted(at, top_at)] = values[left]
+    cross[np.searchsorted(at, cross_at)] = values[right]
+    i, j = np.divmod(at, half)
+    even, odd = np.zeros((half + n % 2,) * 2), np.zeros((half, half))
+    even[i, j], odd[i, j] = top + cross, top - cross
+    if n % 2:                                   # the middle site: H[:half + 1, half]
+        middle = (cols == half) & (rows <= half)
+        column = np.zeros(half + 1)
+        column[rows[middle]] = values[middle]
+        even[:half, half] = even[half, :half] = np.sqrt(2.0) * column[:half]
+        even[half, half] = column[half]
     return even, odd
 
 

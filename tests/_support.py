@@ -3,9 +3,10 @@ oracle that searches the full-graph eigenbasis instead of the subgraph one,
 the per-group SVD search and per-site certificate methods that
 ``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
 a dense reference for the numeric scattering oracle, an eigenvalue
-count of the truncated pi lattice by Sylvester's law of inertia, and
+count of the truncated pi lattice by Sylvester's law of inertia,
 survival evolved on the whole lattice, as evolve did before it split the
-lattice into mirror sectors."""
+lattice into mirror sectors, and the mirror blocks sliced from the dense
+Hamiltonian, as ``mirror_blocks`` built them before it folded the bonds."""
 
 from __future__ import annotations
 
@@ -274,7 +275,7 @@ def chain_modes(n0, length, kappa, kappa0, modes):
     if kappa == kappa0:
         analytic = open_chain_modes(size, kappa)
         return np.array([analytic[n - 1].amplitudes for n in modes]).T
-    chain = assemble_hamiltonian(build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph)
+    chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
     vectors = {s: diagonalize(b)[1] for s, b in zip((1, -1), mirror_blocks(chain))}
     return np.array([unfold(vectors[s][:, c], s, size) for s, c in map(mirror_mode, modes)]).T
 
@@ -290,3 +291,34 @@ def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
     propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
     amps = propagator.evolve(psi0, times, sites=central)
     return np.sum(np.abs(amps) ** 2, axis=2).T
+
+
+def graph_of(h: np.ndarray) -> LatticeGraph:
+    """The graph whose Hamiltonian is the symmetric matrix ``h``: a bond of
+    strength -h[i, j] for each nonzero h[i, j], i < j, and every diagonal
+    element as a potential, so ``assemble_hamiltonian`` gives ``h`` back."""
+    i, j = np.nonzero(np.triu(h, 1))
+    hoppings = tuple((int(a), int(b), float(-h[a, b])) for a, b in zip(i, j))
+    return LatticeGraph(len(h), hoppings, tuple((a, float(h[a, a])) for a in range(len(h))))
+
+
+def dense_mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a square matrix equal to its mirror image, by
+    slices of the matrix and one add or subtract: top = h[:half, :half],
+    cross[i, j] = h[i, N-1-j], the blocks top +- cross, and in the even
+    block of odd N the middle site's row and column sqrt(2) * h[:half, half]
+    and h[half, half].  ValueError unless ``h`` is square and
+    mirror-symmetric."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.array_equal(h, h[::-1, ::-1]):
+        raise ValueError("matrix is not mirror-symmetric")
+    half = len(h) // 2
+    top = h[:half, :half]
+    cross = h[:half, ::-1][:, :half]
+    even, odd = top + cross, top - cross
+    if len(h) % 2:
+        middle = np.sqrt(2.0) * h[:half, half]
+        even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
+    return even, odd

@@ -449,3 +449,59 @@ def test_json_writer_matches_json_dumps(payload):
 def test_json_writer_rejects_what_it_cannot_write(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def _run_sequence(tmp_path, fresh, capsys):
+    """Exit code, stdout, stderr and written files of each call of a fixed
+    sequence of ``main`` calls in ``tmp_path``, with the directory's path
+    written as {dir}; ``fresh`` builds a new parser before every call."""
+    tmp_path.mkdir()
+    graph = pi_graph_file(tmp_path, 3, 5, leads=8)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"subcommand": "bound", "n0": 2, "length": 4,
+                                  "out": str(tmp_path / "config.json")}))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"subcommand": "transmit", "len": 5}))
+    inputs = {graph.name, config.name, unknown.name}
+    d = str(tmp_path)
+    sequence = [
+        ["evolve", "--n0", "2", "--len", "4", "--m", "20", "--steps", "60",
+         "--modes", "1,2", "--out", f"{d}/p.csv"],
+        ["trap", str(graph), "--subgraph", "1", "--out", f"{d}/certs.json"],
+        ["transmit", "--n0", "2", "--len", "5", "--compare", "6", "--steps", "40",
+         "--out", f"{d}/t.csv"],
+        ["bound", "--n0", "2", "--len", "4", "--kappa0", "1.7", "--long-time", "3",
+         "--out", f"{d}/b.json"],
+        ["--config", str(config), "bound"],
+        ["transmit", "--n0", "2", "--len", "5", "--colour", "red"],     # argparse: exit 2
+        ["--config", str(unknown)],                                     # config key: exit 2
+    ]
+    outcomes = []
+    for argv in sequence:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
+                 if p.name not in inputs}
+        for p in tmp_path.iterdir():
+            if p.name not in inputs:
+                p.unlink()
+        outcomes.append((code, captured.out.replace(d, "{dir}"),
+                         captured.err.replace(d, "{dir}"), files))
+    return outcomes
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # the parser is built once per process; a sequence of calls through it
+    # must behave as the same calls, each with a parser of its own
+    main(["bound", "--n0", "2", "--len", "4"])                  # builds it, if nothing has
+    capsys.readouterr()
+    shared = _run_sequence(tmp_path / "shared", False, capsys)
+    fresh = _run_sequence(tmp_path / "fresh", True, capsys)
+    assert [o[0] for o in shared] == [0, 0, 0, 0, 0, 2, 2]
+    assert all(files for _, _, _, files in shared[:5])
+    assert shared == fresh

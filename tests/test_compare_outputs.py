@@ -1,0 +1,50 @@
+"""scripts/compare_outputs.py: value-by-value comparison of two output
+directories, numeric differences in units of the last printed place."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+def write(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+
+
+def test_numeric_and_other_differences_are_counted_apart(tmp_path, capsys):
+    header = "# fanonet evolve\nN0,L,n,t,P,classification\n"
+    write(tmp_path / "a", {
+        "p.csv": header + "2,4,1,0,1,unitary\n2,4,1,0.5,0.999999999999,unitary\n",
+        "q.json": '{"k": [1.5e-05, 2, true], "only_a": null}\n',
+        "same.csv": "1,2\n",
+        "lone.txt": "",
+    })
+    write(tmp_path / "b", {
+        # 0.999999999999 -> 1 is one unit of the 12th digit, not of the 1st
+        "p.csv": header + "2,4,1,0,1,unitary\n2,4,1,0.5,1,slow_damping\n2,4,1,1,1,unitary\n",
+        "q.json": '{"k": [1.7e-05, 2, true], "only_b": null}\n',
+        "same.csv": "1,2\n",
+    })
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("4 files, 3 differ: 2 numeric fields differ, by up to 2 units of the "
+                         "last printed place (units: fields 1: 1, 2: 1); "
+                         "4 non-numeric differences")
+    for expected in ["  only in the first", "  4 != 5 lines",
+                     "  line 4 field 6: 'unitary' != 'slow_damping'",
+                     "  $: keys ['k', 'only_a'] != ['k', 'only_b']"]:
+        assert expected in lines
+
+
+def test_equal_directories_exit_zero(tmp_path, capsys):
+    files = {"p.csv": "0.5,1e-05\n", "q.json": '{"x": 1.25}\n'}
+    write(tmp_path / "a", files)
+    write(tmp_path / "b", files)
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 files, 0 differ: no numeric field differs; 0 non-numeric differences")

@@ -1,4 +1,7 @@
-"""Spectral time evolution, survival probability and decay classification."""
+"""Spectral time evolution, its phase table, survival probability and
+decay classification."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
-from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY
+from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY, _PhaseTable
 
 from _support import random_graph
 
@@ -203,3 +206,92 @@ def test_trapping_implies_unitarity_beyond_horizon():
     # certified modes are exact eigenstates: unitary even past the horizon
     series, _ = _pi_survival(3, 5, leads=10, mode=3, t_max=400.0)
     assert np.all(np.abs(series.values - 1.0) < 1e-10)
+
+
+# the phase table: cos(tE) and sin(tE) by angle addition from anchor rows
+
+U = np.finfo(float).eps / 2                     # unit roundoff
+
+
+def plain_tables(times, energies):
+    phase = np.outer(np.asarray(times, dtype=float), energies)
+    return np.cos(phase), np.sin(phase)
+
+
+phase_grids = st.fixed_dictionaries({
+    "steps": st.integers(2, 1000),
+    "t_max": st.sampled_from([0.0, 5000.0]) | st.floats(0.0, 5000.0),
+    "kappa": st.floats(0.5, 2.0),
+    "kappa0": st.floats(0.3, 10.0),
+    "fractions": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+})
+
+
+@given(grid=phase_grids)
+@settings(max_examples=80, deadline=None)
+def test_anchored_phase_table_is_within_its_rounding_bound(grid):
+    # a linspace grid, as every evolve run has, with energies within the
+    # Gershgorin bound 2*kappa + kappa0 of the lattice's host and anchors
+    steps, t_max = grid["steps"], grid["t_max"]
+    edge = 2.0 * grid["kappa"] + grid["kappa0"]
+    energies = np.array([-edge, 0.0, edge] + [f * edge for f in grid["fractions"]])
+    times = np.linspace(0.0, t_max, steps)
+    table = _PhaseTable(times, energies)
+    r = table.stride
+    # every linspace grid of normal numbers is anchored; a subnormal step
+    # rounds by far more than an ulp of t_max and takes the plain table
+    if t_max == 0.0 or t_max >= 1e-300:
+        assert r == (math.isqrt(steps) if steps >= 4 else 1)
+    got = table.cos(), table.sin()
+    expected = plain_tables(times, energies)
+    # row j = a*r + q: the anchor phase rounds by u|t_ar E|, the offset phase
+    # by 2u|(t_q - t_0) E| (a difference and a product) and the grid leaves
+    # |E| |delta_j|, delta_j = t_j - t_ar - (t_q - t_0); four libm calls
+    # (glibc, within 1 ulp = 2u each), two products and one sum add at most
+    # 6u (|cos A cos D| + |sin A sin D|) <= 6u; today's table rounds the
+    # phase by u|t_j E| and its libm call by 2u (CHANGES.md)
+    j = np.arange(steps)
+    anchor, offset = times[j - j % r], times[j % r] - times[0]
+    delta = np.array([math.fsum([t, -a, -times[q], times[0]])
+                      for t, a, q in zip(times, anchor, j % r)])
+    magnitude = np.abs(energies)
+    bound = (np.abs(delta)[:, None] * magnitude
+             + U * (np.abs(anchor) + 2.0 * np.abs(offset) + np.abs(times))[:, None] * magnitude
+             + 8.0 * U)
+    for part, reference in zip(got, expected):
+        assert np.all(np.abs(part - reference) <= bound)
+    # a grid from 0 starts with the exact row (1, 0)
+    assert np.all(got[0][0] == 1.0) and np.all(got[1][0] == 0.0)
+
+
+@pytest.mark.parametrize("times", [
+    [0.3, 1.7, 12.9],                                   # short and irregular
+    [0.0], [2.5], [0.0, 1.0], [0.0, 0.5, 1.0],          # fewer than 4 samples
+    np.sort(np.random.default_rng(3).uniform(0.0, 300.0, 720)),
+    np.geomspace(1e-3, 300.0, 500),
+    # a uniform grid with one sample moved by far more than rounding
+    np.where(np.arange(720) == 400, 1e-9, 0.0) + np.linspace(0.0, 180.0, 720),
+])
+def test_irregular_and_short_grids_give_the_plain_table_bitwise(times):
+    energies = np.linspace(-3.2, 3.2, 57)
+    table = _PhaseTable(times, energies)
+    assert table.stride == 1
+    for part, reference in zip((table.cos(), table.sin()), plain_tables(times, energies)):
+        assert part.tobytes() == reference.tobytes()
+
+
+def test_anchored_evolve_matches_the_plain_table():
+    # the whole propagator on a 57-site graph at |tE| up to about 1.6e4:
+    # with b as below, sum_k |b[k, s]| <= 1 (Cauchy-Schwarz), so each
+    # amplitude moves by at most twice the tables' largest difference,
+    # about 2e-11 by the bound above, plus the GEMMs' rounding
+    lattice = build_pi_lattice(PiLatticeSpec(2, 5, 1.0, 1.6, 24))
+    h = assemble_hamiltonian(lattice.graph)
+    propagator = SpectralPropagator(h)
+    psi0 = np.zeros(len(h))
+    psi0[lattice.central_sites] = open_chain_modes(9)[0].amplitudes
+    times = np.linspace(0.0, 5000.0, 1000)
+    amps = propagator.evolve(psi0, times, sites=lattice.central_sites)
+    cos, sin = plain_tables(times, propagator.energies)
+    b = (propagator.vectors.T @ psi0)[:, None] * propagator.vectors[lattice.central_sites].T
+    np.testing.assert_allclose(amps, cos @ b - 1j * (sin @ b), rtol=0, atol=1e-10)

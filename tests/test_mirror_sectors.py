@@ -1,17 +1,17 @@
-"""Mirror sectors: the parity blocks of a mirror-symmetric Hamiltonian, the
-numbering of the central chain's modes by sector, and survival evolved in
-one sector at a time."""
+"""Mirror sectors: the parity blocks of a mirror-symmetric Hamiltonian,
+folded from the graph's bonds, the numbering of the central chain's modes
+by sector, and survival evolved in one sector at a time."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fanonet import PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, build_pi_lattice, \
-    classify_decay, diagonalize, safe_horizon
+from fanonet import LatticeGraph, PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, \
+    build_pi_lattice, classify_decay, diagonalize, safe_horizon
 from fanonet.cli import main
 from fanonet.spectra import RESIDUAL_TOL, mirror_blocks, mirror_mode, unfold
 
-from _support import chain_modes, full_lattice_survival
+from _support import chain_modes, dense_mirror_blocks, full_lattice_survival, graph_of
 
 EPS = np.finfo(float).eps
 
@@ -25,17 +25,21 @@ lattices = st.fixed_dictionaries({
 })
 
 
-def lattice_hamiltonian(p, kappa=1.0):
+def lattice_graph(p, kappa=1.0):
     spec = PiLatticeSpec(p["n0"], p["length"], kappa, p["kappa0"], p["leads"])
-    return assemble_hamiltonian(build_pi_lattice(spec).graph)
+    return build_pi_lattice(spec).graph
 
 
-def sector_spectrum(h):
+def lattice_hamiltonian(p, kappa=1.0):
+    return assemble_hamiltonian(lattice_graph(p, kappa))
+
+
+def sector_spectrum(graph):
     """Energies of both blocks merged by ``mirror_mode`` and the unfolded
     eigenvectors in the same order."""
-    size = len(h)
+    size = graph.site_count
     energies, vectors = np.empty(size), np.empty((size, size))
-    for sector, block in zip((1, -1), mirror_blocks(h)):
+    for sector, block in zip((1, -1), mirror_blocks(graph)):
         columns = slice(0 if sector > 0 else 1, None, 2)
         energies[columns], folded = diagonalize(block)
         vectors[:, columns] = unfold(folded, sector, size)
@@ -45,9 +49,10 @@ def sector_spectrum(h):
 @given(p=lattices, kappa=st.sampled_from([1.0, 0.7]))
 @settings(max_examples=40, deadline=None)
 def test_sector_eigenpairs_are_the_full_eigenpairs(p, kappa):
-    h = lattice_hamiltonian(p, kappa)
+    graph = lattice_graph(p, kappa)
+    h = assemble_hamiltonian(graph)
     scale = np.linalg.norm(h, np.inf)
-    energies, vectors = sector_spectrum(h)
+    energies, vectors = sector_spectrum(graph)
     # each eigenvalue carries eigh's backward error, at most about
     # size*eps*||H||, on each side
     assert np.max(np.abs(energies - np.linalg.eigvalsh(h))) <= 2 * len(h) * EPS * scale
@@ -82,7 +87,7 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
     a = rng.normal(size=(size, size))
     a = a + a.T
     h = a + a[::-1, ::-1]
-    even, odd = mirror_blocks(h)
+    even, odd = mirror_blocks(graph_of(h))
     assert even.shape == ((size + 1) // 2,) * 2 and odd.shape == (size // 2,) * 2
     assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
     scale = np.linalg.norm(h, np.inf)
@@ -102,13 +107,89 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
 def test_a_matrix_that_is_not_mirror_symmetric_is_refused(size):
     h = np.diag(np.arange(size, dtype=float))        # symmetric, not mirror-symmetric
     with pytest.raises(ValueError, match="mirror"):
-        mirror_blocks(h)
+        mirror_blocks(graph_of(h))
     lattice = lattice_hamiltonian({"n0": 2, "length": size + 1, "leads": 3, "kappa0": 1.4})
     lattice[0, 0] = 1e-12                           # one potential breaks the mirror
     with pytest.raises(ValueError, match="mirror"):
-        mirror_blocks(lattice)
-    with pytest.raises(ValueError, match="square"):
-        mirror_blocks(np.zeros((size, size + 1)))
+        mirror_blocks(graph_of(lattice))
+
+
+def same_blocks(graph):
+    """``mirror_blocks`` of the graph against the dense reference, byte for
+    byte, shapes included."""
+    folded = mirror_blocks(graph)
+    sliced = dense_mirror_blocks(assemble_hamiltonian(graph))
+    return all(f.shape == d.shape and f.tobytes() == d.tobytes() for f, d in zip(folded, sliced))
+
+
+@given(p=lattices, kappa=st.sampled_from([1.0, 0.7]))
+# odd and even sizes, with and without leads, at both ends of kappa0
+@example(p={"n0": 1, "length": 2, "leads": 0, "kappa0": 0.3}, kappa=1.0)
+@example(p={"n0": 1, "length": 3, "leads": 0, "kappa0": 10.0}, kappa=1.0)
+@example(p={"n0": 5, "length": 300, "leads": 80, "kappa0": 10.0}, kappa=0.7)
+@example(p={"n0": 5, "length": 299, "leads": 80, "kappa0": 0.3}, kappa=1.0)
+@settings(max_examples=60, deadline=None)
+def test_folded_blocks_of_pi_lattices_are_the_dense_slices(p, kappa):
+    assert same_blocks(lattice_graph(p, kappa))
+
+
+def random_mirror_graph(rng, max_sites=30):
+    """A random graph equal to its mirror image: each bond comes with its
+    mirror bond and each potential with its mirror site's, in shuffled
+    order and orientation; a tenth of the values are signed zeros."""
+    n = int(rng.integers(1, max_sites + 1))
+
+    def value():
+        return float(rng.choice([0.0, -0.0])) if rng.random() < 0.1 else float(rng.normal())
+
+    bonds, potentials = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.25:
+                bonds[i, j] = bonds[n - 1 - j, n - 1 - i] = value()
+        if rng.random() < 0.5:
+            potentials[i] = potentials[n - 1 - i] = value()
+    hoppings = [(i, j, s) if rng.random() < 0.5 else (j, i, s) for (i, j), s in bonds.items()]
+    order = rng.permutation(len(hoppings))
+    return LatticeGraph(n, tuple(hoppings[k] for k in order), tuple(sorted(potentials.items())))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_folded_blocks_of_random_mirror_symmetric_graphs_are_the_dense_slices(seed):
+    assert same_blocks(random_mirror_graph(np.random.default_rng(seed)))
+
+
+def test_a_later_write_to_an_element_wins_as_in_assemble_hamiltonian():
+    # a graph holding a bond twice (in both orientations) and a potential
+    # twice is mirror-symmetric only when the later writes count
+    graph = LatticeGraph(5, ((0, 1, 1.0), (3, 4, 2.0), (1, 0, 2.0), (1, 2, 0.3), (2, 3, 0.3)),
+                         ((0, 0.5), (4, 0.7), (2, 0.1), (0, 0.7)))
+    assert same_blocks(graph)
+
+
+@given(seed=st.integers(0, 2**32 - 1), nudge=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_graph_that_is_not_mirror_symmetric_is_refused(seed, nudge):
+    rng = np.random.default_rng(seed)
+    graph = random_mirror_graph(rng)
+    n = graph.site_count
+    # one element (i, j), a bond or a potential, made to differ from its
+    # mirror element, by 1 or by one ulp
+    i, j = sorted(rng.integers(n, size=2).tolist())
+    assume((i, j) != (n - 1 - j, n - 1 - i))
+    bonds = {(min(a, b), max(a, b)): s for a, b, s in graph.hoppings}
+    potentials = dict(graph.potentials)
+    elements, at, mirror = (potentials, i, n - 1 - i) if i == j else \
+        (bonds, (i, j), (n - 1 - j, n - 1 - i))
+    image = elements.get(mirror, 0.0)
+    elements[at] = np.nextafter(image, np.inf) if nudge else image + 1.0
+    broken = LatticeGraph(n, tuple((a, b, s) for (a, b), s in bonds.items()),
+                          tuple(sorted(potentials.items())))
+    with pytest.raises(ValueError, match="mirror"):
+        dense_mirror_blocks(assemble_hamiltonian(broken))
+    with pytest.raises(ValueError, match="mirror"):
+        mirror_blocks(broken)
 
 
 @pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),
@@ -119,11 +200,12 @@ def test_chain_sector_modes_are_the_chain_modes_of_their_sector(n0, length, kapp
     # of the lattice's sector block: bitwise the chain's own sector block,
     # whose eigenvectors, unfolded, are the chain's modes of that sector
     size = 2 * n0 + length
-    chain = lattice_hamiltonian({"n0": n0, "length": length, "leads": 0, "kappa0": kappa0}, kappa)
+    chain_graph = lattice_graph({"n0": n0, "length": length, "leads": 0, "kappa0": kappa0}, kappa)
+    chain = assemble_hamiltonian(chain_graph)
     for leads in (0, 1, 7, 60):
-        h = lattice_hamiltonian({"n0": n0, "length": length, "leads": leads, "kappa0": kappa0},
-                                kappa)
-        for sector, block, own in zip((1, -1), mirror_blocks(h), mirror_blocks(chain)):
+        graph = lattice_graph({"n0": n0, "length": length, "leads": leads, "kappa0": kappa0},
+                              kappa)
+        for sector, block, own in zip((1, -1), mirror_blocks(graph), mirror_blocks(chain_graph)):
             observed = np.arange(leads, leads + (size + (sector > 0)) // 2)
             central = block[np.ix_(observed, observed)]
             assert central.tobytes() == own.tobytes()
