@@ -27,7 +27,9 @@ sectors (every mode of an odd central chain, no leads, the side-chain
 edge pairs that eigh cannot split, a long unequal chain mid-spectrum, and
 a run far past the safe horizon, where |tE| reaches about 1.6e4),
 config files that are missing, hold no JSON object, name an unknown key
-or give a value of the wrong type, an output path that is a directory, an infinite hopping, an empty
+or give a value of the wrong type, graph files that are a directory or
+hold a partition label that is no integer, an output path that is a
+directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
 no lattice length or equal --len, bound states of the paper's long
 lattice and of strong side coupling, a reflection zero next to the
@@ -82,7 +84,7 @@ NETWORK = {
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
 # files and the directory put in the scratch directory before the runs
 INPUTS = {"graph.json", "network.json", "run.json", "list.json", "unknown_key.json", "bad_type.json",
-          "format_key.json", "outdir"}
+          "format_key.json", "float_label.json", "outdir"}
 
 # (label, argv); {dir} is the scratch directory
 RUNS = [
@@ -176,6 +178,8 @@ RUNS = [
     ("error-config-format-key", ["--config", "{dir}/format_key.json"]),
     ("error-out-is-directory", ["transmit", "--n0", "2", "--len", "5", "--steps", "10",
                                 "--out", "{dir}/outdir"]),
+    ("error-graph-is-directory", ["trap", "{dir}/outdir"]),
+    ("error-graph-float-partition-label", ["trap", "{dir}/float_label.json", "--subgraph", "1"]),
 ]
 
 
@@ -191,8 +195,6 @@ def fingerprint(argv: list[str], scratch: Path, keep: Path | None = None) -> lis
         warnings.simplefilter("ignore")
         try:
             code = cli([a.replace("{dir}", str(scratch)) for a in argv])
-        except SystemExit as exc:               # argparse rejects the command line
-            code = exc.code
         except Exception as exc:                # reported, not fatal: it is data
             code = None
             error = f"{type(exc).__name__}: {exc}".splitlines()[0]
@@ -235,6 +237,8 @@ def main():
         (scratch / "format_key.json").write_text(
             json.dumps({"subcommand": "bound", "n0": 2, "length": 4, "format": "json"}),
             encoding="utf-8")
+        (scratch / "float_label.json").write_text(
+            json.dumps({**GRAPH, "partition": [0, 0, 1.5, 1, 0]}), encoding="utf-8")
         (scratch / "outdir").mkdir()
         for label, argv in RUNS:
             print(label)

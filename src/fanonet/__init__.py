@@ -7,7 +7,6 @@ from .graphs import (
     Partition,
     assemble_hamiltonian,
     build_graph,
-    decomposed_hamiltonian,
     parse_graph_file,
     subgraph_hamiltonian,
 )
@@ -24,17 +23,14 @@ from .dynamics import (
     SpectralPropagator,
     SurvivalSeries,
     classify_decay,
-    plateau_value,
     safe_horizon,
 )
 from .bound_states import (
     BoundState,
     LongTimeSurvival,
-    bound_state_wavefunction,
     evanescent_bound_states,
     long_time_survival,
     resonant_bound_states,
-    resonant_existence,
 )
 from .scattering import (
     PeakDipReport,

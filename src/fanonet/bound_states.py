@@ -27,7 +27,8 @@ No power of z has a negative exponent, so nothing overflows at any length,
 and the parity is known by construction.  The roots gamma are bracketed
 on a grid that ends just past the Gershgorin bound on |E|, in four scans
 (the sign of z and s) evaluated at once, and all brackets are bisected
-together.  Every state is checked site by site against the Schrodinger
+together by ``sign_change_roots``, which the reflection-zero scan of
+``scattering`` shares.  Every state is checked site by site against the Schrodinger
 equation of the infinite lattice; one that fails raises ArithmeticError.
 
 The isolated central chain is mirror-symmetric too: its mode n (energies
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import sign_change_roots
 from .pilattice import PiLatticeSpec, build_pi_lattice
 from .spectra import diagonalize, mirror_blocks, mirror_mode, open_chain_mode, unfold
 
@@ -50,10 +50,8 @@ __all__ = [
     "BoundState",
     "LongTimeSurvival",
     "RootRefinementError",
-    "resonant_existence",
     "resonant_bound_states",
     "evanescent_bound_states",
-    "bound_state_wavefunction",
     "long_time_survival",
 ]
 
@@ -67,6 +65,8 @@ ENERGY_MATCH_TOL = 1e-10
 GAMMA_GRID_STEP = 1e-3
 GAMMA_MIN = 1e-4
 GAMMA_REFINE = 1e-13
+# bisection steps before a bracket counts as not converged
+MAX_BISECTIONS = 200
 # rounding allowance of the site-by-site check, in units of ||H||_inf
 # times the largest term of the closed form (derived in CHANGES.md)
 RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
@@ -130,21 +130,6 @@ class LongTimeSurvival:
     mode: int
     p_infinity: float
     contributions: list[dict]
-
-
-def resonant_existence(n0: int, length: int) -> list[tuple[int, int]]:
-    """Integer pairs (m, n) admitting a resonant state at equal hoppings.
-
-    The host-chain grid momentum n*pi/(length-1) must coincide with the
-    side-chain grid momentum m*pi/(n0+1), i.e. (length-1)*m = (n0+1)*n
-    with m in [1, n0] and n in [1, length-2].
-    """
-    return [
-        (m, n)
-        for m in range(1, n0 + 1)
-        for n in range(1, length - 1)
-        if (length - 1) * m == (n0 + 1) * n
-    ]
 
 
 def _gershgorin(kappa: float, kappa0: float) -> float:
@@ -276,6 +261,42 @@ def _evanescent_state(gamma, sign_z, s, spread, n0, length, kappa, kappa0):
                   n0, length, kappa, kappa0)
 
 
+def sign_change_roots(f, grid: np.ndarray, vals: np.ndarray, tol: float):
+    """Roots bracketed by the sign changes along the rows of ``vals``.
+
+    Row s of ``vals`` holds function number s (a scan) evaluated on the
+    whole ``grid`` at once.  Each pair of neighbouring grid points with
+    finite values of opposite sign is a bracket.  The brackets of all
+    scans are bisected together, ``f(x, scan)`` evaluating scan[i] at x[i],
+    each bracket with the scalar rule: if flo * fmid <= 0 the upper end
+    moves to the midpoint, otherwise the lower end and its value do; a
+    bracket stops once hi - lo < tol, or after MAX_BISECTIONS steps.
+
+    Returns arrays over the brackets, scan by scan and in grid order within
+    a scan: the midpoint of the final bracket, its ends, whether it shrank
+    below ``tol``, and its scan.
+    """
+    scan, index = np.nonzero(
+        (vals[:, :-1] * vals[:, 1:] < 0) & np.isfinite(vals[:, :-1]) & np.isfinite(vals[:, 1:])
+    )
+    lo, hi, flo = grid[index], grid[index + 1], vals[scan, index]
+    live = np.arange(len(index))
+    for _ in range(MAX_BISECTIONS):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = f(mid, scan[live])
+        lower = flo[live] * fmid <= 0
+        hi[live[lower]] = mid[lower]
+        upper = live[~lower]
+        lo[upper] = mid[~lower]
+        flo[upper] = fmid[~lower]
+        live = live[~(hi[live] - lo[live] < tol)]
+    converged = np.ones(len(index), dtype=bool)
+    converged[live] = False
+    return 0.5 * (lo + hi), lo, hi, converged, scan
+
+
 def evanescent_bound_states(
     n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
 ) -> list[BoundState]:
@@ -309,27 +330,6 @@ def evanescent_bound_states(
         states.append(_evanescent_state(gamma, sign_z[index], sector[index], width,
                                         n0, length, kappa, kappa0))
     return sorted(states, key=lambda s: s.energy)
-
-
-def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
-    """Evaluate a bound state on the ``leads``-site hard-wall truncation.
-
-    Site order matches build_pi_lattice.  The truncation must swallow the
-    evanescent tail: the amplitude at the outermost lead site has to fall
-    below 1e-12, otherwise the hard wall would distort the state.
-    """
-    central = state.central_amplitudes
-    first, last = central[state.n0], central[state.n0 + state.length - 1]
-    if state.kind == EVANESCENT:
-        wall = max(abs(first), abs(last)) * np.exp(-state.gamma * leads)
-        if wall >= 1e-12:
-            raise ValueError(
-                f"evanescent tail {wall:.2e} at the wall; increase leads "
-                f"(gamma={state.gamma:.4f} needs roughly {int(28 / state.gamma) + 1})"
-            )
-    tail = state.z ** np.arange(1, leads + 1)         # 1 .. leads sites out
-    psi = np.concatenate([first * tail[::-1], central, last * tail])
-    return psi / np.linalg.norm(psi)
 
 
 def long_time_survival(

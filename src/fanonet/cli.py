@@ -4,7 +4,8 @@ Subcommands: ``trap`` (certify trapped modes of a user graph), ``evolve``
 (survival-probability sweeps), ``bound`` (exact bound states), ``transmit``
 (transmission spectra with zero catalogs).  Exit codes: 0 success, 2 input
 error, 3 empty trap search, 4 domain violation, 5 internal failure (a
-result failed its own consistency check).
+result failed its own consistency check).  ``main`` returns every one of
+them, argparse's 2 for a bad command line (and 0 for --help) included.
 
 Identical run configurations produce byte-identical output files: no
 timestamps, fixed float formatting, deterministic ordering.  Every JSON
@@ -502,15 +503,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns its exit code, argparse's included
+    (0 after --help, 2 for a command line it rejects), and raises nothing
+    for bad input."""
     parser = _parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:           # argparse has written its message
+        return exc.code
     if args.command is None and not args.config:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
         cfg = _resolve(args)
         return COMMANDS[cfg.subcommand](cfg)
-    except (GraphSpecError, FileNotFoundError) as exc:
+    except GraphSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -42,7 +42,6 @@ __all__ = [
     "SpectralPropagator",
     "safe_horizon",
     "classify_decay",
-    "plateau_value",
     "UNITARY",
     "SLOW_DAMPING",
     "DROP_TO_PLATEAU",
@@ -207,16 +206,3 @@ def classify_decay(series: SurvivalSeries) -> str:
     if dropped and flat_tail:
         return DROP_TO_PLATEAU
     return SLOW_DAMPING
-
-
-def plateau_value(series: SurvivalSeries) -> float:
-    """Time average of P over the last quarter of the safe window.
-
-    Cross terms between bound states oscillate; averaging isolates the
-    stationary part.
-    """
-    inside = series.times <= series.safe_horizon
-    times = series.times[inside]
-    values = series.values[inside]
-    tail = values[times >= times[-1] - 0.25 * (times[-1] - times[0])]
-    return float(tail.mean())

@@ -26,13 +26,16 @@ __all__ = [
     "parse_graph_file",
     "assemble_hamiltonian",
     "subgraph_hamiltonian",
-    "decomposed_hamiltonian",
 ]
 
 
 class GraphSpecError(ValueError):
     """Raised for malformed graph descriptions (parse, self-loop, duplicate,
     out-of-range index).  The message states which rule was violated."""
+
+
+# the keys a graph spec may hold
+SPEC_KEYS = ("sites", "hoppings", "potentials", "partition")
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,21 @@ class LatticeGraph:
         Undirected bonds (i, j, strength); at most one per site pair, i != j.
     potentials : tuple of (int, float)
         On-site energies; sites not listed have mu = 0.
-    labels : tuple of (int, str)
-        Optional text tags for sites.
     """
 
     site_count: int
     hoppings: tuple[tuple[int, int, float], ...]
     potentials: tuple[tuple[int, float], ...] = ()
-    labels: tuple[tuple[int, str], ...] = ()
+
+
+def _is_integer(value) -> bool:
+    """An integer, but not a bool (JSON's true and false)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An integer or a float, but not a bool."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 def build_graph(spec: Mapping) -> LatticeGraph:
@@ -62,31 +72,41 @@ def build_graph(spec: Mapping) -> LatticeGraph:
 
     ``spec`` follows the JSON schema
     ``{"sites": N, "hoppings": [[i, j, strength], ...],
-    "potentials": {"i": mu, ...}, "labels": {"i": tag, ...}}``
+    "potentials": {"i": mu, ...}, "partition": [l, ...]}``
     with 0-based indices and energies in units of a reference hopping.
+    ``sites`` and the site indices of a hopping are integers, strengths
+    and potentials are numbers (a bool is neither), and no other key is
+    allowed; the partition is read by ``parse_graph_file``.
 
     Raises
     ------
     GraphSpecError
-        On a missing/invalid field, self-loop, duplicate hopping or an
-        out-of-range site index; the message names the offending entry.
+        On a missing, unknown or ill-typed field, a self-loop, a duplicate
+        hopping or an out-of-range site index; the message names the
+        offending entry.
     """
     if not isinstance(spec, Mapping):
         raise GraphSpecError("parse failure: graph spec must be a JSON object")
-    try:
-        n = int(spec["sites"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphSpecError("parse failure: missing or non-integer 'sites'") from exc
+    unknown = [key for key in spec if key not in SPEC_KEYS]
+    if unknown:
+        raise GraphSpecError(f"parse failure: unknown key {unknown[0]!r}")
+    n = spec.get("sites")
+    if not _is_integer(n):
+        raise GraphSpecError("parse failure: missing or non-integer 'sites'")
+    n = int(n)
     if n < 1:
         raise GraphSpecError(f"parse failure: 'sites' must be positive, got {n}")
 
+    entries = spec.get("hoppings", [])
+    if not isinstance(entries, (list, tuple)):
+        raise GraphSpecError("parse failure: 'hoppings' must be a list")
     hoppings: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
-    for entry in spec.get("hoppings", []):
-        try:
-            i, j, strength = int(entry[0]), int(entry[1]), float(entry[2])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise GraphSpecError(f"parse failure: bad hopping entry {entry!r}") from exc
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and _is_integer(entry[0])
+                and _is_integer(entry[1]) and _is_number(entry[2])):
+            raise GraphSpecError(f"parse failure: bad hopping entry {entry!r}")
+        i, j, strength = int(entry[0]), int(entry[1]), float(entry[2])
         if i == j:
             raise GraphSpecError(f"self-loop: hopping ({i}, {j}) is not allowed")
         if not (0 <= i < n and 0 <= j < n):
@@ -99,32 +119,40 @@ def build_graph(spec: Mapping) -> LatticeGraph:
         seen.add(key)
         hoppings.append((i, j, strength))
 
+    entries = spec.get("potentials", {})
+    if not isinstance(entries, Mapping):
+        raise GraphSpecError("parse failure: 'potentials' must be an object of site: energy")
     potentials: list[tuple[int, float]] = []
-    for raw_site, mu in dict(spec.get("potentials", {})).items():
-        try:
-            site, value = int(raw_site), float(mu)
-        except (TypeError, ValueError) as exc:
-            raise GraphSpecError(f"parse failure: bad potential entry {raw_site!r}") from exc
+    for raw_site, mu in entries.items():
+        try:                                    # JSON object keys are strings
+            site = int(raw_site) if isinstance(raw_site, str) else raw_site
+        except ValueError:
+            site = None
+        if not (_is_integer(site) and _is_number(mu)):
+            raise GraphSpecError(f"parse failure: bad potential entry {raw_site!r}: {mu!r}")
+        site, value = int(site), float(mu)
         if not 0 <= site < n:
             raise GraphSpecError(f"site index out of range: potential on site {site}")
         if not math.isfinite(value):
             raise GraphSpecError(f"parse failure: non-finite potential on site {site}")
         potentials.append((site, value))
-
-    labels = tuple(
-        (int(site), str(tag)) for site, tag in dict(spec.get("labels", {})).items()
-    )
-    return LatticeGraph(n, tuple(hoppings), tuple(sorted(potentials)), labels)
+    return LatticeGraph(n, tuple(hoppings), tuple(sorted(potentials)))
 
 
 def parse_graph_file(path) -> tuple[LatticeGraph, "Partition | None"]:
     """Load a graph spec file; returns the graph and its partition, if any.
 
-    JSON syntax errors surface as GraphSpecError with the position
-    diagnostic from the decoder.
+    A file that cannot be read, is not UTF-8 or not JSON, or holds a
+    partition that is not a list of integer labels raises GraphSpecError;
+    JSON syntax errors carry the decoder's position diagnostic.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GraphSpecError(f"cannot read graph file: {exc}") from exc
+    except ValueError as exc:                   # not UTF-8
+        raise GraphSpecError(f"parse failure: {exc}") from exc
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,9 +161,9 @@ def parse_graph_file(path) -> tuple[LatticeGraph, "Partition | None"]:
     partition = None
     if "partition" in spec:
         assignment = spec["partition"]
-        if not isinstance(assignment, list):
-            raise GraphSpecError("parse failure: 'partition' must be a list")
-        partition = Partition(graph, tuple(int(l) for l in assignment))
+        if not (isinstance(assignment, list) and all(map(_is_integer, assignment))):
+            raise GraphSpecError("parse failure: 'partition' must be a list of integer labels")
+        partition = Partition(graph, tuple(assignment))
     return graph, partition
 
 
@@ -215,22 +243,3 @@ def subgraph_hamiltonian(
         if i in pos:
             h[pos[i], pos[i]] = mu
     return h, sites
-
-
-def decomposed_hamiltonian(graph: LatticeGraph, partition: Partition) -> np.ndarray:
-    """Reassemble sum of subgraph blocks plus inter-subgraph couplings.
-
-    Every hopping lands in exactly one bucket, so the result reproduces
-    ``assemble_hamiltonian(graph)`` bitwise; kept as a separate code path
-    for the consistency check.
-    """
-    n = graph.site_count
-    h = np.zeros((n, n))
-    for l in partition.subgraph_indices():
-        block, sites = subgraph_hamiltonian(graph, partition, l)
-        idx = np.asarray(sites, dtype=int)
-        h[np.ix_(idx, idx)] += block
-    for i, j, s in partition.couplings():
-        h[i, j] = -s
-        h[j, i] = -s
-    return h

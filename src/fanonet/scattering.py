@@ -29,18 +29,22 @@ s = sin k and delta the angle of the point (b, 2as),
 
 and the L-dependent reflection zeros are the roots of sin(k(L-1) - delta).
 Both paths read the same U_{n0}(x), U_{n0-1}(x) and k(L-1), and each
-carries a first-order bound on its own rounding (derived in CHANGES.md);
-the checks compare them against the sum of the two bounds: the closed-form
-t against the sector t ("formula"), the real form of T against |t|^2
-("dual"), and |S_s| against 1 ("flux").
+carries a bound on its own rounding (derived in CHANGES.md).  The bounds
+are first order, except the real form's: it is the range that T takes
+while its phase k(L-1) - delta moves by that phase's rounding, which next
+to a band edge can be all of [0, 1].  The checks compare the two paths against the sum of
+their bounds: the closed-form t against the sector t ("formula"), the
+real form of T against |t|^2 ("dual"), and |S_s| against 1 ("flux").
 
-One private evaluation serves every entry point on an array of momenta.
-``scattering_point``, ``transmission_amplitude`` and
-``transmission_probability`` run it on a one-element array, so
-``transmission_sweep`` equals a loop of ``scattering_point`` calls bit for
-bit and raises the error that loop would raise first.  The reflection-zero
-scan brackets its roots from one evaluation on the grid and bisects all
-brackets together.
+The closed forms are checks only: every public result is the kernel's,
+and it is returned only after all four checks (band, formula, dual, flux)
+have passed.  One private evaluation serves every entry point on an array
+of momenta.  ``scattering_point`` runs it on a one-element array, and
+``transmission_amplitude`` and ``transmission_probability`` return its
+(t, r) and T, so ``transmission_sweep`` equals a loop of any of them bit
+for bit and raises the error that loop would raise first.  The
+reflection-zero scan brackets its roots from one evaluation on the grid
+and bisects all brackets together.
 
 ``numeric_scatter_oracle`` is a fully independent check: it solves the
 Schrodinger system of the truncated lattice with plane-wave boundary rows
@@ -59,8 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import sign_change_roots
-from .bound_states import _chebyshev, _sector_function
+from .bound_states import _chebyshev, _sector_function, sign_change_roots
 from .graphs import LatticeGraph
 from .pilattice import PiLatticeSpec, build_pi_lattice
 
@@ -177,11 +180,11 @@ class _Evaluation(NamedTuple):
     bound: dict               # check name -> rounding bound of what it compares
     failed: dict              # check name -> mask of the momenta failing it
 
-    def raise_first(self, checks=tuple(_CHECKS)):
+    def raise_first(self):
         """Raise the error of the first momentum, in array order, that fails
-        one of ``checks``: of the first of them, in ``_CHECKS`` order, that
-        it fails."""
-        names = [name for name in _CHECKS if name in checks]
+        one of the ``_CHECKS``: of the first of them, in ``_CHECKS`` order,
+        that it fails."""
+        names = list(_CHECKS)
         failed = np.array([self.failed[name] for name in names])
         hits = np.flatnonzero(failed.any(axis=0))
         if hits.size:
@@ -218,22 +221,29 @@ def _evaluate(k, n0, length, kappa, kappa0) -> _Evaluation:
         den_t = a2s2 - 1j * a_s * b + 1j * b2 * sin_cos * w
         t_closed = a2s2 / den_t
         phi = theta - np.arctan2(2 * a_s, b)
+        sin_phi = np.abs(np.sin(phi))
         quartic, prefactor = a2s2 * a2s2, (b / 2) ** 2 * (b2 + 4 * a2s2)
-        den_big_t = quartic + prefactor * np.sin(phi) ** 2
+        den_big_t = quartic + prefactor * sin_phi ** 2
         big_t_closed = quartic / den_big_t
         abs_t = np.abs(t)
         big_t, big_r = abs_t ** 2, np.abs(r) ** 2
         unitarity = np.max(np.abs(np.abs(sector) - 1.0), axis=0)
-        # first-order rounding bounds, each path its own (see CHANGES.md):
-        # |dS_s| of the kernel, and |dT/dphi| for the real form
+        # rounding bounds, each path its own (see CHANGES.md): |dS_s| of the
+        # kernel, to first order, and for the real form how far T moves
+        # while phi moves by its rounding, |sin phi| staying in [lo, hi]
         err_sector = EPS * ((40 * np.abs(a_s) + 28 * np.abs(b * host)) / np.abs(f) + 22)
         err_pair = err_sector[0] + err_sector[1]
-        slope = big_t_closed * prefactor * np.abs(np.sin(2 * phi)) / den_big_t
+        step = EPS * (2 * theta + 17)
+        lo, hi = np.maximum(sin_phi - step, 0.0), np.minimum(sin_phi + step, 1.0)
+        t_top = np.where(lo > 0, quartic / (quartic + prefactor * lo * lo), 1.0)  # T at lo
+        rise = t_top * prefactor * (sin_phi - lo) * (sin_phi + lo) / den_big_t    # T(lo) - T
+        den_hi = quartic + prefactor * hi * hi
+        fall = big_t_closed * prefactor * (hi - sin_phi) * (hi + sin_phi) / den_hi  # T - T(hi)
         span = a2s2 + np.abs(a_s * b) + b2 * np.abs(sin_cos)
         bound = {
             "formula": EPS * (np.abs(t_closed) * (22 * span / np.abs(den_t) + 18) + 10 * abs_t)
             + err_pair / 2,
-            "dual": EPS * (slope * (2 * theta + 17) + 20 + 26 * big_t) + abs_t * err_pair,
+            "dual": np.maximum(rise, fall) + EPS * (20 + 26 * big_t) + abs_t * err_pair,
             "flux": 18 * EPS,
         }
         failed = {
@@ -245,51 +255,38 @@ def _evaluate(k, n0, length, kappa, kappa0) -> _Evaluation:
     return _Evaluation(k, t, r, big_t, big_r, t_closed, big_t_closed, unitarity, bound, failed)
 
 
-def _evaluate_one(k, n0, length, kappa, kappa0) -> _Evaluation:
-    """``_evaluate`` at the single momentum k, as a one-element array: numpy
-    rounds products and powers of scalars differently from its array loops."""
-    return _evaluate(np.array([k], dtype=float), n0, length, kappa, kappa0)
-
-
-def transmission_amplitude(
-    k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
-) -> tuple[complex, complex]:
-    """The paper's closed-form transmission amplitude t, checked against the
-    mirror-sector kernel, and the kernel's reflection amplitude r (the
-    closed forms have none)."""
-    ev = _evaluate_one(k, n0, length, kappa, kappa0)
-    ev.raise_first(("band", "formula"))
-    return ev.t_closed[0], ev.r[0]
-
-
-def transmission_probability(
-    k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
-) -> float:
-    """Transmission probability from the closed real form.
-
-    Independent of the amplitudes: uses the phase delta, the angle of the
-    point (b, 2*a*sin k), which is real and continuous on the whole band.
-    scattering_point checks it against |t|^2 of the sector kernel.  It is
-    ill-conditioned where T varies fast with the phase k(L-1) - delta, as
-    next to the band edges of a long lattice; |t|^2 is not.
-    """
-    ev = _evaluate_one(k, n0, length, kappa, kappa0)
-    ev.raise_first(("band",))
-    return ev.big_t_closed[0]
-
-
 def scattering_point(
     k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
 ) -> ScatteringPoint:
     """Full scattering record at one momentum from the sector kernel: t, r,
-    T = |t|^2 and R = |r|^2, with every check against the closed forms
-    applied."""
-    ev = _evaluate_one(k, n0, length, kappa, kappa0)
+    T = |t|^2 and R = |r|^2, returned once every check against the closed
+    forms has passed.  It runs the array evaluation on a one-element array:
+    numpy rounds products and powers of scalars differently from its array
+    loops."""
+    ev = _evaluate(np.array([k], dtype=float), n0, length, kappa, kappa0)
     ev.raise_first()
     return ScatteringPoint(
         k=float(k), energy=float(-2.0 * kappa * np.cos(k)), t=complex(ev.t[0]),
         r=complex(ev.r[0]), transmission=float(ev.big_t[0]), reflection=float(ev.big_r[0]),
     )
+
+
+def transmission_amplitude(
+    k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
+) -> tuple[complex, complex]:
+    """(t, r) of ``scattering_point``: the sector kernel's amplitudes."""
+    point = scattering_point(k, n0, length, kappa, kappa0)
+    return point.t, point.r
+
+
+def transmission_probability(
+    k: float, n0: int, length: int, kappa: float = 1.0, kappa0: float = 1.0
+) -> float:
+    """T = |t|^2 of ``scattering_point``, the sector kernel's, not the
+    paper's real form: that form is ill-conditioned where T varies fast
+    with the phase k(L-1) - delta, as next to the band edges, and serves
+    only as the dual check."""
+    return scattering_point(k, n0, length, kappa, kappa0).transmission
 
 
 def transmission_sweep(

@@ -98,7 +98,7 @@ class TrappingCertificate:
         }
 
 
-def diagonalize(h: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
+def diagonalize(h: np.ndarray):
     """Dense symmetric eigendecomposition with validated contract.
 
     Returns ``(energies, vectors)`` with energies ascending and vectors in
@@ -108,13 +108,14 @@ def diagonalize(h: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
     Raises
     ------
     ValueError
-        If the matrix is not exactly symmetric or exceeds ``size_cap``.
+        If the matrix is not exactly symmetric or has more than
+        ``DEFAULT_SIZE_CAP`` rows.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if h.shape[0] > size_cap:
-        raise ValueError(f"matrix size {h.shape[0]} exceeds cap {size_cap}")
+    if h.shape[0] > DEFAULT_SIZE_CAP:
+        raise ValueError(f"matrix size {h.shape[0]} exceeds cap {DEFAULT_SIZE_CAP}")
     if not np.array_equal(h, h.T):
         raise ValueError("matrix is not symmetric")
     energies, vectors = np.linalg.eigh(h)

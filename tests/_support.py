@@ -5,18 +5,26 @@ the per-group SVD search and per-site certificate methods that
 a dense reference for the numeric scattering oracle, an eigenvalue
 count of the truncated pi lattice by Sylvester's law of inertia,
 survival evolved on the whole lattice, as evolve did before it split the
-lattice into mirror sectors, and the mirror blocks sliced from the dense
-Hamiltonian, as ``mirror_blocks`` built them before it folded the bonds."""
+lattice into mirror sectors, the mirror blocks sliced from the dense
+Hamiltonian, as ``mirror_blocks`` built them before it folded the bonds,
+the paper's closed forms of the scattering amplitudes, and four helpers
+that only the tests use: the Hamiltonian reassembled from a partition,
+the resonant (m, n) pairs, a bound state on a truncated lattice and the
+plateau of a survival curve."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from fanonet import (
+    BoundState,
     LatticeGraph,
     Partition,
     PiLatticeSpec,
     SpectralPropagator,
+    SurvivalSeries,
     TrappingCertificate,
     assemble_hamiltonian,
     build_pi_lattice,
@@ -24,6 +32,8 @@ from fanonet import (
     open_chain_modes,
     subgraph_hamiltonian,
 )
+from fanonet import scattering
+from fanonet.bound_states import EVANESCENT
 from fanonet.spectra import NODE_TOL, _energy_groups, mirror_blocks, mirror_mode, unfold
 
 
@@ -322,3 +332,90 @@ def dense_mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         middle = np.sqrt(2.0) * h[:half, half]
         even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
     return even, odd
+
+
+class ClosedForms(NamedTuple):
+    """The paper's closed forms at one momentum (see ``closed_forms``)."""
+
+    t: complex          # the closed-form transmission amplitude
+    r: complex          # the sector kernel's r: the closed forms have none
+    big_t: float        # the real form of T
+    dual_bound: float   # the dual check's rounding bound on |T - |t|^2|
+
+
+def closed_forms(k, n0, length, kappa=1.0, kappa0=1.0) -> ClosedForms:
+    """The closed-form t and the real form of T at the momentum k, as the
+    formula and dual checks of ``scattering._evaluate`` compute them on a
+    one-element array, with no check applied.  The public one-momentum
+    functions return the sector kernel's values; a test that reads the
+    closed forms through them would test the kernel against itself."""
+    ev = scattering._evaluate(np.array([k], dtype=float), n0, length, kappa, kappa0)
+    return ClosedForms(ev.t_closed[0], ev.r[0], ev.big_t_closed[0], ev.bound["dual"][0])
+
+
+def decomposed_hamiltonian(graph: LatticeGraph, partition: Partition) -> np.ndarray:
+    """Reassemble sum of subgraph blocks plus inter-subgraph couplings.
+
+    Every hopping lands in exactly one bucket, so the result reproduces
+    ``assemble_hamiltonian(graph)`` bitwise; kept as a separate code path
+    for the consistency check.
+    """
+    n = graph.site_count
+    h = np.zeros((n, n))
+    for l in partition.subgraph_indices():
+        block, sites = subgraph_hamiltonian(graph, partition, l)
+        idx = np.asarray(sites, dtype=int)
+        h[np.ix_(idx, idx)] += block
+    for i, j, s in partition.couplings():
+        h[i, j] = -s
+        h[j, i] = -s
+    return h
+
+
+def resonant_existence(n0: int, length: int) -> list[tuple[int, int]]:
+    """Integer pairs (m, n) admitting a resonant state at equal hoppings.
+
+    The host-chain grid momentum n*pi/(length-1) must coincide with the
+    side-chain grid momentum m*pi/(n0+1), i.e. (length-1)*m = (n0+1)*n
+    with m in [1, n0] and n in [1, length-2].
+    """
+    return [
+        (m, n)
+        for m in range(1, n0 + 1)
+        for n in range(1, length - 1)
+        if (length - 1) * m == (n0 + 1) * n
+    ]
+
+
+def bound_state_wavefunction(state: BoundState, leads: int) -> np.ndarray:
+    """Evaluate a bound state on the ``leads``-site hard-wall truncation.
+
+    Site order matches build_pi_lattice.  The truncation must swallow the
+    evanescent tail: the amplitude at the outermost lead site has to fall
+    below 1e-12, otherwise the hard wall would distort the state.
+    """
+    central = state.central_amplitudes
+    first, last = central[state.n0], central[state.n0 + state.length - 1]
+    if state.kind == EVANESCENT:
+        wall = max(abs(first), abs(last)) * np.exp(-state.gamma * leads)
+        if wall >= 1e-12:
+            raise ValueError(
+                f"evanescent tail {wall:.2e} at the wall; increase leads "
+                f"(gamma={state.gamma:.4f} needs roughly {int(28 / state.gamma) + 1})"
+            )
+    tail = state.z ** np.arange(1, leads + 1)         # 1 .. leads sites out
+    psi = np.concatenate([first * tail[::-1], central, last * tail])
+    return psi / np.linalg.norm(psi)
+
+
+def plateau_value(series: SurvivalSeries) -> float:
+    """Time average of P over the last quarter of the safe window.
+
+    Cross terms between bound states oscillate; averaging isolates the
+    stationary part.
+    """
+    inside = series.times <= series.safe_horizon
+    times = series.times[inside]
+    values = series.values[inside]
+    tail = values[times >= times[-1] - 0.25 * (times[-1] - times[0])]
+    return float(tail.mean())

@@ -25,13 +25,12 @@ from fanonet import (
     common_zeros,
     peak_dip_report,
     scattering_point,
-    transmission_amplitude,
     transmission_probability,
     verify_trapping,
 )
-from fanonet.scattering import _evaluate_one, _phase_shift
+from fanonet.scattering import _phase_shift
 
-from _support import brute_force_trapped, random_graph, same_trapped_content
+from _support import brute_force_trapped, closed_forms, random_graph, same_trapped_content
 
 
 @contextmanager
@@ -132,7 +131,7 @@ def test_criterion_4_analytic_vs_oracle():
         ks = np.linspace(0.05, np.pi - 0.05, 50)
         for n0, length in ((2, 4), (3, 5), (5, 6)):
             for k in ks:
-                t, r = transmission_amplitude(k, n0, length)
+                t, r, _, _ = closed_forms(k, n0, length)
                 t_o, r_o = numeric_scatter_oracle(n0, length, 1.0, 1.0, k, leads=length + 25)
                 assert abs(t - t_o) < 1e-8
                 assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-10
@@ -156,7 +155,7 @@ def test_criterion_5_zero_structure():
             expected = (1 + (-1) ** n0) / 2
             for length in range(4, 9):
                 point = scattering_point(np.pi / 2, n0, length)
-                bound = _evaluate_one(np.pi / 2, n0, length, 1.0, 1.0).bound["dual"][0]
+                bound = closed_forms(np.pi / 2, n0, length).dual_bound
                 assert abs(point.transmission - expected) <= bound
             catalog = common_zeros(n0)
             zeros = catalog.k_min if n0 % 2 else catalog.k_max
@@ -201,7 +200,7 @@ def test_criterion_7_property_suites(survival_sweep):
         for n0, length, kappa0 in ((2, 4, 1.0), (3, 5, 1.0), (2, 6, 1.6), (4, 7, 0.7)):
             for k in ks:
                 point = scattering_point(k, n0, length, 1.0, kappa0)
-                real_form = transmission_probability(k, n0, length, 1.0, kappa0)
+                real_form = closed_forms(k, n0, length, 1.0, kappa0).big_t
                 assert abs(real_form - abs(point.t) ** 2) < 1e-12
 
         # truncation convergence of the survival probability

@@ -10,13 +10,11 @@ from fanonet import (
     CENTRAL,
     PiLatticeSpec,
     assemble_hamiltonian,
-    bound_state_wavefunction,
     build_pi_lattice,
     evanescent_bound_states,
     long_time_survival,
     open_chain_modes,
     resonant_bound_states,
-    resonant_existence,
     subgraph_hamiltonian,
 )
 from fanonet import bound_states
@@ -29,7 +27,13 @@ from fanonet.bound_states import (
     _sector_condition,
 )
 
-from _support import chain_modes, eigenvalues_below, out_of_band_count
+from _support import (
+    bound_state_wavefunction,
+    chain_modes,
+    eigenvalues_below,
+    out_of_band_count,
+    resonant_existence,
+)
 
 
 def test_existence_pairs_and_momenta():

@@ -480,10 +480,7 @@ def _run_sequence(tmp_path, fresh, capsys):
     for argv in sequence:
         if fresh:
             cli._parser.cache_clear()
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
                  if p.name not in inputs}
@@ -505,3 +502,21 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert [o[0] for o in shared] == [0, 0, 0, 0, 0, 2, 2]
     assert all(files for _, _, _, files in shared[:5])
     assert shared == fresh
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["transmit", "--help"], 0),
+    (["transmit", "--n0", "2", "--len", "5", "--colour", "red"], 2),     # unknown flag
+    (["transmit", "--n0", "two", "--len", "5"], 2),                      # bad int
+    (["colour", "--n0", "2"], 2),                                        # bad choice
+], ids=["help", "subcommand-help", "unknown-flag", "bad-int", "bad-choice"])
+def test_main_returns_argparse_exit_codes(capsys, argv, code):
+    # main returns every exit code, argparse's too, and raises no SystemExit;
+    # argparse has written the help text or its one error line
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("usage: fanonet") and err == ""
+    else:
+        assert err.startswith("usage: fanonet") and ": error: " in err

@@ -16,13 +16,12 @@ from fanonet import (
     build_pi_lattice,
     classify_decay,
     open_chain_modes,
-    plateau_value,
     safe_horizon,
     subgraph_hamiltonian,
 )
 from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY, _PhaseTable
 
-from _support import random_graph
+from _support import plateau_value, random_graph
 
 DIMER = np.array([[0.0, -1.0], [-1.0, 0.0]])
 

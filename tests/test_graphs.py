@@ -1,5 +1,7 @@
 """Graph model, Hamiltonian assembly and the side-coupled lattice builder."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +14,11 @@ from fanonet import (
     assemble_hamiltonian,
     build_graph,
     build_pi_lattice,
-    decomposed_hamiltonian,
+    parse_graph_file,
 )
+from fanonet.cli import main
 
-from _support import random_graph
+from _support import decomposed_hamiltonian, random_graph
 
 
 def test_dimer_is_smallest_valid_graph():
@@ -190,3 +193,51 @@ def test_partition_requires_full_assignment():
     graph = build_graph({"sites": 3, "hoppings": [[0, 1, 1.0]]})
     with pytest.raises(GraphSpecError):
         Partition(graph, (0, 1))
+
+
+DIMER = {"sites": 2, "hoppings": [[0, 1, 1.0]]}
+
+
+@pytest.mark.parametrize("entries", [
+    {"hoppings": 5},
+    {"potentials": 5},
+    {"potentials": [1, 2]},
+    {"labels": 5},
+    {"labels": {"x": "a"}},
+    {"partition": [[0], 1]},
+    {"partition": ["x", 1]},
+    {"partition": [0.5, 1]},
+    {"partition": [True, 1]},
+    {"partition": 1},
+    {"sites": 2.0},
+    {"sites": True},
+    {"sites": "2"},
+    {"hoppings": [[0.0, 1, 1.0]]},
+    {"hoppings": [[0, True, 1.0]]},
+    {"hoppings": [[0, 1, "1.0"]]},
+    {"hoppings": [[0, 1, 1.0, 2.0]]},
+    {"hoppings": [5]},
+    {"potentials": {"0.5": 1.0}},
+    {"potentials": {"0": True}},
+], ids=lambda entries: json.dumps(entries))
+def test_malformed_graph_file_is_a_parse_failure(tmp_path, capsys, entries):
+    # sites, hopping indices and partition labels are JSON integers, other
+    # values JSON numbers, and a spec holds no other key: a file that breaks
+    # this is one parse failure, exit 2, never a traceback or a truncation
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({**DIMER, **entries}))
+    with pytest.raises(GraphSpecError, match="^parse failure"):
+        parse_graph_file(path)
+    assert main(["trap", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: parse failure")
+
+
+def test_unreadable_graph_file_exits_two(tmp_path, capsys):
+    # a directory, a missing file and bytes that are not UTF-8: one line, exit 2
+    (tmp_path / "latin1.json").write_bytes(b'{"sites": 2, "hoppings": [], "x\xe9": 1}')
+    for name, message in (("", "error: cannot read graph file"),
+                          ("nope.json", "error: cannot read graph file"),
+                          ("latin1.json", "error: parse failure")):
+        assert main(["trap", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1

@@ -17,7 +17,6 @@ from fanonet import (
     l_dependent_reflection_zeros,
     numeric_scatter_oracle,
     peak_dip_report,
-    resonant_existence,
     scattering_point,
     transmission_amplitude,
     transmission_probability,
@@ -25,13 +24,13 @@ from fanonet import (
 )
 from fanonet.scattering import EPS, side_chain_response, _phase_shift
 
-from _support import dense_scatter_reference
+from _support import closed_forms, dense_scatter_reference, resonant_existence
 
 
 def test_resonant_transmission_point():
     # vanishing side-chain response: N0=2, equal hoppings, k=pi/2 makes
     # beta = sin(pi) = 0, so the waveguide decouples and t = 1
-    t, r = transmission_amplitude(np.pi / 2, 2, 5)
+    t, r, _, _ = closed_forms(np.pi / 2, 2, 5)
     assert abs(t - 1.0) < 1e-12
     assert abs(r) < 1e-12
 
@@ -42,7 +41,7 @@ def test_resonant_transmission_point():
 )
 def test_total_reflection_points(n0, k, energy):
     for length in (4, 5, 6):
-        t, r = transmission_amplitude(k, n0, length)
+        t, r, _, _ = closed_forms(k, n0, length)
         assert abs(t) ** 2 < 1e-12
         assert abs(abs(r) - 1.0) < 1e-10
         point = scattering_point(k, n0, length)
@@ -63,9 +62,8 @@ def test_dual_path_and_flux(k, n0, length, kappa0):
     # rounding bound derived for the two paths, and T + R = 1 within the
     # kernel's 64 eps (CHANGES.md)
     point = scattering_point(k, n0, length, 1.0, kappa0)
-    bound = scattering._evaluate_one(k, n0, length, 1.0, kappa0).bound
-    real_form = transmission_probability(k, n0, length, 1.0, kappa0)
-    assert abs(real_form - abs(point.t) ** 2) <= bound["dual"][0]
+    _, _, real_form, bound = closed_forms(k, n0, length, 1.0, kappa0)
+    assert abs(real_form - abs(point.t) ** 2) <= bound
     assert abs(point.transmission + point.reflection - 1.0) <= 64 * EPS
     assert 0.0 <= point.transmission <= 1.0 + 64 * EPS
 
@@ -83,6 +81,56 @@ def test_band_edges_pass_every_check(n0, length, kappa0):
     assert np.all(np.abs(big_t + big_r - 1.0) <= 64 * EPS)
 
 
+def _edge_oracle_tolerance(n0, length, kappa0, k, psi):
+    """Bound on |t - oracle t| next to a band edge, for the oracle with one
+    lead site per side and the pi lattice at kappa = 1 (CHANGES.md).
+
+    To first order the oracle's t is the exact t of the truncated lattice
+    with each row of its equations perturbed: a Schrodinger row by at most
+    8 eps h G (four rounded operations, h = |E| + max(2 + kappa0, 2*kappa0)
+    the row's largest absolute sum of H - E, G = max(1, max|psi|)), and
+    each of the four pinned rows through its phase k*(j - 1), by at most
+    (pi*N + 1) eps G.  t answers a source on site j with psi'_j / (2i sin k),
+    psi' the state incident from the other side (psi's mirror image, so
+    |psi'| <= G): 2 sin k is the lead's group velocity and |det| of the
+    2x2 split of the pinned values.  Over the N sites that is
+    eps G^2 N (8h + 4*pi + 4) / (2 sin k).
+    """
+    sites = 2 * n0 + length + 2
+    energy = -2.0 * np.cos(k)
+    h = abs(energy) + max(2.0 + kappa0, 2.0 * kappa0)
+    amplitude = max(1.0, float(np.max(np.abs(psi))))
+    return EPS * amplitude**2 * sites * (8 * h + 4 * np.pi + 4) / (2 * np.sin(k))
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 1000),
+    st.floats(0.3, 10.0),
+    st.floats(-12.0, -6.0),
+    st.booleans(),
+)
+@example(1, 5, 1.0, -8.0, True)     # the real form of T read 0.7273 here, |t|^2 1.0000
+@example(1, 5, 1.0, -12.0, True)    # T -> 1 at these two edges, where a first-order dual
+@example(2, 4, 1.0, -10.0, True)    # bound failed the kernel within about 3e-9 of pi
+def test_band_edges_one_momentum_functions_return_the_kernel(n0, length, kappa0, exponent, top):
+    # within 1e-6 of k = 0 or pi every one-momentum function returns the
+    # checked sector kernel's values, and T agrees with the oracle's |t|^2
+    # within the kernel's bound plus the oracle's (_edge_oracle_tolerance)
+    k = np.pi - 10.0**exponent if top else 10.0**exponent
+    point = scattering_point(k, n0, length, 1.0, kappa0)
+    big_t = transmission_probability(k, n0, length, 1.0, kappa0)
+    t, r = transmission_amplitude(k, n0, length, 1.0, kappa0)
+    bits = lambda values: [np.complex128(v).tobytes() for v in values]
+    assert bits([big_t, t, r]) == bits([point.transmission, point.t, point.r])
+    t_oracle, _ = numeric_scatter_oracle(n0, length, 1.0, kappa0, k, leads=1)
+    _, _, psi = dense_scatter_reference(n0, length, 1.0, kappa0, k, leads=1)
+    # the formula bound is the closed form's bound on t plus the kernel's
+    kernel = scattering._evaluate(np.array([k]), n0, length, 1.0, kappa0).bound["formula"][0]
+    delta = kernel + _edge_oracle_tolerance(n0, length, kappa0, k, psi)
+    assert abs(big_t - abs(t_oracle) ** 2) <= delta * (2 * abs(t) + delta)
+
+
 def test_band_edge_rejected():
     for k in (0.0, np.pi, -0.3, 4.0):
         with pytest.raises(ValueError, match="pi"):
@@ -96,9 +144,9 @@ def test_single_side_chain_parity_rule(n0, expected):
     # pi/2 is a common zero, of T (k_min) for odd n0 and of R (k_max) for even
     for length in (2, 3, 4, 5, 40, 41):
         point = scattering_point(np.pi / 2, n0, length)
-        bound = scattering._evaluate_one(np.pi / 2, n0, length, 1.0, 1.0).bound["dual"][0]
+        _, _, real_form, bound = closed_forms(np.pi / 2, n0, length)
         assert abs(point.transmission - expected) <= bound
-        assert abs(transmission_probability(np.pi / 2, n0, length) - expected) <= bound
+        assert abs(real_form - expected) <= bound
     catalog = common_zeros(n0)
     zeros = catalog.k_max if n0 % 2 == 0 else catalog.k_min
     others = catalog.k_min if n0 % 2 == 0 else catalog.k_max
@@ -201,7 +249,7 @@ def test_transmission_symmetric_around_reflection_zero():
 def test_oracle_matches_formula():
     ks = np.linspace(0.08, np.pi - 0.08, 25)
     for k in ks:
-        t, r = transmission_amplitude(k, 3, 5)
+        t, r, _, _ = closed_forms(k, 3, 5)
         t_o, r_o = numeric_scatter_oracle(3, 5, 1.0, 1.0, k, leads=30)
         assert abs(t - t_o) < 1e-8
         assert abs(r - r_o) < 1e-8
@@ -210,7 +258,7 @@ def test_oracle_matches_formula():
 
 def test_oracle_matches_formula_detuned():
     for k in np.linspace(0.2, np.pi - 0.2, 9):
-        t, _ = transmission_amplitude(k, 2, 5, 1.0, 0.6)
+        t = closed_forms(k, 2, 5, 1.0, 0.6).t
         t_o, _ = numeric_scatter_oracle(2, 5, 1.0, 0.6, k, leads=40)
         assert abs(t - t_o) < 1e-8
 
@@ -405,7 +453,7 @@ def test_degenerate_point_continues_its_neighbours():
     assert point.t == scattering_point(k, 2, 5, 1.0, kappa0).t
     assert abs(point.transmission + point.reflection - 1.0) < 1e-10
     for step in (-1e-6, 1e-6):
-        t_near, _ = transmission_amplitude(k + step, 2, 5, 1.0, kappa0)
+        t_near = closed_forms(k + step, 2, 5, 1.0, kappa0).t
         assert abs(point.t - t_near) < 1e-4
 
 
@@ -483,16 +531,14 @@ def test_transmission_sweep_takes_the_degenerate_limit():
     _assert_sweep_matches_loop(ks, 2, 5, kappa0)
 
 
-def test_each_one_momentum_function_applies_its_own_checks(monkeypatch):
-    # a kernel off the closed forms fails the formula check: the amplitude
-    # and the full record refuse it, T from the real form does not read it
+def test_every_one_momentum_function_applies_every_check(monkeypatch):
+    # a kernel off the closed forms fails the formula check, and each
+    # one-momentum function returns the kernel's values only after all checks
     k = 1.1
-    big_t = transmission_probability(k, 2, 5, 1.0, 1.3)
     _fail_at(monkeypatch, [k])
-    for function in (transmission_amplitude, scattering_point):
+    for function in (transmission_amplitude, transmission_probability, scattering_point):
         with pytest.raises(ArithmeticError, match="closed-form and sector transmission disagree"):
             function(k, 2, 5, 1.0, 1.3)
-    assert transmission_probability(k, 2, 5, 1.0, 1.3) == big_t
 
 
 def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):

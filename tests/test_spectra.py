@@ -13,9 +13,9 @@ from fanonet import (
     diagonalize,
     find_trapping_modes,
     open_chain_modes,
-    resonant_existence,
     verify_trapping,
 )
+from fanonet import spectra
 from fanonet.spectra import open_chain_mode
 
 from _support import (
@@ -25,6 +25,7 @@ from _support import (
     reference_node_sites,
     reference_support_sites,
     reference_trapping_modes,
+    resonant_existence,
     same_trapped_content,
 )
 
@@ -52,11 +53,12 @@ def test_pure_potential_graph_is_flat():
     np.testing.assert_allclose(energies, 0.7)
 
 
-def test_diagonalize_rejects_bad_input():
+def test_diagonalize_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="not symmetric"):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    monkeypatch.setattr(spectra, "DEFAULT_SIZE_CAP", 8)
     with pytest.raises(ValueError, match="cap"):
-        diagonalize(np.zeros((12, 12)), size_cap=8)
+        diagonalize(np.zeros((12, 12)))
     with pytest.raises(ValueError, match="square"):
         diagonalize(np.zeros((3, 2)))
 
