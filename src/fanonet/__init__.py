@@ -17,6 +17,7 @@ from .spectra import (
     diagonalize,
     find_trapping_modes,
     open_chain_modes,
+    residual_rounding_bound,
     verify_trapping,
 )
 from .dynamics import (

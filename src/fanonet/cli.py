@@ -11,7 +11,9 @@ Identical run configurations produce byte-identical output files: no
 timestamps, fixed float formatting, deterministic ordering.  Every JSON
 output (trap certificates, bound states, the transmit zero catalog) comes
 from one writer, ``_json_text``, whose text matches
-``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte.  Energies
+``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte; trap's
+list of certificates is written one certificate's text at a time, with
+the same bytes (``_json_list_chunks``).  Energies
 are in units of the host hopping (kappa = 1) unless --kappa is given.
 """
 
@@ -24,6 +26,7 @@ import math
 import sys
 import types
 import typing
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -138,12 +141,25 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_text(path: str | None, text: str):
+def _json_list_chunks(items: Iterable) -> Iterator[str]:
+    """``_json_text(list(items)) + "\n"``, one item's text at a time, so
+    that neither the list nor its whole text is held."""
+    separator = "[\n  "
+    for item in items:
+        yield separator + _json_text(item, "\n  ")
+        separator = ",\n  "
+    yield "[]\n" if separator == "[\n  " else "\n]\n"
+
+
+def _write_text(path: str | None, text: str | Iterable[str]):
+    """Write ``text``, or each chunk of it in turn, to ``path`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
     except OSError as exc:              # a directory, a missing parent, no permission
         raise GraphSpecError(f"cannot write output: {exc}") from exc
 
@@ -241,16 +257,15 @@ def cmd_trap(cfg: RunConfig) -> int:
         )
     certificates = find_trapping_modes(graph, partition, cfg.subgraph)
     lines = [f"# trapped modes of subgraph {cfg.subgraph} ({len(certificates)} found)"]
-    subgraph_sites = partition.sites_of(cfg.subgraph)
+    subgraph_sites = np.flatnonzero(partition.labels == cfg.subgraph)
     for cert in certificates:
         nodes = cert.node_sites(subgraph_sites)
         lines.append(
             f"energy={_fmt(cert.energy)} nodes={nodes} residual={cert.residual:.3e}"
         )
     print("\n".join(lines))
-    if cfg.out:
-        payload = [c.to_json_dict() for c in certificates]
-        _write_text(cfg.out, _json_text(payload) + "\n")
+    if cfg.out:                         # one certificate's text at a time
+        _write_text(cfg.out, _json_list_chunks(c.to_json_dict() for c in certificates))
     return EXIT_OK if certificates else EXIT_EMPTY
 
 

@@ -6,11 +6,16 @@ real symmetric matrix H with H[i, j] = -kappa_ij and H[i, i] = mu_i; no
 many-body machinery is needed for one particle.
 
 Graphs and partitions are immutable after construction and every operation
-here is a pure function, so they are safe to share across workers.
+here is a pure function, so they are safe to share across workers.  A
+graph caches the stored elements of H, read from its bond list once, and a
+partition its labels as an array: the subgraph block, the couplings and the
+joint sites are numpy masks over them, with no N x N matrix and no Python
+loop over the bonds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -56,15 +61,169 @@ class LatticeGraph:
     hoppings: tuple[tuple[int, int, float], ...]
     potentials: tuple[tuple[int, float], ...] = ()
 
+    @functools.cached_property
+    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the stored elements of H, read-only
+        and in row-major order: H[i, j] and H[j, i] of each bond and H[i, i]
+        of each potential, where a later write to an element wins, in the
+        order in which ``assemble_hamiltonian`` writes them.  An element
+        written as 0 is stored.  Computed once per graph, O(b log b) for b
+        bonds and potentials."""
+        n = self.site_count
+        bonds = np.array(self.hoppings, dtype=float).reshape(-1, 3)
+        diagonal = np.array(self.potentials, dtype=float).reshape(-1, 2)
+        rows = np.concatenate([bonds[:, :2].ravel(), diagonal[:, 0]]).astype(int)
+        cols = np.concatenate([bonds[:, 1::-1].ravel(), diagonal[:, 0]]).astype(int)
+        values = np.concatenate([np.repeat(-bonds[:, 2], 2), diagonal[:, 1]])
+        keys, last = np.unique((rows * n + cols)[::-1], return_index=True)
+        rows, cols = np.divmod(keys, n)
+        elements = rows, cols, values[::-1][last]
+        for array in elements:
+            array.flags.writeable = False
+        return elements
+
+
+# the types a JSON integer and a JSON number may have (bool aside)
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, np.integer, float, np.floating)
+
 
 def _is_integer(value) -> bool:
     """An integer, but not a bool (JSON's true and false)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, _INTEGERS) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     """An integer or a float, but not a bool."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+    return isinstance(value, _NUMBERS) and not isinstance(value, bool)
+
+
+def _all_of(kinds, values) -> bool:
+    """Whether every one of ``values`` is an instance of ``kinds`` but not a
+    bool, decided from the set of their types."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, values)))
+
+
+def _indices(column) -> np.ndarray:
+    """A column of integers as int64, or as Python ints where one exceeds it."""
+    fits = not column or (-2**63 <= min(column) and max(column) < 2**63)
+    return np.array(column, dtype=np.int64 if fits else object)
+
+
+def _float(value) -> float:
+    """``float(value)``, but infinite for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _floats(column) -> np.ndarray:
+    """A column of numbers as float64; an integer beyond the float range
+    reads as infinite, and so fails as non-finite."""
+    try:
+        return np.array(column, dtype=float)
+    except OverflowError:
+        return np.array(list(map(_float, column)))
+
+
+def _first(flags: np.ndarray) -> int:
+    """Index of the first true flag, or the number of flags if none is."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if len(hits) else len(flags)
+
+
+def _check_hoppings(entries, n: int) -> tuple[tuple[int, int, float], ...]:
+    """Hopping tuples of a spec's ``hoppings`` list, checked column-wise.
+
+    Each entry is checked, in this order, for its form ([integer, integer,
+    number]), a self-loop, a site index out of range, a non-finite
+    strength and a pair already given; the first entry that fails names
+    the error, with the first rule it fails.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise GraphSpecError("parse failure: 'hoppings' must be a list")
+    # the form: the columns' types show whether an entry is malformed, and
+    # only then is each entry looked at, to find the first such
+    formed = _all_of((list, tuple), entries) and set(map(len, entries)) <= {3}
+    columns = list(zip(*entries)) if formed and entries else [(), (), ()]
+    malformed = len(entries)
+    if not (formed and _all_of(_INTEGERS, columns[0]) and _all_of(_INTEGERS, columns[1])
+            and _all_of(_NUMBERS, columns[2])):
+        malformed = next((k for k, entry in enumerate(entries) if not (
+            isinstance(entry, (list, tuple)) and len(entry) == 3 and _is_integer(entry[0])
+            and _is_integer(entry[1]) and _is_number(entry[2]))), len(entries))
+        columns = list(zip(*entries[:malformed])) or [(), (), ()]
+    i, j = _indices(columns[0]), _indices(columns[1])
+    strength = _floats(columns[2])
+    rules = (
+        (i == j, "self-loop: hopping ({i}, {j}) is not allowed"),
+        ((i < 0) | (i >= n) | (j < 0) | (j >= n),
+         "site index out of range: hopping ({i}, {j}) with {n} sites"),
+        (~np.isfinite(strength), "parse failure: non-finite hopping strength on ({i}, {j})"),
+    )
+    bad = _first(np.logical_or.reduce([flags for flags, _ in rules]))
+    # every entry before ``bad`` is in range: its pair repeats an earlier
+    # one where a stable sort puts it right after an equal pair
+    lo, hi = np.minimum(i[:bad], j[:bad]), np.maximum(i[:bad], j[:bad])
+    order = np.lexsort((hi, lo))
+    lo_sorted, hi_sorted = lo[order], hi[order]
+    repeated = order[1:][(lo_sorted[1:] == lo_sorted[:-1]) & (hi_sorted[1:] == hi_sorted[:-1])]
+    if len(repeated):
+        k = int(np.min(repeated))
+        raise GraphSpecError(f"duplicate hopping: pair ({lo[k]}, {hi[k]}) appears twice")
+    if bad < len(i):
+        message = next(text for flags, text in rules if flags[bad])
+        raise GraphSpecError(message.format(i=i[bad], j=j[bad], n=n))
+    if malformed < len(entries):
+        raise GraphSpecError(f"parse failure: bad hopping entry {entries[malformed]!r}")
+    return tuple(zip(map(int, columns[0]), map(int, columns[1]), strength.tolist()))
+
+
+def _site_key(raw):
+    """The site of a potential's key (a JSON object key is a string), or
+    None if the key names no integer."""
+    try:
+        site = int(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        return None
+    return site if _is_integer(site) else None
+
+
+def _check_potentials(entries, n: int) -> tuple[tuple[int, float], ...]:
+    """Sorted (site, energy) tuples of a spec's ``potentials`` object,
+    checked column-wise.
+
+    Each entry is checked, in this order, for its form (an integer key and
+    a number), a site out of range and a non-finite energy; the first entry
+    that fails names the error, with the first rule it fails.
+    """
+    if not isinstance(entries, Mapping):
+        raise GraphSpecError("parse failure: 'potentials' must be an object of site: energy")
+    keys, values = list(entries), list(entries.values())
+    try:                                        # JSON object keys are strings
+        sites = list(map(int, keys)) if set(map(type, keys)) <= {str} else None
+    except ValueError:
+        sites = None
+    malformed = len(keys)
+    if sites is None or not _all_of(_NUMBERS, values):
+        sites = list(map(_site_key, keys))
+        malformed = next((k for k, (site, mu) in enumerate(zip(sites, values))
+                          if site is None or not _is_number(mu)), len(keys))
+        sites, values = sites[:malformed], values[:malformed]
+    site, energy = _indices(sites), _floats(values)
+    rules = (
+        ((site < 0) | (site >= n), "site index out of range: potential on site {site}"),
+        (~np.isfinite(energy), "parse failure: non-finite potential on site {site}"),
+    )
+    bad = _first(np.logical_or.reduce([flags for flags, _ in rules]))
+    if bad < len(site):
+        message = next(text for flags, text in rules if flags[bad])
+        raise GraphSpecError(message.format(site=site[bad]))
+    if malformed < len(keys):
+        key = keys[malformed]
+        raise GraphSpecError(f"parse failure: bad potential entry {key!r}: {entries[key]!r}")
+    return tuple(sorted(zip(sites, energy.tolist())))
 
 
 def build_graph(spec: Mapping) -> LatticeGraph:
@@ -76,14 +235,16 @@ def build_graph(spec: Mapping) -> LatticeGraph:
     with 0-based indices and energies in units of a reference hopping.
     ``sites`` and the site indices of a hopping are integers, strengths
     and potentials are numbers (a bool is neither), and no other key is
-    allowed; the partition is read by ``parse_graph_file``.
+    allowed; the partition is read by ``parse_graph_file``.  The entries
+    are checked column by column, with numpy; only a failure looks at
+    single entries.
 
     Raises
     ------
     GraphSpecError
         On a missing, unknown or ill-typed field, a self-loop, a duplicate
         hopping or an out-of-range site index; the message names the
-        offending entry.
+        first offending entry.
     """
     if not isinstance(spec, Mapping):
         raise GraphSpecError("parse failure: graph spec must be a JSON object")
@@ -96,47 +257,9 @@ def build_graph(spec: Mapping) -> LatticeGraph:
     n = int(n)
     if n < 1:
         raise GraphSpecError(f"parse failure: 'sites' must be positive, got {n}")
-
-    entries = spec.get("hoppings", [])
-    if not isinstance(entries, (list, tuple)):
-        raise GraphSpecError("parse failure: 'hoppings' must be a list")
-    hoppings: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for entry in entries:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and _is_integer(entry[0])
-                and _is_integer(entry[1]) and _is_number(entry[2])):
-            raise GraphSpecError(f"parse failure: bad hopping entry {entry!r}")
-        i, j, strength = int(entry[0]), int(entry[1]), float(entry[2])
-        if i == j:
-            raise GraphSpecError(f"self-loop: hopping ({i}, {j}) is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphSpecError(f"site index out of range: hopping ({i}, {j}) with {n} sites")
-        if not math.isfinite(strength):
-            raise GraphSpecError(f"parse failure: non-finite hopping strength on ({i}, {j})")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphSpecError(f"duplicate hopping: pair ({key[0]}, {key[1]}) appears twice")
-        seen.add(key)
-        hoppings.append((i, j, strength))
-
-    entries = spec.get("potentials", {})
-    if not isinstance(entries, Mapping):
-        raise GraphSpecError("parse failure: 'potentials' must be an object of site: energy")
-    potentials: list[tuple[int, float]] = []
-    for raw_site, mu in entries.items():
-        try:                                    # JSON object keys are strings
-            site = int(raw_site) if isinstance(raw_site, str) else raw_site
-        except ValueError:
-            site = None
-        if not (_is_integer(site) and _is_number(mu)):
-            raise GraphSpecError(f"parse failure: bad potential entry {raw_site!r}: {mu!r}")
-        site, value = int(site), float(mu)
-        if not 0 <= site < n:
-            raise GraphSpecError(f"site index out of range: potential on site {site}")
-        if not math.isfinite(value):
-            raise GraphSpecError(f"parse failure: non-finite potential on site {site}")
-        potentials.append((site, value))
-    return LatticeGraph(n, tuple(hoppings), tuple(sorted(potentials)))
+    hoppings = _check_hoppings(spec.get("hoppings", []), n)
+    potentials = _check_potentials(spec.get("potentials", {}), n)
+    return LatticeGraph(n, hoppings, potentials)
 
 
 def parse_graph_file(path) -> tuple[LatticeGraph, "Partition | None"]:
@@ -161,7 +284,7 @@ def parse_graph_file(path) -> tuple[LatticeGraph, "Partition | None"]:
     partition = None
     if "partition" in spec:
         assignment = spec["partition"]
-        if not (isinstance(assignment, list) and all(map(_is_integer, assignment))):
+        if not (isinstance(assignment, list) and _all_of(_INTEGERS, assignment)):
             raise GraphSpecError("parse failure: 'partition' must be a list of integer labels")
         partition = Partition(graph, tuple(assignment))
     return graph, partition
@@ -187,29 +310,30 @@ class Partition:
                 f"graph has {self.graph.site_count}"
             )
 
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """``assignment`` as a read-only array."""
+        labels = np.array(self.assignment, dtype=np.int64)
+        labels.flags.writeable = False
+        return labels
+
     def subgraph_indices(self) -> list[int]:
         return sorted(set(self.assignment))
 
     def sites_of(self, l: int) -> list[int]:
-        return [i for i, lab in enumerate(self.assignment) if lab == l]
+        return np.flatnonzero(self.labels == l).tolist()
 
     def couplings(self) -> list[tuple[int, int, float]]:
         """Hoppings whose endpoints lie in different subgraphs."""
-        return [
-            (i, j, s)
-            for i, j, s in self.graph.hoppings
-            if self.assignment[i] != self.assignment[j]
-        ]
+        ends = np.array(self.graph.hoppings, dtype=float).reshape(-1, 3)[:, :2].astype(int)
+        cut = self.labels[ends[:, 0]] != self.labels[ends[:, 1]]
+        return [self.graph.hoppings[k] for k in np.flatnonzero(cut).tolist()]
 
     def joint_sites(self, l: int) -> set[int]:
         """Sites of subgraph ``l`` that couple to another subgraph."""
-        joints = set()
-        for i, j, _ in self.couplings():
-            if self.assignment[i] == l:
-                joints.add(i)
-            if self.assignment[j] == l:
-                joints.add(j)
-        return joints
+        rows, cols, _ = self.graph.elements
+        joint = (self.labels[rows] == l) & (self.labels[cols] != l)
+        return set(rows[joint].tolist())
 
 
 def assemble_hamiltonian(graph: LatticeGraph) -> np.ndarray:
@@ -231,15 +355,14 @@ def assemble_hamiltonian(graph: LatticeGraph) -> np.ndarray:
 def subgraph_hamiltonian(
     graph: LatticeGraph, partition: Partition, l: int
 ) -> tuple[np.ndarray, list[int]]:
-    """Hamiltonian block of subgraph ``l`` and its (sorted) global sites."""
-    sites = partition.sites_of(l)
-    pos = {s: idx for idx, s in enumerate(sites)}
+    """Hamiltonian block of subgraph ``l`` and its (sorted) global sites,
+    bitwise the rows and columns of ``assemble_hamiltonian(graph)`` at
+    those sites, taken from the graph's stored elements."""
+    sites = np.flatnonzero(partition.labels == l)
+    local = np.full(graph.site_count, -1)
+    local[sites] = np.arange(len(sites))
+    rows, cols, values = graph.elements
+    inside = (local[rows] >= 0) & (local[cols] >= 0)
     h = np.zeros((len(sites), len(sites)))
-    for i, j, s in graph.hoppings:
-        if i in pos and j in pos:
-            h[pos[i], pos[j]] = -s
-            h[pos[j], pos[i]] = -s
-    for i, mu in graph.potentials:
-        if i in pos:
-            h[pos[i], pos[i]] = mu
-    return h, sites
+    h[local[rows[inside]], local[cols[inside]]] = values[inside]
+    return h, sites.tolist()

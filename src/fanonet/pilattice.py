@@ -13,12 +13,13 @@ matrix, and general-graph code never has to special-case this family.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import GraphSpecError, LatticeGraph, Partition
 
-__all__ = ["PiLatticeSpec", "PiLattice", "build_pi_lattice"]
+__all__ = ["PiLatticeSpec", "PiLattice", "SiteNames", "build_pi_lattice"]
 
 LEFT_LEAD, CENTRAL, RIGHT_LEAD = 0, 1, 2
 
@@ -62,17 +63,61 @@ class PiLatticeSpec:
         return self.central_size + 2 * self.leads
 
 
+class SiteNames(Mapping):
+    """Read-only map from site names to flat site indices, each index
+    computed from its name on lookup, so no name is formatted until it is
+    asked for.
+
+    The names are "c{1-leads}".."c{0}" (left lead, outermost first),
+    "a{n0}".."a1", "c1".."c{length}", "b1".."b{n0}" and
+    "c{length+1}".."c{length+leads}" (right lead), iterated in that order,
+    which is flat site order.
+    """
+
+    def __init__(self, spec: PiLatticeSpec):
+        self._spec = spec
+
+    def __getitem__(self, name) -> int:
+        n0, length, m = self._spec.n0, self._spec.length, self._spec.leads
+        if not isinstance(name, str) or name[:1] not in ("a", "b", "c"):
+            raise KeyError(name)
+        try:
+            k = int(name[1:])
+        except ValueError:
+            raise KeyError(name) from None
+        if f"{name[0]}{k}" == name:             # "c-2" and "a1", not "c+1" or "a01"
+            if name[0] == "a" and 1 <= k <= n0:
+                return m + n0 - k
+            if name[0] == "b" and 1 <= k <= n0:
+                return m + n0 + length + k - 1
+            if name[0] == "c" and 1 - m <= k <= length + m:
+                # the side chain a sits before c_1, and b after c_length
+                return m + k - 1 + n0 * ((k >= 1) + (k > length))
+        raise KeyError(name)
+
+    def __iter__(self) -> Iterator[str]:
+        n0, length, m = self._spec.n0, self._spec.length, self._spec.leads
+        yield from (f"c{k}" for k in range(1 - m, 1))
+        yield from (f"a{k}" for k in range(n0, 0, -1))
+        yield from (f"c{k}" for k in range(1, length + 1))
+        yield from (f"b{k}" for k in range(1, n0 + 1))
+        yield from (f"c{k}" for k in range(length + 1, length + m + 1))
+
+    def __len__(self) -> int:
+        return self._spec.site_count
+
+
 class PiLattice(NamedTuple):
     """Built lattice: graph, three-way partition, the site-name map and the
     spec it was built from.
 
     ``site_index`` maps names "a1".."a{n0}", "b1".."b{n0}" and
-    "c{1-leads}".."c{length+leads}" to flat site indices.
+    "c{1-leads}".."c{length+leads}" to flat site indices (``SiteNames``).
     """
 
     graph: LatticeGraph
     partition: Partition
-    site_index: dict[str, int]
+    site_index: SiteNames
     spec: PiLatticeSpec
 
     @property
@@ -94,24 +139,11 @@ class PiLattice(NamedTuple):
 
 def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
     """Construct the lattice graph, its lead/central/lead partition and the
-    name map.  The central subgraph's joint sites are c_1 and c_length."""
+    name map.  The central subgraph's joint sites are c_1 and c_length.
+    Site c_j of the host chain is flat site leads + n0 + j - 1 for
+    1 <= j <= length."""
     n0, length, m = spec.n0, spec.length, spec.leads
     lam = spec.central_size
-
-    site_index: dict[str, int] = {}
-    # left lead: c_{1-m} .. c_0
-    for s in range(m):
-        site_index[f"c{1 - m + s}"] = s
-    # central chain: a_{n0}..a_1, c_1..c_length, b_1..b_{n0}
-    for i in range(n0):
-        site_index[f"a{n0 - i}"] = m + i
-    for j in range(1, length + 1):
-        site_index[f"c{j}"] = m + n0 + j - 1
-    for i in range(n0):
-        site_index[f"b{i + 1}"] = m + n0 + length + i
-    # right lead: c_{length+1} .. c_{length+m}
-    for s in range(m):
-        site_index[f"c{length + 1 + s}"] = m + lam + s
 
     hoppings: list[tuple[int, int, float]] = []
     # bonds along the central chain; host-chain bonds carry kappa, the side
@@ -124,9 +156,9 @@ def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
         hoppings.append((s, s + 1, spec.kappa))
         hoppings.append((m + lam + s, m + lam + s + 1, spec.kappa))
     if m > 0:
-        hoppings.append((m - 1, site_index["c1"], spec.kappa))
-        hoppings.append((site_index[f"c{length}"], m + lam, spec.kappa))
+        hoppings.append((m - 1, m + n0, spec.kappa))                 # c0 - c1
+        hoppings.append((m + n0 + length - 1, m + lam, spec.kappa))  # c_length - c_{length+1}
 
     graph = LatticeGraph(spec.site_count, tuple(hoppings))
     partition = Partition(graph, tuple([LEFT_LEAD] * m + [CENTRAL] * lam + [RIGHT_LEAD] * m))
-    return PiLattice(graph, partition, site_index, spec)
+    return PiLattice(graph, partition, SiteNames(spec), spec)

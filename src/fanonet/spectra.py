@@ -5,7 +5,11 @@ feels the inter-subgraph couplings, so its zero-padded embedding is an
 exact eigenvector of the full network: the particle stays in the subgraph
 forever.  ``find_trapping_modes`` certifies all such modes, handling
 degenerate eigenspaces through a null-space criterion instead of the
-basis-dependent per-vector node test.
+basis-dependent per-vector node test.  It builds no N x N matrix: the
+subgraph block, its couplings and each certificate's residual come from
+the graph's bond list.  ``verify_trapping`` rechecks a residual on the
+dense Hamiltonian, and ``residual_rounding_bound`` says how far rounding
+lets the two lie apart.
 
 A graph equal to its mirror image splits its Hamiltonian into an even
 and an odd block of half the size; ``mirror_blocks`` folds them straight
@@ -35,6 +39,7 @@ __all__ = [
     "open_chain_modes",
     "find_trapping_modes",
     "verify_trapping",
+    "residual_rounding_bound",
 ]
 
 DEFAULT_SIZE_CAP = 4096
@@ -44,6 +49,8 @@ NODE_TOL = 1e-9
 # energies closer than this (times ||H||_inf) form one degeneracy group
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
+# numbers per array in a block of certificate residuals
+RESIDUAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ class TrappingCertificate:
 
     ``vector`` lives on the full graph and is zero outside subgraph
     ``subgraph``; ``residual`` is ||H psi - E psi||_inf on the full
-    Hamiltonian.
+    Hamiltonian, summed from its bond list.
     """
 
     subgraph: int
@@ -146,16 +153,8 @@ def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
     checked on the bond list.
     """
     n, half = graph.site_count, graph.site_count // 2
-    # H[i, j] and H[j, i] of each bond, then the diagonal, in the order in
-    # which assemble_hamiltonian writes them: a later write to an element wins
-    bonds = np.array(graph.hoppings, dtype=float).reshape(-1, 3)
-    diagonal = np.array(graph.potentials, dtype=float).reshape(-1, 2)
-    rows = np.concatenate([bonds[:, :2].ravel(), diagonal[:, 0]]).astype(int)
-    cols = np.concatenate([bonds[:, 1::-1].ravel(), diagonal[:, 0]]).astype(int)
-    values = np.concatenate([np.repeat(-bonds[:, 2], 2), diagonal[:, 1]])
-    keys, last = np.unique((rows * n + cols)[::-1], return_index=True)
-    values = values[::-1][last]
-    rows, cols = np.divmod(keys, n)
+    rows, cols, values = graph.elements
+    keys = rows * n + cols
     # H equals its mirror image when each element equals the element at
     # (N-1-i, N-1-j), an absent one reading 0
     mirrored = (n - 1 - rows) * n + (n - 1 - cols)
@@ -246,16 +245,44 @@ def open_chain_modes(size: int, kappa: float = 1.0) -> list[EigenMode]:
     return [open_chain_mode(size, n, kappa) for n in range(1, size + 1)]
 
 
-def _energy_groups(energies: np.ndarray, scale: float) -> list[slice]:
-    """Slices of ascending ``energies`` whose members lie within tolerance."""
-    tol = DEGENERACY_TOL * scale
-    groups = []
-    start = 0
-    for i in range(1, len(energies) + 1):
-        if i == len(energies) or energies[i] - energies[i - 1] > tol:
-            groups.append(slice(start, i))
-            start = i
-    return groups
+def _energy_groups(energies: np.ndarray, scale: float) -> np.ndarray:
+    """Edges of the groups of ascending ``energies`` whose neighbours lie
+    within tolerance: group g is ``energies[edges[g]:edges[g + 1]]``."""
+    breaks = np.flatnonzero(np.diff(energies) > DEGENERACY_TOL * scale) + 1
+    return np.concatenate(([0], breaks, [len(energies)]))
+
+
+def _residuals(graph: LatticeGraph, local: np.ndarray, energies: list[float],
+               units: list[np.ndarray]) -> np.ndarray:
+    """||H psi - E psi||_inf of each certificate (E, psi), from the graph's
+    stored elements: psi is ``units[k]`` on the sites with ``local >= 0``
+    (at those positions) and 0 elsewhere.
+
+    Only the rows that psi reaches are formed: each one of a site of the
+    subgraph or of an outside neighbour.  Every other row of H psi - E psi
+    is exactly 0.  The certificates go in column blocks, so that no array
+    holds more than RESIDUAL_BLOCK numbers (or one column, if one alone
+    needs more), whatever their count.
+    """
+    rows, cols, values = graph.elements
+    reach = local[cols] >= 0
+    rows, cols, values = rows[reach], local[cols[reach]], values[reach]
+    # the elements are row-major: each reached row is one run of them
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    at = local[rows[starts]]                   # -1 for an outside neighbour
+    inner = at >= 0
+    width = max(1, RESIDUAL_BLOCK // max(len(values), len(units[0])))
+    residuals = []
+    for first in range(0, len(units), width):
+        psi = np.column_stack(units[first:first + width])
+        h_psi = np.add.reduceat(values[:, None] * psi[cols], starts, axis=0)
+        # -E psi on every site of the subgraph, plus H psi where H has
+        # elements in a column of the subgraph
+        diff = -np.asarray(energies[first:first + width]) * psi
+        diff[at[inner]] += h_psi[inner]
+        residuals.append(np.maximum(np.max(np.abs(diff), axis=0),
+                                    np.max(np.abs(h_psi[~inner]), axis=0, initial=0.0)))
+    return np.concatenate(residuals)
 
 
 def find_trapping_modes(
@@ -272,31 +299,44 @@ def find_trapping_modes(
     Within a degenerate eigenspace the criterion becomes a null-space
     problem over the eigenbasis combinations, solved per energy group.
     With no couplings at all, every eigenmode is vacuously trapped.
+
+    The subgraph block, the coupling rows and each certificate's residual
+    come from masks over the graph's stored elements (no N x N matrix is
+    built), and one product of the couplings with all eigenvectors decides
+    every one-column group whose leak is far above node tolerance.
     """
-    sites = partition.sites_of(l)
+    h_l, sites = subgraph_hamiltonian(graph, partition, l)
     if not sites:
         raise ValueError(f"subgraph {l} is empty")
-    h_l, sites = subgraph_hamiltonian(graph, partition, l)
-    local = {s: i for i, s in enumerate(sites)}
-
-    # one row per outside neighbor site: the coupling weights into l
-    rows: dict[int, np.ndarray] = {}
-    for i, j, s in partition.couplings():
-        inner, outer = (i, j) if partition.assignment[i] == l else (j, i)
-        if partition.assignment[inner] != l:
-            continue
-        rows.setdefault(outer, np.zeros(len(sites)))[local[inner]] = s
-    coupling = np.array([rows[m] for m in sorted(rows)]) if rows else None
-    coupling_peak = np.max(np.abs(coupling)) if rows else None
+    local = np.full(graph.site_count, -1)
+    local[sites] = np.arange(len(sites))
+    # one row per outside neighbor site, ascending: the coupling weights
+    # (-H) from it into l
+    rows, cols, values = graph.elements
+    edge = (local[cols] >= 0) & (local[rows] < 0)
+    outer, row = np.unique(rows[edge], return_inverse=True)
+    coupling = np.zeros((len(outer), len(sites)))
+    coupling[row, local[cols[edge]]] = -values[edge]
 
     energies, vectors = diagonalize(h_l)
     scale = np.linalg.norm(h_l, np.inf)
-    h_full = None                       # the whole network, once a mode is trapped
+    edges = _energy_groups(energies, scale)
+    groups = range(len(edges) - 1)
+    if len(outer):
+        coupling_peak = np.max(np.abs(coupling))
+        # the one-column groups that the loop below would skip, found from
+        # one product of all eigenvectors: a column's leak there differs
+        # from the group's own product by rounding alone, so its SVD, with
+        # singular value >= that peak > 2*tol - rounding > tol, keeps nothing
+        peak = np.max(np.abs(coupling @ vectors), axis=0)[edges[:-1]]
+        skip = (np.diff(edges) == 1) & (peak > 2.0 * NODE_TOL * np.maximum(peak, coupling_peak))
+        groups = np.flatnonzero(~skip).tolist()
 
-    certificates = []
-    for group in _energy_groups(energies, scale):
+    found_energies, units = [], []
+    for g in groups:
+        group = slice(edges[g], edges[g + 1])
         basis = vectors[:, group]              # (n_l, d)
-        if coupling is not None:
+        if len(outer):
             leak = coupling @ basis            # (n_outside, d)
             peak = np.max(np.abs(leak))
             tol = NODE_TOL * max(peak, coupling_peak)
@@ -317,13 +357,18 @@ def find_trapping_modes(
         else:
             trapped = [basis[:, i] for i in range(basis.shape[1])]
         energy = float(np.mean(energies[group]))
-        if trapped and h_full is None:
-            h_full = assemble_hamiltonian(graph)
         for vec in trapped:
-            full = np.zeros(graph.site_count)
-            full[sites] = vec / np.linalg.norm(vec)
-            residual = float(np.max(np.abs(h_full @ full - energy * full)))
-            certificates.append(TrappingCertificate(l, energy, full, residual))
+            found_energies.append(energy)
+            units.append(vec / np.linalg.norm(vec))
+    if not units:
+        return []
+
+    certificates = []
+    residuals = _residuals(graph, local, found_energies, units)
+    for energy, unit, residual in zip(found_energies, units, residuals.tolist()):
+        full = np.zeros(graph.site_count)
+        full[sites] = unit
+        certificates.append(TrappingCertificate(l, energy, full, residual))
     return certificates
 
 
@@ -337,3 +382,24 @@ def verify_trapping(graph: LatticeGraph, certificate: TrappingCertificate) -> fl
         )
     h = assemble_hamiltonian(graph)
     return float(np.max(np.abs(h @ certificate.vector - certificate.energy * certificate.vector)))
+
+
+def residual_rounding_bound(graph: LatticeGraph, certificate: TrappingCertificate) -> float:
+    """How far rounding lets a certificate's residual and the dense one of
+    ``verify_trapping`` lie apart, for they sum the same terms of each row
+    of H psi - E psi in different orders.
+
+    Row i sums at most d + 2 products: H_ij psi_j over the row's diagonal
+    and its off-diagonal elements, at most d (the largest degree), and
+    -E psi_i.  Each evaluation lies within gamma_{d+2} S_i of the exact row,
+    with S_i = sum_j |H_ij| |psi_j| + |E| |psi_i|, gamma_k = k u / (1 - k u)
+    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1).  So the two lie within 2 gamma_{d+2} S_i of
+    each other on each row, and their largest |row| no further apart than
+    on the worst row.  Dense, like ``verify_trapping``: O(N^2).
+    """
+    h = assemble_hamiltonian(graph)
+    degree = int(np.max(np.count_nonzero(h - np.diag(np.diag(h)), axis=1)))
+    k = (degree + 2) * 2.0**-53
+    psi = np.abs(certificate.vector)
+    return 2.0 * k / (1.0 - k) * float(np.max(np.abs(h) @ psi + abs(certificate.energy) * psi))

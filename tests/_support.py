@@ -136,7 +136,8 @@ def reference_trapping_modes(graph, partition, l):
     h_full = assemble_hamiltonian(graph)
 
     certificates = []
-    for group in _energy_groups(energies, scale):
+    edges = _energy_groups(energies, scale)
+    for group in map(slice, edges[:-1], edges[1:]):
         basis = vectors[:, group]
         energy = float(np.mean(energies[group]))
         if coupling is not None:

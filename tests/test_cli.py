@@ -14,11 +14,12 @@ from fanonet import (
     assemble_hamiltonian,
     build_pi_lattice,
     classify_decay,
+    find_trapping_modes,
     safe_horizon,
     subgraph_hamiltonian,
 )
 from fanonet import cli
-from fanonet.cli import _json_text, main
+from fanonet.cli import _json_list_chunks, _json_text, main
 
 
 def pi_graph_file(tmp_path, n0, length, leads, name="graph.json"):
@@ -67,6 +68,37 @@ def test_trap_disconnected_partition_warns(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["trap", str(path), "--subgraph", "0"]) == 0
     assert "vacuously" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n0, length, leads, subgraph, found", [
+    (1, 3, 2, 0, 0),      # a lead traps nothing: exit 3, an empty list
+    (1, 3, 2, 1, 1),
+    (3, 5, 8, 1, 3),
+    (11, 13, 4, 1, 11),
+])
+def test_trap_out_is_streamed_with_the_bytes_of_one_json_text(tmp_path, monkeypatch, n0, length,
+                                                               leads, subgraph, found):
+    # trap --out writes its list one certificate at a time, and the file
+    # holds exactly the bytes of the whole list's _json_text and a newline
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, leads=leads))
+    certificates = find_trapping_modes(lattice.graph, lattice.partition, subgraph)
+    expected = _json_text([c.to_json_dict() for c in certificates]) + "\n"
+    seen = []
+
+    def spy(value, *args):
+        seen.append(value)
+        return _json_text(value, *args)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    path = pi_graph_file(tmp_path, n0, length, leads)
+    out = tmp_path / "certs.json"
+    code = main(["trap", str(path), "--subgraph", str(subgraph), "--out", str(out)])
+    assert code == (cli.EXIT_OK if found else cli.EXIT_EMPTY)
+    assert len(certificates) == found
+    assert out.read_bytes() == expected.encode()
+    # no call wrote the list of certificates as one value
+    assert not any(isinstance(value, list) and value and isinstance(value[0], dict)
+                   for value in seen)
 
 
 def test_trap_malformed_json_exits_two(tmp_path, capsys):
@@ -441,6 +473,12 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=200)
 def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@given(st.lists(_PAYLOADS, max_size=5))
+@settings(max_examples=100)
+def test_json_list_chunks_join_to_the_text_of_the_list(items):
+    assert "".join(_json_list_chunks(iter(items))) == _json_text(items) + "\n"
 
 
 @pytest.mark.parametrize("value", [

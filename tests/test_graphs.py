@@ -51,6 +51,60 @@ def test_parse_failure_rejected():
         build_graph({"sites": 2, "hoppings": [[0, 1, float("nan")]]})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("hoppings, potentials, message", [
+    ([[0, 1, 1.0], [2, 2, 1.0], [0, 9, 1.0], [1, 0, 1.0]], {},
+     "self-loop: hopping (2, 2) is not allowed"),
+    ([[0, 1, 1.0], [1, 0, 1.0], [2, 2, 1.0], [0, 9, 1.0]], {},
+     "duplicate hopping: pair (0, 1) appears twice"),
+    ([[0, 1, 1.0], [0, 1, 2.0], [0, 7, 1.0]], {},
+     "duplicate hopping: pair (0, 1) appears twice"),
+    ([[0, 1, 1.0], [1, 2, INF], [2, 1, 1.0]], {},
+     "parse failure: non-finite hopping strength on (1, 2)"),
+    ([[0, 1, NAN], [0, "x", 1.0]], {},
+     "parse failure: non-finite hopping strength on (0, 1)"),
+    ([[0, 9, 1.0], [3, 3, 1.0], [0, 1]], {},
+     "site index out of range: hopping (0, 9) with 4 sites"),
+    ([[5, 5, 1.0], [0, 9, 1.0]], {}, "self-loop: hopping (5, 5) is not allowed"),
+    ([[0, 1, 1.0], [1, "2", 1.0], [3, 3, 1.0]], {},
+     "parse failure: bad hopping entry [1, '2', 1.0]"),
+    ([[0, 1, 1.0], [1, 2, 1.0, 0.0], [1, 0, 1.0]], {},
+     "parse failure: bad hopping entry [1, 2, 1.0, 0.0]"),
+    ([[2**70, 1, 1.0], [3, 3, 1.0]], {},
+     "site index out of range: hopping (1180591620717411303424, 1) with 4 sites"),
+    ([[0, 1, 1.0], [1, 2, -10**400]], {},
+     "parse failure: non-finite hopping strength on (1, 2)"),
+    ([[0, 1, 1.0]], {"0": 0.1, "9": NAN, "x": 1.0},
+     "site index out of range: potential on site 9"),
+    ([[0, 1, 1.0]], {"0": NAN, "9": 1.0}, "parse failure: non-finite potential on site 0"),
+    ([[0, 1, 1.0]], {"2": 0.5, "1": True, "9": 0.1},
+     "parse failure: bad potential entry '1': True"),
+    ([[0, 1, 1.0]], {"2": 0.5, "01": 0.1, "1.5": 0.2, "-1": 0.1},
+     "parse failure: bad potential entry '1.5': 0.2"),
+    ([[0, 1, 1.0], [1, 1, 1.0]], {"7": 0.5}, "self-loop: hopping (1, 1) is not allowed"),
+])
+def test_first_offending_entry_is_named(hoppings, potentials, message):
+    # among several bad entries the first one names the error, with the
+    # first rule it breaks: form, self-loop, range, finiteness, repetition
+    with pytest.raises(GraphSpecError) as failure:
+        build_graph({"sites": 4, "hoppings": hoppings, "potentials": potentials})
+    assert str(failure.value) == message
+
+
+def test_checked_entries_keep_their_python_types():
+    # a JSON integer strength becomes a float, an index stays an int, and
+    # the potentials are sorted by site
+    graph = build_graph({"sites": 3, "hoppings": [[2, 0, 1], [0, 1, 0.5]],
+                         "potentials": {"2": -1, "0": 0.25}})
+    assert graph.hoppings == ((2, 0, 1.0), (0, 1, 0.5))
+    assert graph.potentials == ((0, 0.25), (2, -1.0))
+    assert {type(v) for bond in graph.hoppings for v in bond[:2]} == {int}
+    assert {type(bond[2]) for bond in graph.hoppings} == {float}
+    assert [tuple(map(type, p)) for p in graph.potentials] == [(int, float)] * 2
+
+
 def test_two_subgraph_joints_recovered():
     # two triangle-ish blocks joined through three couplings; the joint set
     # of block 0 must be exactly the coupled endpoints {0, 1, 2}

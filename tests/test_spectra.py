@@ -1,5 +1,7 @@
 """Eigen-decomposition, wave nodes and trapped-mode certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,7 @@ from fanonet import (
     diagonalize,
     find_trapping_modes,
     open_chain_modes,
+    residual_rounding_bound,
     verify_trapping,
 )
 from fanonet import spectra
@@ -188,6 +191,7 @@ def test_verify_trapping_rejects_wrong_size():
 
 
 @given(st.integers(0, 2_000))
+@example(1617)
 @settings(max_examples=40)
 def test_trapping_agrees_with_full_basis_search(seed):
     graph, partition = random_graph(np.random.default_rng(seed))
@@ -293,20 +297,30 @@ def test_certificates_are_bitwise_those_of_the_reference(kind, size, joints, mu,
         assert len(found) == len(reference)
         sites = partition.sites_of(l)
         for cert, ref in zip(found, reference):
-            assert cert.energy.hex() == ref.energy.hex()
-            assert cert.residual.hex() == ref.residual.hex()
-            assert cert.vector.tobytes() == ref.vector.tobytes()
-            # repr tells float from np.float64, int from np.int64 and -0.0 from 0.0
-            assert repr(cert.to_json_dict()) == repr(reference_json_dict(ref))
-            assert repr(cert.support_sites()) == repr(reference_support_sites(ref))
-            assert repr(cert.node_sites(sites)) == repr(reference_node_sites(ref, sites))
+            assert_same_certificate(graph, cert, ref, sites)
 
 
-def test_trap_search_assembles_the_network_only_for_a_trapped_mode(monkeypatch):
-    # a 12-site chain joined at position 5, coprime to 13: no mode has a
-    # node there, so nothing is trapped and no N x N matrix is filled; an
-    # 11-site chain joined at its middle (position 6) traps its 5 even
-    # modes and fills the matrix once
+def assert_same_certificate(graph, cert, ref, sites):
+    """``cert`` is the reference certificate ``ref`` bit for bit, but for
+    its residual, which sums the same terms as the dense one in another
+    order: it lies within their rounding bound of ``verify_trapping``'s."""
+    assert cert.energy.hex() == ref.energy.hex()
+    assert cert.vector.tobytes() == ref.vector.tobytes()
+    assert type(cert.residual) is float
+    assert abs(cert.residual - verify_trapping(graph, ref)) <= residual_rounding_bound(graph, ref)
+    # repr tells float from np.float64, int from np.int64 and -0.0 from 0.0
+    payload, expected = cert.to_json_dict(), reference_json_dict(ref)
+    assert payload.pop("residual") == cert.residual and expected.pop("residual") == ref.residual
+    assert repr(payload) == repr(expected)
+    assert repr(cert.support_sites()) == repr(reference_support_sites(ref))
+    assert repr(cert.node_sites(sites)) == repr(reference_node_sites(ref, sites))
+
+
+def test_trap_search_never_assembles_the_network(monkeypatch):
+    # a 12-site chain joined at position 5, coprime to 13, traps nothing;
+    # an 11-site chain joined at its middle (position 6) traps its 5 even
+    # modes: neither search fills an N x N matrix
+    import fanonet.graphs
     import fanonet.spectra
 
     calls = []
@@ -316,9 +330,71 @@ def test_trap_search_assembles_the_network_only_for_a_trapped_mode(monkeypatch):
         return assemble_hamiltonian(graph)
 
     monkeypatch.setattr(fanonet.spectra, "assemble_hamiltonian", spy)
+    monkeypatch.setattr(fanonet.graphs, "assemble_hamiltonian", spy)
     for size, joint, trapped in ((12, 4, 0), (11, 5, 5)):
-        calls.clear()
         graph, partition = chain_or_ring_network("chain", size, [joint], 0.0, 1.0, 3, 0)
         certificates = find_trapping_modes(graph, partition, 1)
         assert len(certificates) == trapped
-        assert len(calls) == (1 if trapped else 0)
+    assert calls == []
+
+
+def test_trap_search_memory_is_far_below_the_network_matrix():
+    # an 11-site chain, trapping 5 modes, on a 3000-site host: the search
+    # allocates O(N + bonds) memory besides the certificates, not the
+    # 72 MB of one N x N matrix
+    graph, partition = chain_or_ring_network("chain", 11, [5], 0.0, 1.0, 2989, 0)
+    find_trapping_modes(graph, partition, 1)           # caches the graph's elements
+    tracemalloc.start()
+    try:
+        certificates = find_trapping_modes(graph, partition, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certificates) == 5
+    assert peak < 8 * graph.site_count ** 2 // 100
+
+
+def edge_case_network(case, seed):
+    """A random network (``random_graph``) cut to one edge case of the
+    trap search, in subgraph 0:
+
+    no-potentials -- no site carries a potential
+    no-internal   -- no bond joins two sites of the subgraph
+    one-site      -- the subgraph is a single site
+    no-couplings  -- no bond leaves the subgraph
+    """
+    rng = np.random.default_rng(seed)
+    graph, partition = random_graph(rng)
+    labels = list(partition.assignment)
+    if 0 not in labels:
+        labels[int(rng.integers(len(labels)))] = 0
+    if case == "one-site":
+        keep = labels.index(0)
+        labels = [1 if (label == 0 and site != keep) else label
+                  for site, label in enumerate(labels)]
+    inside = [label == 0 for label in labels]
+    hoppings, potentials = graph.hoppings, graph.potentials
+    if case == "no-potentials":
+        potentials = ()
+    elif case == "no-internal":
+        hoppings = tuple(b for b in hoppings if not (inside[b[0]] and inside[b[1]]))
+    elif case == "no-couplings":
+        hoppings = tuple(b for b in hoppings if inside[b[0]] == inside[b[1]])
+    graph = LatticeGraph(graph.site_count, hoppings, potentials)
+    return graph, Partition(graph, tuple(labels))
+
+
+@given(case=st.sampled_from(["no-potentials", "no-internal", "one-site", "no-couplings"]),
+       seed=st.integers(0, 10_000))
+@example(case="one-site", seed=1617)
+@example(case="no-internal", seed=1617)
+@settings(max_examples=120, deadline=None)
+def test_trap_search_edge_cases_match_reference_and_brute_force(case, seed):
+    graph, partition = edge_case_network(case, seed)
+    found = find_trapping_modes(graph, partition, 0)
+    reference = reference_trapping_modes(graph, partition, 0)
+    assert len(found) == len(reference)
+    sites = partition.sites_of(0)
+    for cert, ref in zip(found, reference):
+        assert_same_certificate(graph, cert, ref, sites)
+    assert same_trapped_content(found, brute_force_trapped(graph, partition, 0))
