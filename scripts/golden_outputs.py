@@ -21,7 +21,9 @@ written as ``{dir}`` before anything is hashed, so a message that names an
 input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
 examples, trap runs on a larger network (many certificates, degenerate
-dark states, nothing trapped), the three places a ``--config`` file can
+dark states, nothing trapped), on a complete five-site subgraph (a
+four-fold degenerate group) and on a subgraph whose only coupling has
+strength 0 (every mode trapped), the three places a ``--config`` file can
 be named, unequal hoppings, length 1000, evolve runs in both mirror
 sectors (every mode of an odd central chain, no leads, the side-chain
 edge pairs that eigh cannot split, a long unequal chain mid-spectrum, and
@@ -80,11 +82,24 @@ NETWORK = {
                    **{str(75 + p): 0.3 for p in range(12)}},
     "partition": [0] * 59 + [1] * 16 + [2] * 12,
 }
+# a complete five-site subgraph (0), whose energy 1 is four-fold, coupled
+# at two sites to a three-site chain (1): two combinations of the group
+# vanish on both joints
+COMPLETE = {
+    "sites": 8,
+    "hoppings": ([[i, j, 1.0] for i in range(5) for j in range(i + 1, 5)]
+                 + [[5, 6, 1.0], [6, 7, 1.0], [0, 5, 0.7], [1, 7, 1.2]]),
+    "partition": [0] * 5 + [1] * 3,
+}
+# a dimer (0) whose only bond to the third site has strength 0: nothing
+# leaks, so both of its modes are trapped
+ZERO_COUPLING = {"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 0.0]], "partition": [0, 0, 1]}
 # a --config run; "out" is set below the scratch directory
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
 # files and the directory put in the scratch directory before the runs
-INPUTS = {"graph.json", "network.json", "run.json", "list.json", "unknown_key.json", "bad_type.json",
-          "format_key.json", "float_label.json", "outdir"}
+INPUTS = {"graph.json", "network.json", "complete.json", "zero_coupling.json", "run.json",
+          "list.json", "unknown_key.json", "bad_type.json", "format_key.json",
+          "float_label.json", "outdir"}
 
 # (label, argv); {dir} is the scratch directory
 RUNS = [
@@ -95,6 +110,10 @@ RUNS = [
                                "--out", "{dir}/ring.json"]),
     ("trap-chain-coprime-joint", ["trap", "{dir}/network.json", "--subgraph", "2",
                                   "--out", "{dir}/bare.json"]),
+    ("trap-complete-graph", ["trap", "{dir}/complete.json", "--subgraph", "0",
+                             "--out", "{dir}/complete_out.json"]),
+    ("trap-zero-strength-coupling", ["trap", "{dir}/zero_coupling.json", "--subgraph", "0",
+                                     "--out", "{dir}/zero_out.json"]),
     ("readme-evolve", ["evolve", "--n0", "2", "--len", "4", "--m", "400",
                        "--out", "{dir}/survival.csv"]),
     ("readme-bound", ["bound", "--n0", "3", "--len", "5"]),
@@ -227,6 +246,8 @@ def main():
         scratch = Path(tmp)
         (scratch / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
         (scratch / "network.json").write_text(json.dumps(NETWORK), encoding="utf-8")
+        (scratch / "complete.json").write_text(json.dumps(COMPLETE), encoding="utf-8")
+        (scratch / "zero_coupling.json").write_text(json.dumps(ZERO_COUPLING), encoding="utf-8")
         config = {**CONFIG, "out": str(scratch / "config.csv")}
         (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
         (scratch / "list.json").write_text("[1, 2]", encoding="utf-8")

@@ -28,8 +28,11 @@ and the parity is known by construction.  The roots gamma are bracketed
 on a grid that ends just past the Gershgorin bound on |E|, in four scans
 (the sign of z and s) evaluated at once, and all brackets are bisected
 together by ``sign_change_roots``, which the reflection-zero scan of
-``scattering`` shares.  Every state is checked site by site against the Schrodinger
-equation of the infinite lattice; one that fails raises ArithmeticError.
+``scattering`` shares.  Every state is checked site by site against the
+Schrodinger equation of the infinite lattice; one that fails raises
+ArithmeticError.  Each public function first checks its lattice
+parameters through ``PiLatticeSpec``, whose GraphSpecError names the one
+that no lattice can have.
 
 The isolated central chain is mirror-symmetric too: its mode n (energies
 ascending) lies in sector (-1)^(n-1), so ``long_time_survival`` builds its
@@ -209,6 +212,7 @@ def resonant_bound_states(
     |E| <= 2*kappa; each side chain carries sin(q*i), scaled by its anchor
     equation kappa0*psi(a_1) = -kappa*psi(c_2).
     """
+    PiLatticeSpec(n0, length, kappa, kappa0)
     states = []
     for a in range(1, length - 1):
         k = a * np.pi / (length - 1)
@@ -308,6 +312,7 @@ def evanescent_bound_states(
     gives one state.  A bracket that does not shrink raises
     RootRefinementError, the first in the order of SCANS.
     """
+    PiLatticeSpec(n0, length, kappa, kappa0)
     sign_z, sector = np.array(SCANS).T
 
     def f(gamma, scan):
@@ -350,14 +355,15 @@ def long_time_survival(
     lattice (resonant, then evanescent, as the solvers return them);
     otherwise they are solved here.
     """
-    lam = 2 * n0 + length
+    spec = PiLatticeSpec(n0, length, kappa, kappa0)
+    lam = spec.central_size
     if not 1 <= mode <= lam:
         raise ValueError(f"mode must be in [1, {lam}], got {mode}")
     if kappa == kappa0:                 # the analytic mode, O(lam)
         psi0 = open_chain_mode(lam, mode, kappa).amplitudes
     else:                               # one half-size eigensolve: the mode's sector
         sector, column = mirror_mode(mode)
-        chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
+        chain = build_pi_lattice(spec).graph
         block = mirror_blocks(chain)[0 if sector > 0 else 1]
         psi0 = unfold(diagonalize(block)[1][:, column], sector, lam)
     if states is None:

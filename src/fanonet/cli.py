@@ -251,8 +251,8 @@ def cmd_trap(cfg: RunConfig) -> int:
         )
     if not partition.joint_sites(cfg.subgraph):
         print(
-            f"warning: subgraph {cfg.subgraph} has no couplings to the rest "
-            "of the graph; every eigenmode is vacuously trapped",
+            f"warning: subgraph {cfg.subgraph} has no coupling of nonzero strength "
+            "to the rest of the graph; every eigenmode is vacuously trapped",
             file=sys.stderr,
         )
     certificates = find_trapping_modes(graph, partition, cfg.subgraph)
@@ -349,7 +349,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_bound(cfg: RunConfig) -> int:
     if cfg.n0 is None or cfg.length is None:
         raise GraphSpecError("bound needs --n0 and --len")
-    PiLatticeSpec(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)  # parameter validation
     resonant = resonant_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     evanescent = evanescent_bound_states(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)
     states = resonant + evanescent

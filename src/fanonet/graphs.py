@@ -295,7 +295,8 @@ class Partition:
     """A labeling of sites into subgraphs, with derived joint/coupling data.
 
     ``assignment[i]`` is the subgraph index of site i.  Joint sites of a
-    subgraph are its endpoints of inter-subgraph hoppings; both the joint
+    subgraph are its endpoints of inter-subgraph hoppings of nonzero
+    strength, the ones through which a particle can leave; both the joint
     sets and the coupling list are recomputed from the graph on demand, so
     they can never drift out of sync with the assignment.
     """
@@ -330,9 +331,10 @@ class Partition:
         return [self.graph.hoppings[k] for k in np.flatnonzero(cut).tolist()]
 
     def joint_sites(self, l: int) -> set[int]:
-        """Sites of subgraph ``l`` that couple to another subgraph."""
-        rows, cols, _ = self.graph.elements
-        joint = (self.labels[rows] == l) & (self.labels[cols] != l)
+        """Sites of subgraph ``l`` that couple to another subgraph through
+        a bond of nonzero strength."""
+        rows, cols, values = self.graph.elements
+        joint = (self.labels[rows] == l) & (self.labels[cols] != l) & (values != 0)
         return set(rows[joint].tolist())
 
 

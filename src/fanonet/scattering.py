@@ -44,7 +44,10 @@ of momenta.  ``scattering_point`` runs it on a one-element array, and
 (t, r) and T, so ``transmission_sweep`` equals a loop of any of them bit
 for bit and raises the error that loop would raise first.  The
 reflection-zero scan brackets its roots from one evaluation on the grid
-and bisects all brackets together.
+and bisects all brackets together.  Each public function on the lattice
+parameters first checks them through ``PiLatticeSpec``, whose
+GraphSpecError names the one that no lattice can have; only
+``side_chain_response``, which runs once per bisection step, does not.
 
 ``numeric_scatter_oracle`` is a fully independent check: it solves the
 Schrodinger system of the truncated lattice with plane-wave boundary rows
@@ -263,6 +266,7 @@ def scattering_point(
     forms has passed.  It runs the array evaluation on a one-element array:
     numpy rounds products and powers of scalars differently from its array
     loops."""
+    PiLatticeSpec(n0, length, kappa, kappa0)
     ev = _evaluate(np.array([k], dtype=float), n0, length, kappa, kappa0)
     ev.raise_first()
     return ScatteringPoint(
@@ -298,6 +302,7 @@ def transmission_sweep(
     run the same array evaluation.  The sweep raises the error that a loop
     of scattering_point calls would raise first.
     """
+    PiLatticeSpec(n0, length, kappa, kappa0)
     k = np.asarray(k, dtype=float)
     ev = _evaluate(k.ravel(), n0, length, kappa, kappa0)
     ev.raise_first()
@@ -344,6 +349,8 @@ def l_dependent_reflection_zeros(
     too: a bound state in the continuum, where T -> 0 instead; T > 1/2
     tells the two apart.
     """
+    PiLatticeSpec(n0, length, kappa, kappa0)
+
     def objective(k, scan=None):
         return np.sin(k * (length - 1) - _phase_shift(k, n0, kappa, kappa0))
 
@@ -516,6 +523,8 @@ def peak_dip_report(
     two lengths' l_dependent_reflection_zeros when the caller has them
     already; otherwise they are computed here.
     """
+    for length in (length_a, length_b):
+        PiLatticeSpec(n0, length, kappa, kappa0)
     dips = common_zeros(n0, kappa, kappa0).k_min
     if zeros is None:
         zeros = (l_dependent_reflection_zeros(n0, length_a, kappa, kappa0),

@@ -3,13 +3,14 @@
 A subgraph eigenmode whose amplitude vanishes on every joint site never
 feels the inter-subgraph couplings, so its zero-padded embedding is an
 exact eigenvector of the full network: the particle stays in the subgraph
-forever.  ``find_trapping_modes`` certifies all such modes, handling
-degenerate eigenspaces through a null-space criterion instead of the
-basis-dependent per-vector node test.  It builds no N x N matrix: the
-subgraph block, its couplings and each certificate's residual come from
-the graph's bond list.  ``verify_trapping`` rechecks a residual on the
-dense Hamiltonian, and ``residual_rounding_bound`` says how far rounding
-lets the two lie apart.
+forever.  ``find_trapping_modes`` certifies all such modes by one rule
+for every energy group: its trapped modes are the null space of the
+couplings applied to its eigenvectors, which in a degenerate eigenspace
+replaces the basis-dependent per-vector node test.  It builds no N x N
+matrix: the subgraph block, its couplings and each certificate's
+residual come from the graph's bond list.  ``verify_trapping`` rechecks
+a residual on the dense Hamiltonian, and ``residual_rounding_bound`` says
+how far rounding lets the two lie apart.
 
 A graph equal to its mirror image splits its Hamiltonian into an even
 and an odd block of half the size; ``mirror_blocks`` folds them straight
@@ -296,14 +297,16 @@ def find_trapping_modes(
     outside site touches a single joint (every chain-like geometry) this is
     the plain wave-node test - zero amplitude on all joint sites; weighted
     cancellations over several joints are the degenerate "dark state" case.
-    Within a degenerate eigenspace the criterion becomes a null-space
-    problem over the eigenbasis combinations, solved per energy group.
-    With no couplings at all, every eigenmode is vacuously trapped.
+    So one rule decides every energy group: its trapped modes are the null
+    space of its leak, the couplings times its eigenvectors, found by an
+    SVD.  A one-column leak's only singular value is its 2-norm, so the
+    one-column groups are decided by their norms; the wider groups by one
+    stacked SVD per width.  With no coupling of nonzero strength nothing
+    leaks, and every eigenmode is trapped.
 
     The subgraph block, the coupling rows and each certificate's residual
-    come from masks over the graph's stored elements (no N x N matrix is
-    built), and one product of the couplings with all eigenvectors decides
-    every one-column group whose leak is far above node tolerance.
+    come from masks over the graph's stored elements: no N x N matrix is
+    built.
     """
     h_l, sites = subgraph_hamiltonian(graph, partition, l)
     if not sites:
@@ -317,52 +320,41 @@ def find_trapping_modes(
     outer, row = np.unique(rows[edge], return_inverse=True)
     coupling = np.zeros((len(outer), len(sites)))
     coupling[row, local[cols[edge]]] = -values[edge]
+    coupling_peak = np.max(np.abs(coupling), initial=0.0)
 
     energies, vectors = diagonalize(h_l)
-    scale = np.linalg.norm(h_l, np.inf)
-    edges = _energy_groups(energies, scale)
-    groups = range(len(edges) - 1)
-    if len(outer):
-        coupling_peak = np.max(np.abs(coupling))
-        # the one-column groups that the loop below would skip, found from
-        # one product of all eigenvectors: a column's leak there differs
-        # from the group's own product by rounding alone, so its SVD, with
-        # singular value >= that peak > 2*tol - rounding > tol, keeps nothing
-        peak = np.max(np.abs(coupling @ vectors), axis=0)[edges[:-1]]
-        skip = (np.diff(edges) == 1) & (peak > 2.0 * NODE_TOL * np.maximum(peak, coupling_peak))
-        groups = np.flatnonzero(~skip).tolist()
-
-    found_energies, units = [], []
-    for g in groups:
-        group = slice(edges[g], edges[g + 1])
-        basis = vectors[:, group]              # (n_l, d)
-        if len(outer):
-            leak = coupling @ basis            # (n_outside, d)
-            peak = np.max(np.abs(leak))
-            tol = NODE_TOL * max(peak, coupling_peak)
-            # one column: its only singular value is its 2-norm >= peak, so
-            # with peak > 2*tol (the 2 leaves room for the SVD's rounding)
-            # the SVD below would keep nothing
-            if basis.shape[1] == 1 and peak > 2.0 * tol:
-                continue
-            # combinations u with leak @ u = 0: trailing right-singular
-            # vectors whose singular value is below node tolerance
-            _, svals, vh = np.linalg.svd(leak)
-            keep = [
-                vh[r]
-                for r in range(basis.shape[1])
-                if r >= len(svals) or svals[r] < tol
-            ]
-            trapped = [basis @ u for u in keep]
-        else:
-            trapped = [basis[:, i] for i in range(basis.shape[1])]
-        energy = float(np.mean(energies[group]))
-        for vec in trapped:
-            found_energies.append(energy)
-            units.append(vec / np.linalg.norm(vec))
-    if not units:
+    edges = _energy_groups(energies, np.linalg.norm(h_l, np.inf))
+    widths = np.diff(edges)
+    # the groups of each width d at once; each kept combination is filed
+    # under its column, so that sorting the columns restores group order
+    columns, found_energies, trapped = [], [], []
+    for d in np.unique(widths).tolist():
+        starts = edges[:-1][widths == d]
+        index = starts[:, None] + np.arange(d)          # the columns of each group
+        keep = np.ones(index.shape, dtype=bool)         # all of them, if nothing leaks
+        if coupling_peak > 0:
+            if d == 1:                  # a column's right-singular vector is [1.0]
+                leaks = (coupling @ vectors[:, starts]).T[:, :, None]
+                svals, vh = np.linalg.norm(leaks, axis=1), np.ones((len(starts), 1, 1))
+            else:
+                # each group's own product: a stacked one rounds differently
+                leaks = np.stack([coupling @ vectors[:, a:a + d] for a in starts.tolist()])
+                _, svals, vh = np.linalg.svd(leaks)
+            tol = NODE_TOL * np.maximum(np.max(np.abs(leaks), axis=(1, 2)), coupling_peak)
+            # combinations u with leak @ u = 0: the right-singular vectors
+            # whose singular value is below node tolerance, or that have none
+            keep[:, :svals.shape[1]] = svals < tol[:, None]
+        g, r = np.nonzero(keep)
+        columns.append(index[g, r])
+        found_energies.append(np.mean(energies[index], axis=1)[g])
+        trapped += (list(vectors[:, index[g, r]].T) if coupling_peak == 0 else
+                    [vectors[:, a:a + d] @ u for a, u in zip(starts[g].tolist(), vh[g, r])])
+    if not trapped:
         return []
 
+    order = np.argsort(np.concatenate(columns))
+    found_energies = np.concatenate(found_energies)[order].tolist()
+    units = [trapped[k] / np.linalg.norm(trapped[k]) for k in order.tolist()]
     certificates = []
     residuals = _residuals(graph, local, found_energies, units)
     for energy, unit, residual in zip(found_energies, units, residuals.tolist()):

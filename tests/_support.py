@@ -114,9 +114,10 @@ def same_trapped_content(certificates, brute, energy_tol=1e-8):
 
 
 def reference_trapping_modes(graph, partition, l):
-    """``find_trapping_modes`` with an SVD of every energy group's leak,
-    one-column groups included, which the library skips when the SVD can
-    keep nothing there."""
+    """``find_trapping_modes`` one energy group at a time, with an SVD of
+    every group's own leak, one-column groups included, which the library
+    decides by the leak's 2-norm.  With no coupling of nonzero strength
+    every eigenvector is trapped."""
     sites = partition.sites_of(l)
     if not sites:
         raise ValueError(f"subgraph {l} is empty")
@@ -140,7 +141,7 @@ def reference_trapping_modes(graph, partition, l):
     for group in map(slice, edges[:-1], edges[1:]):
         basis = vectors[:, group]
         energy = float(np.mean(energies[group]))
-        if coupling is not None:
+        if coupling is not None and np.max(np.abs(coupling)) > 0:
             leak = coupling @ basis
             _, svals, vh = np.linalg.svd(leak)
             tol = NODE_TOL * max(np.max(np.abs(leak)), np.max(np.abs(coupling)))

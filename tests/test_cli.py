@@ -70,6 +70,20 @@ def test_trap_disconnected_partition_warns(tmp_path, capsys):
     assert "vacuously" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hoppings, found", [
+    ([[0, 1, 1.0], [1, 2, 0.0]], 2),      # a coupling of strength 0: both modes
+    ([[0, 1, 1.0], [1, 2, 0.5]], 0),      # a coupling of strength 0.5: neither
+    ([[0, 1, 1.0], [0, 2, 0.5]], 0),
+])
+def test_trap_warns_exactly_when_every_mode_is_trapped(tmp_path, capsys, hoppings, found):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"sites": 3, "hoppings": hoppings, "partition": [0, 0, 1]}))
+    assert main(["trap", str(path), "--subgraph", "0"]) == (0 if found else 3)
+    out, err = capsys.readouterr()
+    assert f"({found} found)" in out
+    assert ("vacuously" in err) == (found == 2)
+
+
 @pytest.mark.parametrize("n0, length, leads, subgraph, found", [
     (1, 3, 2, 0, 0),      # a lead traps nothing: exit 3, an empty list
     (1, 3, 2, 1, 1),

@@ -123,6 +123,15 @@ def test_two_subgraph_joints_recovered():
     assert len(partition.couplings()) == 3
 
 
+def test_joint_sites_skip_bonds_of_zero_strength():
+    # a bond of strength 0 is stored, but no particle crosses it
+    graph = LatticeGraph(4, ((0, 1, 1.0), (1, 2, 0.0), (0, 3, 0.5)))
+    partition = Partition(graph, (0, 0, 1, 1))
+    assert partition.joint_sites(0) == {0}
+    assert partition.joint_sites(1) == {3}
+    assert len(partition.couplings()) == 2
+
+
 def test_three_site_chain_spectrum():
     graph = build_graph({"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 1.0]]})
     h = assemble_hamiltonian(graph)

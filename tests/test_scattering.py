@@ -1,5 +1,6 @@
 """Analytic transmission, zero structure and the numeric scattering oracle."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,14 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 from fanonet import scattering
 
 from fanonet import (
+    GraphSpecError,
     LatticeGraph,
     Partition,
+    PiLatticeSpec,
     assemble_hamiltonian,
     common_zeros,
+    evanescent_bound_states,
     find_trapping_modes,
     l_dependent_reflection_zeros,
+    long_time_survival,
     numeric_scatter_oracle,
     peak_dip_report,
+    resonant_bound_states,
     scattering_point,
     transmission_amplitude,
     transmission_probability,
@@ -653,3 +659,47 @@ def test_reflection_zeros_at_long_lengths_are_all_found(n0, length, kappa0):
     assert len(roots) == len(expected)
     # both brackets hold the same sign change and are narrower than K_REFINE
     assert np.max(np.abs(roots - expected)) < scattering.K_REFINE
+
+
+PI_LATTICE_FUNCTIONS = {
+    "resonant_bound_states": lambda n0, length, kappa, kappa0:
+        resonant_bound_states(n0, length, kappa, kappa0),
+    "evanescent_bound_states": lambda n0, length, kappa, kappa0:
+        evanescent_bound_states(n0, length, kappa, kappa0),
+    "long_time_survival": lambda n0, length, kappa, kappa0:
+        long_time_survival(n0, length, kappa, kappa0, mode=1),
+    "scattering_point": lambda n0, length, kappa, kappa0:
+        scattering_point(1.0, n0, length, kappa, kappa0),
+    "transmission_amplitude": lambda n0, length, kappa, kappa0:
+        transmission_amplitude(1.0, n0, length, kappa, kappa0),
+    "transmission_probability": lambda n0, length, kappa, kappa0:
+        transmission_probability(1.0, n0, length, kappa, kappa0),
+    "transmission_sweep": lambda n0, length, kappa, kappa0:
+        transmission_sweep(np.array([1.0]), n0, length, kappa, kappa0),
+    "l_dependent_reflection_zeros": lambda n0, length, kappa, kappa0:
+        l_dependent_reflection_zeros(n0, length, kappa, kappa0),
+    "peak_dip_report-first-length": lambda n0, length, kappa, kappa0:
+        peak_dip_report(n0, length, 6, kappa, kappa0),
+    "peak_dip_report-second-length": lambda n0, length, kappa, kappa0:
+        peak_dip_report(n0, 5, length, kappa, kappa0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PI_LATTICE_FUNCTIONS))
+@pytest.mark.parametrize("n0, length, kappa, kappa0", [
+    (0, 5, 1.0, 1.0),
+    (2, 1, 1.0, 1.0),
+    (2, 0, 1.0, 1.0),
+    (2, 4, -1.0, -1.0),
+    (2, 4, 1.0, -1.0),
+    (2, 4, 0.0, 1.0),
+    (2, 4, 1.0, float("nan")),
+    (2, 4, float("inf"), 1.0),
+])
+def test_pi_lattice_functions_reject_what_no_lattice_has(name, n0, length, kappa, kappa0):
+    # each raises the error, and the message, of the lattice's own check,
+    # not a number or an error of its arithmetic
+    with pytest.raises(GraphSpecError) as expected:
+        PiLatticeSpec(n0, length, kappa, kappa0)
+    with pytest.raises(GraphSpecError, match=re.escape(str(expected.value))):
+        PI_LATTICE_FUNCTIONS[name](n0, length, kappa, kappa0)

@@ -16,6 +16,7 @@ from fanonet import (
     find_trapping_modes,
     open_chain_modes,
     residual_rounding_bound,
+    subgraph_hamiltonian,
     verify_trapping,
 )
 from fanonet import spectra
@@ -391,10 +392,89 @@ def edge_case_network(case, seed):
 @settings(max_examples=120, deadline=None)
 def test_trap_search_edge_cases_match_reference_and_brute_force(case, seed):
     graph, partition = edge_case_network(case, seed)
-    found = find_trapping_modes(graph, partition, 0)
-    reference = reference_trapping_modes(graph, partition, 0)
+    matches_reference_and_brute_force(graph, partition, 0)
+
+
+def matches_reference_and_brute_force(graph, partition, l):
+    """The certificates of subgraph ``l``, after asserting that each is the
+    reference certificate bit for bit and that they span the trapped space
+    found from the full eigenbasis."""
+    found = find_trapping_modes(graph, partition, l)
+    reference = reference_trapping_modes(graph, partition, l)
     assert len(found) == len(reference)
-    sites = partition.sites_of(0)
     for cert, ref in zip(found, reference):
-        assert_same_certificate(graph, cert, ref, sites)
-    assert same_trapped_content(found, brute_force_trapped(graph, partition, 0))
+        assert_same_certificate(graph, cert, ref, partition.sites_of(l))
+    assert same_trapped_content(found, brute_force_trapped(graph, partition, l))
+    return found
+
+
+@pytest.mark.parametrize("sites, hoppings, assignment, expected", [
+    (2, ((0, 1, 0.0),), (0, 1), 1),
+    (3, ((0, 2, 0.0),), (0, 0, 1), 2),
+    (3, ((0, 1, 1.0), (1, 2, 0.0)), (0, 0, 1), 2),
+])
+def test_couplings_of_zero_strength_trap_every_mode(sites, hoppings, assignment, expected):
+    # a bond of strength 0 lets nothing leak: every subgraph mode is trapped
+    graph = LatticeGraph(sites, hoppings)
+    partition = Partition(graph, assignment)
+    assert len(matches_reference_and_brute_force(graph, partition, 0)) == expected
+
+
+def cluster_network(clusters, host=4, seed=0):
+    """Subgraph 1: disjoint clusters, each given as (bonds among its
+    ``size`` sites, size, potential, joints); subgraph 0: a host chain of
+    ``host`` sites with random potentials.  Each joint of a cluster couples
+    to its own host site, with a random strength."""
+    rng = np.random.default_rng(seed)
+    offset, hoppings, potentials, joints = 0, [], [], []
+    for bonds, size, mu, cluster_joints in clusters:
+        hoppings += [(offset + i, offset + j, s) for i, j, s in bonds]
+        potentials += [(offset + p, mu) for p in range(size)]
+        joints += [offset + j for j in cluster_joints]
+        offset += size
+    hoppings += [(offset + p, offset + p + 1, 1.0) for p in range(host - 1)]
+    potentials += [(offset + p, float(rng.uniform(-0.5, 0.5))) for p in range(host)]
+    hoppings += [(j, offset + k, float(rng.uniform(0.3, 1.5))) for k, j in enumerate(joints)]
+    graph = LatticeGraph(offset + host, tuple(hoppings), tuple(potentials))
+    return graph, Partition(graph, (1,) * offset + (0,) * host)
+
+
+def complete(size, hop=1.0):
+    """Bonds of the complete graph on ``size`` sites: energies -(size-1)*hop
+    and hop, the latter (size-1)-fold."""
+    return [(i, j, hop) for i in range(size) for j in range(i + 1, size)]
+
+
+def star(leaves):
+    """Bonds of a star, centre 0: energies +-sqrt(leaves) and 0, (leaves-1)-fold."""
+    return [(0, leaf, 1.0) for leaf in range(1, leaves + 1)]
+
+
+@pytest.mark.parametrize("size, joints", [(4, [0]), (4, [0, 2]), (5, [1]), (5, [0, 3]),
+                                          (6, [2]), (6, [0, 5])])
+def test_complete_subgraphs_trap_the_null_space_of_their_wide_group(size, joints):
+    # the (size-1)-fold group sums to 0 over the sites; a trapped mode also
+    # vanishes on every joint, which leaves size-1-joints dimensions
+    graph, partition = cluster_network([(complete(size), size, 0.0, joints)])
+    assert len(matches_reference_and_brute_force(graph, partition, 1)) == size - 1 - len(joints)
+
+
+def test_star_with_two_coupled_leaves_keeps_two_dark_states():
+    # the 4-fold zero-energy group: leaf amplitudes summing to 0, centre 0;
+    # two coupled leaves leave two of them trapped
+    graph, partition = cluster_network([(star(5), 6, 0.0, [2, 4])])
+    assert len(matches_reference_and_brute_force(graph, partition, 1)) == 2
+
+
+def test_one_search_mixes_group_widths():
+    # K5 (-4 once, 1 four-fold), a 6-ring shifted by 0.3 (-1.7, 2.3 once,
+    # -0.7 and 1.3 two-fold) and a 3-chain (-sqrt 2, 0, sqrt 2) joined at its
+    # middle, whose node traps the zero mode: groups of widths 1, 2 and 4
+    ring = [(p, (p + 1) % 6, 1.0) for p in range(6)]
+    graph, partition = cluster_network([(complete(5), 5, 0.0, [0]), (ring, 6, 0.3, [0]),
+                                        ([(0, 1, 1.0), (1, 2, 1.0)], 3, 0.0, [1])], seed=3)
+    h_l, _ = subgraph_hamiltonian(graph, partition, 1)
+    widths = np.diff(spectra._energy_groups(diagonalize(h_l)[0], np.linalg.norm(h_l, np.inf)))
+    assert sorted(set(widths.tolist())) == [1, 2, 4]
+    # K5: 3 of its 4-fold group; the ring: one of each pair; the chain: 1
+    assert len(matches_reference_and_brute_force(graph, partition, 1)) == 3 + 2 + 1
