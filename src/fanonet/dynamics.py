@@ -1,30 +1,32 @@
 """Unitary time evolution and subgraph survival probability.
 
-Evolution goes through SpectralPropagator alone: one dense spectral
+Evolution goes through SpectralPropagator alone: one spectral
 decomposition, reused for every requested time and every initial state,
-so the propagation is exactly unitary at arbitrary t.  A survival
-sweep costs one O(N^3) eigendecomposition per lattice, then per block of
-initial states a phase table cos(tE), sin(tE) of T times by N energies
-and two real GEMMs of O(T * N * S) for S observed sites: amplitudes are
-formed only on the observed sites, for a block of states at once, and a
-block of M states with S * M <= N needs no more memory than one state
-projected onto all N sites.  The phase table comes from angle addition
+so the propagation is exactly unitary at arbitrary t.
+``SpectralPropagator(h)`` diagonalizes h densely, O(N^3);
+``SpectralPropagator.from_rows`` takes all N energies and the
+eigenvectors' rows on the S sites that states start on and are observed
+at, which is all that their evolution there needs.  Per block of initial
+states it forms a phase table cos(tE), sin(tE) of T times by N energies
+and two real GEMMs of O(T * N * S * M) for M states: amplitudes are formed
+only on the observed sites.  The phase table comes from angle addition
 (``_PhaseTable``): on a grid where every t_{a*r+q} is t_{a*r} + (t_q - t_0)
 to within rounding, as on any uniform grid, it takes sin and cos of
 T/r anchor rows and r offset rows, r = isqrt(T), so (T/r + r) * N of each
-instead of T * N; any other grid takes r = 1, the plain table.  The pi
-lattice is mirror-symmetric and its central chain's mode n lies in mirror
-sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve`` gives
-the propagator one half-size block (``spectra.mirror_blocks``, folded
-from the lattice's bonds, with no N x N matrix) per sector that holds a
-requested mode, with N and S the sector's sizes: each decomposition costs
-an eighth of the whole lattice's and dominates the run.  The S observed
-rows and columns of that block are bitwise the isolated chain's sector
-block, so their eigenvectors are the sector's initial chain modes at any
-hopping ratio.  Hard-wall truncated leads stay faithful to the infinite
-lattice only until leaked probability can bounce off the wall and return;
-``safe_horizon`` bounds that window using the maximal group velocity
-2*kappa of the host chain.
+instead of T * N; any other grid takes r = 1, the plain table.
+
+The pi lattice is mirror-symmetric and its central chain's mode n lies in
+mirror sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve``
+solves one half-size block per sector that holds a requested mode
+(``spectra.mirror_elements``, folded from the lattice's bonds).  Its lead
+is a uniform hard-wall chain joined by one bond to the chain's own sector
+block, so ``spectra.lead_eigenpairs`` gives the block's energies and its
+eigenvectors' rows on the chain's S sector sites from one secular
+equation, with no dense eigensolve of the block, and certifies them: an
+ArithmeticError, exit 5 in the CLI, if a certificate fails.  Hard-wall
+truncated leads stay faithful to the infinite lattice only until leaked
+probability can bounce off the wall and return; ``safe_horizon`` bounds
+that window using the maximal group velocity 2*kappa of the host chain.
 """
 
 from __future__ import annotations
@@ -73,10 +75,25 @@ class SurvivalSeries:
 
 
 class SpectralPropagator:
-    """Spectral decomposition of H, reusable across times and initial states."""
+    """Spectral decomposition of H, reusable across times and initial states.
+
+    ``SpectralPropagator(h)`` diagonalizes h densely; ``from_rows`` takes
+    the energies and the eigenvectors' rows on some sites only, and then
+    states and ``sites`` index those rows.
+    """
 
     def __init__(self, h: np.ndarray):
         self.energies, self.vectors = diagonalize(h)
+
+    @classmethod
+    def from_rows(cls, energies: np.ndarray, rows: np.ndarray) -> "SpectralPropagator":
+        """A propagator from all N energies and the (S, N) rows of their
+        eigenvectors on S sites, such as ``spectra.lead_eigenpairs`` returns:
+        it evolves states that live on those S sites, exactly, since their
+        projections onto every eigenvector need only those rows."""
+        propagator = cls.__new__(cls)
+        propagator.energies, propagator.vectors = np.asarray(energies), np.asarray(rows)
+        return propagator
 
     def evolve(
         self,
@@ -86,14 +103,15 @@ class SpectralPropagator:
     ) -> np.ndarray:
         """Amplitudes of exp(-iHt) psi0 on ``sites`` (every site if None).
 
-        ``psi0`` is one state (N,) or states in columns (N, M); the result
-        is (len(times), S) or (len(times), M, S) for S = len(sites).  With
-        b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes are
-        cos(tE) @ b - i sin(tE) @ b: two real GEMMs (complex states go
+        Sites are the propagator's rows: all N sites of h, or the S sites of
+        ``from_rows``.  ``psi0`` is one state or states in columns, on those
+        rows; the result is (len(times), K) or (len(times), M, K) for
+        K = len(sites).  With b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes
+        are cos(tE) @ b - i sin(tE) @ b: two real GEMMs (complex states go
         through the same GEMMs on interleaved parts) on the (T, N) tables
         of ``_PhaseTable``, built one at a time.
-        Memory is O(T * N + T * S * M + N * S * M); callers batching modes
-        keep S * M <= N to stay within one full-lattice state.
+        Memory is O(T * N + T * K * M + N * K * M); callers batching modes
+        keep K * M <= min(N, T) to stay within one phase table.
         """
         psi0 = np.asarray(psi0)
         columns = psi0.reshape(len(psi0), -1)

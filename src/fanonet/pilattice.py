@@ -13,6 +13,7 @@ matrix, and general-graph code never has to special-case this family.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,11 +29,14 @@ LEFT_LEAD, CENTRAL, RIGHT_LEAD = 0, 1, 2
 class PiLatticeSpec:
     """Parameters of the side-coupled lattice.
 
-    n0      -- sites per side chain (>= 1)
-    length  -- host-chain separation of the anchors, inclusive (>= 2)
+    n0      -- sites per side chain (an integer >= 1)
+    length  -- host-chain separation of the anchors, inclusive (an integer >= 2)
     kappa   -- host-chain hopping (finite, > 0)
     kappa0  -- side-chain and anchor hopping (finite, > 0)
-    leads   -- host sites kept on each side beyond the anchors (>= 0)
+    leads   -- host sites kept on each side beyond the anchors (an integer >= 0)
+
+    A count that is not an integer (a bool included) raises GraphSpecError,
+    as does one out of range.
     """
 
     n0: int
@@ -42,6 +46,11 @@ class PiLatticeSpec:
     leads: int = 0
 
     def __post_init__(self):
+        for name in ("n0", "length", "leads"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no site count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise GraphSpecError(f"{name} must be an integer, got {value!r}")
         if self.n0 < 1:
             raise GraphSpecError(f"n0 must be >= 1, got {self.n0}")
         if self.length < 2:

@@ -13,11 +13,17 @@ a residual on the dense Hamiltonian, and ``residual_rounding_bound`` says
 how far rounding lets the two lie apart.
 
 A graph equal to its mirror image splits its Hamiltonian into an even
-and an odd block of half the size; ``mirror_blocks`` folds them straight
-from the bond list, checking the mirror symmetry there in O(bonds), so
-no N x N matrix is built.  ``unfold`` takes a state's sector coordinates
-back to sites, and ``mirror_mode`` says in which block, and where, a
-Jacobi matrix's mode n lies.
+and an odd block of half the size; ``mirror_elements`` folds them straight
+from the bond list as their stored elements, checking the mirror symmetry
+there in O(bonds), so no N x N matrix is built, and ``mirror_blocks``
+writes them out.  ``unfold`` takes a state's sector coordinates back to
+sites, and ``mirror_mode`` says in which block, and where, a Jacobi
+matrix's mode n lies.
+
+A block whose first sites are a uniform hard-wall chain, joined by one
+bond to the rest, needs no dense eigensolve: ``lead_eigenpairs`` merges
+the chain's standing waves with the rest's eigenpairs through one secular
+equation and certifies the result.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ __all__ = [
     "EigenMode",
     "TrappingCertificate",
     "diagonalize",
+    "lead_eigenpairs",
     "mirror_blocks",
+    "mirror_elements",
     "mirror_mode",
     "unfold",
     "open_chain_mode",
@@ -52,6 +60,22 @@ DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 # numbers per array in a block of certificate residuals
 RESIDUAL_BLOCK = 1 << 16
+# unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+# a spoke, or the distance between two poles, below this many units
+# roundoff of ||H||_inf is deflated (CHANGES.md derives it)
+DEFLATION_ULPS = 8
+# a secular root stops where f is within this many roundings of the size
+# of its terms, or where its step or its bracket is within this many units
+# roundoff of its offset
+STOP_ULPS = 4
+# a root also stops after a step within this fraction of its offset, and
+# steps on to the strict stop if it then fails its residual bound
+EARLY_STEP = 2.0**-30
+# steps after which a secular root that has not stopped is a failure
+SECULAR_MAX_STEPS = 60
+# distances at which f is probed in each outer gap before the first step
+OUTER_PROBES = 24
 
 
 @dataclass(frozen=True)
@@ -134,6 +158,435 @@ def diagonalize(h: np.ndarray):
     return energies, vectors
 
 
+def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
+    """Energies of a block whose first ``leads`` sites are a uniform
+    hard-wall chain, and the rows of its eigenvectors on the other sites,
+    without a dense eigensolve of the block.
+
+    ``block`` is a real symmetric N x N matrix given by its stored elements,
+    ``(N, rows, cols, values)`` with each position at most once, as
+    ``mirror_elements`` returns a sector.  Sites 0..m-1 (m = ``leads``) must
+    carry hopping -kappa between neighbours and no potential, and only site
+    m-1, the hub, may be bonded to the rest, the trailing S x S block;
+    ``rest`` holds that block's eigenpairs (mu, W), as ``diagonalize``
+    returns them.  Returns ``(energies, rows)``: the N = m + S energies
+    ascending and the (S, N) rows V[m:, :] of the block's eigenvectors.
+    O(N * S) per secular step and O(S^2 * N) for the rows, against O(N^3)
+    for a dense eigensolve, and O(N * S) memory.
+
+    The hub sees two parts: the m - 1 outer lead sites, whose standing
+    waves have energies nu_j = -2 kappa cos(theta_j), theta_j = j pi / m,
+    and the rest, whose modes have energies mu_i and couple to the hub
+    through the spokes z = W^T h[m:, m-1].  An energy lam = -2 kappa cos(theta)
+    is an eigenvalue exactly when the secular function
+
+        f(lam) = lam + kappa sin((m-1) theta) / sin(m theta) - sum_i z_i^2 / (lam - mu_i)
+
+    vanishes; the lead term, kappa (cos theta - sin theta cot(m theta)), is
+    the sum over the lead poles nu_j in closed form.  f increases between
+    neighbouring poles, so each gap between them holds one root, one lies
+    below the lowest pole and one above the highest (Cuppen, Numer. Math.
+    36, 177 (1981)).  A root is carried as its offset from the nearer end
+    of its gap, so its distance to every pole keeps its relative accuracy
+    (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), and is
+    found by the middle way (R.-C. Li, LAPACK Working Note 89 (1994)): the
+    parts of f from the poles at or below the gap and at or above it are
+    each modelled by one pole at the gap's end that matches their slope,
+    and the model's root is the next iterate.  The lead term comes in
+    closed form inside the lead's range, from the angle of the nearer lead
+    pole so without cancellation, and as its O(m) sum outside it.  The two
+    outer gaps are first bracketed by probing f at distances that halve
+    from 2 ||h||_inf.  A step that leaves its root's bracket halves the
+    bracket instead.  The rows are W (z / (lam - mu)) / sqrt(f'(lam)).
+
+    Spokes and pole distances below DEFLATION_ULPS units roundoff of
+    ||h||_inf are deflated: a rest mode with such a spoke is an eigenvector
+    as it stands, and rest poles that coincide with a lead pole or with each
+    other keep one combined pole and give up the rest of their span as
+    eigenvectors at that energy.
+
+    Every call certifies itself, and raises ArithmeticError when a
+    certificate fails: each root is finite and strictly inside its own gap
+    (so there are N of them), |f| at each root is within its rounding bound
+    and the rows are orthonormal, ||rows rows^T - I||_max within the bound
+    that the roots' conditioning gives (CHANGES.md derives both bounds).
+    ValueError if the block is not of that form, or if ``rest`` fails the
+    eigenpair residual of ``diagonalize`` on the block's rest.
+    """
+    n, rows, cols, values = block
+    m = leads
+    mu, w = (np.asarray(a, dtype=float) for a in rest)
+    size = n - m
+    if not 0 <= m < n or mu.shape != (size,) or w.shape != (size, size) \
+            or np.any(np.diff(mu) < 0):
+        raise ValueError(f"expected {n - m} ascending rest energies and their vectors "
+                         f"for a block of {n} sites, {m} of them lead")
+    rows, cols, values = (np.asarray(a)[np.asarray(values) != 0] for a in (rows, cols, values))
+    lead, inner = (rows < m) & (cols < m), (rows >= m) & (cols >= m)
+    kappa = -values[lead][0] if m > 1 and np.any(lead) else 1.0
+    spokes, image = np.zeros(size), np.zeros(size)
+    to_hub, from_hub = (cols == m - 1) & (rows >= m), (rows == m - 1) & (cols >= m)
+    spokes[rows[to_hub] - m], image[cols[from_hub] - m] = values[to_hub], values[from_hub]
+    if not (kappa > 0 and np.count_nonzero(lead) == 2 * max(m - 1, 0)
+            and np.all(np.abs(rows[lead] - cols[lead]) == 1) and np.all(values[lead] == -kappa)
+            and np.count_nonzero(~lead & ~inner) == np.count_nonzero(to_hub | from_hub)
+            and np.array_equal(spokes, image)):
+        raise ValueError(f"the first {m} sites are not a uniform chain bonded to the rest "
+                         "by its last site alone")
+    rest_block = np.zeros((size, size))
+    rest_block[rows[inner] - m, cols[inner] - m] = values[inner]
+    scale = max(2.0 * kappa * (m > 1), kappa * (m > 1) + np.sum(np.abs(spokes)),
+                np.max(np.sum(np.abs(rest_block), axis=1) + np.abs(spokes)))
+    if np.max(np.abs(rest_block @ w - w * mu)) >= RESIDUAL_TOL * scale:
+        raise ValueError("rest eigenpairs are not those of the block's rest")
+    if m == 0:
+        return mu.copy(), w.copy()
+    return _Secular(m, kappa, mu, w, w.T @ spokes, scale).solve()
+
+
+def _gamma(k) -> np.ndarray:
+    """gamma_k = k u / (1 - k u), Higham's bound on k roundings."""
+    k = np.asarray(k, dtype=float) * UNIT_ROUNDOFF
+    return k / (1.0 - k)
+
+
+def _split_sum(terms: np.ndarray, count: np.ndarray):
+    """Row sums of ``terms`` over its first ``count`` columns, and over all."""
+    if not terms.shape[1]:
+        return np.zeros(len(terms)), np.zeros(len(terms))
+    partial = np.cumsum(terms, axis=1)
+    head = partial[np.arange(len(terms)), np.maximum(count - 1, 0)]
+    return np.where(count > 0, head, 0.0), partial[:, -1]
+
+
+class _Secular:
+    """The secular problem of ``lead_eigenpairs``: the m - 1 lead poles and
+    the S rest poles with their spokes, deflated, and its roots."""
+
+    def __init__(self, m, kappa, mu, w, z, scale):
+        self.m, self.kappa, self.mu, self.w, self.scale = m, kappa, mu, w, scale
+        j = np.arange(m + 1)
+        # theta_j's sine and cosine as sines of exact multiples of pi/(2m),
+        # from the nearer band edge and from the band's middle, so that each
+        # keeps its relative accuracy everywhere
+        self.sin = np.sin(np.minimum(j, m - j) * (np.pi / m))
+        self.cos = np.sin((m - 2 * j) * (np.pi / (2 * m)))
+        self.nu = -2.0 * kappa * self.cos
+        self.a2 = 2.0 * kappa**2 / m * self.sin**2          # lead spoke squared
+        self._deflate(z)
+
+    # ------------------------------------------------------------ deflation
+    def _deflate(self, z):
+        m, mu, tol = self.m, self.mu, DEFLATION_ULPS * UNIT_ROUNDOFF * self.scale
+        small = np.abs(z) <= tol
+        kept = np.flatnonzero(~small)
+        # a rest mode with a spoke below tolerance is an eigenvector as it is
+        self.energies, self.columns = [mu[small]], [self.w[:, small]]
+        # kept poles within tolerance of the previous one join its group; a
+        # group within tolerance of a lead pole joins that pole
+        group = np.cumsum(np.diff(mu[kept], prepend=-np.inf) > tol) - 1
+        count = group[-1] + 1 if len(kept) else 0
+        at_lead = np.zeros(len(kept), dtype=int)
+        if m > 1:
+            j = np.clip(np.rint(np.arccos(np.clip(-mu[kept] / (2.0 * self.kappa), -1.0, 1.0))
+                                * m / np.pi).astype(int), 1, m - 1)
+            at_lead = np.where(np.abs(mu[kept] - self.nu[j]) <= tol, j, 0)
+        lead_of = np.zeros(count, dtype=int)
+        np.maximum.at(lead_of, group, at_lead)
+        # each group's pole: its lead pole, else its last member
+        pole = mu[kept][np.searchsorted(group, np.arange(count), side="right") - 1]
+        pole = np.where(lead_of > 0, self.nu[lead_of], pole)
+        size = np.bincount(group, minlength=count) + (lead_of > 0)
+        for g in np.flatnonzero(size > 1).tolist():
+            self._rotate(kept[group == g], lead_of[g], z)
+        self.kept, self.entry, self.z = kept, group, z[kept]     # rest mode -> its group
+        self.weight = np.bincount(group, self.z**2, minlength=count)
+        self.group_pole, self.group_lead = pole, lead_of
+
+    def _rotate(self, members, lead, z):
+        """Deflate a group of coinciding poles: the Householder reflection
+        that takes its spokes (and the lead spoke, if it sits at a lead pole)
+        to the last axis leaves the other axes, orthogonal to every spoke,
+        as eigenvectors at the group's energies."""
+        spokes, diagonal = z[members], self.mu[members]
+        if lead:
+            spokes = np.append(spokes, np.sqrt(self.a2[lead]))
+            diagonal = np.append(diagonal, self.nu[lead])
+        v = spokes.copy()
+        v[-1] += np.copysign(np.linalg.norm(spokes), spokes[-1])
+        q = np.eye(len(v))[:, :-1] - np.outer(v, 2.0 * v[:-1] / (v @ v))
+        self.energies.append(diagonal @ q**2)
+        self.columns.append(self.w[:, members] @ q[:len(members)])
+
+    # ---------------------------------------------------------------- solve
+    def solve(self):
+        """Every root of f, one per gap between neighbouring poles, and the
+        rows of their eigenvectors, certified."""
+        m = self.m
+        # the distinct poles, ascending: the lead poles (with any rest weight
+        # at them) and the rest poles at none
+        values = np.sort(np.concatenate([self.nu[1:m], self.group_pole[self.group_lead == 0]]))
+        lo, hi = np.append(-np.inf, values), np.append(values, np.inf)
+        if not len(values):                     # no pole: the hub alone, at 0
+            zero = np.zeros(1)
+            return self._certify(self._record(zero, zero, zero, zero, np.zeros((1, 0)),
+                                              np.zeros((1, 0)), zero, np.ones(1, dtype=bool)))
+        # per gap: the rest groups and lead poles at or below it, and the
+        # lead pole L at or below a gap inside the lead's range, whose lead
+        # term comes in closed form; the others sum it
+        self.rest_below = np.searchsorted(self.group_pole, lo, side="right")
+        self.lead_below = np.searchsorted(self.nu[1:m], lo, side="right")
+        if m > 2:
+            low = np.minimum(np.maximum(self.lead_below, 1), m - 2)
+            self.lead_table = np.column_stack(
+                [self.nu[low], self.nu[low + 1], self.a2[low], self.a2[low + 1],
+                 self.cos[low], self.cos[low + 1], self.sin[low], self.sin[low + 1]])
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        closed &= (lo >= self.nu[1]) & (hi <= self.nu[m - 1]) if m > 2 else False
+        self.summed_mask = ~closed
+        return self._certify(self._roots(lo, hi))
+
+    def _roots(self, lo, hi):
+        """The root of each gap (lo, hi), as its offset from the nearer end,
+        by the middle way (``_middle_way``), with the certificates' data."""
+        n = len(lo)
+        bounded = np.isfinite(lo) & np.isfinite(hi)
+        width = hi - lo
+        # one evaluation starts every root: at the middle of each bounded
+        # gap, and at OUTER_PROBES distances u_k from the finite end of each
+        # outer gap, halving from the distance to -+2 ||h||_inf, beyond which
+        # no eigenvalue lies
+        at_low = np.isfinite(lo)
+        origin = np.where(at_low, lo, hi)
+        outer = np.flatnonzero(~bounded)
+        side = np.where(at_low[outer], 1.0, -1.0)
+        u = (2.0 * self.scale - side * origin[outer])[:, None] * 0.5 ** np.arange(OUTER_PROBES)
+        probe = np.concatenate([np.flatnonzero(bounded), np.repeat(outer, OUTER_PROBES)])
+        x = np.concatenate([width[bounded] / 2, (side[:, None] * u).ravel()])
+        values = self._state(probe, origin[probe], x)
+        # side * f rises with the distance in an outer gap: its root lies
+        # between the first probe from the far end where that is at most 0
+        # and the probe before, where the root starts, or nearer than the
+        # nearest probe, which it starts from
+        middles, row = np.count_nonzero(bounded), np.arange(len(outer))
+        below = side[:, None] * values[0][middles:].reshape(u.shape) <= 0
+        found = below.any(axis=1)
+        k = np.where(found, np.argmax(below, axis=1), OUTER_PROBES - 1)
+        pick = np.empty(n, dtype=int)
+        pick[bounded] = np.arange(middles)
+        pick[outer] = middles + row * OUTER_PROBES + k
+        f, left, right, size = (v[pick] for v in values)
+        x = x[pick]
+        near = np.where(found, u[row, k], 0.0)
+        far = u[row, np.where(found, np.maximum(k - 1, 0), k)]
+        t_lo = np.zeros(n)
+        t_hi = np.where(bounded, width / 2, 0.0)
+        t_lo[outer] = np.where(side > 0, near, -far)
+        t_hi[outer] = np.where(side > 0, far, -near)
+        gamma = _gamma(len(self.weight) + 10)
+        # the middle's sign says on which side a bounded gap's root lies:
+        # the origin is that end
+        flip = bounded & (f < 0)
+        at_low &= ~flip
+        origin = np.where(flip, hi, origin)
+        x = np.where(flip, -x, x)
+        t_lo, t_hi = np.where(flip, -t_hi, t_lo), np.where(flip, 0.0, t_hi)
+
+        def iterate(active, f, left, right, size, early):
+            """Step the roots ``active`` from their states until each stops:
+            where f is within STOP_ULPS roundings of its terms' size, where
+            its step or its bracket is within STOP_ULPS units roundoff of
+            it, or, when ``early``, after a step within EARLY_STEP of its
+            offset."""
+            for _ in range(SECULAR_MAX_STEPS):
+                at = x[active]
+                a = t_lo[active] = np.where(f < 0, at, t_lo[active])
+                b = t_hi[active] = np.where(f > 0, at, t_hi[active])
+                step = self._middle_way(f, left, right, at, width[active], at_low[active],
+                                        bounded[active])
+                tol = STOP_ULPS * UNIT_ROUNDOFF * np.abs(at)
+                small = np.abs(f) <= STOP_ULPS * UNIT_ROUNDOFF * size
+                converged = np.abs(step - at) <= (EARLY_STEP * np.abs(at) if early else tol)
+                stop = small | converged | (b - a <= tol)
+                inside = (step > a) & (step < b)
+                x[active] = np.where(stop, np.where(converged & ~small, step, at),
+                                     np.where(inside, step, 0.5 * (a + b)))
+                active = active[~stop]
+                if not len(active):
+                    return
+                f, left, right, size = self._state(active, origin[active], x[active])
+            raise ArithmeticError(f"{len(active)} secular roots did not converge "
+                                  f"in {SECULAR_MAX_STEPS} steps")
+
+        # the middle way converges quadratically, so a step within
+        # EARLY_STEP leaves nearly every root at rounding level; the final
+        # evaluation finds the others, which step on to the strict stop
+        iterate(np.arange(n), f, left, right, size, early=True)
+        f, left, right, size, d, inv, slope_size = self._state(np.arange(n), origin, x, True)
+        # |f| at a root is within the rounding of its terms, gamma_{G+10}
+        # times the sum of their sizes (G rest poles, each term rounded in
+        # its distance, the offset's own rounding, reciprocal and product, and
+        # the lead term, whose products and angles ``size`` holds), plus the
+        # change of f across the stopping step
+        bound = gamma * size + 2 * STOP_ULPS * UNIT_ROUNDOFF * np.abs(x) * (1.0 + left + right)
+        again = np.flatnonzero(np.abs(f) > bound)
+        if len(again):
+            iterate(again, f[again], left[again], right[again], size[again], early=False)
+            f, left, right, size, d, inv, slope_size = self._state(np.arange(n), origin, x,
+                                                                   True)
+            bound = gamma * size + 2 * STOP_ULPS * UNIT_ROUNDOFF * np.abs(x) \
+                * (1.0 + left + right)
+        inside = np.where(at_low, x > 0, x < 0) & (np.abs(x) < width)
+        return self._record(origin + x, f, left + right, bound, d, inv, slope_size, inside)
+
+    def _record(self, lam, f, slope, bound, d, inv, slope_size, inside):
+        """The roots with what their rows and certificates need.  eta bounds
+        the relative error of each row entry: the rounding of f' relative to
+        f', and the root's own error, f's bound over f', relative to the
+        nearest rest pole, plus the stopping step."""
+        derivative = 1.0 + slope
+        nearest = np.min(np.abs(d), axis=1, initial=np.inf)
+        eta = _gamma(len(self.weight) + 10) * (1.0 + slope_size) / derivative \
+            + bound / (derivative * nearest) + 2 * STOP_ULPS * UNIT_ROUNDOFF
+        return lam, d, derivative, np.abs(f) <= bound, eta, inside
+
+    def _state(self, index, origin, x, full=False):
+        """f at lam = origin + x in the gaps ``index``, its slopes from the
+        poles at or below each gap and from those above, and the sizes that
+        bound the rounding of f; ``full`` adds the rest poles' distances
+        (relatively accurate when the origin is the nearest pole), their
+        reciprocals and the sizes that bound the rounding of f'."""
+        d = (origin[:, None] - self.group_pole) + x[:, None]
+        inv = 1.0 / d
+        left, slope = _split_sum(inv * inv * self.weight, self.rest_below[index])
+        rest = [-(inv @ self.weight), left, slope - left, np.abs(inv) @ self.weight, slope]
+        # the lead term: in closed form for every gap (when the lead has a
+        # range), then summed where the gap lies outside it
+        lead = self._closed_lead(index, origin, x, full) if self.m > 2 else \
+            [np.zeros(len(index)) for _ in range(5)]
+        summed = np.flatnonzero(self.summed_mask[index])
+        if len(summed):
+            for part, value in zip(lead, self._summed_lead(index[summed], origin[summed],
+                                                           x[summed])):
+                part[summed] = value
+        f, left, right, size, slope_size = (r + q for r, q in zip(rest, lead))
+        return (f, left, right, size, d, inv, slope_size) if full else (f, left, right, size)
+
+    def _summed_lead(self, index, origin, x):
+        """lam plus the lead term, summed over the m - 1 lead poles, and its
+        slopes from the lead poles at or below each gap and above it."""
+        lead_d = (origin[:, None] - self.nu[1:self.m]) + x[:, None]
+        terms = self.a2[1:self.m] / lead_d
+        low, slope = _split_sum(terms / lead_d, self.lead_below[index])
+        value = (origin + x) - np.sum(terms, axis=1)
+        size = np.abs(origin) + np.abs(x) + np.sum(np.abs(terms), axis=1)
+        return value, low, slope - low, size, slope
+
+    def _closed_lead(self, index, origin, x, full):
+        """lam plus the lead term in closed form, in gaps inside the lead's
+        range, (nu_L, nu_L+1), from the nearer of the two; its slope's parts
+        from those two poles are exact, and the remainder is split evenly
+        between the sides."""
+        m, kappa = self.m, self.kappa
+        nu_low, nu_high, a2_low, a2_high, cos_low, cos_high, sin_low, sin_high = \
+            self.lead_table[index].T
+        d_low = (origin - nu_low) + x
+        d_high = (origin - nu_high) + x
+        use_low = np.abs(d_low) <= np.abs(d_high)
+        # cos(theta) = cos(theta_J) - sigma for the nearer lead pole J;
+        # sin(theta) and sin(delta), delta = theta - theta_J, follow without
+        # cancellation
+        sigma = np.where(use_low, d_low, d_high) * (0.5 / kappa)
+        xj = np.where(use_low, cos_low, cos_high)
+        yj = np.where(use_low, sin_low, sin_high)
+        cos_t = xj - sigma
+        spread = sigma * (2.0 * xj - sigma)
+        with np.errstate(invalid="ignore", divide="ignore"):   # out of range: summed
+            sin_t = np.sqrt(yj * yj + spread)
+            delta = np.arcsin(sigma * yj + xj * spread / (sin_t + yj))
+            c = 1.0 / np.tan(m * delta)
+            one_c2 = 1.0 + c * c
+            c_cot = c * cos_t / sin_t
+            slope = 0.5 * (m * one_c2 - 1.0 - c_cot)            # G'
+            near_low = a2_low / (d_low * d_low)
+            near_high = a2_high / (d_high * d_high)
+            half = 0.5 * np.maximum(slope - near_low - near_high, 0.0)
+            value = -kappa * (cos_t + sin_t * c)
+            if not full:
+                # the sizes of f's two lead terms, below its rounding bound's
+                # (G' stands in for the size of f', which only ``full`` needs)
+                return value, near_low + half, near_high + half, \
+                    kappa * (np.abs(cos_t) + np.abs(sin_t * c)), slope
+            # cos(theta) and sin(theta) round with their terms, and
+            # cot(m delta) carries m |delta| (1 + c^2) times delta's
+            # relative error
+            size = kappa * (np.abs(xj) + np.abs(sigma)
+                            + np.abs(c) * (yj * yj + np.abs(spread) + 2.0 * sigma * sigma) / sin_t
+                            + sin_t * one_c2 * m * np.abs(delta))
+        return value, near_low + half, near_high + half, size, \
+            0.5 * (1.0 + np.abs(c_cot) + m * one_c2)
+
+    @staticmethod
+    def _middle_way(f, left, right, x, width, at_low, bounded):
+        """The next offset: the root of lam + s - A/(lam - a) + B/(b - lam)
+        (a, b the gap's ends; A, B match the slopes ``left`` and ``right`` of
+        the parts of f from the poles at or below a and at or above b; s
+        matches f), solved from the nearer end without cancellation."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a bounded gap: lam's own slope joins the side away from the
+            # origin, and the model C - A/(lam - a) + B/(b - lam), C constant,
+            # is a quadratic in the distance u from the origin end:
+            # C' u^2 - X u + A' width = 0, (C', A') = (C, A) at a, (-C, B) at b
+            near = np.where(at_low, left, right)
+            far = np.where(at_low, right, left) + 1.0
+            u = np.abs(x)
+            big_a, big_b = near * u * u, far * (width - u) ** 2
+            c_o = np.where(at_low, f, -f) + near * u - far * (width - u)
+            big_x = c_o * width + big_a + big_b
+            root = np.sqrt(np.maximum(big_x * big_x - 4.0 * c_o * big_a * width, 0.0))
+            step = np.where(big_x >= 0, 2.0 * big_a * width / (big_x + root),
+                            (big_x - root) / (2.0 * c_o))
+            # an outer gap: lam + s - A/(lam - a), or lam + s + B/(b - lam), is
+            # u^2 + y u - A = 0 in u
+            y = np.where(at_low, 1.0, -1.0) * f - u + near * u
+            outer = np.sqrt(y * y + 4.0 * near * u * u)
+            outer = np.where(y >= 0, 2.0 * near * u * u / (y + outer), (outer - y) / 2.0)
+        step = np.where(bounded, step, outer)
+        return np.where(at_low, step, -step)
+
+    def _certify(self, roots):
+        """Rows of the secular roots and the deflated modes, sorted by
+        energy, once the roots' certificates and the rows' Gram error hold.
+
+        R = W U, with U the rest part of the eigenvectors in the rest's own
+        modes, so R R^T - I = W (U U^T - I) W^T + (W W^T - I).  An entry of
+        U U^T - I sums N products, each entry of U within eta of its exact
+        value, so it is at most 2 eta + gamma_N; the rows of W have 1-norm
+        at most sqrt(S) (1 + eps_W), which gives
+        ||R R^T - I||_max <= eps_W + (1 + eps_W) S (2 max(eta) + gamma_N)
+        with eps_W = ||W W^T - I||_max."""
+        lam, d, derivative, small, eta, inside = roots
+        if not np.all(inside):
+            raise ArithmeticError(f"{np.count_nonzero(~inside)} of {len(lam)} secular roots "
+                                  "left their gap: the roots do not interlace the poles")
+        if not np.all(small):
+            raise ArithmeticError(f"{np.count_nonzero(~small)} secular roots exceed "
+                                  "their residual bound")
+        spokes = self.z / d[:, self.entry]
+        rows = self.w[:, self.kept] @ (spokes / np.sqrt(derivative)[:, None]).T
+        energies = np.concatenate([lam, *self.energies])
+        rows = np.concatenate([rows, *self.columns], axis=1)
+        size, total = self.w.shape[0], len(energies)
+        eps_w = np.max(np.abs(self.w @ self.w.T - np.eye(size)))
+        bound = eps_w + (1.0 + eps_w) * size * (2.0 * np.max(eta, initial=0.0) + _gamma(total))
+        gram = np.max(np.abs(rows @ rows.T - np.eye(size)))
+        if not gram <= bound:
+            raise ArithmeticError(f"sector rows are not orthonormal: Gram error {gram:.3e} "
+                                  f"exceeds its bound {bound:.3e}")
+        order = np.argsort(energies, kind="stable")
+        return energies[order], rows[:, order]
+
+
 def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd blocks of the Hamiltonian of a graph that equals its
     mirror image under i -> N-1-i, folded straight from its bonds and
@@ -143,15 +596,30 @@ def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
     i < half = N // 2, and in the even sector of odd N also the middle site
     |half>, last.  There H is top + s*cross, with top = H[:half, :half]
     and cross[i, j] = H[i, N-1-j]; the middle site's row and column in the
-    even block carry sqrt(2) times its matrix elements.  Each bond or
-    potential lands in top, cross or the middle column (only the rows
-    i < half are needed: the mirror gives the rest), and the blocks come
-    from one add or subtract, so they are bitwise the slices of
+    even block carry sqrt(2) times its matrix elements.  The blocks are
+    written from ``mirror_elements``, so they are bitwise the slices of
     ``assemble_hamiltonian(graph)`` added and subtracted, and exactly
     symmetric.  O(bonds) besides the blocks themselves.
 
     Raises ValueError unless every matrix element equals its mirror image,
     checked on the bond list.
+    """
+    blocks = []
+    for size, rows, cols, values in mirror_elements(graph):
+        block = np.zeros((size, size))
+        block[rows, cols] = values
+        blocks.append(block)
+    return blocks[0], blocks[1]
+
+
+def mirror_elements(graph: LatticeGraph):
+    """The blocks of ``mirror_blocks`` as their stored elements: for the
+    even, then the odd sector, ``(size, rows, cols, values)``, each position
+    at most once.  O(bonds): neither block is written out.
+
+    Each bond or potential lands in top, cross or the middle column (only
+    the rows i < half are needed: the mirror gives the rest), and each
+    block element comes from one add or subtract of them.
     """
     n, half = graph.site_count, graph.site_count // 2
     rows, cols, values = graph.elements
@@ -165,7 +633,7 @@ def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("graph is not mirror-symmetric")
     # fold the rows i < half (the mirror gives the rest): top[i, j] =
     # H[i, j] for j < half, cross[i, j] = H[i, N-1-j]; each block element
-    # is top + s*cross, written where either is not an absent 0
+    # is top + s*cross, stored where either is not an absent 0
     upper = rows < half
     left, right = upper & (cols < half), upper & (cols >= n - half)
     top_at = rows[left] * half + cols[left]
@@ -175,15 +643,16 @@ def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
     top[np.searchsorted(at, top_at)] = values[left]
     cross[np.searchsorted(at, cross_at)] = values[right]
     i, j = np.divmod(at, half)
-    even, odd = np.zeros((half + n % 2,) * 2), np.zeros((half, half))
-    even[i, j], odd[i, j] = top + cross, top - cross
+    even, odd = (i, j, top + cross), (i, j, top - cross)
     if n % 2:                                   # the middle site: H[:half + 1, half]
         middle = (cols == half) & (rows <= half)
         column = np.zeros(half + 1)
         column[rows[middle]] = values[middle]
-        even[:half, half] = even[half, :half] = np.sqrt(2.0) * column[:half]
-        even[half, half] = column[half]
-    return even, odd
+        edge = np.sqrt(2.0) * column[:half]
+        k, mid = np.arange(half), np.full(half, half)
+        even = (np.concatenate([i, k, mid, [half]]), np.concatenate([j, mid, k, [half]]),
+                np.concatenate([top + cross, edge, edge, column[half:]]))
+    return (half + n % 2, *even), (half, *odd)
 
 
 def mirror_mode(n: int) -> tuple[int, int]:

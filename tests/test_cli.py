@@ -385,6 +385,7 @@ def test_format_is_no_config_key(tmp_path, capsys):
     ("evanescent_bound_states", ["bound", "--n0", "2", "--len", "4"]),
     ("long_time_survival", ["bound", "--n0", "2", "--len", "4", "--long-time", "2"]),
     ("diagonalize", ["evolve", "--n0", "2", "--len", "4", "--m", "40", "--modes", "1"]),
+    ("lead_eigenpairs", ["evolve", "--n0", "2", "--len", "4", "--m", "40", "--modes", "1"]),
     ("find_trapping_modes", ["trap", "{graph}"]),
 ])
 def test_internal_failure_is_one_line_exit_five(tmp_path, capsys, monkeypatch, name, argv):

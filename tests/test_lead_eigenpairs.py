@@ -1,0 +1,188 @@
+"""The lead/chain secular kernel against dense eigensolves, and what
+``diagonalize`` returns."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fanonet import PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize, spectra
+from fanonet.cli import main
+from fanonet.spectra import lead_eigenpairs, mirror_blocks, mirror_elements
+
+from _support import random_graph
+
+U = 2.0**-53
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def sector_problems(n0, length, kappa0, leads):
+    """Each sector's block as its stored elements, the dense block, and the
+    chain's own sector block."""
+    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads)).graph
+    chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
+    return zip(mirror_elements(lattice), mirror_blocks(lattice), mirror_blocks(chain))
+
+
+def rest_propagator(energies, rows, t):
+    """R exp(-iEt) R^T: the propagator between the rest's sites."""
+    return (rows * np.exp(-1j * energies * t)) @ rows.T
+
+
+@given(n0=st.integers(1, 5), length=st.integers(2, 300), leads=st.integers(0, 700),
+       kappa0=st.sampled_from([1.0]) | st.floats(0.15, 10.0))
+# lead and chain poles that coincide (equal hoppings), modes with a node at
+# c_1 (trapped: 3 and 6 of the 8-site chain), the middle-site fold of L = 2
+# and 3, one- and two-site leads, a strong side coupling, and a narrow
+# resonance
+@example(n0=2, length=5, leads=300, kappa0=1.0)
+@example(n0=2, length=4, leads=40, kappa0=1.0)
+@example(n0=1, length=2, leads=60, kappa0=1.3)
+@example(n0=3, length=3, leads=45, kappa0=0.7)
+@example(n0=4, length=7, leads=1, kappa0=2.0)
+@example(n0=4, length=7, leads=2, kappa0=2.0)
+@example(n0=5, length=299, leads=80, kappa0=10.0)
+@example(n0=2, length=30, leads=700, kappa0=0.15)
+@settings(max_examples=20, deadline=None)
+def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0):
+    for block, dense, chain in sector_problems(n0, length, kappa0, leads):
+        size, scale = len(dense), np.linalg.norm(dense, np.inf)
+        energies, rows = lead_eigenpairs(block, leads, diagonalize(chain))
+        expected, vectors = diagonalize(dense)
+        # one root for every eigenvalue
+        assert energies.shape == (size,) and rows.shape == (size - leads, size)
+        # both are backward stable: each is the spectrum of h + dh with
+        # ||dh|| within gamma_N ||h|| (the dense solve's Householder
+        # reductions, LAPACK's p(N) eps ||h|| with p(N) = N; the secular
+        # roots alike), and the kernel's deflation adds at most 8 u ||h||,
+        # so by Weyl they lie within (2 gamma_N + 8u) ||h|| of each other
+        drift = (2 * gamma(size) + 8 * U) * scale
+        assert np.max(np.abs(energies - expected)) <= drift
+        # the rest rows' propagator, which evolve uses: exp(-iHt) of the two
+        # perturbed matrices differ by at most |t| ||dh - dh'||, and each
+        # set of rows is orthonormal within gamma_N
+        for t in (0.0, 1.0, leads / 2.0 + 1.0):
+            gap = np.max(np.abs(rest_propagator(energies, rows, t)
+                                - rest_propagator(expected, vectors[leads:], t)))
+            assert gap <= 4 * gamma(size) + t * drift
+
+
+def test_the_kernel_is_the_chains_own_eigenpairs_without_leads():
+    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 0)))
+    mu, w = diagonalize(chain)
+    energies, rows = lead_eigenpairs(block, 0, (mu, w))
+    assert energies.tobytes() == mu.tobytes() and rows.tobytes() == w.tobytes()
+
+
+def test_trapped_chain_modes_stay_exact_eigenpairs():
+    # chain modes 3 and 6 of the uniform 8-site chain have a node at c_1:
+    # their spokes deflate, and they come back as they went in
+    block, dense, chain = next(iter(sector_problems(2, 4, 1.0, 40)))
+    mu, w = diagonalize(chain)
+    energies, rows = lead_eigenpairs(block, 40, (mu, w))
+    trapped = np.flatnonzero(np.abs(w[2]) < 1e-15)      # c_1 is sector site 2
+    assert len(trapped) == 1                            # the even sector's one
+    column = np.flatnonzero(np.all(rows == w[:, trapped], axis=0))
+    assert len(column) == 1 and energies[column[0]] == mu[trapped[0]]
+
+
+def with_element(block, row, col, value):
+    """The block with element (row, col) and its mirror set to ``value``."""
+    n, rows, cols, values = block
+    keep = ~(((rows == row) & (cols == col)) | ((rows == col) & (cols == row)))
+    extra = [(row, col)] if row == col else [(row, col), (col, row)]
+    return (n, np.append(rows[keep], [r for r, _ in extra]),
+            np.append(cols[keep], [c for _, c in extra]),
+            np.append(values[keep], [value] * len(extra)))
+
+
+@pytest.mark.parametrize("row, col, value", [
+    (3, 4, -1.5),           # a lead bond of another strength
+    (5, 5, 0.2),            # a potential on a lead site
+    (9, 9, 0.2),            # ... on the hub
+    (4, 12, -1.0),          # an outer lead site bonded to the rest
+    (2, 7, -1.0),           # a bond that skips a lead site
+])
+def test_a_block_that_is_not_a_lead_and_a_rest_is_refused(row, col, value):
+    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 10)))
+    with pytest.raises(ValueError, match="uniform chain"):
+        lead_eigenpairs(with_element(block, row, col, value), 10, diagonalize(chain))
+
+
+def test_rest_eigenpairs_of_another_block_are_refused():
+    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 10)))
+    other = next(iter(sector_problems(2, 5, 1.7, 10)))[2]
+    with pytest.raises(ValueError, match="rest eigenpairs"):
+        lead_eigenpairs(block, 10, diagonalize(other))
+
+
+def test_a_failed_certificate_is_an_arithmetic_error(monkeypatch):
+    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 30)))
+    monkeypatch.setattr(spectra, "SECULAR_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        lead_eigenpairs(block, 30, diagonalize(chain))
+
+
+def test_evolve_hands_eigh_nothing_larger_than_the_chains_sector_block(tmp_path, monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(h, *args, **kwargs):
+        sizes.append(len(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    n0, length = 3, 41
+    assert main(["evolve", "--n0", str(n0), "--len", str(length), "--m", "300", "--kappa0",
+                 "1.7", "--steps", "60", "--modes", "all", "--out", str(tmp_path / "p.csv")]) == 0
+    assert sizes and max(sizes) <= math.ceil((2 * n0 + length) / 2)
+
+
+def test_evolve_reaches_past_the_dense_size_cap(tmp_path):
+    # 8,412 sites: each sector block has more rows than DEFAULT_SIZE_CAP,
+    # which only a dense eigensolve needs
+    out = tmp_path / "p.csv"
+    assert main(["evolve", "--n0", "2", "--len", "4", "--m", "4200", "--modes", "1,2",
+                 "--steps", "5", "--out", str(out)]) == 0
+    assert 4200 + 4 > spectra.DEFAULT_SIZE_CAP
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r[4] for r in rows if r[3] == "0"] == ["1", "1"]
+
+
+# ------------------------------------------------- diagonalize's contract
+
+def pinned_matrices():
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((40, 40))
+    yield dense + dense.T
+    for seed in range(4):
+        graph, _ = random_graph(np.random.default_rng(seed))
+        yield assemble_hamiltonian(graph)
+    yield from mirror_blocks(build_pi_lattice(PiLatticeSpec(3, 41, 1.0, 1.7, 60)).graph)
+    yield np.zeros((3, 3))
+
+
+@pytest.mark.parametrize("h", list(pinned_matrices()), ids=lambda h: f"n{len(h)}")
+def test_diagonalize_returns_eighs_bits(h):
+    # what diagonalize returns is eigh's output, bit for bit: its checks
+    # only read it
+    energies, vectors = diagonalize(h)
+    expected, expected_vectors = np.linalg.eigh(h)
+    assert energies.tobytes() == expected.tobytes()
+    assert vectors.tobytes() == expected_vectors.tobytes()
+
+
+def test_a_wrong_eigenpair_fails_the_residual_check(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def skewed(h):
+        energies, vectors = eigh(h)
+        return energies + 1e-6, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        diagonalize(next(iter(pinned_matrices())))

@@ -703,3 +703,34 @@ def test_pi_lattice_functions_reject_what_no_lattice_has(name, n0, length, kappa
         PiLatticeSpec(n0, length, kappa, kappa0)
     with pytest.raises(GraphSpecError, match=re.escape(str(expected.value))):
         PI_LATTICE_FUNCTIONS[name](n0, length, kappa, kappa0)
+
+
+@pytest.mark.parametrize("name", sorted(PI_LATTICE_FUNCTIONS))
+@pytest.mark.parametrize("n0, length", [
+    (2.5, 5),
+    (2, 5.5),
+    (2.0, 5),
+    (np.float64(3.0), 5),
+    (True, 4),
+    (2, True),
+    ("2", 5),
+])
+def test_pi_lattice_functions_reject_counts_that_are_not_integers(name, n0, length):
+    # a float, even a whole one, or a bool is no site count: the lattice's
+    # own check says so, before any arithmetic runs into it
+    with pytest.raises(GraphSpecError) as expected:
+        PiLatticeSpec(n0, length)
+    assert "must be an integer" in str(expected.value)
+    with pytest.raises(GraphSpecError, match=re.escape(str(expected.value))):
+        PI_LATTICE_FUNCTIONS[name](n0, length, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("leads", [1.5, 2.0, False, None])
+def test_pi_lattice_leads_must_be_an_integer(leads):
+    with pytest.raises(GraphSpecError, match="leads must be an integer"):
+        PiLatticeSpec(2, 4, leads=leads)
+
+
+def test_pi_lattice_counts_may_be_numpy_integers():
+    spec = PiLatticeSpec(np.int64(2), np.int32(4), leads=np.int16(3))
+    assert spec.site_count == 14
