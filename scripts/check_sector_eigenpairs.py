@@ -12,8 +12,20 @@ kernel's deflation adds at most 8 u ||h||, so the energies must agree
 within D = (2 gamma_N + 8 u) ||h|| (Weyl), and the propagators
 R exp(-iEt) R^T between the chain's sector sites, which ``evolve`` uses,
 within 4 gamma_N + t D.  Prints one
-line per lattice with the worst ratio of each difference to its bound,
-and exits 1 if any ratio exceeds 1.
+line per lattice with the worst ratio of each difference to its bound.
+
+It also checks the initial mode of ``bound --long-time`` on the sweep's
+largest chain (n0 = 5, length 1000, sector blocks of 505 sites) at
+kappa0 from 0.3 to 6 and modes spread over 1..lambda: the eigenpair of
+``spectra.tridiagonal_eigenpair`` against ``diagonalize`` of the dense
+sector block.  The energies must agree within the bracket's width
+(4 u ||h||), the counts' backward error (u (max|a| + |E|) + 2 gamma_2
+max|b| + 3 pivmin, CHANGES.md) and eigh's gamma_N ||h||; the vectors,
+aligned in sign, within 2.5 (r + r_dense) / gap (Davis-Kahan, with r the
+2-norm residuals and gap the distance to the other eigenvalues).  Prints
+one line per kappa0.
+
+Exits 1 if any ratio exceeds 1.
 
     python scripts/check_sector_eigenpairs.py [--lattices 40] [--seed 0]
 """
@@ -24,9 +36,15 @@ import sys
 import numpy as np
 
 from fanonet import PiLatticeSpec, build_pi_lattice, diagonalize
-from fanonet.spectra import lead_eigenpairs, mirror_blocks, mirror_elements
+from fanonet.spectra import lead_eigenpairs, mirror_blocks, mirror_elements, mirror_mode, \
+    tridiagonal_eigenpair
 
 UNIT_ROUNDOFF = 2.0**-53
+# the long-time check: the sweep's largest chain, its range of hopping
+# ratios and a spread of modes
+LONG_TIME_CHAIN = (5, 1000)
+LONG_TIME_KAPPA0 = np.round(np.geomspace(0.3, 6.0, 12), 4)
+LONG_TIME_MODES = 15
 
 
 def gamma(k):
@@ -69,6 +87,34 @@ def worst_ratios(n0, length, leads, kappa0):
     return energy_ratio, propagator_ratio
 
 
+def long_time_ratios(n0, length, kappa0, modes):
+    """The largest ratio of the energy and the vector difference to their
+    bounds over ``modes`` of the chain."""
+    chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
+    energy_ratio = vector_ratio = 0.0
+    for which, block in enumerate(mirror_blocks(chain)):
+        diagonal, off_diagonal = np.diag(block), np.diag(block, 1)
+        columns = [mirror_mode(n)[1] for n in modes if (mirror_mode(n)[0] > 0) == (which == 0)]
+        if not columns:
+            continue
+        size, scale = len(block), np.linalg.norm(block, np.inf)
+        b_max = np.max(np.abs(off_diagonal))
+        pivmin = np.finfo(float).tiny * max(1.0, b_max**2)
+        expected, vectors = diagonalize(block)
+        for column in columns:
+            energy, vector = tridiagonal_eigenpair(diagonal, off_diagonal, column)
+            drift = 4 * UNIT_ROUNDOFF * scale + 2 * pivmin + gamma(size) * scale \
+                + UNIT_ROUNDOFF * (np.max(np.abs(diagonal)) + abs(energy) + scale) \
+                + 2 * gamma(2) * b_max + 3 * pivmin
+            energy_ratio = max(energy_ratio, abs(energy - expected[column]) / drift)
+            dense = vectors[:, column] * np.sign(vectors[:, column] @ vector)
+            gap = np.min(np.abs(np.delete(expected, column) - expected[column])) - drift
+            r = np.linalg.norm(block @ vector - energy * vector) \
+                + np.linalg.norm(block @ dense - expected[column] * dense)
+            vector_ratio = max(vector_ratio, np.max(np.abs(vector - dense)) / (2.5 * r / gap))
+    return energy_ratio, vector_ratio
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -81,6 +127,14 @@ def main():
         worst = max(worst, *ratios)
         print(f"n0={n0} len={length} m={leads} kappa0={kappa0}: energies {ratios[0]:.3f}, "
               f"propagator {ratios[1]:.3f} of their bounds")
+    n0, length = LONG_TIME_CHAIN
+    lam = 2 * n0 + length
+    modes = np.unique(np.linspace(1, lam, LONG_TIME_MODES).round().astype(int)).tolist()
+    for kappa0 in LONG_TIME_KAPPA0.tolist():
+        ratios = long_time_ratios(n0, length, kappa0, modes)
+        worst = max(worst, *ratios)
+        print(f"long-time mode n0={n0} len={length} kappa0={kappa0} ({len(modes)} modes): "
+              f"energies {ratios[0]:.3f}, vectors {ratios[1]:.3f} of their bounds")
     print(f"worst ratio to a bound: {worst:.3f}")
     return 1 if worst > 1.0 else 0
 

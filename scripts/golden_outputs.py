@@ -34,8 +34,10 @@ hold a partition label that is no integer, an output path that is a
 directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
 no lattice length or equal --len, bound states of the paper's long
-lattice and of strong side coupling, a reflection zero next to the
-side-chain band edge (x = kappa*cos k/kappa0 near 1), and length 1000 at
+lattice and of strong side coupling, the long-time survival of a
+20,002-site central chain (past the dense eigensolve's size cap), a
+reflection zero next to the side-chain band edge (x = kappa*cos k/kappa0
+near 1), and length 1000 at
 kappa0 1.5, on its own and as the second length of a comparison, where a
 guessed dual-path tolerance once raised ArithmeticError, length 3000,
 past the length where the reflection-zero scan's grid starts to grow with
@@ -150,6 +152,8 @@ RUNS = [
     ("bound-equal-long-time-700", ["bound", "--n0", "4", "--len", "700", "--long-time", "351"]),
     ("bound-length-1000-long-time", ["bound", "--n0", "5", "--len", "1000", "--kappa0", "3.3248",
                                      "--long-time", "418", "--out", "{dir}/b1000.json"]),
+    ("bound-length-20000-long-time", ["bound", "--n0", "1", "--len", "20000", "--kappa0", "1.5",
+                                      "--long-time", "5", "--out", "{dir}/b20000.json"]),
     ("bound-length-123", ["bound", "--n0", "3", "--len", "123", "--out", "{dir}/b123.json"]),
     ("bound-length-123-long-time", ["bound", "--n0", "1", "--len", "123",
                                     "--long-time", "62", "--out", "{dir}/b123_mode62.json"]),

@@ -36,18 +36,22 @@ that no lattice can have.
 
 The isolated central chain is mirror-symmetric too: its mode n (energies
 ascending) lies in sector (-1)^(n-1), so ``long_time_survival`` builds its
-initial mode in closed form at equal hoppings and otherwise diagonalizes
-the one half-size block of the chain that holds it, never the whole chain.
+initial mode in closed form at equal hoppings and otherwise takes the one
+eigenpair it needs of the half-size block of the chain that holds it, a
+tridiagonal matrix read from the chain's bonds, in O(length) time and
+memory (``spectra.tridiagonal_eigenpair``): no dense block is built or
+diagonalized.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pilattice import PiLatticeSpec, build_pi_lattice
-from .spectra import diagonalize, mirror_blocks, mirror_mode, open_chain_mode, unfold
+from .spectra import mirror_elements, mirror_mode, open_chain_mode, tridiagonal_eigenpair, unfold
 
 __all__ = [
     "BoundState",
@@ -337,6 +341,21 @@ def evanescent_bound_states(
     return sorted(states, key=lambda s: s.energy)
 
 
+def _tridiagonal(size, rows, cols, values):
+    """The diagonal and the off-diagonal of a symmetric block given by its
+    stored elements, as ``mirror_elements`` returns a sector; ValueError
+    for a nonzero element off the three diagonals or an unequal pair."""
+    nonzero = values != 0
+    band = (rows - cols)[nonzero]               # -1, 0, 1: above, on, below
+    if np.any(np.abs(band) > 1):
+        raise ValueError("the sector block is not tridiagonal")
+    diagonals = np.zeros((3, size))
+    diagonals[band + 1, np.minimum(rows, cols)[nonzero]] = values[nonzero]
+    if not np.array_equal(diagonals[0], diagonals[2]):
+        raise ValueError("the sector block is not symmetric")
+    return diagonals[1], diagonals[0, :-1]
+
+
 def long_time_survival(
     n0: int,
     length: int,
@@ -354,18 +373,29 @@ def long_time_survival(
     exactly 1.  ``states`` passes bound states already solved for this
     lattice (resonant, then evanescent, as the solvers return them);
     otherwise they are solved here.
+
+    The mode psi0 is the analytic open-chain mode at equal hoppings, else
+    the eigenpair of its sector's tridiagonal block that ``mirror_mode``
+    names, the block read from ``mirror_elements`` of the chain, from
+    ``tridiagonal_eigenpair`` (O(lambda), certified: ArithmeticError if a
+    certificate fails).  ValueError for a mode that is not an integer (a
+    bool included), checked first, or one outside [1, lambda].
     """
+    # bool is an Integral, but True is no mode number
+    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
+        raise ValueError(f"mode must be an integer, got {mode!r}")
     spec = PiLatticeSpec(n0, length, kappa, kappa0)
     lam = spec.central_size
     if not 1 <= mode <= lam:
         raise ValueError(f"mode must be in [1, {lam}], got {mode}")
+    mode = int(mode)
     if kappa == kappa0:                 # the analytic mode, O(lam)
         psi0 = open_chain_mode(lam, mode, kappa).amplitudes
-    else:                               # one half-size eigensolve: the mode's sector
+    else:                               # one eigenpair of the mode's sector, O(lam)
         sector, column = mirror_mode(mode)
         chain = build_pi_lattice(spec).graph
-        block = mirror_blocks(chain)[0 if sector > 0 else 1]
-        psi0 = unfold(diagonalize(block)[1][:, column], sector, lam)
+        diagonal, off_diagonal = _tridiagonal(*mirror_elements(chain)[0 if sector > 0 else 1])
+        psi0 = unfold(tridiagonal_eigenpair(diagonal, off_diagonal, column)[1], sector, lam)
     if states is None:
         states = resonant_bound_states(n0, length, kappa, kappa0) + \
             evanescent_bound_states(n0, length, kappa, kappa0)

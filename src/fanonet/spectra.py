@@ -23,13 +23,15 @@ matrix's mode n lies.
 A block whose first sites are a uniform hard-wall chain, joined by one
 bond to the rest, needs no dense eigensolve: ``lead_eigenpairs`` merges
 the chain's standing waves with the rest's eigenpairs through one secular
-equation and certifies the result.
+equation and certifies the result.  Nor does one eigenpair of a symmetric
+tridiagonal matrix, such as a chain's sector block: ``tridiagonal_eigenpair``
+finds it from Sturm counts and inverse iteration in O(n), certified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "find_trapping_modes",
     "verify_trapping",
     "residual_rounding_bound",
+    "tridiagonal_eigenpair",
 ]
 
 DEFAULT_SIZE_CAP = 4096
@@ -76,6 +79,20 @@ EARLY_STEP = 2.0**-30
 SECULAR_MAX_STEPS = 60
 # distances at which f is probed in each outer gap before the first step
 OUTER_PROBES = 24
+# evaluations after which a tridiagonal eigenvalue whose bracket has not
+# closed is a failure: a step before the eigenvalue is isolated keeps at
+# most three quarters of the bracket, about 125 steps from the Gershgorin
+# interval down to 4 u ||T||_inf, and Laguerre's steps converge cubically
+# (the pi chains' sector blocks take at most about 30 evaluations)
+TRIDIAGONAL_MAX_STEPS = 256
+# solves after which inverse iteration that has not converged is a failure
+TRIDIAGONAL_MAX_SOLVES = 3
+# the golden ratio's fractional part: inverse iteration starts from the
+# Weyl sequence frac(j * WEYL) - 1/2, which has no mirror symmetry or
+# period that could make it orthogonal to a mode of a symmetric chain
+WEYL = 0.6180339887498949
+# the smallest positive normal double
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -156,6 +173,259 @@ def diagonalize(h: np.ndarray):
     if residual >= RESIDUAL_TOL * scale:
         raise ArithmeticError(f"eigensolver residual {residual:.3e} out of tolerance")
     return energies, vectors
+
+
+def tridiagonal_eigenpair(diagonal, off_diagonal, index: int):
+    """Eigenpair ``index`` (0-based, energies ascending) of the symmetric
+    tridiagonal matrix T with ``diagonal`` a (n entries) and
+    ``off_diagonal`` b (n - 1), in O(n) time and memory: no n x n matrix
+    is built.  Returns ``(energy, vector)``, the vector of unit 2-norm with
+    its largest entry positive.
+
+    The energy is bracketed by Sturm counts: count(x), the number of
+    negative pivots of the LDL^T factorization of T - x, is the number of
+    eigenvalues below x, with a pivot smaller than pivmin = tiny *
+    max(1, max b^2) taken as -pivmin, as LAPACK's dstebz does (Barth,
+    Martin and Wilkinson, Numer. Math. 9, 386 (1967)).  From the Gershgorin
+    interval, each step keeps count(lo) <= index < count(hi), at the point
+    where the eigenvalue would lie were the bracket's eigenvalues evenly
+    spread (kept in the bracket's middle half).  Once the bracket holds one
+    eigenvalue, Laguerre's step takes over: the pivot recurrence carries
+    the first two logarithmic derivatives of det(T - x), and as all its
+    roots are real the step does not pass the root it heads for and
+    converges cubically.  A converged step probes just past the root, so
+    that the bracket closes from both sides, to 4 u ||T||_inf.
+
+    The vector comes from inverse iteration at the bracket's middle, from
+    a fixed start (the Weyl sequence frac(j phi) - 1/2), with the LU
+    factorization of T - x with partial pivoting (as LAPACK's dgttrf): its
+    multipliers are at most 1 in size, and a pivot below u (||T||_inf +
+    |x|) in size, such as the last one at an eigenvalue, is raised to that
+    size.  So an exact zero pivot of the LDL^T form, where the eigenvector
+    has exact zeros, is no special case.  The iteration stops once the
+    solution has grown as an eigenvector's must (``_inverse_iteration``),
+    after one or two solves.
+
+    Every call certifies itself, and raises ArithmeticError if a check
+    fails: count(lo) <= index < count(hi) on the final bracket; the
+    residual ||T z - E z||_inf within the rounding bound that the bracket,
+    the counts' and the factorization's backward errors give; and
+    |z^T z - 1| within gamma_{2n+4} (CHANGES.md derives both bounds).
+    ValueError if the arrays are not finite or do not fit, or if ``index``
+    is not an integer in [0, n).
+    """
+    a = np.asarray(diagonal, dtype=float)
+    b = np.asarray(off_diagonal, dtype=float)
+    n = len(a)
+    if a.ndim != 1 or n == 0 or b.shape != (n - 1,):
+        raise ValueError(f"expected n >= 1 diagonal and n - 1 off-diagonal entries, "
+                         f"got shapes {a.shape} and {b.shape}")
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) \
+            or not 0 <= index < n:
+        raise ValueError(f"eigenpair index must be an integer in [0, {n}), got {index!r}")
+    index = int(index)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    radius = np.zeros(n)                        # the rows' off-diagonal sums
+    radius[1:] = abs_b
+    radius[:-1] += abs_b
+    norm = float((abs_a + radius).max())        # nan or inf if an entry is
+    if not math.isfinite(norm):
+        raise ValueError("tridiagonal entries must be finite, and so must the row sums")
+    u = UNIT_ROUNDOFF
+    a_max, b_max = float(abs_a.max()), float(abs_b.max()) if n > 1 else 0.0
+    a_list, b_list, b2_list = a.tolist(), b.tolist(), [0.0] + (b * b).tolist()
+    pivmin = TINY * max(1.0, b_max * b_max)
+
+    def count_error(x):
+        """How far the eigenvalues of T lie from those of the matrix whose
+        exact count is the one computed at a point of size ``x``."""
+        return u * (a_max + x) + 2.0 * _gamma(2) * b_max + 3.0 * pivmin
+
+    # past the Gershgorin interval by that error, so the counts there are
+    # exactly 0 and n
+    margin = 2.0 * (count_error(2.0 * norm) + _gamma(2) * norm)
+    lo, hi = float((a - radius).min()) - margin, float((a + radius).max()) + margin
+    count_lo, count_hi = 0, n
+    tol = 4.0 * u * norm + 2.0 * pivmin
+    target, probe = None, False
+    for _ in range(TRIDIAGONAL_MAX_STEPS):
+        if hi - lo <= tol:
+            break
+        if target is None:
+            # where eigenvalue ``index`` would lie were the bracket's
+            # eigenvalues evenly spread, kept in the bracket's middle half
+            share = (index + 0.5 - count_lo) / (count_hi - count_lo)
+            target = lo + (hi - lo) * min(max(share, 0.25), 0.75)
+        x = target
+        if not lo < x < hi:                     # lo and hi are neighbouring floats
+            break
+        target = None
+        if count_hi - count_lo > 1 or probe:
+            count, probe = _sturm_count(a_list, b2_list, x, pivmin), False
+        else:
+            count, g, h = _sturm_laguerre(a_list, b2_list, x, pivmin)
+            # the one eigenvalue in the bracket is the nearest one above x
+            # if x ends up as lo, else the nearest below; Laguerre's step
+            # towards it, from G = p'/p and H = G^2 - p''/p of p = det(T - x),
+            # does not pass it (the roots are real) and converges cubically.
+            # A step within tol/4 has converged and probes tol/2 past the
+            # root; a target outside the bracket moves to tol/2 inside it
+            side = 1.0 if count <= index else -1.0
+            spread = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
+            if spread - side * g > 0.0:
+                step = n / (spread - side * g)
+                if math.isfinite(step):
+                    probe = step <= 0.25 * tol
+                    target = x + side * (step + 0.5 * tol if probe else step)
+        if count <= index:
+            lo, count_lo = x, count
+        else:
+            hi, count_hi = x, count
+        if target is not None:
+            target = min(max(target, lo + 0.5 * tol), hi - 0.5 * tol)
+    else:
+        raise ArithmeticError(f"eigenvalue {index} not bracketed within "
+                              f"{TRIDIAGONAL_MAX_STEPS} steps")
+    if not count_lo <= index < count_hi:
+        raise ArithmeticError(f"eigenvalue bracket [{lo!r}, {hi!r}] holds eigenvalues "
+                              f"{count_lo}..{count_hi - 1}, not {index}")
+    energy = 0.5 * (lo + hi)
+    # inverse iteration has converged once the start s and the solution y of
+    # (T - E) y = s satisfy ||s|| / ||y|| <= 2 (distance + phi): twice the
+    # distance to the eigenvalue (the bracket and the counts' backward
+    # error) and the backward error phi of the factorization and the solve
+    distance = (hi - lo) + count_error(max(abs(lo), abs(hi)))
+    floor = u * (norm + abs(energy)) or 1.0     # T = 0: any vector will do
+    vector, ratio, phi = _inverse_iteration(a_list, b_list, energy, floor,
+                                            a_max, b_max, distance)
+    # ||(T - E) z||_2 <= ratio + phi, up to the norms' rounding; then the
+    # normalization, and the rounding of the residual's own terms, four per row
+    bound = (1.0 + _gamma(2 * n + 4)) * (ratio + phi) + u * (norm + abs(energy)) \
+        + _gamma(4) * (a_max + 2.0 * b_max + abs(energy))
+    residual = (a - energy) * vector
+    residual[:-1] += b * vector[1:]
+    residual[1:] += b * vector[:-1]
+    worst = float(np.abs(residual).max())
+    if not worst <= bound:
+        raise ArithmeticError(f"eigenpair {index} misses T z = E z by {worst:.3e} "
+                              f"(bound {bound:.3e})")
+    defect = abs(float(vector @ vector) - 1.0)
+    if not defect <= _gamma(2 * n + 4):
+        raise ArithmeticError(f"eigenvector {index} has |z^T z - 1| = {defect:.3e}")
+    return energy, vector
+
+
+def _sturm_count(a, b2, x, pivmin):
+    """Negative pivots of LDL^T(T - x), a pivot below pivmin in size
+    taken as -pivmin; ``b2`` holds 0 and then the squared off-diagonal."""
+    count, d = 0, 1.0
+    for ai, bi2 in zip(a, b2):
+        d = (ai - x) - bi2 / d
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+    return count
+
+
+def _sturm_laguerre(a, b2, x, pivmin):
+    """``_sturm_count``, G = p'/p and H = G^2 - p''/p for p = det(T - x) =
+    prod d_i: G = sum t_i and H = sum (t_i^2 - w_i), with t_i = d_i'/d_i and
+    w_i = d_i''/d_i from d_i' = -1 + q t_{i-1} and d_i'' = q (w_{i-1} -
+    2 t_{i-1}^2), q = b_{i-1}^2/d_{i-1}."""
+    count, d, t, w, g, h = 0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for ai, bi2 in zip(a, b2):
+        q = bi2 / d
+        d = (ai - x) - q
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+        w = q * (w - 2.0 * t * t) / d
+        t = (q * t - 1.0) / d
+        g += t
+        h += t * t - w
+    return count, g, h
+
+
+def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
+    """Inverse iteration with T - ``shift`` from the Weyl sequence
+    frac(j phi) - 1/2, until a start s and the solution y of (T - shift +
+    F) y = s satisfy ||s||_2 / ||y||_2 <= 2 (``distance`` + phi), phi >=
+    ||F||_2, at most TRIDIAGONAL_MAX_SOLVES times.  T - shift is factored
+    as P L U with partial pivoting (as LAPACK's dgttrf), every pivot
+    raised to at least ``floor`` in size.  Returns y of unit 2-norm with
+    its largest entry positive, ||s|| / ||y|| and phi.
+
+    F gathers the rounding of T - shift (u (max|a| + |shift|)), the raised
+    pivots (at most one per column, so 2 floor) and the factorization's
+    and the solves' backward error, gamma_8 |L| |U| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 8.1 and 9.3),
+    whose 2-norm is at most 6 max|U|: a row or a column of |L| |U| adds at
+    most two of |U|'s, each with three entries, and |L|'s entries are at
+    most 1.  An entry of U is an entry of T - shift, or one such entry less
+    a multiplier times another, so max|U| <= max|a| + |shift| + max|b|."""
+    n = len(a)
+    # U's rows (pivot, first and second superdiagonal), the multipliers and
+    # the interchanges; (d, e) is the row still to be reduced
+    rows, multipliers, swaps = [], [], []
+    raised = 0.0
+    d, e = a[0] - shift, (b[0] if n > 1 else 0.0)
+    for below, diagonal, beyond in zip(b, a[1:], b[1:] + [0.0]):
+        diagonal -= shift
+        if abs(d) >= abs(below):
+            if abs(d) < floor:
+                d, raised = math.copysign(floor, d), floor
+            m = below / d
+            rows.append((d, e, 0.0))
+            d, e = diagonal - m * e, beyond
+            swaps.append(False)
+        else:                                   # the next row is the pivot row
+            if abs(below) < floor:
+                below, raised = math.copysign(floor, below), floor
+            m = d / below
+            rows.append((below, diagonal, beyond))
+            d, e = e - m * diagonal, -m * beyond
+            swaps.append(True)
+        multipliers.append(m)
+    if abs(d) < floor:
+        d, raised = math.copysign(floor, d), floor
+    rows.append((d, 0.0, 0.0))
+    phi = 6.0 * _gamma(8) * (a_max + b_max + abs(shift)) + 2.0 * raised \
+        + UNIT_ROUNDOFF * (a_max + abs(shift))
+    y = [(j * WEYL) % 1.0 - 0.5 for j in range(1, n + 1)]
+    start = math.sqrt(sum(v * v for v in y))
+    for _ in range(TRIDIAGONAL_MAX_SOLVES):
+        # L^{-1} P^T y, then U^{-1} from the last row up
+        solved, carry = [], y[0]
+        for swap, m, value in zip(swaps, multipliers, y[1:]):
+            if swap:
+                solved.append(value)
+                carry -= m * value
+            else:
+                solved.append(carry)
+                carry = value - m * carry
+        solved.append(carry)
+        y, x1, x2 = [], 0.0, 0.0
+        for (p, q, r), value in zip(reversed(rows), reversed(solved)):
+            x1, x2 = (value - q * x1 - r * x2) / p, x1
+            y.append(x1)
+        y.reverse()
+        # divided by its largest entry in size first, so that the sum of
+        # squares cannot overflow; the next start
+        scale = max(map(abs, y))
+        y = [v / scale for v in y]
+        size = math.sqrt(sum(v * v for v in y))
+        ratio = start / (scale * size)
+        if ratio <= 2.0 * (distance + phi):
+            break
+        start = size
+    else:
+        raise ArithmeticError(f"inverse iteration did not converge in "
+                              f"{TRIDIAGONAL_MAX_SOLVES} solves")
+    vector = np.array(y)
+    vector /= vector[np.argmax(np.abs(vector))]
+    return vector / math.sqrt(vector @ vector), ratio, phi
 
 
 def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
@@ -244,9 +514,9 @@ def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
     return _Secular(m, kappa, mu, w, w.T @ spokes, scale).solve()
 
 
-def _gamma(k) -> np.ndarray:
+def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), Higham's bound on k roundings."""
-    k = np.asarray(k, dtype=float) * UNIT_ROUNDOFF
+    k = k * UNIT_ROUNDOFF
     return k / (1.0 - k)
 
 
@@ -699,7 +969,7 @@ def open_chain_mode(size: int, n: int, kappa: float = 1.0) -> EigenMode:
         raise ValueError(f"mode must be in [1, {size}], got {n}")
     momentum = n * np.pi / (size + 1)
     g = np.sqrt(2.0 / (size + 1)) * np.sin(momentum * np.arange(1, size + 1))
-    step = (size + 1) // gcd(n, size + 1)
+    step = (size + 1) // math.gcd(n, size + 1)
     nodes = frozenset(range(step, size + 1, step))
     for j in nodes:
         g[j - 1] = 0.0

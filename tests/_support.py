@@ -5,12 +5,14 @@ the per-group SVD search and per-site certificate methods that
 a dense reference for the numeric scattering oracle, an eigenvalue
 count of the truncated pi lattice by Sylvester's law of inertia,
 survival evolved on the whole lattice, as evolve did before it split the
-lattice into mirror sectors, the mirror blocks sliced from the dense
-Hamiltonian, as ``mirror_blocks`` built them before it folded the bonds,
-the paper's closed forms of the scattering amplitudes, and four helpers
-that only the tests use: the Hamiltonian reassembled from a partition,
-the resonant (m, n) pairs, a bound state on a truncated lattice and the
-plateau of a survival curve."""
+lattice into mirror sectors, long-time survival from the dense
+eigendecomposition of the chain's mirror sector, as ``long_time_survival``
+computed it before it solved for one eigenpair, the mirror blocks sliced
+from the dense Hamiltonian, as ``mirror_blocks`` built them before it
+folded the bonds, the paper's closed forms of the scattering amplitudes,
+and four helpers that only the tests use: the Hamiltonian reassembled
+from a partition, the resonant (m, n) pairs, a bound state on a
+truncated lattice and the plateau of a survival curve."""
 
 from __future__ import annotations
 
@@ -290,6 +292,15 @@ def chain_modes(n0, length, kappa, kappa0, modes):
     chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
     vectors = {s: diagonalize(b)[1] for s, b in zip((1, -1), mirror_blocks(chain))}
     return np.array([unfold(vectors[s][:, c], s, size) for s, c in map(mirror_mode, modes)]).T
+
+
+def dense_long_time_survival(n0, length, kappa, kappa0, mode, states):
+    """P_inf of central-chain mode ``mode`` (1-based) over the bound states
+    ``states``, with the mode from ``chain_modes``: the analytic mode at
+    equal hoppings, otherwise the column of ``diagonalize`` of the dense
+    mirror block that holds it."""
+    psi0 = chain_modes(n0, length, kappa, kappa0, [mode])[:, 0]
+    return sum(float(s.central_amplitudes @ psi0) ** 2 * s.subgraph_weight for s in states)
 
 
 def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
