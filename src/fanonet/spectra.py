@@ -411,21 +411,19 @@ def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
             x1, x2 = (value - q * x1 - r * x2) / p, x1
             y.append(x1)
         y.reverse()
-        # divided by its largest entry in size first, so that the sum of
-        # squares cannot overflow; the next start
-        scale = max(map(abs, y))
+        # divided by its largest entry in size first, which becomes 1, so
+        # that the sum of squares cannot overflow; the next start
+        scale = max(y, key=abs)
         y = [v / scale for v in y]
         size = math.sqrt(sum(v * v for v in y))
-        ratio = start / (scale * size)
+        ratio = start / (abs(scale) * size)
         if ratio <= 2.0 * (distance + phi):
             break
         start = size
     else:
         raise ArithmeticError(f"inverse iteration did not converge in "
                               f"{TRIDIAGONAL_MAX_SOLVES} solves")
-    vector = np.array(y)
-    vector /= vector[np.argmax(np.abs(vector))]
-    return vector / math.sqrt(vector @ vector), ratio, phi
+    return np.array(y) / size, ratio, phi
 
 
 def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
