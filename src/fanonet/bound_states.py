@@ -217,24 +217,27 @@ def resonant_bound_states(
     equation kappa0*psi(a_1) = -kappa*psi(c_2).
     """
     PiLatticeSpec(n0, length, kappa, kappa0)
+    # every coinciding (a, b) from one comparison of the two cosine grids,
+    # in a-then-b order
+    host_cos = np.cos(np.arange(1, length - 1) * np.pi / (length - 1))
+    side_cos = np.cos(np.arange(1, n0 + 1) * np.pi / (n0 + 1))
+    pairs = np.nonzero(np.abs(kappa * host_cos[:, None] - kappa0 * side_cos) < ENERGY_MATCH_TOL)
     states = []
-    for a in range(1, length - 1):
+    for a, b in zip(*((index + 1).tolist() for index in pairs)):
         k = a * np.pi / (length - 1)
-        for b in range(1, n0 + 1):
-            q = b * np.pi / (n0 + 1)
-            mismatch = abs(kappa * np.cos(k) - kappa0 * np.cos(q))
-            if mismatch < ENERGY_MATCH_TOL:
-                host = np.sin(k * np.arange(length))
-                host[[0, -1]] = 0.0                 # k*(length-1) = a*pi
-                side = -kappa / kappa0 * np.sin(q * np.arange(1, n0 + 1)) / np.sin(q)
-                values = np.concatenate([host[1] * side[::-1], host, host[-2] * side])
-                # rounding, that of the sine arguments (3*eps*pi per site of
-                # the chains, see CHANGES.md) and the energy mismatch
-                scale = np.max(np.abs(values))
-                rounding = RESIDUAL_ROUNDING + 32 * np.finfo(float).eps * (length + n0)
-                tolerance = (rounding * _gershgorin(kappa, kappa0) + 2 * mismatch) * scale
-                states.append(_state(RESONANT, complex(k), 0.0, None, 0.0, values, 0.0,
-                                     tolerance, n0, length, kappa, kappa0))
+        q = b * np.pi / (n0 + 1)
+        mismatch = abs(kappa * np.cos(k) - kappa0 * np.cos(q))
+        host = np.sin(k * np.arange(length))
+        host[[0, -1]] = 0.0                         # k*(length-1) = a*pi
+        side = -kappa / kappa0 * np.sin(q * np.arange(1, n0 + 1)) / np.sin(q)
+        values = np.concatenate([host[1] * side[::-1], host, host[-2] * side])
+        # rounding, that of the sine arguments (3*eps*pi per site of
+        # the chains, see CHANGES.md) and the energy mismatch
+        scale = np.max(np.abs(values))
+        rounding = RESIDUAL_ROUNDING + 32 * np.finfo(float).eps * (length + n0)
+        tolerance = (rounding * _gershgorin(kappa, kappa0) + 2 * mismatch) * scale
+        states.append(_state(RESONANT, complex(k), 0.0, None, 0.0, values, 0.0,
+                             tolerance, n0, length, kappa, kappa0))
     return states
 
 

@@ -50,14 +50,7 @@ from .scattering import (
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import (
-    diagonalize,
-    find_trapping_modes,
-    lead_eigenpairs,
-    mirror_blocks,
-    mirror_elements,
-    mirror_mode,
-)
+from .spectra import find_trapping_modes, lead_eigenpairs, mirror_elements, mirror_mode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -305,29 +298,27 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # a requested mode under its own half-size block of the lattice, folded
     # from the lattice's bonds and kept as its stored elements.  The block's
     # first ``leads`` sites are the left lead, a uniform hard-wall chain
-    # joined to the rest by one bond; the rest is bitwise the chain's own
-    # sector block, whose eigenvectors are the chain's modes of that
-    # sector, the initial states.  The lead's standing waves meet those
-    # modes in one secular equation (``lead_eigenpairs``): it gives the
-    # block's energies and its eigenvectors' rows on the chain's sector
-    # coordinates, where P = sum |w|^2, and certifies them, an
-    # ArithmeticError (exit 5) if a certificate fails.  The only dense
-    # eigensolve is the chain's sector block
-    chain = build_pi_lattice(PiLatticeSpec(cfg.n0, cfg.length, cfg.kappa, cfg.kappa0)).graph
-    sectors = zip((1, -1), mirror_elements(lattice.graph), mirror_blocks(chain))
+    # joined to the rest by one bond; the rest is the chain's own sector
+    # block, whose eigenvectors are the chain's modes of that sector, the
+    # initial states.  ``lead_eigenpairs`` diagonalizes the rest, the only
+    # dense eigensolve, and meets its modes with the lead's standing waves
+    # in one secular equation: it gives the block's energies, its
+    # eigenvectors' rows on the chain's sector coordinates, where
+    # P = sum |w|^2, and the chain's modes, and certifies them, an
+    # ArithmeticError (exit 5) if a certificate fails
     survival = {}
-    for sector, block, chain_block in sectors:
+    for sector, block in zip((1, -1), mirror_elements(lattice.graph)):
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
         if not wanted:
             continue
-        rest = diagonalize(chain_block)
-        propagator = SpectralPropagator.from_rows(*lead_eigenpairs(block, cfg.leads, rest))
+        energies, rows, chain_modes = lead_eigenpairs(block, cfg.leads)
+        propagator = SpectralPropagator(energies, rows)
         # a batch of modes holds S * per_block <= min(N, T) amplitudes per
         # energy, so no array outgrows the (T, N) phase table
-        per_block = max(1, min(block[0], len(times)) // len(chain_block))
+        per_block = max(1, min(block[0], len(times)) // len(chain_modes))
         for start in range(0, len(wanted), per_block):
             batch = wanted[start:start + per_block]
-            psi0 = rest[1][:, [mirror_mode(n)[1] for n in batch]]
+            psi0 = chain_modes[:, [mirror_mode(n)[1] for n in batch]]
             amps = propagator.evolve(psi0, times)
             survival.update(zip(batch, np.sum(np.abs(amps) ** 2, axis=2).T))
     time_texts = [_fmt(t) for t in times.tolist()]

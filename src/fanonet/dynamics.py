@@ -3,10 +3,10 @@
 Evolution goes through SpectralPropagator alone: one spectral
 decomposition, reused for every requested time and every initial state,
 so the propagation is exactly unitary at arbitrary t.
-``SpectralPropagator(h)`` diagonalizes h densely, O(N^3);
-``SpectralPropagator.from_rows`` takes all N energies and the
+``SpectralPropagator(energies, rows)`` takes all N energies and the
 eigenvectors' rows on the S sites that states start on and are observed
-at, which is all that their evolution there needs.  Per block of initial
+at, which is all that their evolution there needs (all N rows of a dense
+eigensolve make S = N).  Per block of initial
 states it forms a phase table cos(tE), sin(tE) of T times by N energies
 and two real GEMMs of O(T * N * S * M) for M states: amplitudes are formed
 only on the observed sites.  The phase table comes from angle addition
@@ -20,8 +20,9 @@ mirror sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve``
 solves one half-size block per sector that holds a requested mode
 (``spectra.mirror_elements``, folded from the lattice's bonds).  Its lead
 is a uniform hard-wall chain joined by one bond to the chain's own sector
-block, so ``spectra.lead_eigenpairs`` gives the block's energies and its
-eigenvectors' rows on the chain's S sector sites from one secular
+block, so ``spectra.lead_eigenpairs`` diagonalizes that S-site rest, whose
+eigenvectors are the chain's modes of the sector, and gives the block's
+energies and its eigenvectors' rows on the rest from one secular
 equation, with no dense eigensolve of the block, and certifies them: an
 ArithmeticError, exit 5 in the CLI, if a certificate fails.  Hard-wall
 truncated leads stay faithful to the infinite lattice only until leaked
@@ -36,8 +37,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .spectra import diagonalize
 
 __all__ = [
     "SurvivalSeries",
@@ -75,43 +74,26 @@ class SurvivalSeries:
 
 
 class SpectralPropagator:
-    """Spectral decomposition of H, reusable across times and initial states.
+    """Spectral decomposition of H, reusable across times and initial states:
+    all N energies and the (S, N) rows of their eigenvectors on S sites,
+    such as ``spectra.lead_eigenpairs`` returns.  It evolves states that
+    live on those S sites, exactly, since their projections onto every
+    eigenvector need only those rows."""
 
-    ``SpectralPropagator(h)`` diagonalizes h densely; ``from_rows`` takes
-    the energies and the eigenvectors' rows on some sites only, and then
-    states and ``sites`` index those rows.
-    """
+    def __init__(self, energies: np.ndarray, rows: np.ndarray):
+        self.energies, self.vectors = np.asarray(energies), np.asarray(rows)
 
-    def __init__(self, h: np.ndarray):
-        self.energies, self.vectors = diagonalize(h)
+    def evolve(self, psi0: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """Amplitudes of exp(-iHt) psi0 on the propagator's S rows.
 
-    @classmethod
-    def from_rows(cls, energies: np.ndarray, rows: np.ndarray) -> "SpectralPropagator":
-        """A propagator from all N energies and the (S, N) rows of their
-        eigenvectors on S sites, such as ``spectra.lead_eigenpairs`` returns:
-        it evolves states that live on those S sites, exactly, since their
-        projections onto every eigenvector need only those rows."""
-        propagator = cls.__new__(cls)
-        propagator.energies, propagator.vectors = np.asarray(energies), np.asarray(rows)
-        return propagator
-
-    def evolve(
-        self,
-        psi0: np.ndarray,
-        times: Sequence[float],
-        sites: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Amplitudes of exp(-iHt) psi0 on ``sites`` (every site if None).
-
-        Sites are the propagator's rows: all N sites of h, or the S sites of
-        ``from_rows``.  ``psi0`` is one state or states in columns, on those
-        rows; the result is (len(times), K) or (len(times), M, K) for
-        K = len(sites).  With b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes
+        ``psi0`` is one state or states in columns, on those rows; the
+        result is (len(times), S) or (len(times), M, S).  With
+        b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes
         are cos(tE) @ b - i sin(tE) @ b: two real GEMMs (complex states go
         through the same GEMMs on interleaved parts) on the (T, N) tables
         of ``_PhaseTable``, built one at a time.
-        Memory is O(T * N + T * K * M + N * K * M); callers batching modes
-        keep K * M <= min(N, T) to stay within one phase table.
+        Memory is O(T * N + T * S * M + N * S * M); callers batching modes
+        keep S * M <= min(N, T) to stay within one phase table.
         """
         psi0 = np.asarray(psi0)
         columns = psi0.reshape(len(psi0), -1)
@@ -119,9 +101,8 @@ class SpectralPropagator:
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"initial state {bad} norm {norms[bad]:.6f} != 1")
-        rows = self.vectors if sites is None else self.vectors[np.asarray(sites, dtype=int)]
         coeff = self.vectors.T @ columns
-        b = np.multiply(coeff[:, :, None], rows.T[:, None, :], order="C")
+        b = np.multiply(coeff[:, :, None], self.vectors.T[:, None, :], order="C")
         flat = b.reshape(len(b), -1)
         if np.iscomplexobj(flat):
             flat = flat.view(np.float64)
@@ -131,7 +112,7 @@ class SpectralPropagator:
         im = (phases.sin() @ flat).view(b.dtype)
         del phases, b, flat     # free the phase factors and the (N, S*M) table
         amps = re - 1j * im
-        return amps.reshape(len(times), *psi0.shape[1:], len(rows))
+        return amps.reshape(len(times), *psi0.shape[1:], len(self.vectors))
 
 
 def _anchor_stride(times: np.ndarray) -> int:

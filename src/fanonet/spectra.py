@@ -21,9 +21,10 @@ sites, and ``mirror_mode`` says in which block, and where, a Jacobi
 matrix's mode n lies.
 
 A block whose first sites are a uniform hard-wall chain, joined by one
-bond to the rest, needs no dense eigensolve: ``lead_eigenpairs`` merges
-the chain's standing waves with the rest's eigenpairs through one secular
-equation and certifies the result.  Nor does one eigenpair of a symmetric
+bond to the rest, needs no dense eigensolve: ``lead_eigenpairs``
+diagonalizes only the rest, merges the chain's standing waves with the
+rest's eigenpairs through one secular equation, certifies the result and
+returns the rest's eigenvectors with it.  Nor does one eigenpair of a symmetric
 tridiagonal matrix, such as a chain's sector block: ``tridiagonal_eigenpair``
 finds it from Sturm counts and inverse iteration in O(n), certified.
 """
@@ -426,7 +427,7 @@ def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
     return np.array(y) / size, ratio, phi
 
 
-def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
+def lead_eigenpairs(block, leads: int):
     """Energies of a block whose first ``leads`` sites are a uniform
     hard-wall chain, and the rows of its eigenvectors on the other sites,
     without a dense eigensolve of the block.
@@ -435,12 +436,13 @@ def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
     ``(N, rows, cols, values)`` with each position at most once, as
     ``mirror_elements`` returns a sector.  Sites 0..m-1 (m = ``leads``) must
     carry hopping -kappa between neighbours and no potential, and only site
-    m-1, the hub, may be bonded to the rest, the trailing S x S block;
-    ``rest`` holds that block's eigenpairs (mu, W), as ``diagonalize``
-    returns them.  Returns ``(energies, rows)``: the N = m + S energies
-    ascending and the (S, N) rows V[m:, :] of the block's eigenvectors.
-    O(N * S) per secular step and O(S^2 * N) for the rows, against O(N^3)
-    for a dense eigensolve, and O(N * S) memory.
+    m-1, the hub, may be bonded to the rest, the trailing S x S block,
+    whose eigenpairs (mu, W) come from ``diagonalize``.  Returns
+    ``(energies, rows, modes)``: the N = m + S energies ascending, the
+    (S, N) rows V[m:, :] of the block's eigenvectors, and W, the rest's
+    eigenvectors in columns (at m = 0, ``(mu, W, W)``).  O(S^3) for the
+    rest, O(N * S) per secular step and O(S^2 * N) for the rows, against
+    O(N^3) for a dense eigensolve of the block, and O(N * S) memory.
 
     The hub sees two parts: the m - 1 outer lead sites, whose standing
     waves have energies nu_j = -2 kappa cos(theta_j), theta_j = j pi / m,
@@ -478,17 +480,14 @@ def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
     (so there are N of them), |f| at each root is within its rounding bound
     and the rows are orthonormal, ||rows rows^T - I||_max within the bound
     that the roots' conditioning gives (CHANGES.md derives both bounds).
-    ValueError if the block is not of that form, or if ``rest`` fails the
-    eigenpair residual of ``diagonalize`` on the block's rest.
+    ValueError if the block is not of that form, or if its rest has more
+    than ``DEFAULT_SIZE_CAP`` sites.
     """
     n, rows, cols, values = block
     m = leads
-    mu, w = (np.asarray(a, dtype=float) for a in rest)
     size = n - m
-    if not 0 <= m < n or mu.shape != (size,) or w.shape != (size, size) \
-            or np.any(np.diff(mu) < 0):
-        raise ValueError(f"expected {n - m} ascending rest energies and their vectors "
-                         f"for a block of {n} sites, {m} of them lead")
+    if not 0 <= m < n:
+        raise ValueError(f"expected fewer than {n} lead sites in a block of {n}, got {m}")
     rows, cols, values = (np.asarray(a)[np.asarray(values) != 0] for a in (rows, cols, values))
     lead, inner = (rows < m) & (cols < m), (rows >= m) & (cols >= m)
     kappa = -values[lead][0] if m > 1 and np.any(lead) else 1.0
@@ -505,11 +504,10 @@ def lead_eigenpairs(block, leads: int, rest: tuple[np.ndarray, np.ndarray]):
     rest_block[rows[inner] - m, cols[inner] - m] = values[inner]
     scale = max(2.0 * kappa * (m > 1), kappa * (m > 1) + np.sum(np.abs(spokes)),
                 np.max(np.sum(np.abs(rest_block), axis=1) + np.abs(spokes)))
-    if np.max(np.abs(rest_block @ w - w * mu)) >= RESIDUAL_TOL * scale:
-        raise ValueError("rest eigenpairs are not those of the block's rest")
+    mu, w = diagonalize(rest_block)
     if m == 0:
-        return mu.copy(), w.copy()
-    return _Secular(m, kappa, mu, w, w.T @ spokes, scale).solve()
+        return mu, w, w
+    return (*_Secular(m, kappa, mu, w, w.T @ spokes, scale).solve(), w)
 
 
 def _gamma(k: int) -> float:

@@ -3,8 +3,9 @@ oracle that searches the full-graph eigenbasis instead of the subgraph one,
 the per-group SVD search and per-site certificate methods that
 ``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
 a dense reference for the numeric scattering oracle, an eigenvalue
-count of the truncated pi lattice by Sylvester's law of inertia,
-survival evolved on the whole lattice, as evolve did before it split the
+count of the truncated pi lattice by Sylvester's law of inertia, the
+propagator of a dense Hamiltonian on all of its sites, survival evolved
+on the whole lattice, as evolve did before it split the
 lattice into mirror sectors, long-time survival from the dense
 eigendecomposition of the chain's mirror sector, as ``long_time_survival``
 computed it before it solved for one eigenpair, the mirror blocks sliced
@@ -303,17 +304,22 @@ def dense_long_time_survival(n0, length, kappa, kappa0, mode, states):
     return sum(float(s.central_amplitudes @ psi0) ** 2 * s.subgraph_weight for s in states)
 
 
+def dense_propagator(h: np.ndarray) -> SpectralPropagator:
+    """The propagator of ``h`` on all of its sites, from ``diagonalize``'s
+    O(N^3) dense eigensolve."""
+    return SpectralPropagator(*diagonalize(h))
+
+
 def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
     """P(t) of central-chain modes ``modes`` (1-based), (len(modes), T),
-    from one SpectralPropagator of the whole lattice: the initial modes of
+    from the dense propagator of the whole lattice: the initial modes of
     ``chain_modes`` on the central sites, amplitudes observed on them."""
     lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
     central = lattice.central_sites
     psi0 = np.zeros((lattice.graph.site_count, len(modes)))
     psi0[central] = chain_modes(n0, length, kappa, kappa0, modes)
-    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
-    amps = propagator.evolve(psi0, times, sites=central)
-    return np.sum(np.abs(amps) ** 2, axis=2).T
+    amps = dense_propagator(assemble_hamiltonian(lattice.graph)).evolve(psi0, times)
+    return np.sum(np.abs(amps[..., central]) ** 2, axis=2).T
 
 
 def graph_of(h: np.ndarray) -> LatticeGraph:

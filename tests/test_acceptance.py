@@ -13,7 +13,6 @@ import pytest
 
 from fanonet import (
     PiLatticeSpec,
-    SpectralPropagator,
     assemble_hamiltonian,
     build_pi_lattice,
     evanescent_bound_states,
@@ -30,7 +29,8 @@ from fanonet import (
 )
 from fanonet.scattering import _phase_shift
 
-from _support import brute_force_trapped, closed_forms, random_graph, same_trapped_content
+from _support import brute_force_trapped, closed_forms, dense_propagator, random_graph, \
+    same_trapped_content
 
 
 @contextmanager
@@ -49,7 +49,7 @@ def survival_sweep():
     spec = PiLatticeSpec(2, 4, leads=400)
     lattice = build_pi_lattice(spec)
     start = time.perf_counter()
-    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
+    propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
     times = np.linspace(0.0, 150.0, 600)
     modes = open_chain_modes(spec.central_size)
     survival = {}
@@ -209,7 +209,7 @@ def test_criterion_7_property_suites(survival_sweep):
         reference = {}
         for leads in (60, 120):
             lattice = build_pi_lattice(PiLatticeSpec(leads=leads, **spec))
-            propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
+            propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
             for n in (1, 2, 4):
                 psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
                 psi0[lattice.central_sites] = open_chain_modes(8)[n - 1].amplitudes

@@ -324,6 +324,18 @@ def test_evanescent_count_equals_out_of_band_count(n0, length, kappa0):
     assert len(states) == out_of_band_count(n0, length, 1.0, kappa0)
 
 
+@pytest.mark.parametrize("kappa0", [
+    # just above kappa0 = 2/3 an even/odd pair leaves the band edge with
+    # gamma ~ 8.9e-5 (E ~ -+2.000000008), below the gamma scan's first step
+    pytest.param(0.6668, marks=pytest.mark.xfail(
+        strict=True, reason="the gamma scan starts at GAMMA_MIN and misses the weakly bound pair")),
+    0.7,
+])
+def test_a_weakly_bound_pair_is_found(kappa0):
+    states = evanescent_bound_states(1, 10, 1.0, kappa0)
+    assert len(states) == out_of_band_count(1, 10, 1.0, kappa0) == 4
+
+
 @pytest.mark.parametrize(
     "n0, length, kappa0",
     [(3, 123, 1.0), (1, 1000, 1.5), (2, 40, 6.0), (4, 7, 10.0), (5, 1000, 3.3248)],

@@ -18,7 +18,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
-from fanonet import cli
+from fanonet import cli, spectra
 from fanonet.cli import _json_list_chunks, _json_text, main
 
 
@@ -393,7 +393,8 @@ def test_internal_failure_is_one_line_exit_five(tmp_path, capsys, monkeypatch, n
     def fail(*args, **kwargs):
         raise ArithmeticError("dual-path identity violated at k=1.0")
 
-    monkeypatch.setattr(cli, name, fail)
+    # evolve reaches diagonalize through lead_eigenpairs, in spectra
+    monkeypatch.setattr(cli if hasattr(cli, name) else spectra, name, fail)
     graph = pi_graph_file(tmp_path, 2, 4, 3)
     assert main([a.replace("{graph}", str(graph)) for a in argv]) == cli.EXIT_INTERNAL == 5
     _one_error_line(capsys, "error: dual-path identity violated at k=1.0")

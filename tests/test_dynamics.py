@@ -21,7 +21,7 @@ from fanonet import (
 )
 from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY, _PhaseTable
 
-from _support import plateau_value, random_graph
+from _support import dense_propagator, plateau_value, random_graph
 
 DIMER = np.array([[0.0, -1.0], [-1.0, 0.0]])
 
@@ -29,31 +29,31 @@ DIMER = np.array([[0.0, -1.0], [-1.0, 0.0]])
 def test_dimer_half_period_transfer():
     # closed form: amplitudes (cos t, i sin t); at t = pi/2 the particle
     # sits fully on the second site
-    amps = SpectralPropagator(DIMER).evolve(np.array([1.0, 0.0]), [np.pi / 2])
+    amps = dense_propagator(DIMER).evolve(np.array([1.0, 0.0]), [np.pi / 2])
     np.testing.assert_allclose(np.abs(amps[0]), [0.0, 1.0], atol=1e-12)
 
 
 def test_time_zero_is_identity():
     psi0 = np.array([0.6, 0.8j], dtype=complex)
-    amps = SpectralPropagator(DIMER).evolve(psi0, [0.0])
+    amps = dense_propagator(DIMER).evolve(psi0, [0.0])
     np.testing.assert_allclose(amps[0], psi0, atol=1e-14)
 
 
 def test_eigenvector_is_stationary():
     g = np.array([1.0, 1.0]) / np.sqrt(2)
-    amps = SpectralPropagator(DIMER).evolve(g, [0.3, 1.7, 12.9])
+    amps = dense_propagator(DIMER).evolve(g, [0.3, 1.7, 12.9])
     for psi in amps:
         assert abs(abs(np.vdot(g, psi)) - 1.0) < 1e-12
 
 
 def test_rejects_unnormalized_state():
     with pytest.raises(ValueError, match="norm"):
-        SpectralPropagator(DIMER).evolve(np.array([1.0, 1.0]), [0.0])
+        dense_propagator(DIMER).evolve(np.array([1.0, 1.0]), [0.0])
 
 
 def test_closed_form_dimer_amplitudes():
     times = np.linspace(0.0, 4.0, 9)
-    amps = SpectralPropagator(DIMER).evolve(np.array([1.0, 0.0]), times)
+    amps = dense_propagator(DIMER).evolve(np.array([1.0, 0.0]), times)
     for psi, t in zip(amps, times):
         np.testing.assert_allclose(psi, [np.cos(t), 1j * np.sin(t)], atol=1e-12)
 
@@ -67,16 +67,16 @@ def test_safe_horizon_values():
 
 def test_survival_initial_values():
     lattice = build_pi_lattice(PiLatticeSpec(2, 4, leads=5))
-    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
+    propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
     central = lattice.central_sites
     psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
     psi0[central] = open_chain_modes(8)[0].amplitudes
-    values = np.sum(np.abs(propagator.evolve(psi0, [0.0, 1.0], central)) ** 2, axis=-1)
+    values = np.sum(np.abs(propagator.evolve(psi0, [0.0, 1.0])[:, central]) ** 2, axis=-1)
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     # support disjoint from the subgraph: P(0) = 0
     psi_out = np.zeros(lattice.graph.site_count, dtype=complex)
     psi_out[0] = 1.0
-    outside = np.sum(np.abs(propagator.evolve(psi_out, [0.0], central)) ** 2, axis=-1)
+    outside = np.sum(np.abs(propagator.evolve(psi_out, [0.0])[:, central]) ** 2, axis=-1)
     assert outside[0] == pytest.approx(0.0, abs=1e-30)
 
 
@@ -85,7 +85,7 @@ def _pi_survival(n0, length, leads, mode, samples=240, t_max=None):
     lattice = build_pi_lattice(spec)
     horizon = safe_horizon(leads, spec.kappa)
     times = np.linspace(0.0, t_max if t_max is not None else horizon, samples)
-    propagator = SpectralPropagator(assemble_hamiltonian(lattice.graph))
+    propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
     psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
     psi0[lattice.central_sites] = open_chain_modes(spec.central_size)[mode - 1].amplitudes
     amps = propagator.evolve(psi0, times)
@@ -123,17 +123,21 @@ def test_batched_central_evolution_matches_full_projection(n0, length, leads, ka
     psi0 = np.zeros((lattice.graph.site_count, len(modes)))
     psi0[central] = np.linalg.eigh(block)[1][:, modes]
     times = np.linspace(0.0, safe_horizon(leads, 1.0), 40)
-    propagator = SpectralPropagator(h)
+    propagator = dense_propagator(h)
 
-    amps = propagator.evolve(psi0, times, central)
+    amps = propagator.evolve(psi0, times)[..., central]
     assert amps.shape == (len(times), len(modes), size)
-    assert np.max(np.abs(amps - _reference_amplitudes(h, psi0, times, central))) < 1e-12
+    reference = _reference_amplitudes(h, psi0, times, central)
+    assert np.max(np.abs(amps - reference)) < 1e-12
+    # states on the central sites need only the eigenvectors' rows there
+    rows = SpectralPropagator(propagator.energies, propagator.vectors[central])
+    assert np.max(np.abs(rows.evolve(psi0[central], times) - reference)) < 1e-12
 
     # one state, complex and spread over the whole lattice
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     single = rng.normal(size=len(h)) + 1j * rng.normal(size=len(h))
     single /= np.linalg.norm(single)
-    amps = propagator.evolve(single, times, central)
+    amps = propagator.evolve(single, times)[:, central]
     assert amps.shape == (len(times), size)
     reference = _reference_amplitudes(h, single, times, central)[:, 0]
     assert np.max(np.abs(amps - reference)) < 1e-12
@@ -141,7 +145,7 @@ def test_batched_central_evolution_matches_full_projection(n0, length, leads, ka
     unnormalised = psi0.copy()
     unnormalised[:, data.draw(st.integers(0, len(modes) - 1))] *= 1.5
     with pytest.raises(ValueError, match="norm"):
-        propagator.evolve(unnormalised, times, central)
+        propagator.evolve(unnormalised, times)
 
 
 def test_trapped_mode_remains_unitary():
@@ -181,7 +185,7 @@ def test_norm_and_energy_conserved(seed):
     psi0 = rng.normal(size=graph.site_count) + 1j * rng.normal(size=graph.site_count)
     psi0 /= np.linalg.norm(psi0)
     times = np.sort(rng.uniform(0.0, 50.0, size=7))
-    amps = SpectralPropagator(h).evolve(psi0, times)
+    amps = dense_propagator(h).evolve(psi0, times)
     e0 = np.vdot(psi0, h @ psi0).real
     for psi in amps:
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
@@ -286,11 +290,11 @@ def test_anchored_evolve_matches_the_plain_table():
     # about 2e-11 by the bound above, plus the GEMMs' rounding
     lattice = build_pi_lattice(PiLatticeSpec(2, 5, 1.0, 1.6, 24))
     h = assemble_hamiltonian(lattice.graph)
-    propagator = SpectralPropagator(h)
+    propagator = dense_propagator(h)
     psi0 = np.zeros(len(h))
     psi0[lattice.central_sites] = open_chain_modes(9)[0].amplitudes
     times = np.linspace(0.0, 5000.0, 1000)
-    amps = propagator.evolve(psi0, times, sites=lattice.central_sites)
+    amps = propagator.evolve(psi0, times)[:, lattice.central_sites]
     cos, sin = plain_tables(times, propagator.energies)
     b = (propagator.vectors.T @ psi0)[:, None] * propagator.vectors[lattice.central_sites].T
     np.testing.assert_allclose(amps, cos @ b - 1j * (sin @ b), rtol=0, atol=1e-10)

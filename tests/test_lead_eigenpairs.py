@@ -51,10 +51,12 @@ def rest_propagator(energies, rows, t):
 def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0):
     for block, dense, chain in sector_problems(n0, length, kappa0, leads):
         size, scale = len(dense), np.linalg.norm(dense, np.inf)
-        energies, rows = lead_eigenpairs(block, leads, diagonalize(chain))
+        energies, rows, modes = lead_eigenpairs(block, leads)
         expected, vectors = diagonalize(dense)
         # one root for every eigenvalue
         assert energies.shape == (size,) and rows.shape == (size - leads, size)
+        # the rest's eigenvectors are the chain's own sector modes
+        assert modes.tobytes() == diagonalize(chain)[1].tobytes()
         # both are backward stable: each is the spectrum of h + dh with
         # ||dh|| within gamma_N ||h|| (the dense solve's Householder
         # reductions, LAPACK's p(N) eps ||h|| with p(N) = N; the secular
@@ -74,7 +76,7 @@ def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0)
 def test_the_kernel_is_the_chains_own_eigenpairs_without_leads():
     block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 0)))
     mu, w = diagonalize(chain)
-    energies, rows = lead_eigenpairs(block, 0, (mu, w))
+    energies, rows, _ = lead_eigenpairs(block, 0)
     assert energies.tobytes() == mu.tobytes() and rows.tobytes() == w.tobytes()
 
 
@@ -83,7 +85,7 @@ def test_trapped_chain_modes_stay_exact_eigenpairs():
     # their spokes deflate, and they come back as they went in
     block, dense, chain = next(iter(sector_problems(2, 4, 1.0, 40)))
     mu, w = diagonalize(chain)
-    energies, rows = lead_eigenpairs(block, 40, (mu, w))
+    energies, rows, _ = lead_eigenpairs(block, 40)
     trapped = np.flatnonzero(np.abs(w[2]) < 1e-15)      # c_1 is sector site 2
     assert len(trapped) == 1                            # the even sector's one
     column = np.flatnonzero(np.all(rows == w[:, trapped], axis=0))
@@ -110,21 +112,25 @@ def with_element(block, row, col, value):
 def test_a_block_that_is_not_a_lead_and_a_rest_is_refused(row, col, value):
     block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 10)))
     with pytest.raises(ValueError, match="uniform chain"):
-        lead_eigenpairs(with_element(block, row, col, value), 10, diagonalize(chain))
+        lead_eigenpairs(with_element(block, row, col, value), 10)
 
 
-def test_rest_eigenpairs_of_another_block_are_refused():
-    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 10)))
-    other = next(iter(sector_problems(2, 5, 1.7, 10)))[2]
-    with pytest.raises(ValueError, match="rest eigenpairs"):
-        lead_eigenpairs(block, 10, diagonalize(other))
+@pytest.mark.parametrize("n0, length, kappa0", [(2, 5, 1.3), (1, 2, 1.0), (3, 41, 1.7),
+                                                (5, 130, 0.37)])
+@pytest.mark.parametrize("leads", [0, 1, 10, 300])
+def test_modes_are_the_lead_free_chains_sector_eigenvectors(n0, length, kappa0, leads):
+    # the rest that the kernel folds out of the block is bitwise the chain's
+    # own sector block, so its eigenvectors are diagonalize's of that block
+    for block, _, chain in sector_problems(n0, length, kappa0, leads):
+        modes = lead_eigenpairs(block, leads)[2]
+        assert modes.tobytes() == diagonalize(chain)[1].tobytes()
 
 
 def test_a_failed_certificate_is_an_arithmetic_error(monkeypatch):
     block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 30)))
     monkeypatch.setattr(spectra, "SECULAR_MAX_STEPS", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        lead_eigenpairs(block, 30, diagonalize(chain))
+        lead_eigenpairs(block, 30)
 
 
 def test_evolve_hands_eigh_nothing_larger_than_the_chains_sector_block(tmp_path, monkeypatch):
