@@ -40,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fanonet import PiLatticeSpec, build_pi_lattice, diagonalize  # noqa: E402
 from fanonet.spectra import (  # noqa: E402
-    lead_eigenpairs, mirror_blocks, mirror_elements, mirror_mode, tridiagonal_eigenpair)
+    lead_eigenpairs, mirror_elements, mirror_mode, tridiagonal_eigenpair)
 
 UNIT_ROUNDOFF = 2.0**-53
 # the long-time check: the sweep's largest chain, its range of hopping
@@ -70,11 +70,19 @@ def lattices(count, seed):
         yield n0, length, leads, kappa0
 
 
+def written_out(size, rows, cols, values):
+    """A sector block of ``mirror_elements`` as a dense matrix."""
+    block = np.zeros((size, size))
+    block[rows, cols] = values
+    return block
+
+
 def worst_ratios(n0, length, leads, kappa0):
     """The largest ratio of each difference to its bound over both sectors."""
     lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads)).graph
     energy_ratio = propagator_ratio = 0.0
-    for block, dense in zip(mirror_elements(lattice), mirror_blocks(lattice)):
+    for block in mirror_elements(lattice):
+        dense = written_out(*block)
         size, scale = len(dense), np.linalg.norm(dense, np.inf)
         energies, rows, _ = lead_eigenpairs(block, leads)
         expected, vectors = diagonalize(dense)
@@ -93,7 +101,8 @@ def long_time_ratios(n0, length, kappa0, modes):
     bounds over ``modes`` of the chain."""
     chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
     energy_ratio = vector_ratio = 0.0
-    for which, block in enumerate(mirror_blocks(chain)):
+    for which, elements in enumerate(mirror_elements(chain)):
+        block = written_out(*elements)
         diagonal, off_diagonal = np.diag(block), np.diag(block, 1)
         columns = [mirror_mode(n)[1] for n in modes if (mirror_mode(n)[0] > 0) == (which == 0)]
         if not columns:

@@ -34,7 +34,8 @@ hold a partition label that is no integer, an output path that is a
 directory, an infinite hopping, an empty
 evolve mode list, a negative evolve end time, --compare lengths that are
 no lattice length or equal --len, bound states of the paper's long
-lattice and of strong side coupling, the long-time survival of a
+lattice, of strong side coupling and of a pair bound with gamma below
+the gamma grid's first step (kappa0 just above 2/3), the long-time survival of a
 20,002-site central chain (past the dense eigensolve's size cap), a
 reflection zero next to the side-chain band edge (x = kappa*cos k/kappa0
 near 1), and length 1000 at
@@ -149,6 +150,8 @@ RUNS = [
                                  "--long-time", "3", "--out", "{dir}/unequal.json"]),
     ("bound-weak-side", ["bound", "--n0", "3", "--len", "9", "--kappa0", "0.4",
                          "--out", "{dir}/weak.json"]),
+    ("bound-weakly-bound-pair", ["bound", "--n0", "1", "--len", "10", "--kappa0", "0.6668",
+                                 "--out", "{dir}/weak.json"]),
     ("bound-equal-long-time-700", ["bound", "--n0", "4", "--len", "700", "--long-time", "351"]),
     ("bound-length-1000-long-time", ["bound", "--n0", "5", "--len", "1000", "--kappa0", "3.3248",
                                      "--long-time", "418", "--out", "{dir}/b1000.json"]),

@@ -25,12 +25,12 @@ i.  Two families solve the Schrodinger equation:
 
 No power of z has a negative exponent, so nothing overflows at any length,
 and the parity is known by construction.  The roots gamma are bracketed
-on a grid that ends just past the Gershgorin bound on |E|, in four scans
-(the sign of z and s) evaluated at once, and all brackets are bisected
-together by ``sign_change_roots``, which the reflection-zero scan of
-``scattering`` shares.  Every state is checked site by site against the
-Schrodinger equation of the infinite lattice; one that fails raises
-ArithmeticError.  Each public function first checks its lattice
+on a grid from gamma = 0 to just past the Gershgorin bound on |E|, in
+four scans (the sign of z and s) evaluated at once, and all brackets are
+bisected together by ``sign_change_roots``, which the reflection-zero
+scan of ``scattering`` shares.  Every state is checked site by site
+against the Schrodinger equation of the infinite lattice; one that
+fails, or a bracket that does not shrink, raises ArithmeticError.  Each public function first checks its lattice
 parameters through ``PiLatticeSpec``, whose GraphSpecError names the one
 that no lattice can have.
 
@@ -56,7 +56,6 @@ from .spectra import mirror_elements, mirror_mode, open_chain_mode, tridiagonal_
 __all__ = [
     "BoundState",
     "LongTimeSurvival",
-    "RootRefinementError",
     "resonant_bound_states",
     "evanescent_bound_states",
     "long_time_survival",
@@ -70,9 +69,10 @@ ANTISYMMETRIC = "antisymmetric"
 # resonant solutions need exact energy coincidence; float noise sits far below
 ENERGY_MATCH_TOL = 1e-10
 GAMMA_GRID_STEP = 1e-3
+# the gamma grid's second point, after gamma = 0
 GAMMA_MIN = 1e-4
 GAMMA_REFINE = 1e-13
-# bisection steps before a bracket counts as not converged
+# bisection steps after which a bracket that has not shrunk is a failure
 MAX_BISECTIONS = 200
 # rounding allowance of the site-by-site check, in units of ||H||_inf
 # times the largest term of the closed form (derived in CHANGES.md)
@@ -81,14 +81,6 @@ RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
 # the four gamma scans, (sign of z, mirror sector s), in the order their
 # roots are built
 SCANS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-
-
-class RootRefinementError(RuntimeError):
-    """Bisection failed to shrink a sign-change bracket; carries the bracket."""
-
-    def __init__(self, bracket: tuple[float, float]):
-        super().__init__(f"root refinement failed in bracket {bracket}")
-        self.bracket = bracket
 
 
 @dataclass(frozen=True)
@@ -281,11 +273,12 @@ def sign_change_roots(f, grid: np.ndarray, vals: np.ndarray, tol: float):
     scans are bisected together, ``f(x, scan)`` evaluating scan[i] at x[i],
     each bracket with the scalar rule: if flo * fmid <= 0 the upper end
     moves to the midpoint, otherwise the lower end and its value do; a
-    bracket stops once hi - lo < tol, or after MAX_BISECTIONS steps.
+    bracket stops once hi - lo < tol.
 
     Returns arrays over the brackets, scan by scan and in grid order within
-    a scan: the midpoint of the final bracket, its ends, whether it shrank
-    below ``tol``, and its scan.
+    a scan: the midpoint of the final bracket, its ends, and its scan.
+    ArithmeticError, naming the first such bracket in that order, if a
+    bracket has not shrunk below ``tol`` after MAX_BISECTIONS steps.
     """
     scan, index = np.nonzero(
         (vals[:, :-1] * vals[:, 1:] < 0) & np.isfinite(vals[:, :-1]) & np.isfinite(vals[:, 1:])
@@ -303,9 +296,11 @@ def sign_change_roots(f, grid: np.ndarray, vals: np.ndarray, tol: float):
         lo[upper] = mid[~lower]
         flo[upper] = fmid[~lower]
         live = live[~(hi[live] - lo[live] < tol)]
-    converged = np.ones(len(index), dtype=bool)
-    converged[live] = False
-    return 0.5 * (lo + hi), lo, hi, converged, scan
+    if live.size:
+        bracket = [float(lo[live[0]]), float(hi[live[0]])]
+        raise ArithmeticError(f"root bisection left the bracket {bracket} wider than {tol!r} "
+                              f"after {MAX_BISECTIONS} steps")
+    return 0.5 * (lo + hi), lo, hi, scan
 
 
 def evanescent_bound_states(
@@ -313,11 +308,15 @@ def evanescent_bound_states(
 ) -> list[BoundState]:
     """Bound states with complex momentum and energy outside the band.
 
-    Each of the four SCANS evaluates its sector condition on a gamma grid
-    from GAMMA_MIN to just past acosh(G/(2*kappa)), G the Gershgorin bound
-    on |E|; bracketed sign changes are bisected to ~1e-13 and every root
-    gives one state.  A bracket that does not shrink raises
-    RootRefinementError, the first in the order of SCANS.
+    Each of the four SCANS evaluates its sector condition on a gamma grid,
+    0 and then GAMMA_MIN to just past acosh(G/(2*kappa)) in steps of
+    GAMMA_GRID_STEP, G the Gershgorin bound on |E|; a condition exactly 0
+    at gamma = 0 (the trivial roots, no states) takes the sign of its slope
+    there.  Bracketed sign changes are bisected below GAMMA_REFINE = 1e-13
+    and every root gives one state, so a gamma below about 1e-11 may be off
+    by over 1%: one ulp above kappa0 = 2/3 at (n0, length) = (1, 10) a pair
+    reads gamma ~ 4.7e-14.  A bracket that does not shrink raises
+    ArithmeticError (``sign_change_roots``).
     """
     PiLatticeSpec(n0, length, kappa, kappa0)
     sign_z, sector = np.array(SCANS).T
@@ -327,20 +326,24 @@ def evanescent_bound_states(
 
     # two grid steps past the bound put a grid point beyond every root
     top = np.arccosh(_gershgorin(kappa, kappa0) / (2 * kappa)) + 2 * GAMMA_GRID_STEP
-    grid = np.arange(GAMMA_MIN, top, GAMMA_GRID_STEP)
+    grid = np.concatenate([[0.0], np.arange(GAMMA_MIN, top, GAMMA_GRID_STEP)])
     # a value that overflows raises instead of silently losing its bracket
     with np.errstate(over="raise", invalid="raise"):
         vals = f(grid, np.arange(len(SCANS))[:, None])
-        roots, lo, hi, converged, scan = sign_change_roots(f, grid, vals, GAMMA_REFINE)
+        # a condition exactly 0 at gamma = 0 (z = 1 in the odd sector, z = -1
+        # when s = (-1)^length) takes the sign of its slope there, 2*kappa*U_{n0}
+        # + kappa0*z*(1 + length*w)*U_{n0-1} at x = kappa*z/kappa0, w = s*z^(length-1)
+        w = sector * sign_z ** (length - 1)
+        u = _chebyshev(kappa * sign_z / kappa0, n0)
+        slope = 2 * kappa * u[n0] + kappa0 * sign_z * (1 + length * w) * u[n0 - 1]
+        vals[:, 0] = np.where(vals[:, 0] == 0, slope, vals[:, 0])
+        roots, lo, hi, scan = sign_change_roots(f, grid, vals, GAMMA_REFINE)
         # the condition at the root lies between its values at the bracket
         # ends, which have opposite signs
         spread = np.abs(f(hi, scan) - f(lo, scan))
-    states = []
-    for gamma, bracket, ok, index, width in zip(roots, zip(lo, hi), converged, scan, spread):
-        if not ok:
-            raise RootRefinementError(bracket)
-        states.append(_evanescent_state(gamma, sign_z[index], sector[index], width,
-                                        n0, length, kappa, kappa0))
+    states = [_evanescent_state(gamma, sign_z[index], sector[index], width,
+                                n0, length, kappa, kappa0)
+              for gamma, index, width in zip(roots, scan, spread)]
     return sorted(states, key=lambda s: s.energy)
 
 

@@ -64,11 +64,11 @@ class LatticeGraph:
     @functools.cached_property
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the stored elements of H, read-only
-        and in row-major order: H[i, j] and H[j, i] of each bond and H[i, i]
-        of each potential, where a later write to an element wins, in the
-        order in which ``assemble_hamiltonian`` writes them.  An element
-        written as 0 is stored.  Computed once per graph, O(b log b) for b
-        bonds and potentials."""
+        and in row-major order: H[i, j] = H[j, i] = -strength of each bond
+        and H[i, i] = mu_i of each potential, where a later write to an
+        element wins, the bonds written in order and then the potentials.
+        An element written as 0 is stored.  Computed once per graph,
+        O(b log b) for b bonds and potentials."""
         n = self.site_count
         bonds = np.array(self.hoppings, dtype=float).reshape(-1, 3)
         diagonal = np.array(self.potentials, dtype=float).reshape(-1, 2)
@@ -341,16 +341,13 @@ class Partition:
 def assemble_hamiltonian(graph: LatticeGraph) -> np.ndarray:
     """Site-basis matrix: H[i, j] = -strength for bonds, H[i, i] = mu_i.
 
-    Both (i, j) and (j, i) entries are written from the same float, so the
+    Written from the graph's stored elements (``LatticeGraph.elements``),
+    whose (i, j) and (j, i) entries come from the same float, so the
     result is bitwise symmetric.
     """
-    n = graph.site_count
-    h = np.zeros((n, n))
-    for i, j, s in graph.hoppings:
-        h[i, j] = -s
-        h[j, i] = -s
-    for i, mu in graph.potentials:
-        h[i, i] = mu
+    h = np.zeros((graph.site_count, graph.site_count))
+    rows, cols, values = graph.elements
+    h[rows, cols] = values
     return h
 
 

@@ -347,7 +347,8 @@ def l_dependent_reflection_zeros(
     grid has max(K_GRID_POINTS, 2*(length-1)) points: at least two per
     root spacing.  At such a root R = 0 (T = 1), unless a = 0 there
     too: a bound state in the continuum, where T -> 0 instead; T > 1/2
-    tells the two apart.
+    tells the two apart.  A bracket that bisection does not shrink below
+    K_REFINE raises ArithmeticError (``bound_states.sign_change_roots``).
     """
     PiLatticeSpec(n0, length, kappa, kappa0)
 
@@ -356,8 +357,8 @@ def l_dependent_reflection_zeros(
 
     points = max(K_GRID_POINTS, 2 * (length - 1))
     grid = np.linspace(K_EDGE_MARGIN, np.pi - K_EDGE_MARGIN, points)
-    k0, _, _, converged, _ = sign_change_roots(objective, grid, objective(grid)[None], K_REFINE)
-    keep = converged & (_evaluate(k0, n0, length, kappa, kappa0).big_t > 0.5)
+    k0 = sign_change_roots(objective, grid, objective(grid)[None], K_REFINE)[0]
+    keep = _evaluate(k0, n0, length, kappa, kappa0).big_t > 0.5
     return k0[keep].tolist()
 
 

@@ -15,10 +15,9 @@ how far rounding lets the two lie apart.
 A graph equal to its mirror image splits its Hamiltonian into an even
 and an odd block of half the size; ``mirror_elements`` folds them straight
 from the bond list as their stored elements, checking the mirror symmetry
-there in O(bonds), so no N x N matrix is built, and ``mirror_blocks``
-writes them out.  ``unfold`` takes a state's sector coordinates back to
-sites, and ``mirror_mode`` says in which block, and where, a Jacobi
-matrix's mode n lies.
+there in O(bonds), so no N x N matrix is built.  ``unfold`` takes a
+state's sector coordinates back to sites, and ``mirror_mode`` says in
+which block, and where, a Jacobi matrix's mode n lies.
 
 A block whose first sites are a uniform hard-wall chain, joined by one
 bond to the rest, needs no dense eigensolve: ``lead_eigenpairs``
@@ -43,7 +42,6 @@ __all__ = [
     "TrappingCertificate",
     "diagonalize",
     "lead_eigenpairs",
-    "mirror_blocks",
     "mirror_elements",
     "mirror_mode",
     "unfold",
@@ -80,11 +78,10 @@ EARLY_STEP = 2.0**-30
 SECULAR_MAX_STEPS = 60
 # distances at which f is probed in each outer gap before the first step
 OUTER_PROBES = 24
-# evaluations after which a tridiagonal eigenvalue whose bracket has not
-# closed is a failure: a step before the eigenvalue is isolated keeps at
-# most three quarters of the bracket, about 125 steps from the Gershgorin
-# interval down to 4 u ||T||_inf, and Laguerre's steps converge cubically
-# (the pi chains' sector blocks take at most about 30 evaluations)
+# Sturm counts after which a tridiagonal eigenvalue whose bracket has not
+# closed is a failure: each step keeps at most three quarters of the
+# bracket, so at most 126 steps take the Gershgorin interval down to
+# 4 u ||T||_inf (the pi chains' sector blocks take 44-52)
 TRIDIAGONAL_MAX_STEPS = 256
 # solves after which inverse iteration that has not converged is a failure
 TRIDIAGONAL_MAX_SOLVES = 3
@@ -191,11 +188,8 @@ def tridiagonal_eigenpair(diagonal, off_diagonal, index: int):
     interval, each step keeps count(lo) <= index < count(hi), at the point
     where the eigenvalue would lie were the bracket's eigenvalues evenly
     spread (kept in the bracket's middle half).  Once the bracket holds one
-    eigenvalue, Laguerre's step takes over: the pivot recurrence carries
-    the first two logarithmic derivatives of det(T - x), and as all its
-    roots are real the step does not pass the root it heads for and
-    converges cubically.  A converged step probes just past the root, so
-    that the bracket closes from both sides, to 4 u ||T||_inf.
+    eigenvalue that point is its middle, so the bracket halves down to
+    4 u ||T||_inf + 2 pivmin.
 
     The vector comes from inverse iteration at the bracket's middle, from
     a fixed start (the Weyl sequence frac(j phi) - 1/2), with the LU
@@ -248,42 +242,20 @@ def tridiagonal_eigenpair(diagonal, off_diagonal, index: int):
     lo, hi = float((a - radius).min()) - margin, float((a + radius).max()) + margin
     count_lo, count_hi = 0, n
     tol = 4.0 * u * norm + 2.0 * pivmin
-    target, probe = None, False
     for _ in range(TRIDIAGONAL_MAX_STEPS):
         if hi - lo <= tol:
             break
-        if target is None:
-            # where eigenvalue ``index`` would lie were the bracket's
-            # eigenvalues evenly spread, kept in the bracket's middle half
-            share = (index + 0.5 - count_lo) / (count_hi - count_lo)
-            target = lo + (hi - lo) * min(max(share, 0.25), 0.75)
-        x = target
+        # where eigenvalue ``index`` would lie were the bracket's
+        # eigenvalues evenly spread, kept in the bracket's middle half
+        share = (index + 0.5 - count_lo) / (count_hi - count_lo)
+        x = lo + (hi - lo) * min(max(share, 0.25), 0.75)
         if not lo < x < hi:                     # lo and hi are neighbouring floats
             break
-        target = None
-        if count_hi - count_lo > 1 or probe:
-            count, probe = _sturm_count(a_list, b2_list, x, pivmin), False
-        else:
-            count, g, h = _sturm_laguerre(a_list, b2_list, x, pivmin)
-            # the one eigenvalue in the bracket is the nearest one above x
-            # if x ends up as lo, else the nearest below; Laguerre's step
-            # towards it, from G = p'/p and H = G^2 - p''/p of p = det(T - x),
-            # does not pass it (the roots are real) and converges cubically.
-            # A step within tol/4 has converged and probes tol/2 past the
-            # root; a target outside the bracket moves to tol/2 inside it
-            side = 1.0 if count <= index else -1.0
-            spread = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
-            if spread - side * g > 0.0:
-                step = n / (spread - side * g)
-                if math.isfinite(step):
-                    probe = step <= 0.25 * tol
-                    target = x + side * (step + 0.5 * tol if probe else step)
+        count = _sturm_count(a_list, b2_list, x, pivmin)
         if count <= index:
             lo, count_lo = x, count
         else:
             hi, count_hi = x, count
-        if target is not None:
-            target = min(max(target, lo + 0.5 * tol), hi - 0.5 * tol)
     else:
         raise ArithmeticError(f"eigenvalue {index} not bracketed within "
                               f"{TRIDIAGONAL_MAX_STEPS} steps")
@@ -327,26 +299,6 @@ def _sturm_count(a, b2, x, pivmin):
             if d > -pivmin:
                 d = -pivmin
     return count
-
-
-def _sturm_laguerre(a, b2, x, pivmin):
-    """``_sturm_count``, G = p'/p and H = G^2 - p''/p for p = det(T - x) =
-    prod d_i: G = sum t_i and H = sum (t_i^2 - w_i), with t_i = d_i'/d_i and
-    w_i = d_i''/d_i from d_i' = -1 + q t_{i-1} and d_i'' = q (w_{i-1} -
-    2 t_{i-1}^2), q = b_{i-1}^2/d_{i-1}."""
-    count, d, t, w, g, h = 0, 1.0, 0.0, 0.0, 0.0, 0.0
-    for ai, bi2 in zip(a, b2):
-        q = bi2 / d
-        d = (ai - x) - q
-        if d < pivmin:
-            count += 1
-            if d > -pivmin:
-                d = -pivmin
-        w = q * (w - 2.0 * t * t) / d
-        t = (q * t - 1.0) / d
-        g += t
-        h += t * t - w
-    return count, g, h
 
 
 def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
@@ -853,39 +805,24 @@ class _Secular:
         return energies[order], rows[:, order]
 
 
-def mirror_blocks(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
+def mirror_elements(graph: LatticeGraph):
     """Even and odd blocks of the Hamiltonian of a graph that equals its
-    mirror image under i -> N-1-i, folded straight from its bonds and
-    potentials: no N x N matrix is built.
+    mirror image under i -> N-1-i, as their stored elements: for the even,
+    then the odd sector, ``(size, rows, cols, values)``, each position at
+    most once, folded straight from the bond list in O(bonds).
 
     Sector s (+1 even, -1 odd) has the basis (|i> + s|N-1-i>)/sqrt(2) for
     i < half = N // 2, and in the even sector of odd N also the middle site
     |half>, last.  There H is top + s*cross, with top = H[:half, :half]
     and cross[i, j] = H[i, N-1-j]; the middle site's row and column in the
-    even block carry sqrt(2) times its matrix elements.  The blocks are
-    written from ``mirror_elements``, so they are bitwise the slices of
-    ``assemble_hamiltonian(graph)`` added and subtracted, and exactly
-    symmetric.  O(bonds) besides the blocks themselves.
+    even block carry sqrt(2) times its matrix elements.  Each block element
+    is one add or subtract of a bond or potential in top, cross or the
+    middle column, so a block written out (``block[rows, cols] = values``)
+    is bitwise the slices of ``assemble_hamiltonian(graph)`` added and
+    subtracted, and exactly symmetric.
 
     Raises ValueError unless every matrix element equals its mirror image,
     checked on the bond list.
-    """
-    blocks = []
-    for size, rows, cols, values in mirror_elements(graph):
-        block = np.zeros((size, size))
-        block[rows, cols] = values
-        blocks.append(block)
-    return blocks[0], blocks[1]
-
-
-def mirror_elements(graph: LatticeGraph):
-    """The blocks of ``mirror_blocks`` as their stored elements: for the
-    even, then the odd sector, ``(size, rows, cols, values)``, each position
-    at most once.  O(bonds): neither block is written out.
-
-    Each bond or potential lands in top, cross or the middle column (only
-    the rows i < half are needed: the mirror gives the rest), and each
-    block element comes from one add or subtract of them.
     """
     n, half = graph.site_count, graph.site_count // 2
     rows, cols, values = graph.elements
@@ -939,7 +876,7 @@ def mirror_mode(n: int) -> tuple[int, int]:
 def unfold(w: np.ndarray, sector: int, size: int) -> np.ndarray:
     """Site amplitudes on ``size`` sites of the sector-``sector`` state
     with coordinates ``w`` (states in columns) in the basis of
-    ``mirror_blocks``.  Odd states vanish at the middle site of odd
+    ``mirror_elements``.  Odd states vanish at the middle site of odd
     ``size``."""
     w = np.asarray(w)
     half = size // 2

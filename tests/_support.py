@@ -9,8 +9,8 @@ on the whole lattice, as evolve did before it split the
 lattice into mirror sectors, long-time survival from the dense
 eigendecomposition of the chain's mirror sector, as ``long_time_survival``
 computed it before it solved for one eigenpair, the mirror blocks sliced
-from the dense Hamiltonian, as ``mirror_blocks`` built them before it
-folded the bonds, the paper's closed forms of the scattering amplitudes,
+from the dense Hamiltonian, which ``mirror_elements`` folds from the bonds
+bit for bit, the paper's closed forms of the scattering amplitudes,
 and four helpers that only the tests use: the Hamiltonian reassembled
 from a partition, the resonant (m, n) pairs, a bound state on a
 truncated lattice and the plateau of a survival curve."""
@@ -37,7 +37,7 @@ from fanonet import (
 )
 from fanonet import scattering
 from fanonet.bound_states import EVANESCENT
-from fanonet.spectra import NODE_TOL, _energy_groups, mirror_blocks, mirror_mode, unfold
+from fanonet.spectra import NODE_TOL, _energy_groups, mirror_mode, unfold
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -291,7 +291,8 @@ def chain_modes(n0, length, kappa, kappa0, modes):
         analytic = open_chain_modes(size, kappa)
         return np.array([analytic[n - 1].amplitudes for n in modes]).T
     chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
-    vectors = {s: diagonalize(b)[1] for s, b in zip((1, -1), mirror_blocks(chain))}
+    blocks = dense_mirror_blocks(assemble_hamiltonian(chain))
+    vectors = {s: diagonalize(b)[1] for s, b in zip((1, -1), blocks)}
     return np.array([unfold(vectors[s][:, c], s, size) for s, c in map(mirror_mode, modes)]).T
 
 

@@ -18,7 +18,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
-from fanonet import cli, spectra
+from fanonet import bound_states, cli, spectra
 from fanonet.cli import _json_list_chunks, _json_text, main
 
 
@@ -398,6 +398,13 @@ def test_internal_failure_is_one_line_exit_five(tmp_path, capsys, monkeypatch, n
     graph = pi_graph_file(tmp_path, 2, 4, 3)
     assert main([a.replace("{graph}", str(graph)) for a in argv]) == cli.EXIT_INTERNAL == 5
     _one_error_line(capsys, "error: dual-path identity violated at k=1.0")
+
+
+def test_a_root_bracket_that_does_not_shrink_is_one_line_exit_five(capsys, monkeypatch):
+    # with a zero tolerance no bracket of the gamma scan ever counts as shrunk
+    monkeypatch.setattr(bound_states, "GAMMA_REFINE", 0.0)
+    assert main(["bound", "--n0", "3", "--len", "5"]) == cli.EXIT_INTERNAL == 5
+    _one_error_line(capsys, "error: root bisection left the bracket [")
 
 
 def _one_error_line(capsys, message):

@@ -158,6 +158,37 @@ def test_assembled_matrix_bitwise_symmetric(seed):
     assert np.array_equal(h, h.T)
 
 
+def repeated_writes_graph(rng):
+    """A random graph that holds bonds more than once, in both orientations,
+    and potentials more than once, a third of the values zeros."""
+    n = int(rng.integers(2, 10))
+    ends = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    sites = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+
+    def values(count):
+        return np.where(rng.random(count) < 0.33, 0.0, rng.normal(size=count)).tolist()
+
+    hoppings = tuple((i, j, s) for (i, j), s in zip(ends.tolist(), values(len(ends))))
+    return LatticeGraph(n, hoppings, tuple(zip(sites.tolist(), values(len(sites)))))
+
+
+def test_assembled_matrix_is_the_bonds_written_in_order():
+    # the reference writes each bond's two elements and then each potential,
+    # a later write to an element winning
+    rng = np.random.default_rng(0)
+    graphs = [build_pi_lattice(PiLatticeSpec(3, 41, 1.0, kappa0, 60)).graph
+              for kappa0 in (1.0, 1.7)]
+    for graph in graphs + [repeated_writes_graph(rng) for _ in range(300)]:
+        h = np.zeros((graph.site_count, graph.site_count))
+        for i, j, s in graph.hoppings:
+            h[i, j] = -s
+            h[j, i] = -s
+        for i, mu in graph.potentials:
+            h[i, i] = mu
+        assert assemble_hamiltonian(graph).tobytes() == h.tobytes()
+
+
 @given(st.integers(0, 10_000))
 def test_partition_reassembly_is_exact(seed):
     graph, partition = random_graph(np.random.default_rng(seed))

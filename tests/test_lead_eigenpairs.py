@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanonet import PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize, spectra
 from fanonet.cli import main
-from fanonet.spectra import lead_eigenpairs, mirror_blocks, mirror_elements
+from fanonet.spectra import lead_eigenpairs, mirror_elements
 
-from _support import random_graph
+from _support import dense_mirror_blocks, random_graph
 
 U = 2.0**-53
 
@@ -25,7 +25,8 @@ def sector_problems(n0, length, kappa0, leads):
     chain's own sector block."""
     lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads)).graph
     chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
-    return zip(mirror_elements(lattice), mirror_blocks(lattice), mirror_blocks(chain))
+    return zip(mirror_elements(lattice), dense_mirror_blocks(assemble_hamiltonian(lattice)),
+               dense_mirror_blocks(assemble_hamiltonian(chain)))
 
 
 def rest_propagator(energies, rows, t):
@@ -168,7 +169,8 @@ def pinned_matrices():
     for seed in range(4):
         graph, _ = random_graph(np.random.default_rng(seed))
         yield assemble_hamiltonian(graph)
-    yield from mirror_blocks(build_pi_lattice(PiLatticeSpec(3, 41, 1.0, 1.7, 60)).graph)
+    lattice = build_pi_lattice(PiLatticeSpec(3, 41, 1.0, 1.7, 60)).graph
+    yield from dense_mirror_blocks(assemble_hamiltonian(lattice))
     yield np.zeros((3, 3))
 
 

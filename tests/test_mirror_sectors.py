@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fanonet import LatticeGraph, PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, \
     build_pi_lattice, classify_decay, diagonalize, safe_horizon
 from fanonet.cli import main
-from fanonet.spectra import RESIDUAL_TOL, mirror_blocks, mirror_mode, unfold
+from fanonet.spectra import RESIDUAL_TOL, mirror_elements, mirror_mode, unfold
 
 from _support import chain_modes, dense_mirror_blocks, full_lattice_survival, graph_of
 
@@ -39,7 +39,7 @@ def sector_spectrum(graph):
     eigenvectors in the same order."""
     size = graph.site_count
     energies, vectors = np.empty(size), np.empty((size, size))
-    for sector, block in zip((1, -1), mirror_blocks(graph)):
+    for sector, block in zip((1, -1), dense_mirror_blocks(assemble_hamiltonian(graph))):
         columns = slice(0 if sector > 0 else 1, None, 2)
         energies[columns], folded = diagonalize(block)
         vectors[:, columns] = unfold(folded, sector, size)
@@ -87,7 +87,8 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
     a = rng.normal(size=(size, size))
     a = a + a.T
     h = a + a[::-1, ::-1]
-    even, odd = mirror_blocks(graph_of(h))
+    assert same_blocks(graph_of(h))
+    even, odd = dense_mirror_blocks(h)
     assert even.shape == ((size + 1) // 2,) * 2 and odd.shape == (size // 2,) * 2
     assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
     scale = np.linalg.norm(h, np.inf)
@@ -107,17 +108,21 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
 def test_a_matrix_that_is_not_mirror_symmetric_is_refused(size):
     h = np.diag(np.arange(size, dtype=float))        # symmetric, not mirror-symmetric
     with pytest.raises(ValueError, match="mirror"):
-        mirror_blocks(graph_of(h))
+        mirror_elements(graph_of(h))
     lattice = lattice_hamiltonian({"n0": 2, "length": size + 1, "leads": 3, "kappa0": 1.4})
     lattice[0, 0] = 1e-12                           # one potential breaks the mirror
     with pytest.raises(ValueError, match="mirror"):
-        mirror_blocks(graph_of(lattice))
+        mirror_elements(graph_of(lattice))
 
 
 def same_blocks(graph):
-    """``mirror_blocks`` of the graph against the dense reference, byte for
-    byte, shapes included."""
-    folded = mirror_blocks(graph)
+    """The blocks of ``mirror_elements`` written out against the dense
+    reference, byte for byte, shapes included."""
+    folded = []
+    for size, rows, cols, values in mirror_elements(graph):
+        block = np.zeros((size, size))
+        block[rows, cols] = values
+        folded.append(block)
     sliced = dense_mirror_blocks(assemble_hamiltonian(graph))
     return all(f.shape == d.shape and f.tobytes() == d.tobytes() for f, d in zip(folded, sliced))
 
@@ -189,7 +194,7 @@ def test_a_graph_that_is_not_mirror_symmetric_is_refused(seed, nudge):
     with pytest.raises(ValueError, match="mirror"):
         dense_mirror_blocks(assemble_hamiltonian(broken))
     with pytest.raises(ValueError, match="mirror"):
-        mirror_blocks(broken)
+        mirror_elements(broken)
 
 
 @pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),
@@ -205,7 +210,8 @@ def test_chain_sector_modes_are_the_chain_modes_of_their_sector(n0, length, kapp
     for leads in (0, 1, 7, 60):
         graph = lattice_graph({"n0": n0, "length": length, "leads": leads, "kappa0": kappa0},
                               kappa)
-        for sector, block, own in zip((1, -1), mirror_blocks(graph), mirror_blocks(chain_graph)):
+        blocks = dense_mirror_blocks(assemble_hamiltonian(graph))
+        for sector, block, own in zip((1, -1), blocks, dense_mirror_blocks(chain)):
             observed = np.arange(leads, leads + (size + (sector > 0)) // 2)
             central = block[np.ix_(observed, observed)]
             assert central.tobytes() == own.tobytes()

@@ -577,9 +577,9 @@ def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
                 lo, flo = mid, fmid
             if hi - lo < scattering.K_REFINE:
                 break
+        assert hi - lo < scattering.K_REFINE      # the scan raises otherwise
         k0 = 0.5 * (lo + hi)
-        if hi - lo < scattering.K_REFINE and \
-                scattering_point(k0, n0, length, kappa, kappa0).transmission > 0.5:
+        if scattering_point(k0, n0, length, kappa, kappa0).transmission > 0.5:
             roots.append(float(k0))
     return roots
 

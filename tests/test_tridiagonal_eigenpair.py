@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanonet import PiLatticeSpec, build_pi_lattice, diagonalize, evanescent_bound_states, \
-    long_time_survival, resonant_bound_states
+from fanonet import PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize, \
+    evanescent_bound_states, long_time_survival, resonant_bound_states
 from fanonet import spectra
 from fanonet.bound_states import _tridiagonal
 from fanonet.cli import main
-from fanonet.spectra import mirror_blocks, mirror_elements, mirror_mode, tridiagonal_eigenpair
+from fanonet.spectra import mirror_elements, mirror_mode, tridiagonal_eigenpair
 
-from _support import dense_long_time_survival
+from _support import dense_long_time_survival, dense_mirror_blocks
 
 UNIT_ROUNDOFF = 2.0**-53
 TINY = np.finfo(float).tiny
@@ -69,7 +69,7 @@ def chain_sector(n0, length, kappa, kappa0, mode):
     sector, column = mirror_mode(mode)
     which = 0 if sector > 0 else 1
     diagonal, off_diagonal = _tridiagonal(*mirror_elements(chain)[which])
-    block = mirror_blocks(chain)[which]
+    block = dense_mirror_blocks(assemble_hamiltonian(chain))[which]
     assert diagonal.tobytes() == np.diag(block).tobytes()
     assert off_diagonal.tobytes() == np.diag(block, 1).tobytes()
     return diagonal, off_diagonal, block, column
