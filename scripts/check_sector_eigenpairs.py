@@ -5,20 +5,24 @@ evolved in every mode and long chains up to length 131, equal and unequal
 hoppings, plus the edges of the input domain (kappa0 of 0.15 and 10).
 
 For every mirror sector of each lattice it compares
-``spectra.lead_eigenpairs`` with ``diagonalize`` of the dense sector
-block.  Both are backward stable, each the spectrum of h + dh with ||dh||
-within gamma_N ||h|| (LAPACK's p(N) eps ||h|| with p(N) = N), and the
-kernel's deflation adds at most 8 u ||h||, so the energies must agree
-within D = (2 gamma_N + 8 u) ||h|| (Weyl), and the propagators
-R exp(-iEt) R^T between the chain's sector sites, which ``evolve`` uses,
-within 4 gamma_N + t D.  Prints one
-line per lattice with the worst ratio of each difference to its bound.
+``spectra.lead_eigenpairs``, on the problem that evolve poses (the rest
+folded from the chain's hoppings by ``spectra.fold_chain``, the lead given
+by its length and hopping), with ``diagonalize`` of the dense sector
+block, sliced from ``assemble_hamiltonian`` of the whole lattice, so the
+reference shares no code with what it checks.  Both are backward stable,
+each the spectrum of h + dh with ||dh|| within gamma_N ||h|| (LAPACK's
+p(N) eps ||h|| with p(N) = N), and the kernel's deflation adds at most
+8 u ||h||, so the energies must agree within D = (2 gamma_N + 8 u) ||h||
+(Weyl), and the propagators R exp(-iEt) R^T between the chain's sector
+sites, which ``evolve`` uses, within 4 gamma_N + t D.  Prints one line per
+lattice with the worst ratio of each difference to its bound.
 
 It also checks the initial mode of ``bound --long-time`` on the sweep's
 largest chain (n0 = 5, length 1000, sector blocks of 505 sites) at
 kappa0 from 0.3 to 6 and modes spread over 1..lambda: the eigenpair of
-``spectra.tridiagonal_eigenpair`` against ``diagonalize`` of the dense
-sector block.  The energies must agree within the bracket's width
+``spectra.tridiagonal_eigenpair`` on the folded block against
+``diagonalize`` of the dense sector block sliced from the chain's
+Hamiltonian.  The energies must agree within the bracket's width
 (4 u ||h||), the counts' backward error (u (max|a| + |E|) + 2 gamma_2
 max|b| + 3 pivmin, CHANGES.md) and eigh's gamma_N ||h||; the vectors,
 aligned in sign, within 2.5 (r + r_dense) / gap (Davis-Kahan, with r the
@@ -38,9 +42,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fanonet import PiLatticeSpec, build_pi_lattice, diagonalize  # noqa: E402
+from fanonet import (  # noqa: E402
+    PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize)
 from fanonet.spectra import (  # noqa: E402
-    lead_eigenpairs, mirror_elements, mirror_mode, tridiagonal_eigenpair)
+    fold_chain, lead_eigenpairs, mirror_mode, tridiagonal_eigenpair)
 
 UNIT_ROUNDOFF = 2.0**-53
 # the long-time check: the sweep's largest chain, its range of hopping
@@ -70,21 +75,35 @@ def lattices(count, seed):
         yield n0, length, leads, kappa0
 
 
-def written_out(size, rows, cols, values):
-    """A sector block of ``mirror_elements`` as a dense matrix."""
-    block = np.zeros((size, size))
-    block[rows, cols] = values
-    return block
+def sliced_sectors(spec):
+    """The even and odd blocks of the lattice's dense Hamiltonian:
+    top +- cross, top = h[:half, :half] and cross[i, j] = h[i, N-1-j], and in
+    the even block of odd N the middle site's row and column sqrt(2) *
+    h[:half, half]."""
+    h = assemble_hamiltonian(build_pi_lattice(spec).graph)
+    half = len(h) // 2
+    top, cross = h[:half, :half], h[:half, ::-1][:, :half]
+    even, odd = top + cross, top - cross
+    if len(h) % 2:
+        middle = np.sqrt(2.0) * h[:half, half]
+        even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
+    return even, odd
+
+
+def tridiagonal(diagonal, off_diagonal):
+    return np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
 
 
 def worst_ratios(n0, length, leads, kappa0):
     """The largest ratio of each difference to its bound over both sectors."""
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads)).graph
+    spec = PiLatticeSpec(n0, length, 1.0, kappa0, leads)
     energy_ratio = propagator_ratio = 0.0
-    for block in mirror_elements(lattice):
-        dense = written_out(*block)
+    for folded, dense in zip(fold_chain(spec.central_hoppings), sliced_sectors(spec)):
+        rest = tridiagonal(*folded)
+        spokes = np.zeros(len(rest))
+        spokes[n0] = -spec.kappa
         size, scale = len(dense), np.linalg.norm(dense, np.inf)
-        energies, rows, _ = lead_eigenpairs(block, leads)
+        energies, rows, _ = lead_eigenpairs(rest, spokes, leads, spec.kappa)
         expected, vectors = diagonalize(dense)
         drift = (2 * gamma(size) + 8 * UNIT_ROUNDOFF) * scale
         energy_ratio = max(energy_ratio, np.max(np.abs(energies - expected)) / drift)
@@ -99,11 +118,10 @@ def worst_ratios(n0, length, leads, kappa0):
 def long_time_ratios(n0, length, kappa0, modes):
     """The largest ratio of the energy and the vector difference to their
     bounds over ``modes`` of the chain."""
-    chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
+    spec = PiLatticeSpec(n0, length, 1.0, kappa0)
     energy_ratio = vector_ratio = 0.0
-    for which, elements in enumerate(mirror_elements(chain)):
-        block = written_out(*elements)
-        diagonal, off_diagonal = np.diag(block), np.diag(block, 1)
+    sectors = zip(fold_chain(spec.central_hoppings), sliced_sectors(spec))
+    for which, ((diagonal, off_diagonal), block) in enumerate(sectors):
         columns = [mirror_mode(n)[1] for n in modes if (mirror_mode(n)[0] > 0) == (which == 0)]
         if not columns:
             continue

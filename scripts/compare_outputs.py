@@ -12,13 +12,16 @@ absolute tolerance: a value near 1 printed as 0.999999999999 moves by
 as the decimal text it is and reports differences in units of the last
 printed place: |a - b| / 10^e, with 10^e the finer of the two fields'
 last printed places ("0.999999999999" has e = -12, "1" has e = 0).
+A tiny value, such as an overlap of 4.5e-42, can differ by many such
+units and still by nothing that matters, so the script also reports the
+largest absolute difference |a - b| and the field where it occurs.
 
 Files are matched by their path below each directory, recursively.  A
 ``.csv`` file is compared line by line and field by field at its commas;
 a ``.json`` file as parsed JSON, path by path; any other file byte for
 byte.  For each file that is not byte-identical it prints how many
 numeric fields differ, a histogram of their unit counts and the largest,
-and every non-numeric difference (a missing file, different row or field
+the largest |a - b| and its field, and every non-numeric difference (a missing file, different row or field
 counts, different keys, labels or other text), the first few in full.
 The last line sums this over all files.
 
@@ -43,23 +46,26 @@ SHOWN = 5
 
 
 class Report:
-    """Differences of one file: unit counts of numeric fields, and text."""
+    """Differences of one file: unit counts of numeric fields, the largest
+    absolute difference and where it occurs, and text."""
 
     def __init__(self):
         self.units: Counter = Counter()
+        self.largest: tuple[Decimal, str] = (Decimal(0), "")
         self.other: list[str] = []
 
-    def number(self, a: str, b: str):
+    def number(self, where: str, a: str, b: str):
         da, db = Decimal(a), Decimal(b)
         if da != db:
             place = min(da.as_tuple().exponent, db.as_tuple().exponent)
             self.units[abs(da - db).scaleb(-place)] += 1
+            self.largest = max(self.largest, (abs(da - db), where), key=lambda d: d[0])
 
     def field(self, where: str, a: str, b: str):
         if a == b:
             return
         if NUMBER.fullmatch(a) and NUMBER.fullmatch(b):
-            self.number(a, b)
+            self.number(where, a, b)
         else:
             self.other.append(f"{where}: {a!r} != {b!r}")
 
@@ -98,7 +104,7 @@ def compare_json(a, b, report: Report, where: str = "$"):
         for index, (x, y) in enumerate(zip(a, b)):
             compare_json(x, y, report, f"{where}[{index}]")
     elif isinstance(a, _Number) and isinstance(b, _Number):
-        report.number(a, b)
+        report.number(where, a, b)
     elif type(a) is not type(b) or a != b:
         report.other.append(f"{where}: {json.dumps(a)} != {json.dumps(b)}")
 
@@ -126,10 +132,11 @@ def compare_file(a: Path | None, b: Path | None) -> Report:
     return report
 
 
-def describe(units: Counter) -> str:
+def describe(units: Counter, largest: tuple[Decimal, str]) -> str:
     histogram = ", ".join(f"{_text(u)}: {n}" for u, n in sorted(units.items()))
     return (f"{sum(units.values())} numeric fields differ, by up to {_text(max(units))} "
-            f"units of the last printed place (units: fields {histogram})")
+            f"units of the last printed place (units: fields {histogram}), "
+            f"the largest |a - b| {format(largest[0].normalize(), 'g')} at {largest[1]}")
 
 
 def _text(units: Decimal) -> str:
@@ -147,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted({p.relative_to(root) for root in (args.first, args.second)
                     for p in root.rglob("*") if p.is_file()})
     total, other, files = Counter(), 0, 0
+    largest = (Decimal(0), "")
     for name in names:
         a, b = (root / name for root in (args.first, args.second))
         report = compare_file(a if a.is_file() else None, b if b.is_file() else None)
@@ -155,14 +163,16 @@ def main(argv: list[str] | None = None) -> int:
         files += 1
         print(f"{name}:")
         if report.units:
-            print(f"  {describe(report.units)}")
+            print(f"  {describe(report.units, report.largest)}")
         for line in report.other[:SHOWN]:
             print(f"  {line}")
         if len(report.other) > SHOWN:
             print(f"  ... {len(report.other) - SHOWN} more non-numeric differences")
         total.update(report.units)
+        largest = max(largest, (report.largest[0], f"{name} {report.largest[1]}"),
+                      key=lambda d: d[0])
         other += len(report.other)
-    numeric = describe(total) if total else "no numeric field differs"
+    numeric = describe(total, largest) if total else "no numeric field differs"
     print(f"{len(names)} files, {files} differ: {numeric}; "
           f"{other} non-numeric differences")
     return 0 if other == 0 and not total else 1

@@ -25,9 +25,10 @@ dark states, nothing trapped), on a complete five-site subgraph (a
 four-fold degenerate group) and on a subgraph whose only coupling has
 strength 0 (every mode trapped), the three places a ``--config`` file can
 be named, unequal hoppings, length 1000, evolve runs in both mirror
-sectors (every mode of an odd central chain, no leads, the side-chain
-edge pairs that eigh cannot split, a long unequal chain mid-spectrum, and
-a run far past the safe horizon, where |tE| reaches about 1.6e4),
+sectors (every mode of an odd central chain, no leads, a one-site lead,
+a host hopping other than 1, the side-chain edge pairs that eigh cannot
+split, a long unequal chain mid-spectrum, and a run far past the safe
+horizon, where |tE| reaches about 1.6e4),
 config files that are missing, hold no JSON object, name an unknown key
 or give a value of the wrong type, graph files that are a directory or
 hold a partition label that is no integer, an output path that is a
@@ -179,6 +180,12 @@ RUNS = [
     ("evolve-far-past-horizon", ["evolve", "--n0", "2", "--len", "5", "--m", "20",
                                  "--kappa0", "1.6", "--t-max", "5000", "--allow-reflections",
                                  "--steps", "1000", "--modes", "1,2,9", "--out", "{dir}/far.csv"]),
+    ("evolve-one-site-lead", ["evolve", "--n0", "3", "--len", "8", "--m", "1", "--kappa", "1.3",
+                              "--kappa0", "0.7", "--t-max", "5", "--allow-reflections",
+                              "--steps", "60", "--modes", "all", "--out", "{dir}/one_site.csv"]),
+    ("evolve-host-hopping", ["evolve", "--n0", "2", "--len", "9", "--m", "50", "--kappa", "2",
+                             "--kappa0", "0.9", "--steps", "60", "--modes", "1,4,13",
+                             "--out", "{dir}/host.csv"]),
     ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),
     ("error-evolve-horizon", ["evolve", "--n0", "2", "--len", "4", "--m", "40",
                               "--t-max", "500"]),

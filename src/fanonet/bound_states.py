@@ -38,9 +38,10 @@ The isolated central chain is mirror-symmetric too: its mode n (energies
 ascending) lies in sector (-1)^(n-1), so ``long_time_survival`` builds its
 initial mode in closed form at equal hoppings and otherwise takes the one
 eigenpair it needs of the half-size block of the chain that holds it, a
-tridiagonal matrix read from the chain's bonds, in O(length) time and
-memory (``spectra.tridiagonal_eigenpair``): no dense block is built or
-diagonalized.
+tridiagonal matrix folded from the chain's hopping profile
+(``spectra.fold_chain``), in O(length) time and memory
+(``spectra.tridiagonal_eigenpair``): no lattice graph or dense block is
+built.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pilattice import PiLatticeSpec, build_pi_lattice
-from .spectra import mirror_elements, mirror_mode, open_chain_mode, tridiagonal_eigenpair, unfold
+from .pilattice import PiLatticeSpec
+from .spectra import fold_chain, mirror_mode, open_chain_mode, tridiagonal_eigenpair, unfold
 
 __all__ = [
     "BoundState",
@@ -174,8 +175,7 @@ def _state(kind, k, gamma, parity, z, values, tail, tolerance, n0, length, kappa
     otherwise.
     """
     energy = float((-2.0 * kappa * np.cos(k)).real)
-    hop = np.full(len(values) - 1, kappa0)
-    hop[n0:n0 + length - 1] = kappa
+    hop = PiLatticeSpec(n0, length, kappa, kappa0).central_hoppings
     h_psi = np.zeros_like(values)
     h_psi[:-1] -= hop * values[1:]
     h_psi[1:] -= hop * values[:-1]
@@ -347,21 +347,6 @@ def evanescent_bound_states(
     return sorted(states, key=lambda s: s.energy)
 
 
-def _tridiagonal(size, rows, cols, values):
-    """The diagonal and the off-diagonal of a symmetric block given by its
-    stored elements, as ``mirror_elements`` returns a sector; ValueError
-    for a nonzero element off the three diagonals or an unequal pair."""
-    nonzero = values != 0
-    band = (rows - cols)[nonzero]               # -1, 0, 1: above, on, below
-    if np.any(np.abs(band) > 1):
-        raise ValueError("the sector block is not tridiagonal")
-    diagonals = np.zeros((3, size))
-    diagonals[band + 1, np.minimum(rows, cols)[nonzero]] = values[nonzero]
-    if not np.array_equal(diagonals[0], diagonals[2]):
-        raise ValueError("the sector block is not symmetric")
-    return diagonals[1], diagonals[0, :-1]
-
-
 def long_time_survival(
     n0: int,
     length: int,
@@ -382,7 +367,7 @@ def long_time_survival(
 
     The mode psi0 is the analytic open-chain mode at equal hoppings, else
     the eigenpair of its sector's tridiagonal block that ``mirror_mode``
-    names, the block read from ``mirror_elements`` of the chain, from
+    names, the block folded from the chain's hoppings (``fold_chain``), from
     ``tridiagonal_eigenpair`` (O(lambda), certified: ArithmeticError if a
     certificate fails).  ValueError for a mode that is not an integer (a
     bool included), checked first, or one outside [1, lambda].
@@ -399,8 +384,7 @@ def long_time_survival(
         psi0 = open_chain_mode(lam, mode, kappa).amplitudes
     else:                               # one eigenpair of the mode's sector, O(lam)
         sector, column = mirror_mode(mode)
-        chain = build_pi_lattice(spec).graph
-        diagonal, off_diagonal = _tridiagonal(*mirror_elements(chain)[0 if sector > 0 else 1])
+        diagonal, off_diagonal = fold_chain(spec.central_hoppings)[0 if sector > 0 else 1]
         psi0 = unfold(tridiagonal_eigenpair(diagonal, off_diagonal, column)[1], sector, lam)
     if states is None:
         states = resonant_bound_states(n0, length, kappa, kappa0) + \

@@ -42,7 +42,7 @@ from .dynamics import (
     safe_horizon,
 )
 from .graphs import GraphSpecError, parse_graph_file
-from .pilattice import PiLatticeSpec, build_pi_lattice
+from .pilattice import PiLatticeSpec
 from .scattering import (
     common_zeros,
     l_dependent_reflection_zeros,
@@ -50,7 +50,7 @@ from .scattering import (
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import find_trapping_modes, lead_eigenpairs, mirror_elements, mirror_mode
+from .spectra import find_trapping_modes, fold_chain, lead_eigenpairs, mirror_mode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -285,7 +285,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     steps = cfg.steps if cfg.steps is not None else DEFAULT_TIME_SAMPLES
     times = np.linspace(0.0, t_max, steps)
 
-    lattice = build_pi_lattice(spec)
     lam = spec.central_size
     modes = list(range(1, lam + 1)) if cfg.modes is None else cfg.modes
     if not modes:
@@ -295,11 +294,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise GraphSpecError(f"modes {bad} outside [1, {lam}]")
 
     # mode n lies in mirror sector (-1)^(n-1): evolve each sector that holds
-    # a requested mode under its own half-size block of the lattice, folded
-    # from the lattice's bonds and kept as its stored elements.  The block's
-    # first ``leads`` sites are the left lead, a uniform hard-wall chain
-    # joined to the rest by one bond; the rest is the chain's own sector
-    # block, whose eigenvectors are the chain's modes of that sector, the
+    # a requested mode under its own half-size block of the lattice.  The
+    # block's first ``leads`` sites are the left lead, a uniform hard-wall
+    # chain whose last site, c_0, is bonded by -kappa to c_1 (sector site
+    # n0); the rest is the chain's own sector block, folded from its hopping
+    # profile, whose eigenvectors are the chain's modes of that sector, the
     # initial states.  ``lead_eigenpairs`` diagonalizes the rest, the only
     # dense eigensolve, and meets its modes with the lead's standing waves
     # in one secular equation: it gives the block's energies, its
@@ -307,15 +306,18 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # P = sum |w|^2, and the chain's modes, and certifies them, an
     # ArithmeticError (exit 5) if a certificate fails
     survival = {}
-    for sector, block in zip((1, -1), mirror_elements(lattice.graph)):
+    for sector, (diagonal, off_diagonal) in zip((1, -1), fold_chain(spec.central_hoppings)):
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
         if not wanted:
             continue
-        energies, rows, chain_modes = lead_eigenpairs(block, cfg.leads)
+        rest = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+        spokes = np.zeros(len(rest))
+        spokes[spec.n0] = -spec.kappa
+        energies, rows, chain_modes = lead_eigenpairs(rest, spokes, cfg.leads, spec.kappa)
         propagator = SpectralPropagator(energies, rows)
         # a batch of modes holds S * per_block <= min(N, T) amplitudes per
         # energy, so no array outgrows the (T, N) phase table
-        per_block = max(1, min(block[0], len(times)) // len(chain_modes))
+        per_block = max(1, min(len(energies), len(times)) // len(chain_modes))
         for start in range(0, len(wanted), per_block):
             batch = wanted[start:start + per_block]
             psi0 = chain_modes[:, [mirror_mode(n)[1] for n in batch]]

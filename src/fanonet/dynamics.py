@@ -17,17 +17,18 @@ instead of T * N; any other grid takes r = 1, the plain table.
 
 The pi lattice is mirror-symmetric and its central chain's mode n lies in
 mirror sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve``
-solves one half-size block per sector that holds a requested mode
-(``spectra.mirror_elements``, folded from the lattice's bonds).  Its lead
-is a uniform hard-wall chain joined by one bond to the chain's own sector
-block, so ``spectra.lead_eigenpairs`` diagonalizes that S-site rest, whose
-eigenvectors are the chain's modes of the sector, and gives the block's
-energies and its eigenvectors' rows on the rest from one secular
-equation, with no dense eigensolve of the block, and certifies them: an
-ArithmeticError, exit 5 in the CLI, if a certificate fails.  Hard-wall
-truncated leads stay faithful to the infinite lattice only until leaked
-probability can bounce off the wall and return; ``safe_horizon`` bounds
-that window using the maximal group velocity 2*kappa of the host chain.
+solves one half-size block per sector that holds a requested mode.  Its
+lead is a uniform hard-wall chain, given by its length and hopping, joined
+by one bond to the chain's own sector block, which ``spectra.fold_chain``
+writes from the chain's hopping profile; ``spectra.lead_eigenpairs``
+diagonalizes that S-site rest, whose eigenvectors are the chain's modes
+of the sector, and gives the block's energies and its eigenvectors' rows
+on the rest from one secular equation, with no dense eigensolve of the
+block, and certifies them: an ArithmeticError, exit 5 in the CLI, if a
+certificate fails.  Hard-wall truncated leads stay faithful to the
+infinite lattice only until leaked probability can bounce off the wall
+and return; ``safe_horizon`` bounds that window using the maximal group
+velocity 2*kappa of the host chain.
 """
 
 from __future__ import annotations

@@ -321,9 +321,6 @@ class Partition:
     def subgraph_indices(self) -> list[int]:
         return sorted(set(self.assignment))
 
-    def sites_of(self, l: int) -> list[int]:
-        return np.flatnonzero(self.labels == l).tolist()
-
     def couplings(self) -> list[tuple[int, int, float]]:
         """Hoppings whose endpoints lie in different subgraphs."""
         ends = np.array(self.graph.hoppings, dtype=float).reshape(-1, 3)[:, :2].astype(int)

@@ -6,8 +6,10 @@ each side beyond the anchors (hard-wall truncation of the infinite chain).
 
 Site ordering is flat: left lead (outermost first), then the central chain
 in path order a_{n0}..a_1, c_1..c_length, b_1..b_{n0}, then the right lead.
-With equal hoppings the central block is therefore a uniform tridiagonal
-matrix, and general-graph code never has to special-case this family.
+The central block is therefore a tridiagonal matrix whose bond strengths,
+``PiLatticeSpec.central_hoppings``, read the same from both ends: the
+mirror symmetry that splits the chain into an even and an odd sector
+(``spectra.fold_chain``).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numbers
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .graphs import GraphSpecError, LatticeGraph, Partition
 
@@ -70,6 +74,15 @@ class PiLatticeSpec:
     @property
     def site_count(self) -> int:
         return self.central_size + 2 * self.leads
+
+    @property
+    def central_hoppings(self) -> np.ndarray:
+        """Strengths of the central chain's 2*n0+length-1 bonds in path
+        order: kappa0 along the side chains and on the two anchor bonds,
+        kappa along the host chain between the anchors."""
+        hoppings = np.full(self.central_size - 1, self.kappa0, dtype=float)
+        hoppings[self.n0:self.n0 + self.length - 1] = self.kappa
+        return hoppings
 
 
 class SiteNames(Mapping):
@@ -140,11 +153,6 @@ class PiLattice(NamedTuple):
         """Flat indices of the two anchors c_1 and c_length."""
         return self.site_index["c1"], self.site_index[f"c{self.spec.length}"]
 
-    @property
-    def joint_positions(self) -> tuple[int, int]:
-        """1-based central-chain positions of the anchors: n0+1 and n0+length."""
-        return self.spec.n0 + 1, self.spec.n0 + self.spec.length
-
 
 def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
     """Construct the lattice graph, its lead/central/lead partition and the
@@ -154,12 +162,9 @@ def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
     n0, length, m = spec.n0, spec.length, spec.leads
     lam = spec.central_size
 
-    hoppings: list[tuple[int, int, float]] = []
-    # bonds along the central chain; host-chain bonds carry kappa, the side
-    # chains and the two anchor bonds carry kappa0
-    for p in range(1, lam):
-        strength = spec.kappa if n0 + 1 <= p <= n0 + length - 1 else spec.kappa0
-        hoppings.append((m + p - 1, m + p, strength))
+    # bonds along the central chain
+    hoppings = [(m + p, m + p + 1, strength)
+                for p, strength in enumerate(spec.central_hoppings.tolist())]
     # leads and their attachment to the anchors
     for s in range(m - 1):
         hoppings.append((s, s + 1, spec.kappa))

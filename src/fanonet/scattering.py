@@ -502,10 +502,6 @@ class PeakDipReport:
     length_b: int
     entries: list[dict]
 
-    @property
-    def any_straddle(self) -> bool:
-        return any(e["straddle"] for e in self.entries)
-
 
 def peak_dip_report(
     n0: int,

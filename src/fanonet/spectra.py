@@ -12,20 +12,21 @@ residual come from the graph's bond list.  ``verify_trapping`` rechecks
 a residual on the dense Hamiltonian, and ``residual_rounding_bound`` says
 how far rounding lets the two lie apart.
 
-A graph equal to its mirror image splits its Hamiltonian into an even
-and an odd block of half the size; ``mirror_elements`` folds them straight
-from the bond list as their stored elements, checking the mirror symmetry
-there in O(bonds), so no N x N matrix is built.  ``unfold`` takes a
-state's sector coordinates back to sites, and ``mirror_mode`` says in
-which block, and where, a Jacobi matrix's mode n lies.
+A chain whose bond strengths read the same from both ends splits its
+Hamiltonian into an even and an odd tridiagonal block of half the size;
+``fold_chain`` writes both from the hopping profile in O(length).
+``unfold`` takes a state's sector coordinates back to sites, and
+``mirror_mode`` says in which block, and where, a Jacobi matrix's mode n
+lies.
 
-A block whose first sites are a uniform hard-wall chain, joined by one
-bond to the rest, needs no dense eigensolve: ``lead_eigenpairs``
-diagonalizes only the rest, merges the chain's standing waves with the
-rest's eigenpairs through one secular equation, certifies the result and
-returns the rest's eigenvectors with it.  Nor does one eigenpair of a symmetric
-tridiagonal matrix, such as a chain's sector block: ``tridiagonal_eigenpair``
-finds it from Sturm counts and inverse iteration in O(n), certified.
+A block made of a uniform hard-wall lead of m sites, given by m and its
+hopping, joined by its last site to the rest, needs no dense eigensolve:
+``lead_eigenpairs`` diagonalizes only the rest, merges the lead's standing
+waves with the rest's eigenpairs through one secular equation, certifies
+the result and returns the rest's eigenvectors with it.  Nor does one
+eigenpair of a symmetric tridiagonal matrix, such as a chain's sector
+block: ``tridiagonal_eigenpair`` finds it from Sturm counts and inverse
+iteration in O(n), certified.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = [
     "EigenMode",
     "TrappingCertificate",
     "diagonalize",
+    "fold_chain",
     "lead_eigenpairs",
-    "mirror_elements",
     "mirror_mode",
     "unfold",
     "open_chain_mode",
@@ -97,9 +98,8 @@ TINY = float(np.finfo(float).tiny)
 class EigenMode:
     """One eigenpair of a subgraph Hamiltonian.
 
-    ``nodes`` holds the zero-amplitude sites.  For analytic open-chain
-    modes these are 1-based chain positions computed by integer
-    arithmetic; numerically detected nodes use |g_j| < NODE_TOL * max|g|.
+    ``nodes`` holds the zero-amplitude sites, 1-based chain positions of
+    an analytic open-chain mode computed by integer arithmetic.
     """
 
     energy: float
@@ -125,9 +125,6 @@ class TrappingCertificate:
     def _support(self, tol: float) -> np.ndarray:
         magnitude = np.abs(self.vector)
         return np.flatnonzero(magnitude > tol * np.max(magnitude))
-
-    def support_sites(self, tol: float = NODE_TOL) -> list[int]:
-        return self._support(tol).tolist()
 
     def node_sites(self, sites, tol: float = NODE_TOL) -> list[int]:
         """Sites among ``sites`` where the certified mode has a wave node."""
@@ -379,27 +376,27 @@ def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
     return np.array(y) / size, ratio, phi
 
 
-def lead_eigenpairs(block, leads: int):
-    """Energies of a block whose first ``leads`` sites are a uniform
-    hard-wall chain, and the rows of its eigenvectors on the other sites,
-    without a dense eigensolve of the block.
+def lead_eigenpairs(rest, spokes, leads: int, kappa: float):
+    """Energies of a block h made of a uniform hard-wall lead and a rest, and
+    the rows of its eigenvectors on the rest, without a dense eigensolve of
+    the block.
 
-    ``block`` is a real symmetric N x N matrix given by its stored elements,
-    ``(N, rows, cols, values)`` with each position at most once, as
-    ``mirror_elements`` returns a sector.  Sites 0..m-1 (m = ``leads``) must
-    carry hopping -kappa between neighbours and no potential, and only site
-    m-1, the hub, may be bonded to the rest, the trailing S x S block,
-    whose eigenpairs (mu, W) come from ``diagonalize``.  Returns
+    The block's first m = ``leads`` sites are the lead, with hopping -kappa
+    (``kappa``) between neighbours and no potential.  Its last site, the
+    hub, is bonded to site i of the rest by ``spokes[i]`` and to nothing
+    else, and ``rest`` is the real symmetric S x S block of the other
+    sites, whose eigenpairs (mu, W) come from ``diagonalize``.  Returns
     ``(energies, rows, modes)``: the N = m + S energies ascending, the
     (S, N) rows V[m:, :] of the block's eigenvectors, and W, the rest's
-    eigenvectors in columns (at m = 0, ``(mu, W, W)``).  O(S^3) for the
-    rest, O(N * S) per secular step and O(S^2 * N) for the rows, against
-    O(N^3) for a dense eigensolve of the block, and O(N * S) memory.
+    eigenvectors in columns (at m = 0, no lead and no hub: ``(mu, W, W)``).
+    O(S^3) for the rest, O(N * S) per secular step and O(S^2 * N) for the
+    rows, against O(N^3) for a dense eigensolve of the block, and O(N * S)
+    memory.
 
     The hub sees two parts: the m - 1 outer lead sites, whose standing
     waves have energies nu_j = -2 kappa cos(theta_j), theta_j = j pi / m,
     and the rest, whose modes have energies mu_i and couple to the hub
-    through the spokes z = W^T h[m:, m-1].  An energy lam = -2 kappa cos(theta)
+    through the spokes z = W^T spokes.  An energy lam = -2 kappa cos(theta)
     is an eigenvalue exactly when the secular function
 
         f(lam) = lam + kappa sin((m-1) theta) / sin(m theta) - sum_i z_i^2 / (lam - mu_i)
@@ -432,31 +429,19 @@ def lead_eigenpairs(block, leads: int):
     (so there are N of them), |f| at each root is within its rounding bound
     and the rows are orthonormal, ||rows rows^T - I||_max within the bound
     that the roots' conditioning gives (CHANGES.md derives both bounds).
-    ValueError if the block is not of that form, or if its rest has more
-    than ``DEFAULT_SIZE_CAP`` sites.
+    ValueError if ``leads`` is negative, ``kappa`` is not finite and
+    positive, or ``rest`` and ``spokes`` do not fit S >= 1 sites, or if the
+    rest has more than ``DEFAULT_SIZE_CAP`` sites.
     """
-    n, rows, cols, values = block
-    m = leads
-    size = n - m
-    if not 0 <= m < n:
-        raise ValueError(f"expected fewer than {n} lead sites in a block of {n}, got {m}")
-    rows, cols, values = (np.asarray(a)[np.asarray(values) != 0] for a in (rows, cols, values))
-    lead, inner = (rows < m) & (cols < m), (rows >= m) & (cols >= m)
-    kappa = -values[lead][0] if m > 1 and np.any(lead) else 1.0
-    spokes, image = np.zeros(size), np.zeros(size)
-    to_hub, from_hub = (cols == m - 1) & (rows >= m), (rows == m - 1) & (cols >= m)
-    spokes[rows[to_hub] - m], image[cols[from_hub] - m] = values[to_hub], values[from_hub]
-    if not (kappa > 0 and np.count_nonzero(lead) == 2 * max(m - 1, 0)
-            and np.all(np.abs(rows[lead] - cols[lead]) == 1) and np.all(values[lead] == -kappa)
-            and np.count_nonzero(~lead & ~inner) == np.count_nonzero(to_hub | from_hub)
-            and np.array_equal(spokes, image)):
-        raise ValueError(f"the first {m} sites are not a uniform chain bonded to the rest "
-                         "by its last site alone")
-    rest_block = np.zeros((size, size))
-    rest_block[rows[inner] - m, cols[inner] - m] = values[inner]
+    rest, spokes = np.asarray(rest, dtype=float), np.asarray(spokes, dtype=float)
+    m, size = leads, spokes.size
+    if m < 0 or not 0 < kappa < math.inf or size == 0 or spokes.shape != (size,) \
+            or rest.shape != (size, size):
+        raise ValueError(f"expected leads >= 0, kappa > 0 and a rest of S >= 1 sites with S "
+                         f"spokes, got {m}, {kappa}, shapes {rest.shape} and {spokes.shape}")
     scale = max(2.0 * kappa * (m > 1), kappa * (m > 1) + np.sum(np.abs(spokes)),
-                np.max(np.sum(np.abs(rest_block), axis=1) + np.abs(spokes)))
-    mu, w = diagonalize(rest_block)
+                np.max(np.sum(np.abs(rest), axis=1) + np.abs(spokes)))
+    mu, w = diagonalize(rest)
     if m == 0:
         return mu, w, w
     return (*_Secular(m, kappa, mu, w, w.T @ spokes, scale).solve(), w)
@@ -805,59 +790,6 @@ class _Secular:
         return energies[order], rows[:, order]
 
 
-def mirror_elements(graph: LatticeGraph):
-    """Even and odd blocks of the Hamiltonian of a graph that equals its
-    mirror image under i -> N-1-i, as their stored elements: for the even,
-    then the odd sector, ``(size, rows, cols, values)``, each position at
-    most once, folded straight from the bond list in O(bonds).
-
-    Sector s (+1 even, -1 odd) has the basis (|i> + s|N-1-i>)/sqrt(2) for
-    i < half = N // 2, and in the even sector of odd N also the middle site
-    |half>, last.  There H is top + s*cross, with top = H[:half, :half]
-    and cross[i, j] = H[i, N-1-j]; the middle site's row and column in the
-    even block carry sqrt(2) times its matrix elements.  Each block element
-    is one add or subtract of a bond or potential in top, cross or the
-    middle column, so a block written out (``block[rows, cols] = values``)
-    is bitwise the slices of ``assemble_hamiltonian(graph)`` added and
-    subtracted, and exactly symmetric.
-
-    Raises ValueError unless every matrix element equals its mirror image,
-    checked on the bond list.
-    """
-    n, half = graph.site_count, graph.site_count // 2
-    rows, cols, values = graph.elements
-    keys = rows * n + cols
-    # H equals its mirror image when each element equals the element at
-    # (N-1-i, N-1-j), an absent one reading 0
-    mirrored = (n - 1 - rows) * n + (n - 1 - cols)
-    at = np.minimum(np.searchsorted(keys, mirrored), len(keys) - 1)
-    image = np.where(keys[at] == mirrored, values[at], 0.0)
-    if not np.all(values == image):
-        raise ValueError("graph is not mirror-symmetric")
-    # fold the rows i < half (the mirror gives the rest): top[i, j] =
-    # H[i, j] for j < half, cross[i, j] = H[i, N-1-j]; each block element
-    # is top + s*cross, stored where either is not an absent 0
-    upper = rows < half
-    left, right = upper & (cols < half), upper & (cols >= n - half)
-    top_at = rows[left] * half + cols[left]
-    cross_at = rows[right] * half + (n - 1 - cols[right])
-    at = np.union1d(top_at, cross_at)
-    top, cross = np.zeros(len(at)), np.zeros(len(at))
-    top[np.searchsorted(at, top_at)] = values[left]
-    cross[np.searchsorted(at, cross_at)] = values[right]
-    i, j = np.divmod(at, half)
-    even, odd = (i, j, top + cross), (i, j, top - cross)
-    if n % 2:                                   # the middle site: H[:half + 1, half]
-        middle = (cols == half) & (rows <= half)
-        column = np.zeros(half + 1)
-        column[rows[middle]] = values[middle]
-        edge = np.sqrt(2.0) * column[:half]
-        k, mid = np.arange(half), np.full(half, half)
-        even = (np.concatenate([i, k, mid, [half]]), np.concatenate([j, mid, k, [half]]),
-                np.concatenate([top + cross, edge, edge, column[half:]]))
-    return (half + n % 2, *even), (half, *odd)
-
-
 def mirror_mode(n: int) -> tuple[int, int]:
     """Sector and block column (0-based) of eigenvector ``n`` (1-based,
     energies ascending) of a mirror-symmetric Jacobi matrix whose hoppings
@@ -873,10 +805,37 @@ def mirror_mode(n: int) -> tuple[int, int]:
     return (1, (n - 1) // 2) if n % 2 else (-1, n // 2 - 1)
 
 
+def fold_chain(hoppings):
+    """Even and odd blocks of the open chain with bond strengths
+    ``hoppings`` (t, lambda - 1 of them, no potentials), whose profile
+    reads the same from both ends, as ``(diagonal, off_diagonal)`` for the
+    even, then the odd sector, in O(lambda).
+
+    Sector s (+1 even, -1 odd) has the basis (|i> + s|lambda-1-i>)/sqrt(2)
+    for i < half = lambda // 2, and in the even sector of odd lambda also the
+    middle site |half>, last (``unfold``).  The bonds of the top half keep
+    their -t.  At even lambda the middle bond joins site half-1 to its own
+    image, so it becomes -+t on the last diagonal entry; at odd lambda it
+    bonds the middle site to the even sector by sqrt(2) (-t), and the odd
+    sector drops the middle site.  ValueError unless the profile equals
+    its reverse.
+    """
+    t = np.asarray(hoppings, dtype=float)
+    if t.ndim != 1 or not len(t) or not np.array_equal(t, t[::-1]):
+        raise ValueError("expected the hoppings of a mirror-symmetric chain of two or more sites")
+    half = (len(t) + 1) // 2
+    off, middle = -t[:half - 1], -t[half - 1]
+    if len(t) % 2:                              # even lambda
+        even, odd = np.zeros(half), np.zeros(half)
+        even[-1], odd[-1] = middle, -middle
+        return (even, off), (odd, off.copy())
+    return (np.zeros(half + 1), np.append(off, np.sqrt(2.0) * middle)), (np.zeros(half), off)
+
+
 def unfold(w: np.ndarray, sector: int, size: int) -> np.ndarray:
     """Site amplitudes on ``size`` sites of the sector-``sector`` state
     with coordinates ``w`` (states in columns) in the basis of
-    ``mirror_elements``.  Odd states vanish at the middle site of odd
+    ``fold_chain``.  Odd states vanish at the middle site of odd
     ``size``."""
     w = np.asarray(w)
     half = size // 2

@@ -9,8 +9,9 @@ on the whole lattice, as evolve did before it split the
 lattice into mirror sectors, long-time survival from the dense
 eigendecomposition of the chain's mirror sector, as ``long_time_survival``
 computed it before it solved for one eigenpair, the mirror blocks sliced
-from the dense Hamiltonian, which ``mirror_elements`` folds from the bonds
-bit for bit, the paper's closed forms of the scattering amplitudes,
+from the dense Hamiltonian, which ``fold_chain`` and a lead written out
+give bit for bit, the sector problems that evolve hands
+``lead_eigenpairs``, the paper's closed forms of the scattering amplitudes,
 and four helpers that only the tests use: the Hamiltonian reassembled
 from a partition, the resonant (m, n) pairs, a bound state on a
 truncated lattice and the plateau of a survival curve."""
@@ -37,7 +38,7 @@ from fanonet import (
 )
 from fanonet import scattering
 from fanonet.bound_states import EVANESCENT
-from fanonet.spectra import NODE_TOL, _energy_groups, mirror_mode, unfold
+from fanonet.spectra import NODE_TOL, _energy_groups, fold_chain, mirror_mode, unfold
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -121,8 +122,7 @@ def reference_trapping_modes(graph, partition, l):
     every group's own leak, one-column groups included, which the library
     decides by the leak's 2-norm.  With no coupling of nonzero strength
     every eigenvector is trapped."""
-    sites = partition.sites_of(l)
-    if not sites:
+    if not np.any(partition.labels == l):
         raise ValueError(f"subgraph {l} is empty")
     h_l, sites = subgraph_hamiltonian(graph, partition, l)
     local = {s: i for i, s in enumerate(sites)}
@@ -165,7 +165,7 @@ def reference_trapping_modes(graph, partition, l):
 
 
 def reference_support_sites(cert, tol=NODE_TOL):
-    """``TrappingCertificate.support_sites``, one site at a time."""
+    """The sites of ``TrappingCertificate.to_json_dict``, one site at a time."""
     scale = np.max(np.abs(cert.vector))
     return [int(i) for i in np.nonzero(np.abs(cert.vector) > tol * scale)[0]]
 
@@ -323,15 +323,6 @@ def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
     return np.sum(np.abs(amps[..., central]) ** 2, axis=2).T
 
 
-def graph_of(h: np.ndarray) -> LatticeGraph:
-    """The graph whose Hamiltonian is the symmetric matrix ``h``: a bond of
-    strength -h[i, j] for each nonzero h[i, j], i < j, and every diagonal
-    element as a potential, so ``assemble_hamiltonian`` gives ``h`` back."""
-    i, j = np.nonzero(np.triu(h, 1))
-    hoppings = tuple((int(a), int(b), float(-h[a, b])) for a, b in zip(i, j))
-    return LatticeGraph(len(h), hoppings, tuple((a, float(h[a, a])) for a in range(len(h))))
-
-
 def dense_mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd blocks of a square matrix equal to its mirror image, by
     slices of the matrix and one add or subtract: top = h[:half, :half],
@@ -352,6 +343,39 @@ def dense_mirror_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         middle = np.sqrt(2.0) * h[:half, half]
         even = np.block([[even, middle[:, None]], [middle[None, :], h[half, half]]])
     return even, odd
+
+
+def tridiagonal(diagonal, off_diagonal) -> np.ndarray:
+    """The symmetric tridiagonal matrix with these diagonals, written out."""
+    return np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+
+
+def sector_problems(spec: PiLatticeSpec):
+    """Each sector's ``lead_eigenpairs`` problem of the pi lattice ``spec``
+    as evolve poses it, even sector first: the rest, the chain's sector
+    block folded from its hoppings and written out, and the spokes, -kappa
+    at c_1, sector site n0."""
+    problems = []
+    for diagonal, off_diagonal in fold_chain(spec.central_hoppings):
+        rest = tridiagonal(diagonal, off_diagonal)
+        spokes = np.zeros(len(rest))
+        spokes[spec.n0] = -spec.kappa
+        problems.append((rest, spokes))
+    return problems
+
+
+def with_lead(rest, spokes, leads, kappa) -> np.ndarray:
+    """The block of a ``lead_eigenpairs`` problem written out: a uniform
+    lead of ``leads`` sites with hopping -``kappa``, whose last site is
+    bonded to the rest by ``spokes``."""
+    size = leads + len(rest)
+    block = np.zeros((size, size))
+    block[leads:, leads:] = rest
+    lead = np.arange(leads - 1)
+    block[lead, lead + 1] = block[lead + 1, lead] = -kappa
+    if leads:
+        block[leads - 1, leads:] = block[leads:, leads - 1] = spokes
+    return block
 
 
 class ClosedForms(NamedTuple):

@@ -18,7 +18,8 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
-from fanonet import bound_states, cli, spectra
+import fanonet
+from fanonet import bound_states, cli, pilattice, scattering, spectra
 from fanonet.cli import _json_list_chunks, _json_text, main
 
 
@@ -398,6 +399,30 @@ def test_internal_failure_is_one_line_exit_five(tmp_path, capsys, monkeypatch, n
     graph = pi_graph_file(tmp_path, 2, 4, 3)
     assert main([a.replace("{graph}", str(graph)) for a in argv]) == cli.EXIT_INTERNAL == 5
     _one_error_line(capsys, "error: dual-path identity violated at k=1.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n0", "2", "--len", "5", "--m", "40", "--kappa0", "1.3", "--steps", "30",
+     "--modes", "all"],
+    ["evolve", "--n0", "3", "--len", "8", "--m", "1", "--kappa", "1.3", "--kappa0", "0.7",
+     "--t-max", "5", "--allow-reflections", "--steps", "30", "--modes", "2,7"],
+    ["bound", "--n0", "2", "--len", "5", "--kappa0", "1.3", "--long-time", "4"],
+    ["bound", "--n0", "2", "--len", "4", "--long-time", "3"],
+])
+def test_survival_and_long_time_paths_build_no_lattice_graph(argv, capsys, monkeypatch):
+    # the sector blocks come from the spec's hopping profile alone
+    calls = []
+    build = pilattice.build_pi_lattice
+
+    def spy(spec):
+        calls.append(spec)
+        return build(spec)
+
+    for module in (fanonet, pilattice, cli, bound_states, scattering):
+        if hasattr(module, "build_pi_lattice"):
+            monkeypatch.setattr(module, "build_pi_lattice", spy)
+    assert main(argv) == 0
+    assert calls == []
 
 
 def test_a_root_bracket_that_does_not_shrink_is_one_line_exit_five(capsys, monkeypatch):

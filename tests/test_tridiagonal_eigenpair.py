@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from fanonet import PiLatticeSpec, assemble_hamiltonian, build_pi_lattice, diagonalize, \
     evanescent_bound_states, long_time_survival, resonant_bound_states
 from fanonet import spectra
-from fanonet.bound_states import _tridiagonal
 from fanonet.cli import main
-from fanonet.spectra import mirror_elements, mirror_mode, tridiagonal_eigenpair
+from fanonet.spectra import fold_chain, mirror_mode, tridiagonal_eigenpair
 
 from _support import dense_long_time_survival, dense_mirror_blocks
 
@@ -63,12 +62,13 @@ def mode_gap_bound(block, column, energy, vector):
 def chain_sector(n0, length, kappa, kappa0, mode):
     """Diagonal, off-diagonal and dense block of the central chain's mirror
     sector that holds ``mode``, and the mode's column there; the two
-    diagonals as ``long_time_survival`` reads them from the sector's stored
-    elements, bitwise the dense block's."""
-    chain = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0)).graph
+    diagonals as ``long_time_survival`` folds them from the chain's
+    hoppings, bitwise the dense block's."""
+    spec = PiLatticeSpec(n0, length, kappa, kappa0)
+    chain = build_pi_lattice(spec).graph
     sector, column = mirror_mode(mode)
     which = 0 if sector > 0 else 1
-    diagonal, off_diagonal = _tridiagonal(*mirror_elements(chain)[which])
+    diagonal, off_diagonal = fold_chain(spec.central_hoppings)[which]
     block = dense_mirror_blocks(assemble_hamiltonian(chain))[which]
     assert diagonal.tobytes() == np.diag(block).tobytes()
     assert off_diagonal.tobytes() == np.diag(block, 1).tobytes()
@@ -135,22 +135,6 @@ def test_every_eigenvalue_of_a_random_tridiagonal_matrix(diagonal, couplings, in
 def test_eigenpair_refuses_input_that_does_not_fit(diagonal, off_diagonal, index):
     with pytest.raises(ValueError):
         tridiagonal_eigenpair(diagonal, off_diagonal, index)
-
-
-@pytest.mark.parametrize("at, value", [((0, 2), 0.5), ((2, 0), 0.5), ((1, 0), 0.25)])
-def test_a_sector_block_off_three_diagonals_is_refused(at, value):
-    # the stored elements of a 3-site chain, with one element added off its
-    # three diagonals, or one changed so that the block is not symmetric
-    rows, cols = np.array([0, 0, 1, 1, 2, 2, 1]), np.array([0, 1, 0, 2, 1, 2, 1])
-    values = np.array([0.1, -1.0, -1.0, -1.0, -1.0, 0.1, 0.0])
-    pair = (rows == at[0]) & (cols == at[1])
-    if pair.any():
-        values[pair] = value
-    else:
-        rows, cols, values = (np.append(a, v) for a, v in zip((rows, cols, values),
-                                                              (*at, value)))
-    with pytest.raises(ValueError, match="not tridiagonal|not symmetric"):
-        _tridiagonal(3, rows, cols, values)
 
 
 def test_a_wrong_vector_fails_the_residual_certificate(monkeypatch):
