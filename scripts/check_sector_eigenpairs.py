@@ -2,7 +2,9 @@
 """Cross-check the secular sector kernel against dense eigensolves on the
 shapes that survival runs use: leads of 100 to 600 sites, short chains
 evolved in every mode and long chains up to length 131, equal and unequal
-hoppings, plus the edges of the input domain (kappa0 of 0.15 and 10).
+hoppings.  The CLI takes any positive hopping ratio, so fixed lattices
+also reach side chains coupled far more weakly and far more strongly than
+the host: kappa0 of 0.01, 0.15, 10, 100, 1000 and 1e4 at kappa = 1.
 
 For every mirror sector of each lattice it compares
 ``spectra.lead_eigenpairs``, on the problem that evolve poses (the rest
@@ -60,10 +62,11 @@ def gamma(k):
 
 
 def lattices(count, seed):
-    """(n0, length, leads, kappa0): the domain's edges, then a seeded draw
-    of survival shapes."""
+    """(n0, length, leads, kappa0): fixed shapes and hopping ratios, then a
+    seeded draw of survival shapes."""
     yield from [(2, 5, 300, 1.0), (2, 30, 600, 0.15), (5, 131, 600, 10.0), (1, 2, 100, 1.0),
-                (3, 123, 600, 1.0), (5, 3, 583, 0.5)]
+                (3, 123, 600, 1.0), (5, 3, 583, 0.5), (2, 5, 20, 100.0), (3, 41, 300, 1000.0),
+                (5, 131, 600, 1e4), (4, 9, 150, 0.01)]
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n0 = int(rng.integers(1, 6))

@@ -4,19 +4,22 @@ Two finite chains of n0 sites hang off an open host chain at two anchor
 sites a distance ``length`` apart; ``leads`` extra host sites are kept on
 each side beyond the anchors (hard-wall truncation of the infinite chain).
 
-Site ordering is flat: left lead (outermost first), then the central chain
-in path order a_{n0}..a_1, c_1..c_length, b_1..b_{n0}, then the right lead.
-The central block is therefore a tridiagonal matrix whose bond strengths,
-``PiLatticeSpec.central_hoppings``, read the same from both ends: the
-mirror symmetry that splits the chain into an even and an odd sector
-(``spectra.fold_chain``).
+Site ordering is flat.  The N = 2*n0 + length + 2*leads sites are the left
+lead c_{1-leads}..c_0, the central chain in path order a_{n0}..a_1,
+c_1..c_length, b_1..b_{n0}, and the right lead c_{length+1}..c_{length+leads}.
+So host site c_j is flat site leads + j - 1 + n0*((j >= 1) + (j > length)),
+the central chain is flat sites leads..leads + 2*n0 + length - 1, and with
+leads >= 1 the outermost lead sites c_{1-leads} and c_{length+leads} are
+flat sites 0 and N - 1.  The central block is a tridiagonal matrix whose
+bond strengths, ``PiLatticeSpec.central_hoppings``, read the same from both
+ends: the mirror symmetry that splits the chain into an even and an odd
+sector (``spectra.fold_chain``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .graphs import GraphSpecError, LatticeGraph, Partition
 
-__all__ = ["PiLatticeSpec", "PiLattice", "SiteNames", "build_pi_lattice"]
+__all__ = ["PiLatticeSpec", "PiLattice", "build_pi_lattice"]
 
 LEFT_LEAD, CENTRAL, RIGHT_LEAD = 0, 1, 2
 
@@ -85,80 +88,20 @@ class PiLatticeSpec:
         return hoppings
 
 
-class SiteNames(Mapping):
-    """Read-only map from site names to flat site indices, each index
-    computed from its name on lookup, so no name is formatted until it is
-    asked for.
-
-    The names are "c{1-leads}".."c{0}" (left lead, outermost first),
-    "a{n0}".."a1", "c1".."c{length}", "b1".."b{n0}" and
-    "c{length+1}".."c{length+leads}" (right lead), iterated in that order,
-    which is flat site order.
-    """
-
-    def __init__(self, spec: PiLatticeSpec):
-        self._spec = spec
-
-    def __getitem__(self, name) -> int:
-        n0, length, m = self._spec.n0, self._spec.length, self._spec.leads
-        if not isinstance(name, str) or name[:1] not in ("a", "b", "c"):
-            raise KeyError(name)
-        try:
-            k = int(name[1:])
-        except ValueError:
-            raise KeyError(name) from None
-        if f"{name[0]}{k}" == name:             # "c-2" and "a1", not "c+1" or "a01"
-            if name[0] == "a" and 1 <= k <= n0:
-                return m + n0 - k
-            if name[0] == "b" and 1 <= k <= n0:
-                return m + n0 + length + k - 1
-            if name[0] == "c" and 1 - m <= k <= length + m:
-                # the side chain a sits before c_1, and b after c_length
-                return m + k - 1 + n0 * ((k >= 1) + (k > length))
-        raise KeyError(name)
-
-    def __iter__(self) -> Iterator[str]:
-        n0, length, m = self._spec.n0, self._spec.length, self._spec.leads
-        yield from (f"c{k}" for k in range(1 - m, 1))
-        yield from (f"a{k}" for k in range(n0, 0, -1))
-        yield from (f"c{k}" for k in range(1, length + 1))
-        yield from (f"b{k}" for k in range(1, n0 + 1))
-        yield from (f"c{k}" for k in range(length + 1, length + m + 1))
-
-    def __len__(self) -> int:
-        return self._spec.site_count
-
-
 class PiLattice(NamedTuple):
-    """Built lattice: graph, three-way partition, the site-name map and the
-    spec it was built from.
-
-    ``site_index`` maps names "a1".."a{n0}", "b1".."b{n0}" and
-    "c{1-leads}".."c{length+leads}" to flat site indices (``SiteNames``).
-    """
+    """Built lattice: the graph and its left-lead/central/right-lead
+    partition, in the flat site order of the module docstring."""
 
     graph: LatticeGraph
     partition: Partition
-    site_index: SiteNames
-    spec: PiLatticeSpec
-
-    @property
-    def central_sites(self) -> list[int]:
-        """Central-chain sites in path order (positions 1..2*n0+length)."""
-        start = self.spec.leads
-        return list(range(start, start + self.spec.central_size))
-
-    @property
-    def joint_sites(self) -> tuple[int, int]:
-        """Flat indices of the two anchors c_1 and c_length."""
-        return self.site_index["c1"], self.site_index[f"c{self.spec.length}"]
 
 
 def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
-    """Construct the lattice graph, its lead/central/lead partition and the
-    name map.  The central subgraph's joint sites are c_1 and c_length.
-    Site c_j of the host chain is flat site leads + n0 + j - 1 for
-    1 <= j <= length."""
+    """Construct the lattice graph and its lead/central/lead partition
+    (subgraphs LEFT_LEAD, CENTRAL and RIGHT_LEAD), sites in the module's
+    flat order.  With leads >= 1 the outermost lead sites are flat sites 0
+    and N - 1, and the central subgraph's joint sites are the anchors c_1
+    and c_length, flat sites leads + n0 and leads + n0 + length - 1."""
     n0, length, m = spec.n0, spec.length, spec.leads
     lam = spec.central_size
 
@@ -175,4 +118,4 @@ def build_pi_lattice(spec: PiLatticeSpec) -> PiLattice:
 
     graph = LatticeGraph(spec.site_count, tuple(hoppings))
     partition = Partition(graph, tuple([LEFT_LEAD] * m + [CENTRAL] * lam + [RIGHT_LEAD] * m))
-    return PiLattice(graph, partition, SiteNames(spec), spec)
+    return PiLattice(graph, partition)

@@ -436,7 +436,8 @@ def numeric_scatter_oracle(
     Schrodinger equation on every site but the outermost site of each lead,
     and the two outermost sites of each lead pinned to the plane-wave form
     (incoming + r-reflected on the incident side, t-transmitted on the
-    other).  They are solved in O(N) from the lattice graph alone, with no
+    other).  The outermost lead sites are flat sites 0 (left) and N - 1
+    (right) of ``build_pi_lattice``'s layout.  The equations are solved in O(N) from the lattice graph alone, with no
     formula of this module and no dense matrix:
 
     1. every side branch is eliminated from its leaves inward into a
@@ -465,7 +466,7 @@ def numeric_scatter_oracle(
     step = 1 if incident == "left" else -1
     ends = [1 - leads, length + leads][::step]
     wave = lambda j, sign: complex(np.exp(sign * 1j * k * (j - 1)))
-    source, drain = (lattice.site_index[f"c{j}"] for j in ends)
+    source, drain = (0, lattice.graph.site_count - 1)[::step]
     path, hop, mu, sigma = _branch_self_energies(lattice.graph, source, drain, energy)
 
     # (u, w) = (psi at path[m], psi at path[m+1]) up to the common scale tau of t

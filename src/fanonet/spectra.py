@@ -739,13 +739,18 @@ class _Secular:
             # a bounded gap: lam's own slope joins the side away from the
             # origin, and the model C - A/(lam - a) + B/(b - lam), C constant,
             # is a quadratic in the distance u from the origin end:
-            # C' u^2 - X u + A' width = 0, (C', A') = (C, A) at a, (-C, B) at b
+            # C' u^2 - X u + A' width = 0, (C', A') = (C, A) at a, (-C, B) at b,
+            # X = C' width + near u^2 + far (width - u)^2, whose first and
+            # last terms each carry about far width^2 and cancel near the
+            # origin end; it is summed as (+-f + near u) width
+            # - far (width - u) u + near u^2, every term at the near pole's
+            # scale
             near = np.where(at_low, left, right)
             far = np.where(at_low, right, left) + 1.0
             u = np.abs(x)
-            big_a, big_b = near * u * u, far * (width - u) ** 2
-            c_o = np.where(at_low, f, -f) + near * u - far * (width - u)
-            big_x = c_o * width + big_a + big_b
+            big_a, c_near = near * u * u, np.where(at_low, f, -f) + near * u
+            c_o = c_near - far * (width - u)
+            big_x = c_near * width - far * (width - u) * u + big_a
             root = np.sqrt(np.maximum(big_x * big_x - 4.0 * c_o * big_a * width, 0.0))
             step = np.where(big_x >= 0, 2.0 * big_a * width / (big_x + root),
                             (big_x - root) / (2.0 * c_o))

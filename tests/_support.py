@@ -1,5 +1,7 @@
-"""Shared test helpers: random graph generation, a brute-force trapping
-oracle that searches the full-graph eigenbasis instead of the subgraph one,
+"""Shared test helpers: the flat sites of the pi lattice's central chain
+and of its host-chain sites, as ``build_pi_lattice`` lays them out, random
+graph generation, a brute-force trapping oracle that searches the
+full-graph eigenbasis instead of the subgraph one,
 the per-group SVD search and per-site certificate methods that
 ``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
 a dense reference for the numeric scattering oracle, an eigenvalue
@@ -39,6 +41,16 @@ from fanonet import (
 from fanonet import scattering
 from fanonet.bound_states import EVANESCENT
 from fanonet.spectra import NODE_TOL, _energy_groups, fold_chain, mirror_mode, unfold
+
+
+def central_sites(spec: PiLatticeSpec) -> list[int]:
+    """Flat sites of the central chain a_{n0}..b_{n0}, in path order."""
+    return list(range(spec.leads, spec.leads + spec.central_size))
+
+
+def host_site(spec: PiLatticeSpec, j: int) -> int:
+    """Flat site of host-chain site c_j, 1 - leads <= j <= length + leads."""
+    return spec.leads + j - 1 + spec.n0 * ((j >= 1) + (j > spec.length))
 
 
 def random_graph(rng: np.random.Generator, max_sites: int = 12):
@@ -198,15 +210,13 @@ def dense_scatter_reference(n0, length, kappa, kappa0, k, leads, incident="left"
     other).  ``psi`` holds the site amplitudes, incoming amplitude 1.  A
     singular system raises numpy's LinAlgError.
     """
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
-    h = assemble_hamiltonian(lattice.graph)
-    n = lattice.graph.site_count
+    spec = PiLatticeSpec(n0, length, kappa, kappa0, leads)
+    h = assemble_hamiltonian(build_pi_lattice(spec).graph)
+    n = spec.site_count
     energy = -2.0 * kappa * np.cos(k)
     # host-chain coordinates of the four pinned sites
-    left_pair = [(lattice.site_index[f"c{1 - leads}"], 1 - leads),
-                 (lattice.site_index[f"c{2 - leads}"], 2 - leads)]
-    right_pair = [(lattice.site_index[f"c{length + leads}"], length + leads),
-                  (lattice.site_index[f"c{length + leads - 1}"], length + leads - 1)]
+    left_pair = [(host_site(spec, j), j) for j in (1 - leads, 2 - leads)]
+    right_pair = [(host_site(spec, j), j) for j in (length + leads, length + leads - 1)]
     sign = 1 if incident == "left" else -1
     incoming = lambda j: np.exp(sign * 1j * k * (j - 1))
     reflected = lambda j: np.exp(-sign * 1j * k * (j - 1))
@@ -315,8 +325,9 @@ def full_lattice_survival(n0, length, kappa, kappa0, leads, modes, times):
     """P(t) of central-chain modes ``modes`` (1-based), (len(modes), T),
     from the dense propagator of the whole lattice: the initial modes of
     ``chain_modes`` on the central sites, amplitudes observed on them."""
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, kappa, kappa0, leads))
-    central = lattice.central_sites
+    spec = PiLatticeSpec(n0, length, kappa, kappa0, leads)
+    lattice = build_pi_lattice(spec)
+    central = central_sites(spec)
     psi0 = np.zeros((lattice.graph.site_count, len(modes)))
     psi0[central] = chain_modes(n0, length, kappa, kappa0, modes)
     amps = dense_propagator(assemble_hamiltonian(lattice.graph)).evolve(psi0, times)

@@ -29,8 +29,8 @@ from fanonet import (
 )
 from fanonet.scattering import _phase_shift
 
-from _support import brute_force_trapped, closed_forms, dense_propagator, random_graph, \
-    same_trapped_content
+from _support import brute_force_trapped, central_sites, closed_forms, dense_propagator, \
+    random_graph, same_trapped_content
 
 
 @contextmanager
@@ -56,9 +56,9 @@ def survival_sweep():
     norms = {}
     for n, mode in enumerate(modes, start=1):
         psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
-        psi0[lattice.central_sites] = mode.amplitudes
+        psi0[central_sites(spec)] = mode.amplitudes
         amps = propagator.evolve(psi0, times)
-        survival[n] = np.sum(np.abs(amps[:, lattice.central_sites]) ** 2, axis=1)
+        survival[n] = np.sum(np.abs(amps[:, central_sites(spec)]) ** 2, axis=1)
         norms[n] = np.linalg.norm(amps, axis=1)
     runtime = time.perf_counter() - start
     return {"times": times, "survival": survival, "norms": norms, "runtime": runtime}
@@ -208,13 +208,15 @@ def test_criterion_7_property_suites(survival_sweep):
         horizon_times = np.linspace(0.0, 27.0, 30)
         reference = {}
         for leads in (60, 120):
-            lattice = build_pi_lattice(PiLatticeSpec(leads=leads, **spec))
+            lattice_spec = PiLatticeSpec(leads=leads, **spec)
+            central = central_sites(lattice_spec)
+            lattice = build_pi_lattice(lattice_spec)
             propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
             for n in (1, 2, 4):
                 psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
-                psi0[lattice.central_sites] = open_chain_modes(8)[n - 1].amplitudes
+                psi0[central] = open_chain_modes(8)[n - 1].amplitudes
                 amps = propagator.evolve(psi0, horizon_times)
-                values = np.sum(np.abs(amps[:, lattice.central_sites]) ** 2, axis=1)
+                values = np.sum(np.abs(amps[:, central]) ** 2, axis=1)
                 if n in reference:
                     assert np.max(np.abs(values - reference[n])) < 1e-6
                 reference[n] = values

@@ -28,8 +28,10 @@ from fanonet.bound_states import (
 
 from _support import (
     bound_state_wavefunction,
+    central_sites,
     chain_modes,
     eigenvalues_below,
+    host_site,
     out_of_band_count,
     resonant_existence,
 )
@@ -67,12 +69,11 @@ def test_resonant_states_absent_when_grids_incommensurate():
 def test_resonant_embedding_is_exact_eigenstate():
     for state in resonant_bound_states(3, 5):
         psi = bound_state_wavefunction(state, leads=50)
-        lattice = build_pi_lattice(PiLatticeSpec(3, 5, leads=50))
-        h = assemble_hamiltonian(lattice.graph)
+        spec = PiLatticeSpec(3, 5, leads=50)
+        h = assemble_hamiltonian(build_pi_lattice(spec).graph)
         assert np.max(np.abs(h @ psi - state.energy * psi)) < 1e-10
         # no amplitude ever reaches the leads
-        leads = [s for s in range(lattice.graph.site_count)
-                 if s not in lattice.central_sites]
+        leads = [s for s in range(spec.site_count) if s not in central_sites(spec)]
         assert np.max(np.abs(psi[leads])) == 0.0
 
 
@@ -139,12 +140,12 @@ def test_evanescent_tail_is_exponential():
     state = next(
         s for s in evanescent_bound_states(3, 5) if s.energy < 0 and s.gamma > 0.3
     )
-    lattice = build_pi_lattice(PiLatticeSpec(3, 5, leads=80))
+    spec = PiLatticeSpec(3, 5, leads=80)
     psi = bound_state_wavefunction(state, leads=80)
-    c1 = lattice.site_index["c1"]
+    c1 = host_site(spec, 1)
     # host-chain sites j <= 1 fall off as e^{-gamma (1-j)}
     for j in range(0, -12, -1):
-        site = lattice.site_index[f"c{j}"]
+        site = host_site(spec, j)
         ratio = abs(psi[site]) / abs(psi[c1])
         assert ratio == pytest.approx(np.exp(-state.gamma * (1 - j)), rel=1e-9)
 

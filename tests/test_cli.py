@@ -22,6 +22,8 @@ import fanonet
 from fanonet import bound_states, cli, pilattice, scattering, spectra
 from fanonet.cli import _json_list_chunks, _json_text, main
 
+from _support import central_sites
+
 
 def pi_graph_file(tmp_path, n0, length, leads, name="graph.json"):
     lattice = build_pi_lattice(PiLatticeSpec(n0, length, leads=leads))
@@ -146,6 +148,16 @@ def test_evolve_series_and_classification(tmp_path):
     assert by_mode[1] == "drop_to_plateau"
 
 
+def test_evolve_with_side_chains_coupled_far_more_strongly_than_the_host(tmp_path):
+    # kappa/kappa0 = 0.01 puts secular roots a hair from a lead pole
+    out = tmp_path / "strong.csv"
+    assert main(["evolve", "--n0", "2", "--len", "5", "--m", "20", "--kappa0", "100",
+                 "--steps", "60", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 9 * 60
+    assert all(float(r[4]) == pytest.approx(1.0, abs=1e-12) for r in rows if r[3] == "0")
+
+
 def test_evolve_single_time_point(tmp_path):
     out = tmp_path / "zero.csv"
     code = main(
@@ -168,8 +180,9 @@ def test_evolve_all_modes_in_blocks_matches_full_projection(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads))
-    central = lattice.central_sites
+    spec = PiLatticeSpec(n0, length, 1.0, kappa0, leads)
+    lattice = build_pi_lattice(spec)
+    central = central_sites(spec)
     energies, vectors = np.linalg.eigh(assemble_hamiltonian(lattice.graph))
     block, _ = subgraph_hamiltonian(lattice.graph, lattice.partition, CENTRAL)
     horizon = safe_horizon(leads, 1.0)

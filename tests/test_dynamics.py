@@ -21,7 +21,7 @@ from fanonet import (
 )
 from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY, _PhaseTable
 
-from _support import dense_propagator, plateau_value, random_graph
+from _support import central_sites, dense_propagator, plateau_value, random_graph
 
 DIMER = np.array([[0.0, -1.0], [-1.0, 0.0]])
 
@@ -66,9 +66,10 @@ def test_safe_horizon_values():
 
 
 def test_survival_initial_values():
-    lattice = build_pi_lattice(PiLatticeSpec(2, 4, leads=5))
+    spec = PiLatticeSpec(2, 4, leads=5)
+    lattice = build_pi_lattice(spec)
     propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
-    central = lattice.central_sites
+    central = central_sites(spec)
     psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
     psi0[central] = open_chain_modes(8)[0].amplitudes
     values = np.sum(np.abs(propagator.evolve(psi0, [0.0, 1.0])[:, central]) ** 2, axis=-1)
@@ -87,9 +88,9 @@ def _pi_survival(n0, length, leads, mode, samples=240, t_max=None):
     times = np.linspace(0.0, t_max if t_max is not None else horizon, samples)
     propagator = dense_propagator(assemble_hamiltonian(lattice.graph))
     psi0 = np.zeros(lattice.graph.site_count, dtype=complex)
-    psi0[lattice.central_sites] = open_chain_modes(spec.central_size)[mode - 1].amplitudes
+    psi0[central_sites(spec)] = open_chain_modes(spec.central_size)[mode - 1].amplitudes
     amps = propagator.evolve(psi0, times)
-    values = np.sum(np.abs(amps[:, lattice.central_sites]) ** 2, axis=1)
+    values = np.sum(np.abs(amps[:, central_sites(spec)]) ** 2, axis=1)
     return SurvivalSeries(mode, times, values, horizon), amps
 
 
@@ -112,9 +113,10 @@ def _reference_amplitudes(h, psi0, times, sites):
 )
 @settings(max_examples=25)
 def test_batched_central_evolution_matches_full_projection(n0, length, leads, kappa0, data):
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, 1.0, kappa0, leads))
+    spec = PiLatticeSpec(n0, length, 1.0, kappa0, leads)
+    lattice = build_pi_lattice(spec)
     h = assemble_hamiltonian(lattice.graph)
-    central = lattice.central_sites
+    central = central_sites(spec)
     size = len(central)
     modes = data.draw(
         st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
@@ -288,13 +290,14 @@ def test_anchored_evolve_matches_the_plain_table():
     # with b as below, sum_k |b[k, s]| <= 1 (Cauchy-Schwarz), so each
     # amplitude moves by at most twice the tables' largest difference,
     # about 2e-11 by the bound above, plus the GEMMs' rounding
-    lattice = build_pi_lattice(PiLatticeSpec(2, 5, 1.0, 1.6, 24))
-    h = assemble_hamiltonian(lattice.graph)
+    spec = PiLatticeSpec(2, 5, 1.0, 1.6, 24)
+    central = central_sites(spec)
+    h = assemble_hamiltonian(build_pi_lattice(spec).graph)
     propagator = dense_propagator(h)
     psi0 = np.zeros(len(h))
-    psi0[lattice.central_sites] = open_chain_modes(9)[0].amplitudes
+    psi0[central] = open_chain_modes(9)[0].amplitudes
     times = np.linspace(0.0, 5000.0, 1000)
-    amps = propagator.evolve(psi0, times)[:, lattice.central_sites]
+    amps = propagator.evolve(psi0, times)[:, central]
     cos, sin = plain_tables(times, propagator.energies)
-    b = (propagator.vectors.T @ psi0)[:, None] * propagator.vectors[lattice.central_sites].T
+    b = (propagator.vectors.T @ psi0)[:, None] * propagator.vectors[central].T
     np.testing.assert_allclose(amps, cos @ b - 1j * (sin @ b), rtol=0, atol=1e-10)

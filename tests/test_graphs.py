@@ -17,8 +17,9 @@ from fanonet import (
     parse_graph_file,
 )
 from fanonet.cli import main
+from fanonet.pilattice import CENTRAL, LEFT_LEAD, RIGHT_LEAD
 
-from _support import decomposed_hamiltonian, random_graph
+from _support import central_sites, decomposed_hamiltonian, host_site, random_graph
 
 
 def test_dimer_is_smallest_valid_graph():
@@ -222,24 +223,29 @@ def test_joint_sites_match_recomputation(seed):
     ],
 )
 def test_pi_lattice_counting(n0, length, leads, sites, joints):
-    spec = PiLatticeSpec(n0, length, leads=leads)
-    lattice = build_pi_lattice(spec)
-    assert lattice.graph.site_count == sites
-    assert (spec.n0 + 1, spec.n0 + spec.length) == joints
-    assert len(lattice.central_sites) == 2 * n0 + length
-    assert lattice.spec == spec
-    # the same site sets, read back from the site names alone
-    names = lattice.site_index
-    host = [int(name[1:]) for name in names if name.startswith("c")]
-    named_n0 = sum(1 for name in names if name.startswith("a"))
-    named_length = max(host) - (1 - min(host))
-    central = [names[f"a{i}"] for i in range(named_n0, 0, -1)] \
-        + [names[f"c{j}"] for j in range(1, named_length + 1)] \
-        + [names[f"b{i}"] for i in range(1, named_n0 + 1)]
-    anchors = names["c1"], names[f"c{named_length}"]
-    assert lattice.central_sites == central
-    assert lattice.joint_sites == anchors
+    spec = PiLatticeSpec(n0, length, 1.0, 0.5, leads)
+    graph, partition = build_pi_lattice(spec)
+    assert graph.site_count == spec.site_count == sites
+    central = central_sites(spec)
+    assert len(central) == 2 * n0 + length
+    assert partition.assignment == \
+        (LEFT_LEAD,) * leads + (CENTRAL,) * len(central) + (RIGHT_LEAD,) * leads
+    # the bonds of the documented layout and no others: the host chain
+    # c_{1-leads}..c_{length+leads} at kappa, and each side chain with its
+    # anchor bond at kappa0, a_1 and b_1 next to c_1 and c_length
+    host = [host_site(spec, j) for j in range(1 - leads, length + leads + 1)]
+    side = [(central[p], central[p + 1]) for p in range(n0)] \
+        + [(central[-p - 2], central[-p - 1]) for p in range(n0)]
+    expected = {(i, j, 1.0) for i, j in zip(host, host[1:])} | {(i, j, 0.5) for i, j in side}
+    assert {(min(i, j), max(i, j), s) for i, j, s in graph.hoppings} == expected
+    assert len(graph.hoppings) == len(expected) == sites - 1
+    anchors = host_site(spec, 1), host_site(spec, length)
     assert joints == tuple(central.index(a) + 1 for a in anchors)
+    # the anchors join the central chain to the leads; the outermost lead
+    # sites are flat sites 0 and N - 1
+    assert partition.joint_sites(CENTRAL) == (set(anchors) if leads else set())
+    if leads:
+        assert (host[0], host[-1]) == (0, sites - 1)
 
 
 def test_pi_lattice_central_block_uniform_tridiagonal():
@@ -251,17 +257,6 @@ def test_pi_lattice_central_block_uniform_tridiagonal():
         for i in range(size - 1):
             expected[i, i + 1] = expected[i + 1, i] = -1.0
         np.testing.assert_array_equal(h, expected)
-
-
-def test_pi_lattice_name_map_consistent():
-    lattice = build_pi_lattice(PiLatticeSpec(2, 4, leads=3))
-    idx = lattice.site_index
-    assert idx["c1"] == lattice.joint_sites[0]
-    assert idx["c4"] == lattice.joint_sites[1]
-    assert idx["c-2"] == 0
-    assert idx["c7"] == lattice.graph.site_count - 1
-    assert idx["a1"] + 1 == idx["c1"]
-    assert idx["b1"] == idx["c4"] + 1
 
 
 @pytest.mark.parametrize(

@@ -35,22 +35,10 @@ def rest_propagator(energies, rows, t):
     return (rows * np.exp(-1j * energies * t)) @ rows.T
 
 
-@given(n0=st.integers(1, 5), length=st.integers(2, 300), leads=st.integers(0, 700),
-       kappa0=st.sampled_from([1.0]) | st.floats(0.15, 10.0))
-# lead and chain poles that coincide (equal hoppings), modes with a node at
-# c_1 (trapped: 3 and 6 of the 8-site chain), the middle-site fold of L = 2
-# and 3, one- and two-site leads, a strong side coupling, and a narrow
-# resonance
-@example(n0=2, length=5, leads=300, kappa0=1.0)
-@example(n0=2, length=4, leads=40, kappa0=1.0)
-@example(n0=1, length=2, leads=60, kappa0=1.3)
-@example(n0=3, length=3, leads=45, kappa0=0.7)
-@example(n0=4, length=7, leads=1, kappa0=2.0)
-@example(n0=4, length=7, leads=2, kappa0=2.0)
-@example(n0=5, length=299, leads=80, kappa0=10.0)
-@example(n0=2, length=30, leads=700, kappa0=0.15)
-@settings(max_examples=20, deadline=None)
-def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0):
+def check_sector_eigenpairs(n0, length, leads, kappa0):
+    """Each sector's kernel eigenpairs against ``diagonalize`` of the dense
+    sector block: the energies, the chain modes, and the rest rows'
+    propagator."""
     for problem, dense, chain in sectors(n0, length, kappa0, leads):
         size, scale = len(dense), np.linalg.norm(dense, np.inf)
         energies, rows, modes = lead_eigenpairs(*problem, leads, 1.0)
@@ -73,6 +61,48 @@ def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0)
             gap = np.max(np.abs(rest_propagator(energies, rows, t)
                                 - rest_propagator(expected, vectors[leads:], t)))
             assert gap <= 4 * gamma(size) + t * drift
+
+
+@given(n0=st.integers(1, 5), length=st.integers(2, 300), leads=st.integers(0, 700),
+       kappa0=st.sampled_from([1.0]) | st.floats(0.15, 10.0))
+# lead and chain poles that coincide (equal hoppings), modes with a node at
+# c_1 (trapped: 3 and 6 of the 8-site chain), the middle-site fold of L = 2
+# and 3, one- and two-site leads, a strong side coupling, and a narrow
+# resonance
+@example(n0=2, length=5, leads=300, kappa0=1.0)
+@example(n0=2, length=4, leads=40, kappa0=1.0)
+@example(n0=1, length=2, leads=60, kappa0=1.3)
+@example(n0=3, length=3, leads=45, kappa0=0.7)
+@example(n0=4, length=7, leads=1, kappa0=2.0)
+@example(n0=4, length=7, leads=2, kappa0=2.0)
+@example(n0=5, length=299, leads=80, kappa0=10.0)
+@example(n0=2, length=30, leads=700, kappa0=0.15)
+@settings(max_examples=20, deadline=None)
+def test_sector_eigenpairs_match_the_dense_eigensolve(n0, length, leads, kappa0):
+    check_sector_eigenpairs(n0, length, leads, kappa0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the odd sector's rows are 2.2e-15 from orthonormal (eigh's 6.7e-16), "
+                   "so the t = 0 propagators differ by 2.4e-15, past 4 gamma_5 = 2.2e-15")
+def test_sector_eigenpairs_match_the_dense_eigensolve_at_a_strong_side_coupling():
+    check_sector_eigenpairs(1, 4, 2, 10.0)
+
+
+@given(n0=st.integers(1, 5), length=st.integers(2, 300), leads=st.integers(1, 300),
+       kappa0=st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
+# side chains coupled 100 and 1000 times more strongly than the host, where
+# the secular roots stall a hair from a pole unless the middle way's X is
+# summed without cancellation
+@example(n0=2, length=5, leads=20, kappa0=100.0)
+@example(n0=3, length=41, leads=300, kappa0=1000.0)
+@settings(max_examples=30, deadline=None)
+def test_sector_energies_match_the_dense_eigensolve_at_any_hopping_ratio(n0, length, leads,
+                                                                         kappa0):
+    for problem, dense, _ in sectors(n0, length, kappa0, leads):
+        energies = lead_eigenpairs(*problem, leads, 1.0)[0]
+        drift = (2 * gamma(len(dense)) + 8 * U) * np.linalg.norm(dense, np.inf)
+        assert np.max(np.abs(energies - np.linalg.eigvalsh(dense))) <= drift
 
 
 def test_the_kernel_is_the_chains_own_eigenpairs_without_leads():

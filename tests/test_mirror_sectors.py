@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fanonet import LatticeGraph, PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, \
-    build_pi_lattice, classify_decay, diagonalize, safe_horizon
+from fanonet import PiLatticeSpec, SurvivalSeries, assemble_hamiltonian, build_pi_lattice, \
+    classify_decay, diagonalize, safe_horizon
 from fanonet.cli import main
 from fanonet.spectra import RESIDUAL_TOL, fold_chain, mirror_mode, unfold
 
@@ -130,16 +130,20 @@ def test_folded_blocks_of_pi_lattices_are_the_dense_slices(n0, length, leads, ka
     assert same_bytes(blocks, dense_mirror_blocks(assemble_hamiltonian(lattice)))
 
 
+def random_mirror_profile(rng):
+    """A profile of nonzero strengths of either sign, read the same from
+    both ends; an odd number of bonds (even lambda) has its middle bond
+    once."""
+    count = int(rng.integers(1, 21))
+    half = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.1, 3.0, size=count)
+    return np.concatenate([half, half[-1 - int(rng.integers(0, 2))::-1]])
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_folded_blocks_of_random_mirror_symmetric_chains_are_the_dense_slices(seed):
-    # a profile of nonzero strengths of either sign, read the same from
-    # both ends, against the chain's Hamiltonian sliced
-    rng = np.random.default_rng(seed)
-    count = int(rng.integers(1, 21))
-    half = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.1, 3.0, size=count)
-    # an odd number of bonds (even lambda) has its middle bond once
-    hoppings = np.concatenate([half, half[-1 - int(rng.integers(0, 2))::-1]])
+    # against the chain's Hamiltonian sliced
+    hoppings = random_mirror_profile(np.random.default_rng(seed))
     h = tridiagonal(np.zeros(len(hoppings) + 1), -hoppings)
     folded = [tridiagonal(*sector) for sector in fold_chain(hoppings)]
     assert same_bytes(folded, dense_mirror_blocks(h))
@@ -152,47 +156,18 @@ def test_a_profile_that_is_not_mirror_symmetric_is_refused(hoppings):
         fold_chain(hoppings)
 
 
-def random_mirror_graph(rng, max_sites=30):
-    """A random graph equal to its mirror image: each bond comes with its
-    mirror bond and each potential with its mirror site's, in shuffled
-    order and orientation; a tenth of the values are signed zeros."""
-    n = int(rng.integers(1, max_sites + 1))
-
-    def value():
-        return float(rng.choice([0.0, -0.0])) if rng.random() < 0.1 else float(rng.normal())
-
-    bonds, potentials = {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.25:
-                bonds[i, j] = bonds[n - 1 - j, n - 1 - i] = value()
-        if rng.random() < 0.5:
-            potentials[i] = potentials[n - 1 - i] = value()
-    hoppings = [(i, j, s) if rng.random() < 0.5 else (j, i, s) for (i, j), s in bonds.items()]
-    order = rng.permutation(len(hoppings))
-    return LatticeGraph(n, tuple(hoppings[k] for k in order), tuple(sorted(potentials.items())))
-
-
 @given(seed=st.integers(0, 2**32 - 1), nudge=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_a_graph_that_is_not_mirror_symmetric_is_refused(seed, nudge):
+def test_a_profile_with_one_bond_off_its_mirror_bond_is_refused(seed, nudge):
+    # one bond of a mirror-symmetric profile made to differ from its mirror
+    # bond, by 1 or by one ulp
     rng = np.random.default_rng(seed)
-    graph = random_mirror_graph(rng)
-    n = graph.site_count
-    # one element (i, j), a bond or a potential, made to differ from its
-    # mirror element, by 1 or by one ulp
-    i, j = sorted(rng.integers(n, size=2).tolist())
-    assume((i, j) != (n - 1 - j, n - 1 - i))
-    bonds = {(min(a, b), max(a, b)): s for a, b, s in graph.hoppings}
-    potentials = dict(graph.potentials)
-    elements, at, mirror = (potentials, i, n - 1 - i) if i == j else \
-        (bonds, (i, j), (n - 1 - j, n - 1 - i))
-    image = elements.get(mirror, 0.0)
-    elements[at] = np.nextafter(image, np.inf) if nudge else image + 1.0
-    broken = LatticeGraph(n, tuple((a, b, s) for (a, b), s in bonds.items()),
-                          tuple(sorted(potentials.items())))
-    with pytest.raises(ValueError, match="mirror"):
-        dense_mirror_blocks(assemble_hamiltonian(broken))
+    hoppings = random_mirror_profile(rng)
+    p = int(rng.integers(len(hoppings)))
+    assume(p != len(hoppings) - 1 - p)          # the middle bond is its own mirror
+    hoppings[p] = np.nextafter(hoppings[p], np.inf) if nudge else hoppings[p] + 1.0
+    with pytest.raises(ValueError, match="mirror-symmetric chain"):
+        fold_chain(hoppings)
 
 
 @pytest.mark.parametrize("n0, length, kappa, kappa0", [(1, 2, 1.0, 1.0), (3, 41, 1.0, 1.7),

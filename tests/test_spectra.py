@@ -24,6 +24,8 @@ from fanonet.spectra import open_chain_mode
 
 from _support import (
     brute_force_trapped,
+    central_sites,
+    host_site,
     random_graph,
     reference_json_dict,
     reference_node_sites,
@@ -141,10 +143,11 @@ def test_pi_lattice_certificates():
 
 
 def test_embedded_untrapped_mode_has_large_residual():
-    lattice = build_pi_lattice(PiLatticeSpec(3, 5, leads=8))
+    spec = PiLatticeSpec(3, 5, leads=8)
+    lattice = build_pi_lattice(spec)
     mode = open_chain_modes(11)[3]          # n=4, momentum pi/3
     psi = np.zeros(lattice.graph.site_count)
-    psi[lattice.central_sites] = mode.amplitudes
+    psi[central_sites(spec)] = mode.amplitudes
     h = assemble_hamiltonian(lattice.graph)
     residual = np.max(np.abs(h @ psi - mode.energy * psi))
     assert residual > 0.1       # kappa * |amplitude at a joint|
@@ -153,9 +156,10 @@ def test_embedded_untrapped_mode_has_large_residual():
 def test_node_protects_against_joint_coupling_change():
     # doubling a joint coupling cannot disturb a certified mode: the wave
     # node at the joint kills the coupling term identically
-    lattice = build_pi_lattice(PiLatticeSpec(3, 5, leads=8))
+    spec = PiLatticeSpec(3, 5, leads=8)
+    lattice = build_pi_lattice(spec)
     cert = find_trapping_modes(lattice.graph, lattice.partition, 1)[0]
-    c0, c1 = lattice.site_index["c0"], lattice.site_index["c1"]
+    c0, c1 = host_site(spec, 0), host_site(spec, 1)
     modified = tuple(
         (i, j, 2.0 * s) if {i, j} == {c0, c1} else (i, j, s)
         for i, j, s in lattice.graph.hoppings
