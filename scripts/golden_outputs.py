@@ -27,8 +27,9 @@ strength 0 (every mode trapped), the three places a ``--config`` file can
 be named, unequal hoppings, length 1000, evolve runs in both mirror
 sectors (every mode of an odd central chain, no leads, a one-site lead,
 a host hopping other than 1, side chains coupled 100 times more strongly
-than the host, the side-chain edge pairs that eigh cannot split, a long unequal chain mid-spectrum, and a run far past the safe
-horizon, where |tE| reaches about 1.6e4),
+than the host, the side-chain edge pairs that eigh cannot split, a long unequal chain mid-spectrum, a run far past the safe
+horizon, where |tE| reaches about 1.6e4, and 5000 time samples, which the
+propagator takes in many blocks of phase rows),
 config files that are missing, hold no JSON object, name an unknown key
 or give a value of the wrong type, graph files that are a directory or
 hold a partition label that is no integer, an output path that is a
@@ -186,6 +187,9 @@ RUNS = [
     ("evolve-host-hopping", ["evolve", "--n0", "2", "--len", "9", "--m", "50", "--kappa", "2",
                              "--kappa0", "0.9", "--steps", "60", "--modes", "1,4,13",
                              "--out", "{dir}/host.csv"]),
+    ("evolve-many-phase-blocks", ["evolve", "--n0", "2", "--len", "9", "--m", "300",
+                                  "--steps", "5000", "--t-max", "120", "--modes", "4,5",
+                                  "--out", "{dir}/blocks.csv"]),
     ("evolve-strong-side-coupling", ["evolve", "--n0", "2", "--len", "5", "--m", "20",
                                      "--kappa0", "100", "--steps", "60"]),
     ("error-transmit-band", ["transmit", "--n0", "2", "--len", "5", "--e-min", "-3"]),

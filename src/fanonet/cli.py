@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ import numpy as np
 from .bound_states import evanescent_bound_states, long_time_survival, resonant_bound_states
 from .dynamics import (
     DEFAULT_TIME_SAMPLES,
+    PHASE_BLOCK,
     SpectralPropagator,
     SurvivalSeries,
     classify_decay,
@@ -92,6 +94,15 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _csv_lines(fields: str, *columns: list) -> str:
+    """One CSV line per row of ``columns``: ``fields`` % the row's values,
+    then a newline, all formatted by one C-level % on the whole text.
+
+    ``fields`` holds one conversion per column: ``%s`` for text already
+    formatted, ``%.12g`` for a float, which prints as ``_fmt`` does."""
+    return ((fields + "\n") * len(columns[0])) % tuple(itertools.chain(*zip(*columns)))
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -305,7 +316,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # eigenvectors' rows on the chain's sector coordinates, where
     # P = sum |w|^2, and the chain's modes, and certifies them, an
     # ArithmeticError (exit 5) if a certificate fails
-    survival = {}
+    curves = {}
     for sector, (diagonal, off_diagonal) in zip((1, -1), fold_chain(spec.central_hoppings)):
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
         if not wanted:
@@ -315,36 +326,34 @@ def cmd_evolve(cfg: RunConfig) -> int:
         spokes[spec.n0] = -spec.kappa
         energies, rows, chain_modes = lead_eigenpairs(rest, spokes, cfg.leads, spec.kappa)
         propagator = SpectralPropagator(energies, rows)
-        # a batch of modes holds S * per_block <= min(N, T) amplitudes per
-        # energy, so no array outgrows the (T, N) phase table
-        per_block = max(1, min(len(energies), len(times)) // len(chain_modes))
+        # a batch of M modes holds b, their N * S * M spectral weights,
+        # within PHASE_BLOCK numbers (or one mode, if one alone needs more);
+        # ``survival`` forms their amplitudes one block of times at a time
+        # and keeps only P, (T, M)
+        per_block = max(1, PHASE_BLOCK // (len(energies) * len(chain_modes)))
         for start in range(0, len(wanted), per_block):
             batch = wanted[start:start + per_block]
             psi0 = chain_modes[:, [mirror_mode(n)[1] for n in batch]]
-            amps = propagator.evolve(psi0, times)
-            survival.update(zip(batch, np.sum(np.abs(amps) ** 2, axis=2).T))
-    time_texts = [_fmt(t) for t in times.tolist()]
-    rows = []
-    for n in modes:
-        values = survival[n]
-        series = SurvivalSeries(n, times, values, horizon)
-        try:
-            label = classify_decay(series)
-        except ValueError:              # too few samples to call the shape
-            label = "unclassified"
-        prefix = f"{cfg.n0},{cfg.length},{n},"
-        suffix = f",{label}"
-        rows.extend(
-            prefix + t + "," + _fmt(p) + suffix
-            for t, p in zip(time_texts, values.tolist())
-        )
+            curves.update(zip(batch, propagator.survival(psi0, times).T))
     header = (
         f"# fanonet evolve n0={cfg.n0} len={cfg.length} m={cfg.leads} "
         f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps} "
         f"t_max={_fmt(t_max)}; energies and times in units kappa={_fmt(cfg.kappa)}\n"
         "N0,L,n,t,P,classification\n"
     )
-    _write_text(cfg.out, header + "\n".join(rows) + "\n")
+    time_texts = list(map(_fmt, times.tolist()))
+
+    def mode_rows(n: int) -> str:
+        values = curves[n]
+        try:
+            label = classify_decay(SurvivalSeries(n, times, values, horizon))
+        except ValueError:              # too few samples to call the shape
+            label = "unclassified"
+        return _csv_lines(f"{cfg.n0},{cfg.length},{n},%s,%.12g,{label}",
+                          time_texts, values.tolist())
+
+    # one mode's text at a time
+    _write_text(cfg.out, itertools.chain((header,), map(mode_rows, modes)))
     return EXIT_OK
 
 
@@ -409,8 +418,8 @@ def cmd_transmit(cfg: RunConfig) -> int:
     shared = [list(map(_fmt, c.tolist())) for c in (momenta, energies)]
     for length in lengths:
         t, _, big_t, big_r = transmission_sweep(momenta, cfg.n0, length, cfg.kappa, cfg.kappa0)
-        columns = (map(_fmt, c.tolist()) for c in (big_t, big_r, t.real, t.imag))
-        rows = [",".join(row) for row in zip(*shared, *columns)]
+        rows = _csv_lines("%s,%s,%.12g,%.12g,%.12g,%.12g", *shared,
+                          *(c.tolist() for c in (big_t, big_r, t.real, t.imag)))
         header = (
             f"# fanonet transmit n0={cfg.n0} len={length} "
             f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps}; "
@@ -421,7 +430,7 @@ def cmd_transmit(cfg: RunConfig) -> int:
         if out is not None and length != cfg.length:
             path = Path(out)
             out = str(path.with_name(f"{path.stem}_L{length}{path.suffix}"))
-        _write_text(out, header + "\n".join(rows) + "\n")
+        _write_text(out, (header, rows))
 
     catalog = common_zeros(cfg.n0, cfg.kappa, cfg.kappa0)
     zeros = {

@@ -6,10 +6,16 @@ so the propagation is exactly unitary at arbitrary t.
 ``SpectralPropagator(energies, rows)`` takes all N energies and the
 eigenvectors' rows on the S sites that states start on and are observed
 at, which is all that their evolution there needs (all N rows of a dense
-eigensolve make S = N).  Per block of initial
-states it forms a phase table cos(tE), sin(tE) of T times by N energies
-and two real GEMMs of O(T * N * S * M) for M states: amplitudes are formed
-only on the observed sites.  The phase table comes from angle addition
+eigensolve make S = N).  For M initial states it forms the phase tables
+cos(tE), sin(tE) of T times by N energies one block of B time rows at a
+time, and per block two real GEMMs with b, the (N, S * M) table of the
+states' spectral weights on the observed sites, O(T * N * S * M) in all.
+A block holds whole anchors (below), as many as keep B * (N + S * M),
+its phase rows and the amplitudes formed from them, within PHASE_BLOCK
+numbers, and at least one.  ``survival`` reduces each block to
+P = sum_s |amplitude|^2 before the next is formed, so it holds the (T, M)
+values of P and no (T, N) table or (T, M, S) amplitudes: memory is
+O((r + B) * N + N * S * M + T * M).  The rows come from angle addition
 (``_PhaseTable``): on a grid where every t_{a*r+q} is t_{a*r} + (t_q - t_0)
 to within rounding, as on any uniform grid, it takes sin and cos of
 T/r anchor rows and r offset rows, r = isqrt(T), so (T/r + r) * N of each
@@ -58,6 +64,9 @@ NORM_TOL = 1e-10
 SAFETY_FACTOR = 0.9
 # time samples of a survival sweep when the caller names none
 DEFAULT_TIME_SAMPLES = 720
+# numbers in one block of rows of a phase table and of the amplitudes
+# formed from it (at least one anchor's rows, whatever their count)
+PHASE_BLOCK = 1 << 16
 # a time grid is anchored when every t_{a*r+q} - t_{a*r} - (t_q - t_0) lies
 # within this many ulps of max|t|; linspace and the check itself round it
 # by at most about 10 (CHANGES.md derives the phase table's error from it)
@@ -91,12 +100,36 @@ class SpectralPropagator:
         result is (len(times), S) or (len(times), M, S).  With
         b[k, m, s] = <g_k|psi0_m> g_k[s] the amplitudes
         are cos(tE) @ b - i sin(tE) @ b: two real GEMMs (complex states go
-        through the same GEMMs on interleaved parts) on the (T, N) tables
-        of ``_PhaseTable``, built one at a time.
-        Memory is O(T * N + T * S * M + N * S * M); callers batching modes
-        keep S * M <= min(N, T) to stay within one phase table.
+        through the same GEMMs on interleaved parts) per block of B rows of
+        the tables of ``_PhaseTable``.  Memory is O(T * S * M) for the
+        result, plus O((r + B) * N) for one block and its anchors and
+        O(N * S * M) for b.
         """
         psi0 = np.asarray(psi0)
+        amps = np.empty((len(times), math.prod(psi0.shape[1:]) * len(self.vectors)), complex)
+        for start, block in self._blocks(psi0, times):
+            amps[start:start + len(block)] = block
+        return amps.reshape(len(times), *psi0.shape[1:], len(self.vectors))
+
+    def survival(self, psi0: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """P(t) = sum_s |amplitude_s|^2 over the propagator's S rows,
+        (len(times),) or (len(times), M): the sum over ``evolve``'s
+        amplitudes, bit for bit, taken one block at a time.
+
+        Memory is O(T * M) for P, plus O((r + B) * N) for one block and
+        its anchors and O(N * S * M) for b.
+        """
+        psi0 = np.asarray(psi0)
+        values = np.empty((len(times), *psi0.shape[1:]))
+        for start, block in self._blocks(psi0, times):
+            amps = np.abs(block.reshape(len(block), *psi0.shape[1:], len(self.vectors)))
+            np.sum(np.square(amps, out=amps), axis=-1, out=values[start:start + len(block)])
+        return values
+
+    def _blocks(self, psi0: np.ndarray, times: Sequence[float]):
+        """(start, amplitudes) for each block of ``_PhaseTable`` rows: the
+        amplitudes at times start, start + 1, ..., (rows, M * S), in a
+        buffer that the next block overwrites."""
         columns = psi0.reshape(len(psi0), -1)
         norms = np.linalg.norm(columns, axis=0)
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
@@ -107,13 +140,13 @@ class SpectralPropagator:
         flat = b.reshape(len(b), -1)
         if np.iscomplexobj(flat):
             flat = flat.view(np.float64)
-        # each (T, N) table is freed after its GEMM, before the next is filled
-        phases = _PhaseTable(times, self.energies)
-        re = (phases.cos() @ flat).view(b.dtype)
-        im = (phases.sin() @ flat).view(b.dtype)
-        del phases, b, flat     # free the phase factors and the (N, S*M) table
-        amps = re - 1j * im
-        return amps.reshape(len(times), *psi0.shape[1:], len(self.vectors))
+        phases = _PhaseTable(times, self.energies, flat.shape[1])
+        amps = np.empty((phases.block, b[0].size), complex)
+        for start, (re, im) in phases.products(flat):
+            block = amps[:len(re)]
+            # re - 1j * im, in place
+            np.subtract(re.view(b.dtype), np.multiply(im.view(b.dtype), 1j, out=block), out=block)
+            yield start, block
 
 
 def _anchor_stride(times: np.ndarray) -> int:
@@ -129,46 +162,70 @@ def _anchor_stride(times: np.ndarray) -> int:
 
 
 class _PhaseTable:
-    """cos(t_j E_k) and sin(t_j E_k) on a time grid, one (T, N) table at a
-    time, by angle addition.
+    """cos(t_j E_k) and sin(t_j E_k) on a time grid, by angle addition, one
+    block of rows at a time.
 
     Row j = a*r + q (``_anchor_stride``) is the anchor phase t_{a*r} E plus
     the offset phase (t_q - t_0) E: cos = cA cD - sA sD and
     sin = sA cD + cA sD, one rounding per product and one per sum.  Only
-    the T/r anchor rows and r - 1 offset rows go through sin and cos; row
-    q = 0 of each anchor is that anchor's own value, so at r = 1 the tables
-    are ``np.cos(np.outer(times, E))`` and ``np.sin(...)`` bit for bit.
+    the anchor rows of a block and the r - 1 offset rows, which every
+    block shares, go through sin and cos; row q = 0 of each anchor is that
+    anchor's own value, so at r = 1 the rows are
+    ``np.cos(np.outer(times, E))`` and ``np.sin(...)`` bit for bit.
+
+    A block is ``block`` rows, whole anchors, as many as keep
+    rows * (N + ``width``) within PHASE_BLOCK numbers, and at least one;
+    ``width`` is the number of columns that ``products`` multiplies the
+    rows by.
+    Blocks start on an anchor, so each row is the same in every split of
+    the table into blocks.  Every block is filled into the same buffers,
+    so memory does not churn from one block to the next.
     """
 
-    def __init__(self, times: Sequence[float], energies: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        self.rows = len(times)
-        self.stride = r = _anchor_stride(times)
-        anchors = np.outer(times[::r], energies)
-        offsets = np.outer(times[1:r] - times[:1], energies)
-        self.cos_a, self.sin_a = np.cos(anchors), np.sin(anchors, out=anchors)
+    def __init__(self, times: Sequence[float], energies: np.ndarray, width: int):
+        self.times = np.asarray(times, dtype=float)
+        self.energies = energies
+        self.stride = r = _anchor_stride(self.times)
+        rows = r * max(1, PHASE_BLOCK // (r * (len(energies) + width)))
+        self.block = max(1, min(rows, len(self.times)))
+        offsets = np.outer(self.times[1:r] - self.times[:1], energies)
         self.cos_d, self.sin_d = np.cos(offsets), np.sin(offsets, out=offsets)
+        self.scratch = np.empty_like(offsets)
 
-    def cos(self) -> np.ndarray:
-        return self._fill(self.cos_a, self.sin_a, np.subtract)
+    def products(self, flat: np.ndarray):
+        """(start, products) for each block in turn: products[0] is
+        cos @ flat and products[1] is sin @ flat on rows start, start + 1,
+        ... of the tables, in a buffer that the next block overwrites."""
+        tables = np.empty((2, self.block, len(self.energies)))     # cos, sin
+        products = np.empty((2, self.block, flat.shape[1]))
+        for start in range(0, len(self.times), self.block):
+            rows = min(self.block, len(self.times) - start)
+            self.rows(start, *tables[:, :rows])
+            yield start, np.matmul(tables[:, :rows], flat, out=products[:, :rows])
 
-    def sin(self) -> np.ndarray:
-        return self._fill(self.sin_a, self.cos_a, np.add)
+    def rows(self, start: int, cos: np.ndarray, sin: np.ndarray):
+        """Fill ``cos`` and ``sin`` with rows start, start + 1, ... of the
+        tables, ``start`` a multiple of the stride."""
+        anchors = self.times[start:start + len(cos):self.stride]
+        if self.stride == 1:
+            np.outer(anchors, self.energies, out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
+            return
+        phases = np.outer(anchors, self.energies)
+        cos_a, sin_a = np.cos(phases), np.sin(phases, out=phases)
+        self._fill(cos, cos_a, sin_a, np.subtract)
+        self._fill(sin, sin_a, cos_a, np.add)
 
-    def _fill(self, first, second, combine):
-        """Rows first_a * cD_q (combine) second_a * sD_q; read-only, since at
-        r = 1 it is ``first`` itself, every row an anchor."""
+    def _fill(self, table, first, second, combine):
+        """Rows first_a * cD_q (combine) second_a * sD_q of ``table``."""
         r = self.stride
-        if r == 1:
-            return first
-        table = np.empty((self.rows, first.shape[1]))
-        for a, start in enumerate(range(0, self.rows, r)):
+        for a, start in enumerate(range(0, len(table), r)):
             table[start] = first[a]
             rows = table[start + 1:start + r]   # a view: filled in place
             n = len(rows)
             np.multiply(self.cos_d[:n], first[a], out=rows)
-            combine(rows, self.sin_d[:n] * second[a], out=rows)
-        return table
+            combine(rows, np.multiply(self.sin_d[:n], second[a], out=self.scratch[:n]), out=rows)
 
 
 def safe_horizon(leads: int, kappa: float) -> float:

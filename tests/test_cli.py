@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fanonet import (
 import fanonet
 from fanonet import bound_states, cli, pilattice, scattering, spectra
 from fanonet.cli import _json_list_chunks, _json_text, main
+from fanonet.dynamics import PHASE_BLOCK
 
 from _support import central_sites
 
@@ -213,6 +215,28 @@ def test_evolve_all_modes_in_blocks_matches_full_projection(tmp_path):
         got = np.array([float(r[4]) for r in mode_rows])
         assert np.max(np.abs(got - expected)) <= 1e-12
         assert {r[5] for r in mode_rows} == {label}
+
+
+def test_a_long_evolve_holds_one_block_of_phase_rows_at_a_time(tmp_path):
+    # 40,000 times on the 307 energies of mode 5's sector: one whole
+    # 40,000 x 307 phase table would take 98 MB
+    steps = 40_000
+    args = ["evolve", "--n0", "2", "--len", "9", "--m", "300", "--t-max", "120",
+            "--steps", str(steps), "--modes", "5", "--out", str(tmp_path / "long.csv")]
+    assert main(args[:7] + ["--steps", "60", "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cos and sin rows of one block (one anchor, 200 rows: within
+    # 2 * PHASE_BLOCK numbers), three arrays of the 199 offset rows that all
+    # blocks share (within 3 * PHASE_BLOCK), and b, a block's products and
+    # its amplitudes (within PHASE_BLOCK together); the rest is per time
+    # sample: t, P and their CSV text
+    assert peak < 8 * 8 * PHASE_BLOCK + 256 * steps
+    assert len((tmp_path / "long.csv").read_text().splitlines()) == 2 + steps
 
 
 def test_evolve_horizon_guard(tmp_path, capsys):

@@ -2,10 +2,11 @@
 decay classification."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanonet import (
     CENTRAL,
@@ -19,6 +20,7 @@ from fanonet import (
     safe_horizon,
     subgraph_hamiltonian,
 )
+from fanonet import dynamics
 from fanonet.dynamics import DROP_TO_PLATEAU, SLOW_DAMPING, UNITARY, _PhaseTable
 
 from _support import central_sites, dense_propagator, plateau_value, random_graph
@@ -223,6 +225,13 @@ def plain_tables(times, energies):
     return np.cos(phase), np.sin(phase)
 
 
+def whole_tables(table):
+    """All rows of a ``_PhaseTable`` at once."""
+    cos, sin = (np.empty((len(table.times), len(table.energies))) for _ in range(2))
+    table.rows(0, cos, sin)
+    return cos, sin
+
+
 phase_grids = st.fixed_dictionaries({
     "steps": st.integers(2, 1000),
     "t_max": st.sampled_from([0.0, 5000.0]) | st.floats(0.0, 5000.0),
@@ -241,13 +250,13 @@ def test_anchored_phase_table_is_within_its_rounding_bound(grid):
     edge = 2.0 * grid["kappa"] + grid["kappa0"]
     energies = np.array([-edge, 0.0, edge] + [f * edge for f in grid["fractions"]])
     times = np.linspace(0.0, t_max, steps)
-    table = _PhaseTable(times, energies)
+    table = _PhaseTable(times, energies, 0)
     r = table.stride
     # every linspace grid of normal numbers is anchored; a subnormal step
     # rounds by far more than an ulp of t_max and takes the plain table
     if t_max == 0.0 or t_max >= 1e-300:
         assert r == (math.isqrt(steps) if steps >= 4 else 1)
-    got = table.cos(), table.sin()
+    got = whole_tables(table)
     expected = plain_tables(times, energies)
     # row j = a*r + q: the anchor phase rounds by u|t_ar E|, the offset phase
     # by 2u|(t_q - t_0) E| (a difference and a product) and the grid leaves
@@ -279,9 +288,9 @@ def test_anchored_phase_table_is_within_its_rounding_bound(grid):
 ])
 def test_irregular_and_short_grids_give_the_plain_table_bitwise(times):
     energies = np.linspace(-3.2, 3.2, 57)
-    table = _PhaseTable(times, energies)
+    table = _PhaseTable(times, energies, 0)
     assert table.stride == 1
-    for part, reference in zip((table.cos(), table.sin()), plain_tables(times, energies)):
+    for part, reference in zip(whole_tables(table), plain_tables(times, energies)):
         assert part.tobytes() == reference.tobytes()
 
 
@@ -301,3 +310,82 @@ def test_anchored_evolve_matches_the_plain_table():
     cos, sin = plain_tables(times, propagator.energies)
     b = (propagator.vectors.T @ psi0)[:, None] * propagator.vectors[central].T
     np.testing.assert_allclose(amps, cos @ b - 1j * (sin @ b), rtol=0, atol=1e-10)
+
+
+# the propagator runs one block of phase rows at a time
+
+
+def _random_propagator(rng, sites, rows):
+    """Energies in [-3, 3] and ``rows`` rows of a random orthogonal basis."""
+    energies = np.sort(rng.uniform(-3.0, 3.0, sites))
+    vectors = np.linalg.qr(rng.normal(size=(sites, sites)))[0]
+    return SpectralPropagator(energies, vectors[:rows])
+
+
+def _unit_columns(rng, rows, states, complex_states):
+    psi0 = rng.normal(size=(rows, states))
+    if complex_states:
+        psi0 = psi0 + 1j * rng.normal(size=(rows, states))
+    return psi0 / np.linalg.norm(psi0, axis=0)
+
+
+@given(
+    steps=st.integers(1, 300),
+    uniform=st.booleans(),
+    sites=st.integers(1, 40),
+    states=st.integers(1, 4),
+    complex_states=st.booleans(),
+    budget=st.integers(1, 12_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(steps=3, uniform=True, sites=7, states=2, complex_states=False, budget=1, seed=0)
+@example(steps=200, uniform=False, sites=9, states=1, complex_states=True, budget=500, seed=1)
+@example(steps=100, uniform=True, sites=12, states=3, complex_states=False, budget=1, seed=2)
+@example(steps=101, uniform=True, sites=5, states=2, complex_states=True, budget=230, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_blocks_of_phase_rows_match_the_one_shot_table(
+        steps, uniform, sites, states, complex_states, budget, seed):
+    # T < 4 and irregular grids take r = 1; a budget of 1 gives blocks of
+    # one anchor; most budgets leave a last block shorter than the others
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, sites + 1))
+    propagator = _random_propagator(rng, sites, rows)
+    psi0 = _unit_columns(rng, rows, states, complex_states)
+    t_max = float(rng.uniform(0.0, 500.0))
+    times = (np.linspace(0.0, t_max, steps) if uniform
+             else np.sort(rng.uniform(0.0, t_max, steps)))
+    width = states * rows * (2 if complex_states else 1)    # GEMM columns
+    table = _PhaseTable(times, propagator.energies, width)
+    cos, sin = whole_tables(table)
+    with mock.patch.object(dynamics, "PHASE_BLOCK", budget):
+        size = _PhaseTable(times, propagator.energies, width).block
+        amps = propagator.evolve(psi0, times)
+        survival = propagator.survival(psi0, times)
+        single = propagator.evolve(psi0[:, 0], times)
+        single_survival = propagator.survival(psi0[:, 0], times)
+
+    # blocks of whole anchors (the last one may be short), as many as keep
+    # their phase rows and products within the budget, and at least one
+    r, per_row = table.stride, sites + width
+    assert size <= steps and (size % r == 0 or size == steps)
+    assert size <= r or size * per_row <= budget
+    assert size == steps or (size + r) * per_row > budget
+    # each row is computed as in the one-shot table, bit for bit
+    for start in range(0, steps, size):
+        count = min(size, steps - start)
+        block = np.empty((count, sites)), np.empty((count, sites))
+        table.rows(start, *block)
+        assert block[0].tobytes() == cos[start:start + count].tobytes()
+        assert block[1].tobytes() == sin[start:start + count].tobytes()
+
+    b = (propagator.vectors.T @ psi0)[:, :, None] * propagator.vectors.T[:, None, :]
+    reference = (np.tensordot(cos, b, axes=1) - 1j * np.tensordot(sin, b, axes=1))
+    assert amps.shape == (steps, states, rows)
+    assert np.max(np.abs(amps - reference)) < 1e-12
+    assert single.shape == (steps, rows)
+    assert np.max(np.abs(single - reference[:, 0])) < 1e-12
+    # survival reduces the same blocks: sum_s |evolve|^2, bit for bit
+    assert survival.shape == (steps, states)
+    assert survival.tobytes() == np.sum(np.abs(amps) ** 2, axis=-1).tobytes()
+    assert single_survival.shape == (steps,)
+    assert single_survival.tobytes() == np.sum(np.abs(single) ** 2, axis=-1).tobytes()
