@@ -3,15 +3,18 @@
 
     python scripts/compare_outputs.py DIR_A DIR_B
 
-The CLI prints floats with 12 significant digits in CSV and with
-shortest round-trip text in JSON, so output that is right on both sides
-can still differ in the last printed digit when a sum is reordered.  A
-byte comparison cannot tell that from a real change, and neither can an
+The CLI prints floats with 12 significant digits in CSV, with 17 in
+trap's certificate amplitudes and with shortest round-trip text in the
+rest of its JSON, so output that is right on both sides can still differ
+in the last printed digit when a sum is reordered, and the same double
+can be printed two ways ("0.1" and "0.10000000000000001").  A byte
+comparison cannot tell either from a real change, and neither can an
 absolute tolerance: a value near 1 printed as 0.999999999999 moves by
-1e-12 when its last digit flips.  This script reads each numeric field
-as the decimal text it is and reports differences in units of the last
-printed place: |a - b| / 10^e, with 10^e the finer of the two fields'
-last printed places ("0.999999999999" has e = -12, "1" has e = 0).
+1e-12 when its last digit flips.  This script reads two numeric fields
+as equal when their texts parse to the same double.  It reads any other
+pair as the decimal texts they are and reports their difference in units
+of the last printed place: |a - b| / 10^e, with 10^e the finer of the two
+fields' last printed places ("0.999999999999" has e = -12, "1" has e = 0).
 A tiny value, such as an overlap of 4.5e-42, can differ by many such
 units and still by nothing that matters, so the script also reports the
 largest absolute difference |a - b| and the field where it occurs.
@@ -55,6 +58,8 @@ class Report:
         self.other: list[str] = []
 
     def number(self, where: str, a: str, b: str):
+        if float(a).hex() == float(b).hex():         # the same double, -0.0 apart from 0.0
+            return
         da, db = Decimal(a), Decimal(b)
         if da != db:
             place = min(da.as_tuple().exponent, db.as_tuple().exponent)

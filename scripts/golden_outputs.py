@@ -22,8 +22,9 @@ input file hashes the same in every run.  Python warnings are silenced,
 because their text names source lines.  The list covers the README
 examples, trap runs on a larger network (many certificates, degenerate
 dark states, nothing trapped), on a complete five-site subgraph (a
-four-fold degenerate group) and on a subgraph whose only coupling has
-strength 0 (every mode trapped), the three places a ``--config`` file can
+four-fold degenerate group), on a subgraph whose only coupling has
+strength 0 (every mode trapped) and on the one site across that coupling
+(an amplitude of exactly 1), the three places a ``--config`` file can
 be named, unequal hoppings, length 1000, evolve runs in both mirror
 sectors (every mode of an odd central chain, no leads, a one-site lead,
 a host hopping other than 1, side chains coupled 100 times more strongly
@@ -119,6 +120,8 @@ RUNS = [
                              "--out", "{dir}/complete_out.json"]),
     ("trap-zero-strength-coupling", ["trap", "{dir}/zero_coupling.json", "--subgraph", "0",
                                      "--out", "{dir}/zero_out.json"]),
+    ("trap-one-site-subgraph", ["trap", "{dir}/zero_coupling.json", "--subgraph", "1",
+                                "--out", "{dir}/one_site.json"]),
     ("readme-evolve", ["evolve", "--n0", "2", "--len", "4", "--m", "400",
                        "--out", "{dir}/survival.csv"]),
     ("readme-bound", ["bound", "--n0", "3", "--len", "5"]),

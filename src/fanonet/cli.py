@@ -8,12 +8,13 @@ result failed its own consistency check).  ``main`` returns every one of
 them, argparse's 2 for a bad command line (and 0 for --help) included.
 
 Identical run configurations produce byte-identical output files: no
-timestamps, fixed float formatting, deterministic ordering.  Every JSON
-output (trap certificates, bound states, the transmit zero catalog) comes
-from one writer, ``_json_text``, whose text matches
-``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte; trap's
-list of certificates is written one certificate's text at a time, with
-the same bytes (``_json_list_chunks``).  Energies
+timestamps, fixed float formatting, deterministic ordering.  The bound
+states and the transmit zero catalog come from one JSON writer,
+``_json_text``, whose text matches ``json.dumps(payload, indent=2,
+sort_keys=True)`` byte for byte.  Trap's certificate file does not: it is
+written from the certificates' vectors one certificate at a time
+(``_certificate_chunks``), each array on one line and each amplitude in
+17 significant digits, which parse back to the same double.  Energies
 are in units of the host hopping (kappa = 1) unless --kappa is given.
 """
 
@@ -52,7 +53,7 @@ from .scattering import (
     scattering_point,  # noqa: F401  (perfbench's tracer test looks it up here)
     transmission_sweep,
 )
-from .spectra import find_trapping_modes, fold_chain, lead_eigenpairs, mirror_mode
+from .spectra import find_trapping_modes, fold_chain, lead_eigenpairs, mirror_mode, support_masks
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,12 +153,30 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_list_chunks(items: Iterable) -> Iterator[str]:
-    """``_json_text(list(items)) + "\n"``, one item's text at a time, so
-    that neither the list nor its whole text is held."""
+def _certificate_chunks(certificates: list, vectors: np.ndarray, support: np.ndarray,
+                        sites: np.ndarray) -> Iterator[str]:
+    """The JSON list of ``certificates``, one certificate's text at a time,
+    so that neither the list nor the file's text is held.
+
+    Row i of ``vectors`` holds certificate i's amplitudes on ``sites``, and
+    row i of the mask ``support`` its support among them.  Each text is one
+    % on a template: keys sorted, each array on one line, sites as integers,
+    energy and residual in their shortest repr, and amplitudes as %.17g,
+    which reads back as the same double (17 significant digits round-trip
+    every binary64).  An amplitude of exactly +-1, which %.17g would print
+    as an integer, takes its repr, 1.0.
+    """
     separator = "[\n  "
-    for item in items:
-        yield separator + _json_text(item, "\n  ")
+    for cert, row, mask in zip(certificates, vectors, support):
+        amplitudes = row[mask]
+        values = amplitudes.tolist()
+        fields = (["%r" if abs(a) == 1.0 else "%.17g" for a in values]
+                  if np.max(np.abs(amplitudes)) == 1.0 else ["%.17g"] * len(values))
+        template = ('{\n    "amplitudes": [' + ", ".join(fields)
+                    + '],\n    "energy": %s,\n    "residual": %s,\n    "sites": ['
+                    + ", ".join(["%d"] * len(values)) + "]\n  }")
+        yield separator + template % (*values, _json_text(cert.energy),
+                                      _json_text(cert.residual), *sites[mask].tolist())
         separator = ",\n  "
     yield "[]\n" if separator == "[\n  " else "\n]\n"
 
@@ -267,16 +286,21 @@ def cmd_trap(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     certificates = find_trapping_modes(graph, partition, cfg.subgraph)
-    lines = [f"# trapped modes of subgraph {cfg.subgraph} ({len(certificates)} found)"]
+    # every certificate vanishes off the subgraph, so its support and its
+    # nodes lie among the subgraph's sites: one row of them per certificate
     subgraph_sites = np.flatnonzero(partition.labels == cfg.subgraph)
-    for cert in certificates:
-        nodes = cert.node_sites(subgraph_sites)
+    vectors = np.array([c.vector[subgraph_sites] for c in certificates]).reshape(
+        -1, len(subgraph_sites))
+    support, nodes = support_masks(vectors)
+    lines = [f"# trapped modes of subgraph {cfg.subgraph} ({len(certificates)} found)"]
+    for cert, node_mask in zip(certificates, nodes):
         lines.append(
-            f"energy={_fmt(cert.energy)} nodes={nodes} residual={cert.residual:.3e}"
+            f"energy={_fmt(cert.energy)} nodes={subgraph_sites[node_mask].tolist()} "
+            f"residual={cert.residual:.3e}"
         )
     print("\n".join(lines))
     if cfg.out:                         # one certificate's text at a time
-        _write_text(cfg.out, _json_list_chunks(c.to_json_dict() for c in certificates))
+        _write_text(cfg.out, _certificate_chunks(certificates, vectors, support, subgraph_sites))
     return EXIT_OK if certificates else EXIT_EMPTY
 
 

@@ -107,6 +107,15 @@ class EigenMode:
     nodes: frozenset[int]
 
 
+def support_masks(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support and the wave nodes of each vector along the last axis of
+    ``vectors``: masks of the sites whose |amplitude| lies above, and below,
+    ``NODE_TOL`` times the vector's largest |amplitude|."""
+    magnitude = np.abs(vectors)
+    scale = NODE_TOL * np.max(magnitude, axis=-1, keepdims=True)
+    return magnitude > scale, magnitude < scale
+
+
 @dataclass(frozen=True)
 class TrappingCertificate:
     """A certified trapped mode: a subgraph eigenvector that is an exact
@@ -122,18 +131,8 @@ class TrappingCertificate:
     vector: np.ndarray
     residual: float
 
-    def _support(self, tol: float) -> np.ndarray:
-        magnitude = np.abs(self.vector)
-        return np.flatnonzero(magnitude > tol * np.max(magnitude))
-
-    def node_sites(self, sites, tol: float = NODE_TOL) -> list[int]:
-        """Sites among ``sites`` where the certified mode has a wave node."""
-        sites = np.asarray(sites, dtype=int)
-        magnitude = np.abs(self.vector)
-        return sites[magnitude[sites] < tol * np.max(magnitude)].tolist()
-
     def to_json_dict(self) -> dict:
-        sites = self._support(NODE_TOL)
+        sites = np.flatnonzero(support_masks(self.vector)[0])
         return {
             "energy": float(self.energy),
             "sites": sites.tolist(),

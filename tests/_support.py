@@ -2,8 +2,9 @@
 and of its host-chain sites, as ``build_pi_lattice`` lays them out, random
 graph generation, a brute-force trapping oracle that searches the
 full-graph eigenbasis instead of the subgraph one,
-the per-group SVD search and per-site certificate methods that
-``find_trapping_modes`` and ``TrappingCertificate`` must match bit for bit,
+the per-group SVD search and the per-site supports and node lists that
+``find_trapping_modes``, ``TrappingCertificate`` and ``trap`` must match
+bit for bit,
 a dense reference for the numeric scattering oracle, an eigenvalue
 count of the truncated pi lattice by Sylvester's law of inertia, the
 propagator of a dense Hamiltonian on all of its sites, survival evolved
@@ -183,7 +184,8 @@ def reference_support_sites(cert, tol=NODE_TOL):
 
 
 def reference_node_sites(cert, sites, tol=NODE_TOL):
-    """``TrappingCertificate.node_sites``, one site at a time."""
+    """The sites among ``sites`` where ``cert`` has a wave node, as ``trap``
+    prints them, one site at a time."""
     scale = np.max(np.abs(cert.vector))
     return [int(s) for s in sites if abs(cert.vector[s]) < tol * scale]
 

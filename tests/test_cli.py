@@ -16,15 +16,16 @@ from fanonet import (
     build_pi_lattice,
     classify_decay,
     find_trapping_modes,
+    parse_graph_file,
     safe_horizon,
     subgraph_hamiltonian,
 )
 import fanonet
 from fanonet import bound_states, cli, pilattice, scattering, spectra
-from fanonet.cli import _json_list_chunks, _json_text, main
+from fanonet.cli import _json_text, main
 from fanonet.dynamics import PHASE_BLOCK
 
-from _support import central_sites
+from _support import central_sites, reference_json_dict, reference_node_sites
 
 
 def pi_graph_file(tmp_path, n0, length, leads, name="graph.json"):
@@ -89,35 +90,65 @@ def test_trap_warns_exactly_when_every_mode_is_trapped(tmp_path, capsys, hopping
     assert ("vacuously" in err) == (found == 2)
 
 
-@pytest.mark.parametrize("n0, length, leads, subgraph, found", [
-    (1, 3, 2, 0, 0),      # a lead traps nothing: exit 3, an empty list
-    (1, 3, 2, 1, 1),
-    (3, 5, 8, 1, 3),
-    (11, 13, 4, 1, 11),
-])
-def test_trap_out_is_streamed_with_the_bytes_of_one_json_text(tmp_path, monkeypatch, n0, length,
-                                                               leads, subgraph, found):
-    # trap --out writes its list one certificate at a time, and the file
-    # holds exactly the bytes of the whole list's _json_text and a newline
-    lattice = build_pi_lattice(PiLatticeSpec(n0, length, leads=leads))
-    certificates = find_trapping_modes(lattice.graph, lattice.partition, subgraph)
-    expected = _json_text([c.to_json_dict() for c in certificates]) + "\n"
-    seen = []
+# a one-site subgraph (site 2) whose only coupling has strength 0: its
+# one mode is trapped, with an amplitude of exactly 1
+ONE_SITE = {"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 0.0]], "partition": [0, 0, 1]}
 
-    def spy(value, *args):
-        seen.append(value)
-        return _json_text(value, *args)
 
-    monkeypatch.setattr(cli, "_json_text", spy)
-    path = pi_graph_file(tmp_path, n0, length, leads)
+@pytest.mark.parametrize("graph, subgraph, found", [
+    ((1, 3, 2), 0, 0),      # a lead traps nothing: exit 3, an empty list
+    ((1, 3, 2), 1, 1),
+    ((3, 5, 8), 1, 3),
+    ((11, 13, 4), 1, 11),
+    (ONE_SITE, 1, 1),
+], ids=["pi-lead", "pi-1-3", "pi-3-5", "pi-11-13", "one-site"])
+def test_trap_out_holds_each_certificate_exactly_one_chunk_at_a_time(tmp_path, monkeypatch,
+                                                                      capsys, graph, subgraph,
+                                                                      found):
+    # trap --out writes its list one certificate at a time; the file parses
+    # to each certificate's reference dict with every float bit for bit,
+    # each array on one line, and stdout lists each certificate's nodes
+    if isinstance(graph, dict):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+    else:
+        path = pi_graph_file(tmp_path, *graph)
+    network, partition = parse_graph_file(path)
+    certificates = find_trapping_modes(network, partition, subgraph)
+    chunks = []
+    write = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda out, text: write(
+        out, (chunks.append(chunk) or chunk for chunk in text)))
     out = tmp_path / "certs.json"
     code = main(["trap", str(path), "--subgraph", str(subgraph), "--out", str(out)])
     assert code == (cli.EXIT_OK if found else cli.EXIT_EMPTY)
     assert len(certificates) == found
-    assert out.read_bytes() == expected.encode()
-    # no call wrote the list of certificates as one value
-    assert not any(isinstance(value, list) and value and isinstance(value[0], dict)
-                   for value in seen)
+
+    sites = np.flatnonzero(partition.labels == subgraph)
+    assert capsys.readouterr().out.splitlines() == [
+        f"# trapped modes of subgraph {subgraph} ({found} found)"] + [
+        f"energy={c.energy:.12g} nodes={reference_node_sites(c, sites)} residual={c.residual:.3e}"
+        for c in certificates]
+
+    def exact(value):                   # float.hex tells every double apart, -0.0 from 0.0
+        if isinstance(value, dict):
+            return {key: exact(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [exact(v) for v in value]
+        return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+    text = out.read_text()
+    assert exact(json.loads(text)) == exact([reference_json_dict(c) for c in certificates])
+    # "[", six lines per certificate ("{", four keys, "}") and "]"; or "[]"
+    lines = text.splitlines()
+    assert len(lines) == (6 * found + 2 if found else 1)
+    for line in lines:
+        if line.lstrip().startswith(('"amplitudes"', '"sites"')):
+            assert isinstance(json.loads(line.split(": ", 1)[1].rstrip(",")), list)
+    assert "".join(chunks) == text
+    assert all(chunk.count('"energy"') <= 1 for chunk in chunks)
+    if isinstance(graph, dict):
+        assert '"amplitudes": [1.0]' in lines[2]
 
 
 def test_trap_malformed_json_exits_two(tmp_path, capsys):
@@ -558,12 +589,6 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=200)
 def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
-@given(st.lists(_PAYLOADS, max_size=5))
-@settings(max_examples=100)
-def test_json_list_chunks_join_to_the_text_of_the_list(items):
-    assert "".join(_json_list_chunks(iter(items))) == _json_text(items) + "\n"
 
 
 @pytest.mark.parametrize("value", [

@@ -70,3 +70,27 @@ def test_the_largest_absolute_difference_is_reported_with_its_field(tmp_path, ca
         "(units: fields 1: 1, 2: 1, 3: 1, 4: 1), the largest |a - b| 0.01 at p.csv line 2 "
         "field 1; 0 non-numeric differences",
     ]
+
+
+def test_texts_of_one_double_are_equal_and_of_two_keep_their_units(tmp_path, capsys):
+    # 0.10000000000000001 is 0.1's double in 17 digits; 0.50000000000000011
+    # is the next double above 0.5, 11 units of its 17th digit away
+    write(tmp_path / "a", {"q.json": '{"x": [0.1, 0.5]}\n'})
+    write(tmp_path / "b", {"q.json": '{"x": [0.10000000000000001, 0.50000000000000011]}\n'})
+    assert float("0.50000000000000011") == 0.5 + 2.0**-53
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "q.json:",
+        "  1 numeric fields differ, by up to 11 units of the last printed place (units: fields "
+        "11: 1), the largest |a - b| 1.1e-16 at $.x[1]",
+        "1 files, 1 differ: 1 numeric fields differ, by up to 11 units of the last printed place "
+        "(units: fields 11: 1), the largest |a - b| 1.1e-16 at q.json $.x[1]; "
+        "0 non-numeric differences",
+    ]
+    write(tmp_path / "c", {"q.json": '{"x": [0.10000000000000001, 0.5]}\n'})
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "q.json:",
+        "  bytes differ, values equal",
+        "1 files, 1 differ: no numeric field differs; 1 non-numeric differences",
+    ]

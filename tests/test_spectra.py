@@ -1,6 +1,11 @@
 """Eigen-decomposition, wave nodes and trapped-mode certification."""
 
+import contextlib
+import io
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from fanonet import (
     verify_trapping,
 )
 from fanonet import spectra
+from fanonet.cli import main
 from fanonet.spectra import open_chain_mode
 
 from _support import (
@@ -299,12 +305,30 @@ def test_certificates_are_bitwise_those_of_the_reference(kind, size, joints, mu,
         found = find_trapping_modes(graph, partition, l)
         reference = reference_trapping_modes(graph, partition, l)
         assert len(found) == len(reference)
-        sites = np.flatnonzero(partition.labels == l).tolist()
         for cert, ref in zip(found, reference):
-            assert_same_certificate(graph, cert, ref, sites)
+            assert_same_certificate(graph, cert, ref)
+        assert_trap_prints_the_reference_nodes(graph, partition, l, reference)
 
 
-def assert_same_certificate(graph, cert, ref, sites):
+def assert_trap_prints_the_reference_nodes(graph, partition, l, reference):
+    """``fanonet trap`` prints, for each certificate of subgraph ``l``, the
+    node list of the matching reference certificate."""
+    spec = {"sites": graph.site_count, "hoppings": [list(b) for b in graph.hoppings],
+            "potentials": {str(site): mu for site, mu in graph.potentials},
+            "partition": list(partition.assignment)}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(["trap", str(path), "--subgraph", str(l)])
+    sites = np.flatnonzero(partition.labels == l).tolist()
+    assert [line.split(" nodes=")[1].split(" residual=")[0]
+            for line in out.getvalue().splitlines()[1:]] == [
+        repr(reference_node_sites(ref, sites)) for ref in reference]
+
+
+def assert_same_certificate(graph, cert, ref):
     """``cert`` is the reference certificate ``ref`` bit for bit, but for
     its residual, which sums the same terms as the dense one in another
     order: it lies within their rounding bound of ``verify_trapping``'s."""
@@ -316,7 +340,6 @@ def assert_same_certificate(graph, cert, ref, sites):
     payload, expected = cert.to_json_dict(), reference_json_dict(ref)
     assert payload.pop("residual") == cert.residual and expected.pop("residual") == ref.residual
     assert repr(payload) == repr(expected)
-    assert repr(cert.node_sites(sites)) == repr(reference_node_sites(ref, sites))
 
 
 def test_trap_search_never_assembles_the_network(monkeypatch):
@@ -405,7 +428,8 @@ def matches_reference_and_brute_force(graph, partition, l):
     reference = reference_trapping_modes(graph, partition, l)
     assert len(found) == len(reference)
     for cert, ref in zip(found, reference):
-        assert_same_certificate(graph, cert, ref, np.flatnonzero(partition.labels == l).tolist())
+        assert_same_certificate(graph, cert, ref)
+    assert_trap_prints_the_reference_nodes(graph, partition, l, reference)
     assert same_trapped_content(found, brute_force_trapped(graph, partition, l))
     return found
 
