@@ -27,8 +27,11 @@ No power of z has a negative exponent, so nothing overflows at any length,
 and the parity is known by construction.  The roots gamma are bracketed
 on a grid from gamma = 0 to just past the Gershgorin bound on |E|, in
 four scans (the sign of z and s) evaluated at once, and all brackets are
-bisected together by ``sign_change_roots``, which the reflection-zero
-scan of ``scattering`` shares.  Every state is checked site by site
+refined together by ``sign_change_roots``, which the reflection-zero
+scan of ``scattering`` shares: Illinois (modified regula falsi) steps,
+each one evaluation of f per bracket, with a bisection after any three
+steps that did not halve a bracket, until every bracket is narrower than
+its tolerance.  Every state is checked site by site
 against the Schrodinger equation of the infinite lattice; one that
 fails, or a bracket that does not shrink, raises ArithmeticError.  Each public function first checks its lattice
 parameters through ``PiLatticeSpec``, whose GraphSpecError names the one
@@ -73,8 +76,8 @@ GAMMA_GRID_STEP = 1e-3
 # the gamma grid's second point, after gamma = 0
 GAMMA_MIN = 1e-4
 GAMMA_REFINE = 1e-13
-# bisection steps after which a bracket that has not shrunk is a failure
-MAX_BISECTIONS = 200
+# refinement steps after which a bracket that has not shrunk is a failure
+MAX_REFINE_STEPS = 200
 # rounding allowance of the site-by-site check, in units of ||H||_inf
 # times the largest term of the closed form (derived in CHANGES.md)
 RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
@@ -143,6 +146,16 @@ def _chebyshev(x, n: int) -> np.ndarray:
     for _ in range(n - 1):
         u.append(2 * x * u[-1] - u[-2])
     return np.stack(u)
+
+
+def _chebyshev_pair(x, n: int):
+    """U_n(x) and U_{n-1}(x) (n >= 1), bit for bit those of ``_chebyshev``:
+    the same recurrence, keeping only its last two terms."""
+    two_x = 2 * x
+    before, top = np.ones_like(x), two_x
+    for _ in range(n - 1):
+        before, top = top, two_x * top - before
+    return top, before
 
 
 def _sector_function(z, one_minus_z2, host, u_top, u_next, kappa, kappa0):
@@ -239,8 +252,8 @@ def _sector_condition(gamma, n0, length, kappa, kappa0, sign_z, s):
     holds an evanescent state.  ``gamma`` is one value or an array;
     ``sign_z`` and ``s`` broadcast against it."""
     z = sign_z * np.exp(-gamma)
-    u = _chebyshev(kappa * (z + 1 / z) / (2 * kappa0), n0)
-    return _sector_function(z, 1 - z * z, 1 + s * z ** (length - 1), u[n0], u[n0 - 1],
+    u_top, u_next = _chebyshev_pair(kappa * (z + 1 / z) / (2 * kappa0), n0)
+    return _sector_function(z, 1 - z * z, 1 + s * z ** (length - 1), u_top, u_next,
                             kappa, kappa0)
 
 
@@ -270,36 +283,72 @@ def sign_change_roots(f, grid: np.ndarray, vals: np.ndarray, tol: float):
     Row s of ``vals`` holds function number s (a scan) evaluated on the
     whole ``grid`` at once.  Each pair of neighbouring grid points with
     finite values of opposite sign is a bracket.  The brackets of all
-    scans are bisected together, ``f(x, scan)`` evaluating scan[i] at x[i],
-    each bracket with the scalar rule: if flo * fmid <= 0 the upper end
-    moves to the midpoint, otherwise the lower end and its value do; a
-    bracket stops once hi - lo < tol.
+    scans are refined together by the Illinois rule (Dowell and Jarratt,
+    BIT 11, 168 (1971)), ``f(x, scan)`` evaluating scan[i] at x[i].  Each
+    step evaluates f once per bracket, at the secant point of its ends and
+    their stored values (the midpoint where that point is not finite), kept
+    at least 0.45*tol inside both ends; the point replaces the end whose
+    value has its sign, and an end kept on two steps in a row has its
+    stored value halved.  After three steps that did not halve a bracket
+    the next step bisects it, so it halves at least once in every four
+    steps.  A bracket stops once hi - lo < tol, or closes at a point where
+    f is exactly 0.  Once a root lies within 0.45*tol of an end, the next
+    point lands beyond it, and the bracket is then below tol.
 
     Returns arrays over the brackets, scan by scan and in grid order within
     a scan: the midpoint of the final bracket, its ends, and its scan.
     ArithmeticError, naming the first such bracket in that order, if a
-    bracket has not shrunk below ``tol`` after MAX_BISECTIONS steps.
+    bracket has not shrunk below ``tol`` after MAX_REFINE_STEPS steps.
     """
     scan, index = np.nonzero(
         (vals[:, :-1] * vals[:, 1:] < 0) & np.isfinite(vals[:, :-1]) & np.isfinite(vals[:, 1:])
     )
-    lo, hi, flo = grid[index], grid[index + 1], vals[scan, index]
+    lo, hi = grid[index], grid[index + 1]
+    margin = 0.45 * tol
+    # per live bracket: its index, its ends and their stored values,
+    # whether f < 0 at lo, the end the last step moved (0 none yet, 1 lo,
+    # 2 hi), whether the next step bisects, its widths 1, 2, 3 steps back
     live = np.arange(len(index))
-    for _ in range(MAX_BISECTIONS):
+    a, b, fa, fb = lo.copy(), hi.copy(), vals[scan, index], vals[scan, index + 1]
+    negative = fa < 0
+    moved = np.zeros(len(index), dtype=np.int8)
+    bisect = np.zeros(len(index), dtype=bool)
+    back = [b - a] + [np.full(len(index), np.inf)] * 2
+    for _ in range(MAX_REFINE_STEPS):
         if live.size == 0:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = f(mid, scan[live])
-        lower = flo[live] * fmid <= 0
-        hi[live[lower]] = mid[lower]
-        upper = live[~lower]
-        lo[upper] = mid[~lower]
-        flo[upper] = fmid[~lower]
-        live = live[~(hi[live] - lo[live] < tol)]
+        # the caller may run under over="raise" (the gamma scan does): a
+        # secant point that overflows takes the midpoint instead
+        with np.errstate(all="ignore"):
+            x = a - fa * (b - a) / (fb - fa)
+        midpoint = bisect | ~np.isfinite(x)
+        if midpoint.any():
+            x = np.where(midpoint, 0.5 * (a + b), x)
+        x = np.minimum(np.maximum(x, a + margin), b - margin)
+        fx = f(x, scan[live])
+        lower = (fx < 0) == negative                    # x replaces lo
+        step = 2 - lower
+        halve = np.where(step == moved, 0.5, 1.0)       # the other end, kept twice
+        fa, fb = np.where(lower, fx, halve * fa), np.where(lower, halve * fb, fx)
+        a, b = np.where(lower, x, a), np.where(lower, b, x)
+        closed = fx == 0
+        if closed.any():
+            a, b = np.where(closed, x, a), np.where(closed, x, b)
+        width = b - a
+        bisect = width > 0.5 * back[2]
+        back, moved = [width, *back[:2]], step
+        done = (width < tol) | closed
+        if done.any():
+            lo[live[done]], hi[live[done]] = a[done], b[done]
+            keep = ~done
+            live, a, b, fa, fb, negative, moved, bisect = (
+                v[keep] for v in (live, a, b, fa, fb, negative, moved, bisect))
+            back = [w[keep] for w in back]
     if live.size:
+        lo[live], hi[live] = a, b
         bracket = [float(lo[live[0]]), float(hi[live[0]])]
         raise ArithmeticError(f"root bisection left the bracket {bracket} wider than {tol!r} "
-                              f"after {MAX_BISECTIONS} steps")
+                              f"after {MAX_REFINE_STEPS} steps")
     return 0.5 * (lo + hi), lo, hi, scan
 
 
@@ -312,11 +361,12 @@ def evanescent_bound_states(
     0 and then GAMMA_MIN to just past acosh(G/(2*kappa)) in steps of
     GAMMA_GRID_STEP, G the Gershgorin bound on |E|; a condition exactly 0
     at gamma = 0 (the trivial roots, no states) takes the sign of its slope
-    there.  Bracketed sign changes are bisected below GAMMA_REFINE = 1e-13
+    there.  Bracketed sign changes are refined by Illinois steps until each
+    bracket is narrower than GAMMA_REFINE = 1e-13 (``sign_change_roots``)
     and every root gives one state, so a gamma below about 1e-11 may be off
     by over 1%: one ulp above kappa0 = 2/3 at (n0, length) = (1, 10) a pair
     reads gamma ~ 4.7e-14.  A bracket that does not shrink raises
-    ArithmeticError (``sign_change_roots``).
+    ArithmeticError.
     """
     PiLatticeSpec(n0, length, kappa, kappa0)
     sign_z, sector = np.array(SCANS).T
@@ -339,8 +389,9 @@ def evanescent_bound_states(
         vals[:, 0] = np.where(vals[:, 0] == 0, slope, vals[:, 0])
         roots, lo, hi, scan = sign_change_roots(f, grid, vals, GAMMA_REFINE)
         # the condition at the root lies between its values at the bracket
-        # ends, which have opposite signs
-        spread = np.abs(f(hi, scan) - f(lo, scan))
+        # ends, which have opposite signs: both ends in one evaluation
+        ends = f(np.concatenate([hi, lo]), np.concatenate([scan, scan]))
+        spread = np.abs(ends[:len(scan)] - ends[len(scan):])
     states = [_evanescent_state(gamma, sign_z[index], sector[index], width,
                                 n0, length, kappa, kappa0)
               for gamma, index, width in zip(roots, scan, spread)]
@@ -370,7 +421,9 @@ def long_time_survival(
     names, the block folded from the chain's hoppings (``fold_chain``), from
     ``tridiagonal_eigenpair`` (O(lambda), certified: ArithmeticError if a
     certificate fails).  ValueError for a mode that is not an integer (a
-    bool included), checked first, or one outside [1, lambda].
+    bool included), checked first, or one outside [1, lambda];
+    ArithmeticError for a P_inf that is not finite or lies outside [0, 1]
+    by more than its rounding allowance.
     """
     # bool is an Integral, but True is no mode number
     if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
@@ -401,4 +454,11 @@ def long_time_survival(
         entry["weight"] = state.subgraph_weight
         entry["contribution"] = share
         contributions.append(entry)
+    # the states are orthonormal on the infinite lattice, so by Bessel's
+    # inequality P_inf <= sum_b |<b|psi0>|^2 <= 1; rounding allowance of
+    # the overlaps, norms and sum derived in CHANGES.md
+    slack = 4 * (lam + len(states)) * np.finfo(float).eps
+    if not -slack <= total <= 1 + slack:
+        raise ArithmeticError(f"long-time survival of mode {mode} is {float(total)!r}, "
+                              f"not a probability (rounding allowance {slack:.3e})")
     return LongTimeSurvival(mode=mode, p_infinity=total, contributions=contributions)

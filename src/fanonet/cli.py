@@ -111,8 +111,11 @@ def _json_text(value, indent: str = "\n") -> str:
     dicts with str keys, lists, tuples, str, int, float, bool and None.
 
     json's own encoder runs in pure Python whenever ``indent`` is set; here
-    a list of finite floats or of ints is written with one join.  Any other
-    value, a non-str key among them, raises TypeError.
+    a list of finite floats, of ints or of strs is written with one join,
+    and a list of dicts that all hold the same str keys (a zero catalog,
+    peak-dip entries, bound states, their overlaps) with one % on a
+    template (``_json_records``).  Any other value, a non-str key among
+    them, raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -133,12 +136,11 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        if kinds == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
-        elif kinds == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
+        if kinds == {dict} and value[0] and all(isinstance(key, str) for key in value[0]):
+            keys = sorted(value[0])
+            if all(len(v) == len(keys) and all(map(v.__contains__, keys)) for v in value):
+                return _json_records(value, keys, indent)
+        items = _json_column(value, kinds, inner)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
@@ -151,6 +153,33 @@ def _json_text(value, indent: str = "\n") -> str:
         )
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_column(values, kinds: set, indent: str):
+    """The JSON texts of ``values`` (whose types are ``kinds``) at
+    ``indent``: a column of finite floats, np.float64 included, of ints or
+    of strs converted in bulk, any other column value by value."""
+    if kinds <= {float, np.float64} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return [_json_text(v, indent) for v in values]
+
+
+def _json_records(records: list, keys: list, indent: str) -> str:
+    """The JSON list of dicts ``records``, which all hold the sorted str
+    ``keys`` and no others, by one % on a template of the whole list: each
+    key's column is converted in bulk (``_json_column``)."""
+    inner, field = indent + "  ", indent + "    "
+    record = "{" + field + ("," + field).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    ) + inner + "}"
+    columns = [_json_column(column, set(map(type, column)), field)
+               for column in ([r[key] for r in records] for key in keys)]
+    template = "[" + inner + ("," + inner).join([record] * len(records)) + indent + "]"
+    return template % tuple(itertools.chain(*zip(*columns)))
 
 
 def _certificate_chunks(certificates: list, vectors: np.ndarray, support: np.ndarray,
@@ -439,10 +468,10 @@ def cmd_transmit(cfg: RunConfig) -> int:
     energies = -2.0 * cfg.kappa * np.cos(momenta)
 
     # the k and E columns are the same in every file
-    shared = [list(map(_fmt, c.tolist())) for c in (momenta, energies)]
+    shared = [c.tolist() for c in (momenta, energies)]
     for length in lengths:
         t, _, big_t, big_r = transmission_sweep(momenta, cfg.n0, length, cfg.kappa, cfg.kappa0)
-        rows = _csv_lines("%s,%s,%.12g,%.12g,%.12g,%.12g", *shared,
+        rows = _csv_lines("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g", *shared,
                           *(c.tolist() for c in (big_t, big_r, t.real, t.imag)))
         header = (
             f"# fanonet transmit n0={cfg.n0} len={length} "

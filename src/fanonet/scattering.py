@@ -44,10 +44,11 @@ of momenta.  ``scattering_point`` runs it on a one-element array, and
 (t, r) and T, so ``transmission_sweep`` equals a loop of any of them bit
 for bit and raises the error that loop would raise first.  The
 reflection-zero scan brackets its roots from one evaluation on the grid
-and bisects all brackets together.  Each public function on the lattice
+and refines all brackets together by Illinois steps
+(``bound_states.sign_change_roots``).  Each public function on the lattice
 parameters first checks them through ``PiLatticeSpec``, whose
 GraphSpecError names the one that no lattice can have; only
-``side_chain_response``, which runs once per bisection step, does not.
+``side_chain_response``, which runs once per refinement step, does not.
 
 ``numeric_scatter_oracle`` is a fully independent check: it solves the
 Schrodinger system of the truncated lattice with plane-wave boundary rows
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bound_states import _chebyshev, _sector_function, sign_change_roots
+from .bound_states import _chebyshev_pair, _sector_function, sign_change_roots
 from .graphs import LatticeGraph
 from .pilattice import PiLatticeSpec, build_pi_lattice
 
@@ -90,7 +91,7 @@ EPS = np.finfo(float).eps
 # the mirror sectors s = +1, -1 along the first axis of the kernel's arrays
 SECTORS = np.array([[1.0], [-1.0]])
 # reflection-zero scan: the fewest grid points, exclusion margin at the band
-# edges and bracket width at which bisection stops
+# edges and bracket width at which refinement stops
 K_GRID_POINTS = 2000
 K_EDGE_MARGIN = 1e-3
 K_REFINE = 1e-13
@@ -153,8 +154,7 @@ def side_chain_response(k, n0: int, kappa: float, kappa0: float):
     kappa0*sin(q)*U_{n0-1}(x).  The pair returned is that response with the
     common factor sin q divided out: real for every real k, with no q.
     """
-    u = _chebyshev(kappa * np.cos(k) / kappa0, n0)
-    return u[n0], u[n0 - 1]
+    return _chebyshev_pair(kappa * np.cos(k) / kappa0, n0)
 
 
 def _check_band(k: float):
@@ -343,12 +343,13 @@ def l_dependent_reflection_zeros(
 
     Sign changes of sin(k*(length-1) - delta), which is continuous in k,
     are bracketed on a uniform grid that keeps a small margin from the band
-    edges, and bisected.  The roots lie about pi/(length-1) apart, so the
-    grid has max(K_GRID_POINTS, 2*(length-1)) points: at least two per
-    root spacing.  At such a root R = 0 (T = 1), unless a = 0 there
-    too: a bound state in the continuum, where T -> 0 instead; T > 1/2
-    tells the two apart.  A bracket that bisection does not shrink below
-    K_REFINE raises ArithmeticError (``bound_states.sign_change_roots``).
+    edges, and refined by Illinois steps until each bracket is narrower
+    than K_REFINE (``bound_states.sign_change_roots``).  The roots lie
+    about pi/(length-1) apart, so the grid has max(K_GRID_POINTS,
+    2*(length-1)) points: at least two per root spacing.  At such a root
+    R = 0 (T = 1), unless a = 0 there too: a bound state in the continuum,
+    where T -> 0 instead; T > 1/2 tells the two apart.  A bracket that does
+    not shrink below K_REFINE raises ArithmeticError.
     """
     PiLatticeSpec(n0, length, kappa, kappa0)
 

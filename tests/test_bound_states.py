@@ -1,5 +1,6 @@
 """Resonant enumeration, evanescent root finding and long-time survival."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,18 +13,20 @@ from fanonet import (
     assemble_hamiltonian,
     build_pi_lattice,
     evanescent_bound_states,
+    l_dependent_reflection_zeros,
     long_time_survival,
     open_chain_modes,
     resonant_bound_states,
     subgraph_hamiltonian,
 )
-from fanonet import bound_states
+from fanonet import bound_states, scattering
 from fanonet.bound_states import (
     ANTISYMMETRIC,
     SCANS,
     SYMMETRIC,
     _evanescent_state,
     _sector_condition,
+    sign_change_roots,
 )
 
 from _support import (
@@ -186,6 +189,16 @@ def test_long_time_survival_of_leaky_modes():
         assert all(c["contribution"] >= 0 for c in report.contributions)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), 1.5])
+def test_long_time_survival_that_is_no_probability_raises(weight):
+    # mode 3 of (2, 4) is the resonant state: P_inf = 1 * its weight
+    states = resonant_bound_states(2, 4) + evanescent_bound_states(2, 4)
+    states = [dataclasses.replace(state, subgraph_weight=weight) for state in states]
+    with pytest.raises(ArithmeticError, match="long-time survival of mode 3 is .*, not a "
+                       "probability"):
+        long_time_survival(2, 4, mode=3, states=states)
+
+
 def test_long_time_survival_mirror_counterparts_agree():
     # modes n and Lambda+1-n are mirror partners and must decay identically
     for n in (1, 2, 4):
@@ -276,20 +289,37 @@ def _scalar_evanescent(n0, length, kappa, kappa0):
 @pytest.mark.parametrize("n0, length, kappa0", [(3, 5, 1.0), (2, 4, 0.6), (2, 1000, 1.5),
                                                 (1, 10, 0.6668)])
 def test_evanescent_roots_equal_scalar_bisection(monkeypatch, n0, length, kappa0):
+    # the roots of scalar bisection, bracket by bracket in scan order, each
+    # to within GAMMA_REFINE: every final bracket is narrower than that and
+    # holds a sign change of its sector condition
     expected, expected_roots = _scalar_evanescent(n0, length, 1.0, kappa0)
     assert expected_roots
-    roots = []
+    roots, refined = [], []
 
     def build(gamma, sign_z, s, *args):
         roots.append((gamma, sign_z, s))
         return _evanescent_state(gamma, sign_z, s, *args)
 
+    def refine(*args):
+        refined.append(sign_change_roots(*args))
+        return refined[-1]
+
     monkeypatch.setattr(bound_states, "_evanescent_state", build)
+    monkeypatch.setattr(bound_states, "sign_change_roots", refine)
     states = evanescent_bound_states(n0, length, 1.0, kappa0)
-    assert roots == expected_roots
-    assert [(s.k, s.gamma, s.energy) for s in states] == \
-        [(s.k, s.gamma, s.energy) for s in expected]
-    assert [s.to_json_dict() for s in states] == [s.to_json_dict() for s in expected]
+    [(middles, lo, hi, _)] = refined
+    assert [root[1:] for root in roots] == [root[1:] for root in expected_roots]
+    assert [root[0] for root in roots] == middles.tolist()
+    for (gamma, sign_z, s), (reference, _, _), a, b in zip(roots, expected_roots, lo, hi):
+        assert abs(gamma - reference) < bound_states.GAMMA_REFINE
+        assert a <= gamma <= b and b - a < bound_states.GAMMA_REFINE
+        # on arrays, as the scan evaluates it: numpy rounds powers of a
+        # scalar differently, and a bracket may close where f is exactly 0
+        ends = _sector_condition(np.array([a, b]), n0, length, 1.0, kappa0, sign_z, s)
+        assert np.sign(ends[0]) * np.sign(ends[1]) <= 0
+    # an even and an odd state whose energies agree to rounding may swap
+    energies = [s.energy for s in states]
+    assert energies == sorted(energies) and len(states) == len(expected)
 
 
 def test_root_refinement_error_carries_its_bracket(monkeypatch):
@@ -306,7 +336,147 @@ def test_root_refinement_error_carries_its_bracket(monkeypatch):
     with pytest.raises(ArithmeticError) as info:
         evanescent_bound_states(3, 5)
     assert str(info.value) == (f"root bisection left the bracket [{float(lo)!r}, {float(hi)!r}] "
-                               f"wider than 0.0 after {bound_states.MAX_BISECTIONS} steps")
+                               f"wider than 0.0 after {bound_states.MAX_REFINE_STEPS} steps")
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+def test_chebyshev_pair_is_the_last_two_rows_bit_for_bit(n, xs):
+    x = np.array(xs)
+    top, before = bound_states._chebyshev_pair(x, n)
+    u = bound_states._chebyshev(x, n)
+    np.testing.assert_array_equal(top, u[n])
+    np.testing.assert_array_equal(before, u[n - 1])
+
+
+def _refinements(n0, length, kappa0):
+    """Every ``sign_change_roots`` call of the gamma scan and then of the
+    reflection-zero scan at these parameters: (f, grid, vals, tol, what it
+    returned, how many times it evaluated f)."""
+    calls = []
+
+    def refine(f, grid, vals, tol):
+        evaluations = []
+
+        def counted(x, scan=None):
+            evaluations.append(len(x))
+            return f(x, scan)
+
+        result = sign_change_roots(counted, grid, vals, tol)
+        calls.append((f, grid, vals, tol, result, len(evaluations)))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bound_states, "sign_change_roots", refine)
+        patch.setattr(scattering, "sign_change_roots", refine)
+        evanescent_bound_states(n0, length, 1.0, kappa0)
+        l_dependent_reflection_zeros(n0, length, 1.0, kappa0)
+    return calls
+
+
+def _bisection_roots(f, grid, vals, tol):
+    """Midpoints of the brackets of ``vals``' sign changes, each bisected
+    until narrower than ``tol`` (upper end to the midpoint where
+    f(lo)*f(mid) <= 0), scan by scan in grid order."""
+    scan, index = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & np.isfinite(vals[:, :-1])
+                             & np.isfinite(vals[:, 1:]))
+    lo, hi, flo = grid[index], grid[index + 1], vals[scan, index]
+    for _ in range(200):
+        live = hi - lo >= tol
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid, scan)
+        lower = flo * fmid <= 0
+        hi = np.where(live & lower, mid, hi)
+        lo, flo = np.where(live & ~lower, mid, lo), np.where(live & ~lower, fmid, flo)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 1000),
+       st.floats(np.log(0.3), np.log(6.0)).map(np.exp))
+@example(1, 10, 0.6668)
+def test_root_refinement_keeps_the_bisection_contract(n0, length, kappa0):
+    # both scans: one bracket per sign change of the grid, in scan and grid
+    # order, each final bracket inside its grid cell, narrower than tol and
+    # holding a sign change of f, around its bisection root to within tol
+    calls = _refinements(n0, length, kappa0)
+    assert len(calls) == 2
+    for f, grid, vals, tol, (middles, lo, hi, scan), _ in calls:
+        scan_of, cell = np.nonzero((vals[:, :-1] * vals[:, 1:] < 0) & np.isfinite(vals[:, :-1])
+                                   & np.isfinite(vals[:, 1:]))
+        np.testing.assert_array_equal(scan, scan_of)
+        assert np.all((grid[cell] <= lo) & (lo <= hi) & (hi <= grid[cell + 1]))
+        assert np.all(hi - lo < tol)
+        np.testing.assert_array_equal(middles, 0.5 * (lo + hi))
+        assert np.all(np.sign(f(lo, scan)) * np.sign(f(hi, scan)) <= 0)
+        assert np.all(np.abs(middles - _bisection_roots(f, grid, vals, tol)) < tol)
+
+
+@pytest.mark.parametrize("n0, length", [(1, 10), (3, 100), (5, 300), (2, 1000)])
+@pytest.mark.parametrize("kappa0", [0.6, 1.0, 3.0])
+def test_root_refinement_takes_few_evaluations(n0, length, kappa0):
+    # bisection from a grid step of about 1e-3 down to 1e-13 took 34
+    # evaluations of f per scan, the Illinois steps take 4 to 6 here: more
+    # than 12 would be a slide back to linear convergence
+    for *_, evaluations in _refinements(n0, length, kappa0):
+        assert evaluations <= 12
+
+
+def _counted(f):
+    """f, and the list of points at which it has been evaluated."""
+    points = []
+
+    def counted(x, scan):
+        points.append(x.copy())
+        return f(x)
+
+    return counted, points
+
+
+def test_root_refinement_bisects_where_secant_steps_stall():
+    # f jumps from -1e-300 to 1: every secant point lands next to the lower
+    # end, and the Illinois halving of f at the upper end alone would take
+    # about 1000 steps to move it; a bisection after every three steps that
+    # did not halve the bracket halves it at least once in four steps
+    root, tol = 3.3e-4, 1e-13
+    f, points = _counted(lambda x: np.where(x < root, -1e-300, 1.0))
+    grid = np.array([0.0, 1e-3])
+    _, lo, hi, _ = sign_change_roots(f, grid, f(grid, None)[None], tol)
+    assert lo[0] < root <= hi[0] and hi[0] - lo[0] < tol
+    assert len(points) - 1 <= 4 * np.ceil(np.log2(1e-3 / tol))
+
+
+def test_root_refinement_halves_the_value_of_an_end_kept_twice():
+    # on a convex f every secant point falls short of the root, so plain
+    # regula falsi keeps the upper end and converges linearly (21
+    # evaluations here, with the bisections); halving the value of the end
+    # kept twice moves the next point past the root
+    f, points = _counted(lambda x: x ** 10 - 0.5)
+    grid = np.array([0.0, 1.0])
+    middles, lo, hi, _ = sign_change_roots(f, grid, (grid ** 10 - 0.5)[None], 1e-13)
+    assert lo[0] <= 0.5 ** 0.1 <= hi[0] and hi[0] - lo[0] < 1e-13
+    assert len(points) <= 14
+
+
+def test_root_refinement_closes_a_bracket_where_f_is_exactly_zero():
+    f, points = _counted(lambda x: x - 0.5)
+    grid = np.array([0.0, 1.0])
+    middles, lo, hi, _ = sign_change_roots(f, grid, (grid - 0.5)[None], 1e-13)
+    assert middles[0] == lo[0] == hi[0] == 0.5 and len(points) == 1
+
+
+def test_root_refinement_takes_the_midpoint_where_the_secant_is_not_finite():
+    # the gamma scan refines under over="raise" and invalid="raise": here f
+    # is -inf below the root and +inf above it, so once both ends hold an
+    # infinite value the secant point is inf/inf, nan, and the midpoint
+    # serves instead
+    root = 1.3
+    f, points = _counted(lambda x: np.where(x < root, -np.inf, np.inf))
+    with np.errstate(over="raise", invalid="raise"):
+        _, lo, hi, _ = sign_change_roots(f, np.array([0.0, 4.0]), np.array([[-1.0, 1.0]]), 1e-13)
+    assert lo[0] <= root <= hi[0] and hi[0] - lo[0] < 1e-13
 
 
 @settings(max_examples=60)

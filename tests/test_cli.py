@@ -500,6 +500,16 @@ def test_a_root_bracket_that_does_not_shrink_is_one_line_exit_five(capsys, monke
     _one_error_line(capsys, "error: root bisection left the bracket [")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_long_time_survival_that_is_no_probability_exits_five(capsys):
+    # a state's lead tail overflows, its subgraph weight is nan, and so was
+    # P_inf, printed with exit 0
+    argv = ["bound", "--n0", "62", "--len", "320", "--kappa", "0.000336234988881394",
+            "--kappa0", "1.935040338049818e-06", "--long-time", "184"]
+    assert main(argv) == cli.EXIT_INTERNAL == 5
+    _one_error_line(capsys, "error: long-time survival of mode 184 is nan, not a probability")
+
+
 def _one_error_line(capsys, message):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -574,10 +584,27 @@ _FLOATS = (
 )
 _LEAVES = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | _FLOATS
            | st.text(st.characters(), max_size=6))
-# keys with non-ASCII characters, quotes, backslashes and control characters
-_KEYS = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\u00e9\u2028'), max_size=6)
+# keys with non-ASCII characters, quotes, backslashes, control characters
+# and % (the writer's template conversion character)
+_KEYS = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\u00e9\u2028%'), max_size=6)
+# a column of one kind, as the CLI's records hold, or of mixed kinds
+_COLUMNS = st.sampled_from([
+    _FLOATS, st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2**70, 2**70), st.text(st.characters(), max_size=6), st.booleans(),
+    st.none(), _LEAVES, st.dictionaries(_KEYS, _LEAVES, max_size=3),
+    st.none() | st.dictionaries(_KEYS, _LEAVES | st.lists(_FLOATS, max_size=3), max_size=3),
+])
+# lists of dicts that all hold the same keys, like the zero catalog, the
+# peak-dip entries and the bound states, and lists whose key sets differ
+_RECORDS = (
+    st.lists(st.tuples(_KEYS, _COLUMNS), min_size=1, max_size=4, unique_by=lambda kc: kc[0])
+    .flatmap(lambda columns: st.lists(
+        st.fixed_dictionaries({key: column for key, column in columns}), min_size=1, max_size=5))
+    | st.lists(st.dictionaries(_KEYS, _LEAVES, max_size=3), min_size=2, max_size=4)
+)
 _PAYLOADS = st.recursive(
-    _LEAVES | st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=6),
+    _LEAVES | st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(max_size=4), max_size=4) | _RECORDS,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(_KEYS, inner, max_size=4)),
@@ -593,7 +620,9 @@ def test_json_writer_matches_json_dumps(payload):
 
 @pytest.mark.parametrize("value", [
     np.int64(3), [1, np.int64(2)], {1, 2}, {"a": {1: 2}}, {"a": [{2.5: "b"}]}, {"a": b"x"},
-], ids=["np.int64", "np.int64-item", "set", "int-key", "float-key", "bytes"])
+    [{"a": 1}, {"a": np.int64(2)}], [{1: 2}, {1: 3}], [{"a": 1}, {2: 1}],
+], ids=["np.int64", "np.int64-item", "set", "int-key", "float-key", "bytes",
+        "np.int64-column", "int-key-records", "int-key-second-record"])
 def test_json_writer_rejects_what_it_cannot_write(value):
     with pytest.raises(TypeError):
         _json_text(value)

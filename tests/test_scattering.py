@@ -28,6 +28,7 @@ from fanonet import (
     transmission_probability,
     transmission_sweep,
 )
+from fanonet.bound_states import sign_change_roots
 from fanonet.scattering import EPS, side_chain_response, _phase_shift
 
 from _support import closed_forms, dense_scatter_reference, resonant_existence
@@ -547,21 +548,24 @@ def test_every_one_momentum_function_applies_every_check(monkeypatch):
             function(k, 2, 5, 1.0, 1.3)
 
 
-def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
-    """Reference for l_dependent_reflection_zeros: the objective
-    sin(k(L-1) - delta), delta the angle of (kappa0*U_{n0-1}(x),
-    2*kappa*U_{n0}(x)*sin k), evaluated one momentum at a time and each
-    bracket bisected on its own; a root counts where T > 1/2 (R = 0 there,
-    not a bound state in the continuum)."""
-    def objective(k):
-        k = np.array([k])
-        x = kappa * np.cos(k) / kappa0
-        u = [np.ones_like(x), 2 * x]                  # U_0(x) .. U_n0(x)
-        for _ in range(n0 - 1):
-            u.append(2 * x * u[-1] - u[-2])
-        delta = np.arctan2(2 * (kappa * u[n0] * np.sin(k)), kappa0 * u[n0 - 1])
-        return float(np.sin(k * (length - 1) - delta)[0])
+def _scalar_objective(k, n0, length, kappa, kappa0):
+    """sin(k(L-1) - delta) at one momentum, delta the angle of
+    (kappa0*U_{n0-1}(x), 2*kappa*U_{n0}(x)*sin k)."""
+    k = np.array([k])
+    x = kappa * np.cos(k) / kappa0
+    u = [np.ones_like(x), 2 * x]                  # U_0(x) .. U_n0(x)
+    for _ in range(n0 - 1):
+        u.append(2 * x * u[-1] - u[-2])
+    delta = np.arctan2(2 * (kappa * u[n0] * np.sin(k)), kappa0 * u[n0 - 1])
+    return float(np.sin(k * (length - 1) - delta)[0])
 
+
+def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
+    """Reference for l_dependent_reflection_zeros: the objective evaluated
+    one momentum at a time and each bracket bisected on its own; a root
+    counts where T > 1/2 (R = 0 there, not a bound state in the
+    continuum)."""
+    objective = lambda k: _scalar_objective(k, n0, length, kappa, kappa0)
     grid = np.linspace(scattering.K_EDGE_MARGIN, np.pi - scattering.K_EDGE_MARGIN,
                        max(scattering.K_GRID_POINTS, 2 * (length - 1)))
     vals = np.array([objective(k) for k in grid])
@@ -587,10 +591,28 @@ def _scalar_reflection_zeros(n0, length, kappa=1.0, kappa0=1.0):
 @pytest.mark.parametrize("n0, length, kappa0", [
     (2, 5, 1.0), (3, 9, 0.6), (5, 40, 2.7), (1, 1000, 1.5),
 ])
-def test_reflection_zeros_equal_scalar_bisection(n0, length, kappa0):
+def test_reflection_zeros_equal_scalar_bisection(monkeypatch, n0, length, kappa0):
+    # the roots of scalar bisection, in order, each to within K_REFINE:
+    # every final bracket is narrower than that and holds a sign change of
+    # the objective
     expected = _scalar_reflection_zeros(n0, length, 1.0, kappa0)
     assert expected
-    assert l_dependent_reflection_zeros(n0, length, 1.0, kappa0) == expected
+    refined = []
+
+    def refine(*args):
+        refined.append(sign_change_roots(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(scattering, "sign_change_roots", refine)
+    roots = l_dependent_reflection_zeros(n0, length, 1.0, kappa0)
+    assert len(roots) == len(expected)
+    assert np.max(np.abs(np.array(roots) - expected)) < scattering.K_REFINE
+    [(middles, lo, hi, _)] = refined
+    assert np.all(np.diff(roots) > 0) and set(roots) <= set(middles.tolist())
+    assert np.all(hi - lo < scattering.K_REFINE)
+    # on arrays, as the scan evaluates it (the array path of _phase_shift)
+    objective = lambda k: np.sin(k * (length - 1) - _phase_shift(k, n0, 1.0, kappa0))
+    assert np.all(np.sign(objective(lo)) * np.sign(objective(hi)) <= 0)
 
 
 @pytest.mark.parametrize("n0, length", [(3, 5), (2, 4), (3, 9), (1, 3), (1, 101)])
