@@ -42,6 +42,7 @@ from .dynamics import (
     SpectralPropagator,
     SurvivalSeries,
     classify_decay,
+    joint_survival,
     safe_horizon,
 )
 from .graphs import GraphSpecError, parse_graph_file
@@ -363,31 +364,37 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # chain whose last site, c_0, is bonded by -kappa to c_1 (sector site
     # n0); the rest is the chain's own sector block, folded from its hopping
     # profile, whose eigenvectors are the chain's modes of that sector, the
-    # initial states.  ``lead_eigenpairs`` diagonalizes the rest, the only
-    # dense eigensolve, and meets its modes with the lead's standing waves
-    # in one secular equation: it gives the block's energies, its
-    # eigenvectors' rows on the chain's sector coordinates, where
-    # P = sum |w|^2, and the chain's modes, and certifies them, an
-    # ArithmeticError (exit 5) if a certificate fails
-    curves = {}
+    # initial states.  ``lead_eigenpairs`` diagonalizes each rest, the only
+    # dense eigensolves, and meets its modes with the lead's standing waves
+    # in one secular equation per sector, both sectors' roots in one
+    # iteration: it gives each block's energies, its eigenvectors' rows on
+    # the chain's sector coordinates, where P = sum |w|^2, and the chain's
+    # modes, and certifies them, an ArithmeticError (exit 5) if a
+    # certificate fails
+    sectors = []
     for sector, (diagonal, off_diagonal) in zip((1, -1), fold_chain(spec.central_hoppings)):
         wanted = sorted({n for n in modes if mirror_mode(n)[0] == sector})
-        if not wanted:
-            continue
-        rest = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
-        spokes = np.zeros(len(rest))
-        spokes[spec.n0] = -spec.kappa
-        energies, rows, chain_modes = lead_eigenpairs(rest, spokes, cfg.leads, spec.kappa)
+        if wanted:
+            rest = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+            spokes = np.zeros(len(rest))
+            spokes[spec.n0] = -spec.kappa
+            sectors.append((wanted, (rest, spokes)))
+    solved = lead_eigenpairs([block for _, block in sectors], cfg.leads, spec.kappa)
+    # a batch of M modes holds b, their N * S * M spectral weights, within
+    # PHASE_BLOCK numbers (or one mode, if one alone needs more);
+    # ``joint_survival`` forms their amplitudes one block of times at a
+    # time, for as many batches at once as its budget allows, and keeps
+    # only P, (T, M)
+    batches, pairs = [], []
+    for (wanted, _), (energies, rows, chain_modes) in zip(sectors, solved):
         propagator = SpectralPropagator(energies, rows)
-        # a batch of M modes holds b, their N * S * M spectral weights,
-        # within PHASE_BLOCK numbers (or one mode, if one alone needs more);
-        # ``survival`` forms their amplitudes one block of times at a time
-        # and keeps only P, (T, M)
         per_block = max(1, PHASE_BLOCK // (len(energies) * len(chain_modes)))
         for start in range(0, len(wanted), per_block):
-            batch = wanted[start:start + per_block]
-            psi0 = chain_modes[:, [mirror_mode(n)[1] for n in batch]]
-            curves.update(zip(batch, propagator.survival(psi0, times).T))
+            batches.append(wanted[start:start + per_block])
+            pairs.append((propagator, chain_modes[:, [mirror_mode(n)[1] for n in batches[-1]]]))
+    curves = {}
+    for batch, values in zip(batches, joint_survival(pairs, times)):
+        curves.update(zip(batch, values.T))
     header = (
         f"# fanonet evolve n0={cfg.n0} len={cfg.length} m={cfg.leads} "
         f"kappa={_fmt(cfg.kappa)} kappa0={_fmt(cfg.kappa0)} steps={steps} "

@@ -20,18 +20,24 @@ O((r + B) * N + N * S * M + T * M).  The rows come from angle addition
 to within rounding, as on any uniform grid, it takes sin and cos of
 T/r anchor rows and r offset rows, r = isqrt(T), so (T/r + r) * N of each
 instead of T * N; any other grid takes r = 1, the plain table.
+``joint_survival`` takes several (propagator, states) pairs, such as the
+two mirror sectors' mode batches of one run, and forms as many of them
+per pass as PHASE_BLOCK allows from one table over all their energies,
+each pair's GEMMs on its own columns and every pair's amplitudes in the
+same buffers.
 
 The pi lattice is mirror-symmetric and its central chain's mode n lies in
 mirror sector (-1)^(n-1) (``spectra.mirror_mode``), so ``fanonet evolve``
-solves one half-size block per sector that holds a requested mode.  Its
-lead is a uniform hard-wall chain, given by its length and hopping, joined
-by one bond to the chain's own sector block, which ``spectra.fold_chain``
-writes from the chain's hopping profile; ``spectra.lead_eigenpairs``
-diagonalizes that S-site rest, whose eigenvectors are the chain's modes
-of the sector, and gives the block's energies and its eigenvectors' rows
-on the rest from one secular equation, with no dense eigensolve of the
-block, and certifies them: an ArithmeticError, exit 5 in the CLI, if a
-certificate fails.  Hard-wall truncated leads stay faithful to the
+splits the lattice into one half-size block per sector and solves the
+sectors that hold a requested mode.  Each block's lead is a uniform
+hard-wall chain, given by its length and hopping, joined by one bond to
+the chain's own sector block, which ``spectra.fold_chain`` writes from the
+chain's hopping profile; ``spectra.lead_eigenpairs`` diagonalizes each
+S-site rest, whose eigenvectors are the chain's modes of the sector, and
+gives each block's energies and its eigenvectors' rows on the rest from
+its secular equation, both sectors' roots in one iteration, with no dense
+eigensolve of a block, and certifies them: an ArithmeticError, exit 5 in
+the CLI, if a certificate fails.  Hard-wall truncated leads stay faithful to the
 infinite lattice only until leaked probability can bounce off the wall
 and return; ``safe_horizon`` bounds that window using the maximal group
 velocity 2*kappa of the host chain.
@@ -48,6 +54,7 @@ import numpy as np
 __all__ = [
     "SurvivalSeries",
     "SpectralPropagator",
+    "joint_survival",
     "safe_horizon",
     "classify_decay",
     "UNITARY",
@@ -107,46 +114,130 @@ class SpectralPropagator:
         """
         psi0 = np.asarray(psi0)
         amps = np.empty((len(times), math.prod(psi0.shape[1:]) * len(self.vectors)), complex)
-        for start, block in self._blocks(psi0, times):
+        for start, _, block in _blocks([(self, psi0)], times, _Buffers()):
             amps[start:start + len(block)] = block
         return amps.reshape(len(times), *psi0.shape[1:], len(self.vectors))
 
     def survival(self, psi0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """P(t) = sum_s |amplitude_s|^2 over the propagator's S rows,
         (len(times),) or (len(times), M): the sum over ``evolve``'s
-        amplitudes, bit for bit, taken one block at a time.
+        amplitudes, bit for bit, taken one block at a time
+        (``joint_survival`` of this one pair).
 
         Memory is O(T * M) for P, plus O((r + B) * N) for one block and
         its anchors and O(N * S * M) for b.
         """
-        psi0 = np.asarray(psi0)
-        values = np.empty((len(times), *psi0.shape[1:]))
-        for start, block in self._blocks(psi0, times):
-            amps = np.abs(block.reshape(len(block), *psi0.shape[1:], len(self.vectors)))
-            np.sum(np.square(amps, out=amps), axis=-1, out=values[start:start + len(block)])
-        return values
+        return joint_survival([(self, psi0)], times)[0]
 
-    def _blocks(self, psi0: np.ndarray, times: Sequence[float]):
-        """(start, amplitudes) for each block of ``_PhaseTable`` rows: the
-        amplitudes at times start, start + 1, ..., (rows, M * S), in a
-        buffer that the next block overwrites."""
-        columns = psi0.reshape(len(psi0), -1)
-        norms = np.linalg.norm(columns, axis=0)
+
+def joint_survival(pairs, times: Sequence[float]) -> list[np.ndarray]:
+    """``SpectralPropagator.survival`` of each ``(propagator, psi0)`` pair,
+    with fewer passes over the phase tables.
+
+    Consecutive pairs share a pass while their spectral weights b, and one
+    anchor's rows of their phase table, stay within PHASE_BLOCK numbers (a
+    pass holds at least one pair).  A pass forms one ``_PhaseTable`` over
+    the energies of all its propagators, and each pair's GEMMs run on its
+    propagator's columns of that table: each row of the table is the one
+    a pass of its own forms, bit for bit, and P comes from the amplitudes
+    as there.  A shared pass's blocks hold fewer rows, though, and BLAS
+    may round a product of fewer rows differently (OpenBLAS takes another
+    kernel below 10^6 multiply-adds), so P can move in its last bits.
+    A pass takes its phase rows,
+    products, amplitudes and spectral weights from buffers that it fills
+    again for every block of times and every pair.
+    """
+    values = []
+    for group in _passes(pairs, _anchor_stride(np.asarray(times, dtype=float))):
+        values += _survival_pass(group, times)
+    return values
+
+
+def _survival_pass(group, times: Sequence[float]) -> list[np.ndarray]:
+    """P(t) of each pair of one pass, from the amplitudes of ``_blocks``."""
+    buffers = _Buffers()
+    results = [np.empty((len(times), *psi0.shape[1:])) for _, psi0 in group]
+    for start, i, block in _blocks(group, times, buffers):
+        shape = (len(block), *group[i][1].shape[1:], len(group[i][0].vectors))
+        amps = np.abs(block.reshape(shape), out=buffers.take("magnitudes", shape))
+        np.sum(np.square(amps, out=amps), axis=-1, out=results[i][start:start + len(block)])
+    return results
+
+
+def _passes(pairs, stride: int):
+    """The pairs in groups of consecutive ones whose spectral weights, N * S
+    * M numbers each (twice that for complex ones), and one anchor's phase
+    rows, ``stride`` * sum(N + S * M), stay within PHASE_BLOCK, or one."""
+    group, numbers, weights = [], 0, 0
+    for propagator, psi0 in pairs:
+        psi0 = np.asarray(psi0)
+        width = math.prod(psi0.shape[1:]) * len(propagator.vectors)
+        if np.iscomplexobj(psi0) or np.iscomplexobj(propagator.vectors):
+            width *= 2
+        size = len(propagator.energies)
+        if group and (weights + size * width > PHASE_BLOCK
+                      or stride * (numbers + size + width) > PHASE_BLOCK):
+            yield group
+            group, numbers, weights = [], 0, 0
+        group.append((propagator, psi0))
+        numbers, weights = numbers + size + width, weights + size * width
+    if group:
+        yield group
+
+
+class _Buffers:
+    """Arrays that a pass reuses from one block and pair to the next:
+    ``take`` returns the first elements of the array kept under a key,
+    shaped as asked, and replaces that array only with a larger one."""
+
+    def __init__(self):
+        self.kept = {}
+
+    def take(self, key, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        kept = self.kept.get(key)
+        if kept is None or kept.size < size or kept.dtype != dtype:
+            del kept                            # the old array goes first
+            self.kept.pop(key, None)
+            kept = self.kept[key] = np.empty(size, dtype)
+        return kept[:size].reshape(shape)
+
+
+def _blocks(pairs, times: Sequence[float], buffers: _Buffers):
+    """(start, i, amplitudes) for each block of ``_PhaseTable`` rows and
+    each pair i = (propagator, psi0) in turn: pair i's amplitudes at times
+    start, start + 1, ..., (rows, M * S), in a buffer that the next one
+    overwrites.  One table over the energies of every pair, in pair order;
+    pair i's GEMMs take its own columns of it."""
+    flats, end = [], 0
+    for i, (propagator, psi0) in enumerate(pairs):
+        psi0 = np.asarray(psi0)
+        states = psi0.reshape(len(psi0), -1)
+        norms = np.linalg.norm(states, axis=0)
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"initial state {bad} norm {norms[bad]:.6f} != 1")
-        coeff = self.vectors.T @ columns
-        b = np.multiply(coeff[:, :, None], self.vectors.T[:, None, :], order="C")
+        vectors = propagator.vectors
+        coeff = vectors.T @ states
+        b = np.multiply(coeff[:, :, None], vectors.T[:, None, :],
+                        out=buffers.take(("weights", i), (*coeff.shape, len(vectors)),
+                                         np.result_type(coeff, vectors)))
         flat = b.reshape(len(b), -1)
         if np.iscomplexobj(flat):
             flat = flat.view(np.float64)
-        phases = _PhaseTable(times, self.energies, flat.shape[1])
-        amps = np.empty((phases.block, b[0].size), complex)
-        for start, (re, im) in phases.products(flat):
-            block = amps[:len(re)]
+        flats.append((flat, slice(end, end + len(b)), b.dtype, b[0].size))
+        end += len(b)
+    phases = _PhaseTable(times, np.concatenate([p.energies for p, _ in pairs]),
+                         sum(flat.shape[1] for flat, *_ in flats), buffers)
+    for start, tables in phases.tables():
+        rows = tables.shape[1]
+        for i, (flat, columns, dtype, width) in enumerate(flats):
+            re, im = np.matmul(tables[:, :, columns], flat,
+                               out=buffers.take("products", (2, rows, flat.shape[1])))
+            block = buffers.take("amplitudes", (rows, width), complex)
             # re - 1j * im, in place
-            np.subtract(re.view(b.dtype), np.multiply(im.view(b.dtype), 1j, out=block), out=block)
-            yield start, block
+            np.subtract(re.view(dtype), np.multiply(im.view(dtype), 1j, out=block), out=block)
+            yield start, i, block
 
 
 def _anchor_stride(times: np.ndarray) -> int:
@@ -175,33 +266,37 @@ class _PhaseTable:
 
     A block is ``block`` rows, whole anchors, as many as keep
     rows * (N + ``width``) within PHASE_BLOCK numbers, and at least one;
-    ``width`` is the number of columns that ``products`` multiplies the
-    rows by.
+    ``width`` is the number of columns that the rows are multiplied by.
     Blocks start on an anchor, so each row is the same in every split of
     the table into blocks.  Every block is filled into the same buffers,
-    so memory does not churn from one block to the next.
+    taken from ``buffers`` when given, so memory does not churn from one
+    block, or one table, to the next.
     """
 
-    def __init__(self, times: Sequence[float], energies: np.ndarray, width: int):
+    def __init__(self, times: Sequence[float], energies: np.ndarray, width: int,
+                 buffers: _Buffers | None = None):
         self.times = np.asarray(times, dtype=float)
         self.energies = energies
+        self.buffers = buffers = buffers or _Buffers()
         self.stride = r = _anchor_stride(self.times)
         rows = r * max(1, PHASE_BLOCK // (r * (len(energies) + width)))
         self.block = max(1, min(rows, len(self.times)))
-        offsets = np.outer(self.times[1:r] - self.times[:1], energies)
-        self.cos_d, self.sin_d = np.cos(offsets), np.sin(offsets, out=offsets)
-        self.scratch = np.empty_like(offsets)
+        shape = (r - 1, len(energies))
+        offsets = np.outer(self.times[1:r] - self.times[:1], energies,
+                           out=buffers.take("sin_d", shape))
+        self.cos_d = np.cos(offsets, out=buffers.take("cos_d", shape))
+        self.sin_d = np.sin(offsets, out=offsets)
+        self.scratch = buffers.take("scratch", shape)
 
-    def products(self, flat: np.ndarray):
-        """(start, products) for each block in turn: products[0] is
-        cos @ flat and products[1] is sin @ flat on rows start, start + 1,
-        ... of the tables, in a buffer that the next block overwrites."""
-        tables = np.empty((2, self.block, len(self.energies)))     # cos, sin
-        products = np.empty((2, self.block, flat.shape[1]))
+    def tables(self):
+        """(start, tables) for each block in turn: tables[0] and tables[1]
+        are the cos and sin rows start, start + 1, ..., in a buffer that
+        the next block overwrites."""
+        tables = self.buffers.take("tables", (2, self.block, len(self.energies)))
         for start in range(0, len(self.times), self.block):
             rows = min(self.block, len(self.times) - start)
             self.rows(start, *tables[:, :rows])
-            yield start, np.matmul(tables[:, :rows], flat, out=products[:, :rows])
+            yield start, tables[:, :rows]
 
     def rows(self, start: int, cos: np.ndarray, sin: np.ndarray):
         """Fill ``cos`` and ``sin`` with rows start, start + 1, ... of the
@@ -212,8 +307,10 @@ class _PhaseTable:
             np.cos(sin, out=cos)
             np.sin(sin, out=sin)
             return
-        phases = np.outer(anchors, self.energies)
-        cos_a, sin_a = np.cos(phases), np.sin(phases, out=phases)
+        shape = (len(anchors), len(self.energies))
+        phases = np.outer(anchors, self.energies, out=self.buffers.take("sin_a", shape))
+        cos_a = np.cos(phases, out=self.buffers.take("cos_a", shape))
+        sin_a = np.sin(phases, out=phases)
         self._fill(cos, cos_a, sin_a, np.subtract)
         self._fill(sin, sin_a, cos_a, np.add)
 

@@ -22,8 +22,12 @@ lies.
 A block made of a uniform hard-wall lead of m sites, given by m and its
 hopping, joined by its last site to the rest, needs no dense eigensolve:
 ``lead_eigenpairs`` diagonalizes only the rest, merges the lead's standing
-waves with the rest's eigenpairs through one secular equation, certifies
-the result and returns the rest's eigenvectors with it.  Nor does one
+waves with the rest's eigenpairs through one secular equation, whose lead
+term comes in closed form on every gap (``secular``), certifies the
+result and returns the rest's eigenvectors with it.  Blocks that share
+the lead, such as a pi lattice's two mirror sectors, go through one call
+and one iteration, each with the roots and rows it would get alone.  Nor
+does one
 eigenpair of a symmetric tridiagonal matrix, such as a chain's sector
 block: ``tridiagonal_eigenpair`` finds it from Sturm counts and inverse
 iteration in O(n), certified.
@@ -36,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import secular
 from .graphs import LatticeGraph, Partition, assemble_hamiltonian, subgraph_hamiltonian
+from .secular import UNIT_ROUNDOFF, gamma as _gamma
 
 __all__ = [
     "EigenMode",
@@ -63,22 +69,6 @@ DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 # numbers per array in a block of certificate residuals
 RESIDUAL_BLOCK = 1 << 16
-# unit roundoff of IEEE double precision
-UNIT_ROUNDOFF = 2.0**-53
-# a spoke, or the distance between two poles, below this many units
-# roundoff of ||H||_inf is deflated (CHANGES.md derives it)
-DEFLATION_ULPS = 8
-# a secular root stops where f is within this many roundings of the size
-# of its terms, or where its step or its bracket is within this many units
-# roundoff of its offset
-STOP_ULPS = 4
-# a root also stops after a step within this fraction of its offset, and
-# steps on to the strict stop if it then fails its residual bound
-EARLY_STEP = 2.0**-30
-# steps after which a secular root that has not stopped is a failure
-SECULAR_MAX_STEPS = 60
-# distances at which f is probed in each outer gap before the first step
-OUTER_PROBES = 24
 # Sturm counts after which a tridiagonal eigenvalue whose bracket has not
 # closed is a failure: each step keeps at most three quarters of the
 # bracket, so at most 126 steps take the Gershgorin interval down to
@@ -375,423 +365,58 @@ def _inverse_iteration(a, b, shift, floor, a_max, b_max, distance):
     return np.array(y) / size, ratio, phi
 
 
-def lead_eigenpairs(rest, spokes, leads: int, kappa: float):
-    """Energies of a block h made of a uniform hard-wall lead and a rest, and
-    the rows of its eigenvectors on the rest, without a dense eigensolve of
-    the block.
+def lead_eigenpairs(blocks, leads: int, kappa: float):
+    """Energies of blocks h made each of one uniform hard-wall lead and a
+    rest, and the rows of their eigenvectors on the rest, without a dense
+    eigensolve of a block.
 
-    The block's first m = ``leads`` sites are the lead, with hopping -kappa
-    (``kappa``) between neighbours and no potential.  Its last site, the
-    hub, is bonded to site i of the rest by ``spokes[i]`` and to nothing
-    else, and ``rest`` is the real symmetric S x S block of the other
-    sites, whose eigenpairs (mu, W) come from ``diagonalize``.  Returns
-    ``(energies, rows, modes)``: the N = m + S energies ascending, the
-    (S, N) rows V[m:, :] of the block's eigenvectors, and W, the rest's
-    eigenvectors in columns (at m = 0, no lead and no hub: ``(mu, W, W)``).
-    O(S^3) for the rest, O(N * S) per secular step and O(S^2 * N) for the
-    rows, against O(N^3) for a dense eigensolve of the block, and O(N * S)
-    memory.
+    Every block's first m = ``leads`` sites are the lead, with hopping
+    -kappa (``kappa``) between neighbours and no potential.  Its last site,
+    the hub, is bonded to site i of the block's rest by ``spokes[i]`` and
+    to nothing else, and ``rest`` is the real symmetric S x S block of the
+    other sites, whose eigenpairs (mu, W) come from ``diagonalize``.
+    ``blocks`` holds one ``(rest, spokes)`` pair per block, and the blocks
+    share the lead, as the pi lattice's two mirror sectors do.  Returns one
+    ``(energies, rows, modes)`` per block: the N = m + S energies
+    ascending, the (S, N) rows V[m:, :] of the block's eigenvectors, and W,
+    the rest's eigenvectors in columns (at m = 0, no lead and no hub:
+    ``(mu, W, W)``).  O(S^3) for the rest, O(N * S) per secular step and
+    O(S^2 * N) for the rows, against O(N^3) for a dense eigensolve of the
+    block, and O(N * S) memory.
 
-    The hub sees two parts: the m - 1 outer lead sites, whose standing
-    waves have energies nu_j = -2 kappa cos(theta_j), theta_j = j pi / m,
-    and the rest, whose modes have energies mu_i and couple to the hub
-    through the spokes z = W^T spokes.  An energy lam = -2 kappa cos(theta)
-    is an eigenvalue exactly when the secular function
-
-        f(lam) = lam + kappa sin((m-1) theta) / sin(m theta) - sum_i z_i^2 / (lam - mu_i)
-
-    vanishes; the lead term, kappa (cos theta - sin theta cot(m theta)), is
-    the sum over the lead poles nu_j in closed form.  f increases between
-    neighbouring poles, so each gap between them holds one root, one lies
-    below the lowest pole and one above the highest (Cuppen, Numer. Math.
-    36, 177 (1981)).  A root is carried as its offset from the nearer end
-    of its gap, so its distance to every pole keeps its relative accuracy
-    (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), and is
-    found by the middle way (R.-C. Li, LAPACK Working Note 89 (1994)): the
-    parts of f from the poles at or below the gap and at or above it are
-    each modelled by one pole at the gap's end that matches their slope,
-    and the model's root is the next iterate.  The lead term comes in
-    closed form inside the lead's range, from the angle of the nearer lead
-    pole so without cancellation, and as its O(m) sum outside it.  The two
-    outer gaps are first bracketed by probing f at distances that halve
-    from 2 ||h||_inf.  A step that leaves its root's bracket halves the
-    bracket instead.  The rows are W (z / (lam - mu)) / sqrt(f'(lam)).
-
-    Spokes and pole distances below DEFLATION_ULPS units roundoff of
-    ||h||_inf are deflated: a rest mode with such a spoke is an eigenvector
-    as it stands, and rest poles that coincide with a lead pole or with each
-    other keep one combined pole and give up the rest of their span as
-    eigenvectors at that energy.
+    The rest's modes, and the lead's standing waves, meet at the hub in one
+    secular equation per block (``secular``), whose lead term comes in
+    closed form, and all the blocks' roots are found in one iteration;
+    each block's roots and rows are bitwise those of a call with that
+    block alone.
 
     Every call certifies itself, and raises ArithmeticError when a
     certificate fails: each root is finite and strictly inside its own gap
     (so there are N of them), |f| at each root is within its rounding bound
     and the rows are orthonormal, ||rows rows^T - I||_max within the bound
     that the roots' conditioning gives (CHANGES.md derives both bounds).
-    ValueError if ``leads`` is negative, ``kappa`` is not finite and
-    positive, or ``rest`` and ``spokes`` do not fit S >= 1 sites, or if the
-    rest has more than ``DEFAULT_SIZE_CAP`` sites.
+    ValueError if there is no block, if ``leads`` is negative, ``kappa`` is
+    not finite and positive, or a block's ``rest`` and ``spokes`` do not fit
+    S >= 1 sites, or if a rest has more than ``DEFAULT_SIZE_CAP`` sites.
     """
-    rest, spokes = np.asarray(rest, dtype=float), np.asarray(spokes, dtype=float)
-    m, size = leads, spokes.size
-    if m < 0 or not 0 < kappa < math.inf or size == 0 or spokes.shape != (size,) \
-            or rest.shape != (size, size):
-        raise ValueError(f"expected leads >= 0, kappa > 0 and a rest of S >= 1 sites with S "
-                         f"spokes, got {m}, {kappa}, shapes {rest.shape} and {spokes.shape}")
-    scale = max(2.0 * kappa * (m > 1), kappa * (m > 1) + np.sum(np.abs(spokes)),
-                np.max(np.sum(np.abs(rest), axis=1) + np.abs(spokes)))
-    mu, w = diagonalize(rest)
+    m, problems = leads, []
+    for rest, spokes in blocks:
+        rest, spokes = np.asarray(rest, dtype=float), np.asarray(spokes, dtype=float)
+        size = spokes.size
+        if m < 0 or not 0 < kappa < math.inf or size == 0 or spokes.shape != (size,) \
+                or rest.shape != (size, size):
+            raise ValueError(f"expected leads >= 0, kappa > 0 and a rest of S >= 1 sites with "
+                             f"S spokes, got {m}, {kappa}, shapes {rest.shape} and "
+                             f"{spokes.shape}")
+        scale = max(2.0 * kappa * (m > 1), kappa * (m > 1) + np.sum(np.abs(spokes)),
+                    np.max(np.sum(np.abs(rest), axis=1) + np.abs(spokes)))
+        problems.append((rest, spokes, scale))
+    if not problems:
+        raise ValueError("expected at least one (rest, spokes) block")
+    solved = [(*diagonalize(rest), spokes, scale) for rest, spokes, scale in problems]
     if m == 0:
-        return mu, w, w
-    return (*_Secular(m, kappa, mu, w, w.T @ spokes, scale).solve(), w)
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), Higham's bound on k roundings."""
-    k = k * UNIT_ROUNDOFF
-    return k / (1.0 - k)
-
-
-def _split_sum(terms: np.ndarray, count: np.ndarray):
-    """Row sums of ``terms`` over its first ``count`` columns, and over all."""
-    if not terms.shape[1]:
-        return np.zeros(len(terms)), np.zeros(len(terms))
-    partial = np.cumsum(terms, axis=1)
-    head = partial[np.arange(len(terms)), np.maximum(count - 1, 0)]
-    return np.where(count > 0, head, 0.0), partial[:, -1]
-
-
-class _Secular:
-    """The secular problem of ``lead_eigenpairs``: the m - 1 lead poles and
-    the S rest poles with their spokes, deflated, and its roots."""
-
-    def __init__(self, m, kappa, mu, w, z, scale):
-        self.m, self.kappa, self.mu, self.w, self.scale = m, kappa, mu, w, scale
-        j = np.arange(m + 1)
-        # theta_j's sine and cosine as sines of exact multiples of pi/(2m),
-        # from the nearer band edge and from the band's middle, so that each
-        # keeps its relative accuracy everywhere
-        self.sin = np.sin(np.minimum(j, m - j) * (np.pi / m))
-        self.cos = np.sin((m - 2 * j) * (np.pi / (2 * m)))
-        self.nu = -2.0 * kappa * self.cos
-        self.a2 = 2.0 * kappa**2 / m * self.sin**2          # lead spoke squared
-        self._deflate(z)
-
-    # ------------------------------------------------------------ deflation
-    def _deflate(self, z):
-        m, mu, tol = self.m, self.mu, DEFLATION_ULPS * UNIT_ROUNDOFF * self.scale
-        small = np.abs(z) <= tol
-        kept = np.flatnonzero(~small)
-        # a rest mode with a spoke below tolerance is an eigenvector as it is
-        self.energies, self.columns = [mu[small]], [self.w[:, small]]
-        # kept poles within tolerance of the previous one join its group; a
-        # group within tolerance of a lead pole joins that pole
-        group = np.cumsum(np.diff(mu[kept], prepend=-np.inf) > tol) - 1
-        count = group[-1] + 1 if len(kept) else 0
-        at_lead = np.zeros(len(kept), dtype=int)
-        if m > 1:
-            j = np.clip(np.rint(np.arccos(np.clip(-mu[kept] / (2.0 * self.kappa), -1.0, 1.0))
-                                * m / np.pi).astype(int), 1, m - 1)
-            at_lead = np.where(np.abs(mu[kept] - self.nu[j]) <= tol, j, 0)
-        lead_of = np.zeros(count, dtype=int)
-        np.maximum.at(lead_of, group, at_lead)
-        # each group's pole: its lead pole, else its last member
-        pole = mu[kept][np.searchsorted(group, np.arange(count), side="right") - 1]
-        pole = np.where(lead_of > 0, self.nu[lead_of], pole)
-        size = np.bincount(group, minlength=count) + (lead_of > 0)
-        for g in np.flatnonzero(size > 1).tolist():
-            self._rotate(kept[group == g], lead_of[g], z)
-        self.kept, self.entry, self.z = kept, group, z[kept]     # rest mode -> its group
-        self.weight = np.bincount(group, self.z**2, minlength=count)
-        self.group_pole, self.group_lead = pole, lead_of
-
-    def _rotate(self, members, lead, z):
-        """Deflate a group of coinciding poles: the Householder reflection
-        that takes its spokes (and the lead spoke, if it sits at a lead pole)
-        to the last axis leaves the other axes, orthogonal to every spoke,
-        as eigenvectors at the group's energies."""
-        spokes, diagonal = z[members], self.mu[members]
-        if lead:
-            spokes = np.append(spokes, np.sqrt(self.a2[lead]))
-            diagonal = np.append(diagonal, self.nu[lead])
-        v = spokes.copy()
-        v[-1] += np.copysign(np.linalg.norm(spokes), spokes[-1])
-        q = np.eye(len(v))[:, :-1] - np.outer(v, 2.0 * v[:-1] / (v @ v))
-        self.energies.append(diagonal @ q**2)
-        self.columns.append(self.w[:, members] @ q[:len(members)])
-
-    # ---------------------------------------------------------------- solve
-    def solve(self):
-        """Every root of f, one per gap between neighbouring poles, and the
-        rows of their eigenvectors, certified."""
-        m = self.m
-        # the distinct poles, ascending: the lead poles (with any rest weight
-        # at them) and the rest poles at none
-        values = np.sort(np.concatenate([self.nu[1:m], self.group_pole[self.group_lead == 0]]))
-        lo, hi = np.append(-np.inf, values), np.append(values, np.inf)
-        if not len(values):                     # no pole: the hub alone, at 0
-            zero = np.zeros(1)
-            return self._certify(self._record(zero, zero, zero, zero, np.zeros((1, 0)),
-                                              np.zeros((1, 0)), zero, np.ones(1, dtype=bool)))
-        # per gap: the rest groups and lead poles at or below it, and the
-        # lead pole L at or below a gap inside the lead's range, whose lead
-        # term comes in closed form; the others sum it
-        self.rest_below = np.searchsorted(self.group_pole, lo, side="right")
-        self.lead_below = np.searchsorted(self.nu[1:m], lo, side="right")
-        if m > 2:
-            low = np.minimum(np.maximum(self.lead_below, 1), m - 2)
-            self.lead_table = np.column_stack(
-                [self.nu[low], self.nu[low + 1], self.a2[low], self.a2[low + 1],
-                 self.cos[low], self.cos[low + 1], self.sin[low], self.sin[low + 1]])
-        closed = np.isfinite(lo) & np.isfinite(hi)
-        closed &= (lo >= self.nu[1]) & (hi <= self.nu[m - 1]) if m > 2 else False
-        self.summed_mask = ~closed
-        return self._certify(self._roots(lo, hi))
-
-    def _roots(self, lo, hi):
-        """The root of each gap (lo, hi), as its offset from the nearer end,
-        by the middle way (``_middle_way``), with the certificates' data."""
-        n = len(lo)
-        bounded = np.isfinite(lo) & np.isfinite(hi)
-        width = hi - lo
-        # one evaluation starts every root: at the middle of each bounded
-        # gap, and at OUTER_PROBES distances u_k from the finite end of each
-        # outer gap, halving from the distance to -+2 ||h||_inf, beyond which
-        # no eigenvalue lies
-        at_low = np.isfinite(lo)
-        origin = np.where(at_low, lo, hi)
-        outer = np.flatnonzero(~bounded)
-        side = np.where(at_low[outer], 1.0, -1.0)
-        u = (2.0 * self.scale - side * origin[outer])[:, None] * 0.5 ** np.arange(OUTER_PROBES)
-        probe = np.concatenate([np.flatnonzero(bounded), np.repeat(outer, OUTER_PROBES)])
-        x = np.concatenate([width[bounded] / 2, (side[:, None] * u).ravel()])
-        values = self._state(probe, origin[probe], x)
-        # side * f rises with the distance in an outer gap: its root lies
-        # between the first probe from the far end where that is at most 0
-        # and the probe before, where the root starts, or nearer than the
-        # nearest probe, which it starts from
-        middles, row = np.count_nonzero(bounded), np.arange(len(outer))
-        below = side[:, None] * values[0][middles:].reshape(u.shape) <= 0
-        found = below.any(axis=1)
-        k = np.where(found, np.argmax(below, axis=1), OUTER_PROBES - 1)
-        pick = np.empty(n, dtype=int)
-        pick[bounded] = np.arange(middles)
-        pick[outer] = middles + row * OUTER_PROBES + k
-        f, left, right, size = (v[pick] for v in values)
-        x = x[pick]
-        near = np.where(found, u[row, k], 0.0)
-        far = u[row, np.where(found, np.maximum(k - 1, 0), k)]
-        t_lo = np.zeros(n)
-        t_hi = np.where(bounded, width / 2, 0.0)
-        t_lo[outer] = np.where(side > 0, near, -far)
-        t_hi[outer] = np.where(side > 0, far, -near)
-        gamma = _gamma(len(self.weight) + 10)
-        # the middle's sign says on which side a bounded gap's root lies:
-        # the origin is that end
-        flip = bounded & (f < 0)
-        at_low &= ~flip
-        origin = np.where(flip, hi, origin)
-        x = np.where(flip, -x, x)
-        t_lo, t_hi = np.where(flip, -t_hi, t_lo), np.where(flip, 0.0, t_hi)
-
-        def iterate(active, f, left, right, size, early):
-            """Step the roots ``active`` from their states until each stops:
-            where f is within STOP_ULPS roundings of its terms' size, where
-            its step or its bracket is within STOP_ULPS units roundoff of
-            it, or, when ``early``, after a step within EARLY_STEP of its
-            offset."""
-            for _ in range(SECULAR_MAX_STEPS):
-                at = x[active]
-                a = t_lo[active] = np.where(f < 0, at, t_lo[active])
-                b = t_hi[active] = np.where(f > 0, at, t_hi[active])
-                step = self._middle_way(f, left, right, at, width[active], at_low[active],
-                                        bounded[active])
-                tol = STOP_ULPS * UNIT_ROUNDOFF * np.abs(at)
-                small = np.abs(f) <= STOP_ULPS * UNIT_ROUNDOFF * size
-                converged = np.abs(step - at) <= (EARLY_STEP * np.abs(at) if early else tol)
-                stop = small | converged | (b - a <= tol)
-                inside = (step > a) & (step < b)
-                x[active] = np.where(stop, np.where(converged & ~small, step, at),
-                                     np.where(inside, step, 0.5 * (a + b)))
-                active = active[~stop]
-                if not len(active):
-                    return
-                f, left, right, size = self._state(active, origin[active], x[active])
-            raise ArithmeticError(f"{len(active)} secular roots did not converge "
-                                  f"in {SECULAR_MAX_STEPS} steps")
-
-        # the middle way converges quadratically, so a step within
-        # EARLY_STEP leaves nearly every root at rounding level; the final
-        # evaluation finds the others, which step on to the strict stop
-        iterate(np.arange(n), f, left, right, size, early=True)
-        f, left, right, size, d, inv, slope_size = self._state(np.arange(n), origin, x, True)
-        # |f| at a root is within the rounding of its terms, gamma_{G+10}
-        # times the sum of their sizes (G rest poles, each term rounded in
-        # its distance, the offset's own rounding, reciprocal and product, and
-        # the lead term, whose products and angles ``size`` holds), plus the
-        # change of f across the stopping step
-        bound = gamma * size + 2 * STOP_ULPS * UNIT_ROUNDOFF * np.abs(x) * (1.0 + left + right)
-        again = np.flatnonzero(np.abs(f) > bound)
-        if len(again):
-            iterate(again, f[again], left[again], right[again], size[again], early=False)
-            f, left, right, size, d, inv, slope_size = self._state(np.arange(n), origin, x,
-                                                                   True)
-            bound = gamma * size + 2 * STOP_ULPS * UNIT_ROUNDOFF * np.abs(x) \
-                * (1.0 + left + right)
-        inside = np.where(at_low, x > 0, x < 0) & (np.abs(x) < width)
-        return self._record(origin + x, f, left + right, bound, d, inv, slope_size, inside)
-
-    def _record(self, lam, f, slope, bound, d, inv, slope_size, inside):
-        """The roots with what their rows and certificates need.  eta bounds
-        the relative error of each row entry: the rounding of f' relative to
-        f', and the root's own error, f's bound over f', relative to the
-        nearest rest pole, plus the stopping step."""
-        derivative = 1.0 + slope
-        nearest = np.min(np.abs(d), axis=1, initial=np.inf)
-        eta = _gamma(len(self.weight) + 10) * (1.0 + slope_size) / derivative \
-            + bound / (derivative * nearest) + 2 * STOP_ULPS * UNIT_ROUNDOFF
-        return lam, d, derivative, np.abs(f) <= bound, eta, inside
-
-    def _state(self, index, origin, x, full=False):
-        """f at lam = origin + x in the gaps ``index``, its slopes from the
-        poles at or below each gap and from those above, and the sizes that
-        bound the rounding of f; ``full`` adds the rest poles' distances
-        (relatively accurate when the origin is the nearest pole), their
-        reciprocals and the sizes that bound the rounding of f'."""
-        d = (origin[:, None] - self.group_pole) + x[:, None]
-        inv = 1.0 / d
-        left, slope = _split_sum(inv * inv * self.weight, self.rest_below[index])
-        rest = [-(inv @ self.weight), left, slope - left, np.abs(inv) @ self.weight, slope]
-        # the lead term: in closed form for every gap (when the lead has a
-        # range), then summed where the gap lies outside it
-        lead = self._closed_lead(index, origin, x, full) if self.m > 2 else \
-            [np.zeros(len(index)) for _ in range(5)]
-        summed = np.flatnonzero(self.summed_mask[index])
-        if len(summed):
-            for part, value in zip(lead, self._summed_lead(index[summed], origin[summed],
-                                                           x[summed])):
-                part[summed] = value
-        f, left, right, size, slope_size = (r + q for r, q in zip(rest, lead))
-        return (f, left, right, size, d, inv, slope_size) if full else (f, left, right, size)
-
-    def _summed_lead(self, index, origin, x):
-        """lam plus the lead term, summed over the m - 1 lead poles, and its
-        slopes from the lead poles at or below each gap and above it."""
-        lead_d = (origin[:, None] - self.nu[1:self.m]) + x[:, None]
-        terms = self.a2[1:self.m] / lead_d
-        low, slope = _split_sum(terms / lead_d, self.lead_below[index])
-        value = (origin + x) - np.sum(terms, axis=1)
-        size = np.abs(origin) + np.abs(x) + np.sum(np.abs(terms), axis=1)
-        return value, low, slope - low, size, slope
-
-    def _closed_lead(self, index, origin, x, full):
-        """lam plus the lead term in closed form, in gaps inside the lead's
-        range, (nu_L, nu_L+1), from the nearer of the two; its slope's parts
-        from those two poles are exact, and the remainder is split evenly
-        between the sides."""
-        m, kappa = self.m, self.kappa
-        nu_low, nu_high, a2_low, a2_high, cos_low, cos_high, sin_low, sin_high = \
-            self.lead_table[index].T
-        d_low = (origin - nu_low) + x
-        d_high = (origin - nu_high) + x
-        use_low = np.abs(d_low) <= np.abs(d_high)
-        # cos(theta) = cos(theta_J) - sigma for the nearer lead pole J;
-        # sin(theta) and sin(delta), delta = theta - theta_J, follow without
-        # cancellation
-        sigma = np.where(use_low, d_low, d_high) * (0.5 / kappa)
-        xj = np.where(use_low, cos_low, cos_high)
-        yj = np.where(use_low, sin_low, sin_high)
-        cos_t = xj - sigma
-        spread = sigma * (2.0 * xj - sigma)
-        with np.errstate(invalid="ignore", divide="ignore"):   # out of range: summed
-            sin_t = np.sqrt(yj * yj + spread)
-            delta = np.arcsin(sigma * yj + xj * spread / (sin_t + yj))
-            c = 1.0 / np.tan(m * delta)
-            one_c2 = 1.0 + c * c
-            c_cot = c * cos_t / sin_t
-            slope = 0.5 * (m * one_c2 - 1.0 - c_cot)            # G'
-            near_low = a2_low / (d_low * d_low)
-            near_high = a2_high / (d_high * d_high)
-            half = 0.5 * np.maximum(slope - near_low - near_high, 0.0)
-            value = -kappa * (cos_t + sin_t * c)
-            if not full:
-                # the sizes of f's two lead terms, below its rounding bound's
-                # (G' stands in for the size of f', which only ``full`` needs)
-                return value, near_low + half, near_high + half, \
-                    kappa * (np.abs(cos_t) + np.abs(sin_t * c)), slope
-            # cos(theta) and sin(theta) round with their terms, and
-            # cot(m delta) carries m |delta| (1 + c^2) times delta's
-            # relative error
-            size = kappa * (np.abs(xj) + np.abs(sigma)
-                            + np.abs(c) * (yj * yj + np.abs(spread) + 2.0 * sigma * sigma) / sin_t
-                            + sin_t * one_c2 * m * np.abs(delta))
-        return value, near_low + half, near_high + half, size, \
-            0.5 * (1.0 + np.abs(c_cot) + m * one_c2)
-
-    @staticmethod
-    def _middle_way(f, left, right, x, width, at_low, bounded):
-        """The next offset: the root of lam + s - A/(lam - a) + B/(b - lam)
-        (a, b the gap's ends; A, B match the slopes ``left`` and ``right`` of
-        the parts of f from the poles at or below a and at or above b; s
-        matches f), solved from the nearer end without cancellation."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a bounded gap: lam's own slope joins the side away from the
-            # origin, and the model C - A/(lam - a) + B/(b - lam), C constant,
-            # is a quadratic in the distance u from the origin end:
-            # C' u^2 - X u + A' width = 0, (C', A') = (C, A) at a, (-C, B) at b,
-            # X = C' width + near u^2 + far (width - u)^2, whose first and
-            # last terms each carry about far width^2 and cancel near the
-            # origin end; it is summed as (+-f + near u) width
-            # - far (width - u) u + near u^2, every term at the near pole's
-            # scale
-            near = np.where(at_low, left, right)
-            far = np.where(at_low, right, left) + 1.0
-            u = np.abs(x)
-            big_a, c_near = near * u * u, np.where(at_low, f, -f) + near * u
-            c_o = c_near - far * (width - u)
-            big_x = c_near * width - far * (width - u) * u + big_a
-            root = np.sqrt(np.maximum(big_x * big_x - 4.0 * c_o * big_a * width, 0.0))
-            step = np.where(big_x >= 0, 2.0 * big_a * width / (big_x + root),
-                            (big_x - root) / (2.0 * c_o))
-            # an outer gap: lam + s - A/(lam - a), or lam + s + B/(b - lam), is
-            # u^2 + y u - A = 0 in u
-            y = np.where(at_low, 1.0, -1.0) * f - u + near * u
-            outer = np.sqrt(y * y + 4.0 * near * u * u)
-            outer = np.where(y >= 0, 2.0 * near * u * u / (y + outer), (outer - y) / 2.0)
-        step = np.where(bounded, step, outer)
-        return np.where(at_low, step, -step)
-
-    def _certify(self, roots):
-        """Rows of the secular roots and the deflated modes, sorted by
-        energy, once the roots' certificates and the rows' Gram error hold.
-
-        R = W U, with U the rest part of the eigenvectors in the rest's own
-        modes, so R R^T - I = W (U U^T - I) W^T + (W W^T - I).  An entry of
-        U U^T - I sums N products, each entry of U within eta of its exact
-        value, so it is at most 2 eta + gamma_N; the rows of W have 1-norm
-        at most sqrt(S) (1 + eps_W), which gives
-        ||R R^T - I||_max <= eps_W + (1 + eps_W) S (2 max(eta) + gamma_N)
-        with eps_W = ||W W^T - I||_max."""
-        lam, d, derivative, small, eta, inside = roots
-        if not np.all(inside):
-            raise ArithmeticError(f"{np.count_nonzero(~inside)} of {len(lam)} secular roots "
-                                  "left their gap: the roots do not interlace the poles")
-        if not np.all(small):
-            raise ArithmeticError(f"{np.count_nonzero(~small)} secular roots exceed "
-                                  "their residual bound")
-        spokes = self.z / d[:, self.entry]
-        rows = self.w[:, self.kept] @ (spokes / np.sqrt(derivative)[:, None]).T
-        energies = np.concatenate([lam, *self.energies])
-        rows = np.concatenate([rows, *self.columns], axis=1)
-        size, total = self.w.shape[0], len(energies)
-        eps_w = np.max(np.abs(self.w @ self.w.T - np.eye(size)))
-        bound = eps_w + (1.0 + eps_w) * size * (2.0 * np.max(eta, initial=0.0) + _gamma(total))
-        gram = np.max(np.abs(rows @ rows.T - np.eye(size)))
-        if not gram <= bound:
-            raise ArithmeticError(f"sector rows are not orthonormal: Gram error {gram:.3e} "
-                                  f"exceeds its bound {bound:.3e}")
-        order = np.argsort(energies, kind="stable")
-        return energies[order], rows[:, order]
+        return [(mu, w, w) for mu, w, _, _ in solved]
+    return secular.solve(m, kappa, solved)
 
 
 def mirror_mode(n: int) -> tuple[int, int]:

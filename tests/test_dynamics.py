@@ -389,3 +389,63 @@ def test_blocks_of_phase_rows_match_the_one_shot_table(
     assert survival.tobytes() == np.sum(np.abs(amps) ** 2, axis=-1).tobytes()
     assert single_survival.shape == (steps,)
     assert single_survival.tobytes() == np.sum(np.abs(single) ** 2, axis=-1).tobytes()
+
+
+@given(
+    steps=st.integers(1, 200),
+    uniform=st.booleans(),
+    shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 3), st.booleans()),
+                    min_size=1, max_size=5),
+    shared=st.booleans(),
+    budget=st.integers(1, 6_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(steps=100, uniform=True, shapes=[(20, 2, False), (19, 1, False)], shared=False,
+         budget=1 << 16, seed=0)
+@example(steps=50, uniform=True, shapes=[(9, 3, True), (9, 0, False), (4, 1, False)],
+         shared=True, budget=2_000, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_joint_survival_is_each_pairs_survival(steps, uniform, shapes, shared, budget, seed):
+    # pairs of (propagator, states) in passes of one phase table over their
+    # energies; M = 0 stands for one state given as a vector.  With
+    # ``shared`` consecutive pairs may share a propagator, and so its
+    # energies, as a sector's batches do
+    rng = np.random.default_rng(seed)
+    pairs, propagator = [], None
+    for sites, states, complex_states in shapes:
+        if not (shared and propagator is not None and rng.random() < 0.5):
+            rows = int(rng.integers(1, sites + 1))
+            propagator = _random_propagator(rng, sites, rows)
+        psi0 = _unit_columns(rng, len(propagator.vectors), max(states, 1), complex_states)
+        pairs.append((propagator, psi0 if states else psi0[:, 0]))
+    t_max = float(rng.uniform(0.0, 300.0))
+    times = (np.linspace(0.0, t_max, steps) if uniform
+             else np.sort(rng.uniform(0.0, t_max, steps)))
+    with mock.patch.object(dynamics, "PHASE_BLOCK", budget):
+        joint = dynamics.joint_survival(pairs, times)
+        passes = list(dynamics._passes(pairs, dynamics._anchor_stride(times)))
+    # each pair's P, as its own pass gives it; a pass's GEMMs may take other
+    # row counts, and BLAS may round those differently
+    for (propagator, psi0), values in zip(pairs, joint):
+        assert values.shape == (steps, *psi0.shape[1:])
+        assert np.max(np.abs(values - propagator.survival(psi0, times))) < 1e-12
+    # the passes take the pairs in order, and a pass of two or more keeps
+    # its spectral weights and one anchor's phase rows within the budget
+    assert [pair for group in passes for pair in group] == pairs
+    r = dynamics._anchor_stride(times)
+    for group in passes:
+        widths = [psi0.size // len(psi0) * len(p.vectors) * (2 if np.iscomplexobj(psi0) else 1)
+                  for p, psi0 in group]
+        sizes = [len(p.energies) for p, _ in group]
+        assert len(group) == 1 or (sum(n * w for n, w in zip(sizes, widths)) <= budget
+                                   and r * (sum(sizes) + sum(widths)) <= budget)
+
+
+def test_buffers_are_reused_until_outgrown():
+    buffers = dynamics._Buffers()
+    first = buffers.take("rows", (4, 6))
+    smaller = buffers.take("rows", (2, 5))
+    assert smaller.base is first.base and smaller.shape == (2, 5)
+    larger = buffers.take("rows", (5, 6))
+    assert larger.base is not first.base and larger.shape == (5, 6)
+    assert buffers.take("amplitudes", (3,), complex).dtype == complex
