@@ -23,11 +23,13 @@ because their text names source lines.  The list covers the README
 examples, trap runs on a larger network (many certificates, degenerate
 dark states, nothing trapped), on a complete five-site subgraph (a
 four-fold degenerate group), on a subgraph whose only coupling has
-strength 0 (every mode trapped) and on the one site across that coupling
-(an amplitude of exactly 1), the three places a ``--config`` file can
-be named, unequal hoppings, length 1000, evolve runs in both mirror
-sectors (every mode of an odd central chain, no leads, a one-site lead,
-a host hopping other than 1, side chains coupled 100 times more strongly
+strength 0 (every mode trapped), on the one site across that coupling
+(an amplitude of exactly 1) and on a 599-site chain joined at its middle
+site (299 certificates, formatted in arrays), the three places a
+``--config`` file can be named, unequal hoppings, length 1000, evolve
+runs in both mirror sectors (every mode of an odd central chain, no
+leads, a one-site lead, a host hopping other than 1, side chains coupled
+100 times more strongly
 than the host, the side-chain edge pairs that eigh cannot split, a long unequal chain mid-spectrum, a run far past the safe
 horizon, where |tE| reaches about 1.6e4, and 5000 time samples, which the
 propagator takes in many blocks of phase rows),
@@ -100,10 +102,17 @@ COMPLETE = {
 # a dimer (0) whose only bond to the third site has strength 0: nothing
 # leaks, so both of its modes are trapped
 ZERO_COUPLING = {"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 0.0]], "partition": [0, 0, 1]}
+# a 599-site chain (0) joined at its middle site to one site (1): its 299 even
+# modes vanish on the joint and are trapped, about 179,000 amplitudes, which
+# trap formats in arrays, not one template per certificate
+MIDDLE_JOINED = {"sites": 600,
+                 "hoppings": [[p, p + 1, 1.0] for p in range(598)] + [[299, 599, 1.0]],
+                 "partition": [0] * 599 + [1]}
 # a --config run; "out" is set below the scratch directory
 CONFIG = {"subcommand": "transmit", "n0": 3, "length": 6, "kappa0": 0.8, "steps": 150}
 # files and the directory put in the scratch directory before the runs
-INPUTS = {"graph.json", "network.json", "complete.json", "zero_coupling.json", "run.json",
+INPUTS = {"graph.json", "network.json", "complete.json", "zero_coupling.json",
+          "middle_joined.json", "run.json",
           "list.json", "unknown_key.json", "bad_type.json", "format_key.json",
           "float_label.json", "outdir"}
 
@@ -122,6 +131,8 @@ RUNS = [
                                      "--out", "{dir}/zero_out.json"]),
     ("trap-one-site-subgraph", ["trap", "{dir}/zero_coupling.json", "--subgraph", "1",
                                 "--out", "{dir}/one_site.json"]),
+    ("trap-chain-599-middle", ["trap", "{dir}/middle_joined.json", "--subgraph", "0",
+                               "--out", "{dir}/middle.json"]),
     ("readme-evolve", ["evolve", "--n0", "2", "--len", "4", "--m", "400",
                        "--out", "{dir}/survival.csv"]),
     ("readme-bound", ["bound", "--n0", "3", "--len", "5"]),
@@ -271,6 +282,7 @@ def main():
         (scratch / "network.json").write_text(json.dumps(NETWORK), encoding="utf-8")
         (scratch / "complete.json").write_text(json.dumps(COMPLETE), encoding="utf-8")
         (scratch / "zero_coupling.json").write_text(json.dumps(ZERO_COUPLING), encoding="utf-8")
+        (scratch / "middle_joined.json").write_text(json.dumps(MIDDLE_JOINED), encoding="utf-8")
         config = {**CONFIG, "out": str(scratch / "config.csv")}
         (scratch / "run.json").write_text(json.dumps(config), encoding="utf-8")
         (scratch / "list.json").write_text("[1, 2]", encoding="utf-8")

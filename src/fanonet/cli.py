@@ -14,7 +14,12 @@ states and the transmit zero catalog come from one JSON writer,
 sort_keys=True)`` byte for byte.  Trap's certificate file does not: it is
 written from the certificates' vectors one certificate at a time
 (``_certificate_chunks``), each array on one line and each amplitude in
-17 significant digits, which parse back to the same double.  Energies
+17 significant digits, which parse back to the same double.  A job's
+amplitudes are formatted in arrays of whole certificates by
+``_decimal.join_g17``, whose text is CPython's ``'%.17g' % x`` exactly: a
+value whose rounding its error bound cannot decide takes ``%`` itself.  A
+job of fewer than ARRAY_TEXT_MIN amplitudes takes one ``%`` template per
+certificate; the bytes are the same either way.  Energies
 are in units of the host hopping (kappa = 1) unless --kappa is given.
 """
 
@@ -183,32 +188,87 @@ def _json_records(records: list, keys: list, indent: str) -> str:
     return template % tuple(itertools.chain(*zip(*columns)))
 
 
+# a trap job with at least this many amplitudes formats them in arrays by
+# ``_decimal.join_g17``, at about 0.1 ms a call and 0.2 us an amplitude
+# against about 0.7 us by template (even near 250 amplitudes); a smaller job
+# keeps one template per certificate, whose %.17g needs no call
+ARRAY_TEXT_MIN = 400
+# amplitudes formatted by one call: whole certificates, within this many (or
+# one certificate that alone holds more)
+ARRAY_TEXT_CHUNK = 4096
+CERTIFICATE = ('{\n    "amplitudes": [%s],\n    "energy": %s,\n    "residual": %s,'
+               '\n    "sites": [%s]\n  }')
+
+
 def _certificate_chunks(certificates: list, vectors: np.ndarray, support: np.ndarray,
                         sites: np.ndarray) -> Iterator[str]:
     """The JSON list of ``certificates``, one certificate's text at a time,
     so that neither the list nor the file's text is held.
 
     Row i of ``vectors`` holds certificate i's amplitudes on ``sites``, and
-    row i of the mask ``support`` its support among them.  Each text is one
-    % on a template: keys sorted, each array on one line, sites as integers,
-    energy and residual in their shortest repr, and amplitudes as %.17g,
-    which reads back as the same double (17 significant digits round-trip
-    every binary64).  An amplitude of exactly +-1, which %.17g would print
-    as an integer, takes its repr, 1.0.
+    row i of the mask ``support`` its support among them.  Each text has its
+    keys sorted, each array on one line, sites as integers, energy and
+    residual in their shortest repr, and amplitudes as %.17g, which reads
+    back as the same double (17 significant digits round-trip every
+    binary64).  An amplitude of exactly +-1, which %.17g would print as an
+    integer, takes its repr, 1.0.  A job of ARRAY_TEXT_MIN amplitudes or
+    more formats them by arrays (``_array_texts``), a smaller one by one
+    template per certificate (``_template_text``): the bytes are the same.
     """
+    counts = support.sum(axis=1).tolist()
+    texts = (_array_texts(certificates, vectors, support, sites, counts)
+             if sum(counts) >= ARRAY_TEXT_MIN else
+             map(_template_text, certificates, vectors, support, itertools.repeat(sites)))
     separator = "[\n  "
-    for cert, row, mask in zip(certificates, vectors, support):
-        amplitudes = row[mask]
-        values = amplitudes.tolist()
-        fields = (["%r" if abs(a) == 1.0 else "%.17g" for a in values]
-                  if np.max(np.abs(amplitudes)) == 1.0 else ["%.17g"] * len(values))
-        template = ('{\n    "amplitudes": [' + ", ".join(fields)
-                    + '],\n    "energy": %s,\n    "residual": %s,\n    "sites": ['
-                    + ", ".join(["%d"] * len(values)) + "]\n  }")
-        yield separator + template % (*values, _json_text(cert.energy),
-                                      _json_text(cert.residual), *sites[mask].tolist())
+    for text in texts:
+        yield separator + text
         separator = ",\n  "
     yield "[]\n" if separator == "[\n  " else "\n]\n"
+
+
+def _template_text(cert, row: np.ndarray, mask: np.ndarray, sites: np.ndarray) -> str:
+    """One certificate's text by one % on a template of its own."""
+    amplitudes = row[mask]
+    values = amplitudes.tolist()
+    fields = (["%r" if abs(a) == 1.0 else "%.17g" for a in values]
+              if np.max(np.abs(amplitudes)) == 1.0 else ["%.17g"] * len(values))
+    template = ('{\n    "amplitudes": [' + ", ".join(fields)
+                + '],\n    "energy": %s,\n    "residual": %s,\n    "sites": ['
+                + ", ".join(["%d"] * len(values)) + "]\n  }")
+    return template % (*values, _json_text(cert.energy), _json_text(cert.residual),
+                       *sites[mask].tolist())
+
+
+def _array_texts(certificates: list, vectors: np.ndarray, support: np.ndarray,
+                 sites: np.ndarray, counts: list) -> Iterator[str]:
+    """Each certificate's text, its amplitudes' %.17g from one
+    ``_decimal.join_g17`` call per chunk of whole certificates and its sites
+    from one table of site texts; a certificate that holds an amplitude of
+    exactly +-1 takes ``_template_text``."""
+    from ._decimal import join_g17
+
+    site_texts = np.array(list(map(str, sites.tolist())), dtype=object)
+    first = 0
+    while first < len(certificates):
+        last, size = first + 1, counts[first]
+        while last < len(certificates) and size + counts[last] <= ARRAY_TEXT_CHUNK:
+            size += counts[last]
+            last += 1
+        amplitudes = vectors[first:last][support[first:last]]
+        text, offsets, _ = join_g17(amplitudes)
+        ends = np.cumsum(counts[first:last])
+        units = set((np.searchsorted(ends, np.flatnonzero(np.abs(amplitudes) == 1.0),
+                                     side="right") + first).tolist())
+        begin = 0
+        for i, end in zip(range(first, last), offsets[ends].tolist()):
+            if i in units:
+                yield _template_text(certificates[i], vectors[i], support[i], sites)
+            else:
+                yield CERTIFICATE % (text[begin:end - 2], _json_text(certificates[i].energy),
+                                     _json_text(certificates[i].residual),
+                                     ", ".join(site_texts[support[i]].tolist()))
+            begin = end
+        first = last
 
 
 def _write_text(path: str | None, text: str | Iterable[str]):

@@ -520,7 +520,10 @@ def peak_dip_report(
     ones, so around a dip the two systems' nearest peaks generically fall
     on opposite sides: the swapped peak-dip profile.  ``zeros`` passes the
     two lengths' l_dependent_reflection_zeros when the caller has them
-    already; otherwise they are computed here.
+    already; otherwise they are computed here.  Zeros whose distances to a
+    dip agree within 2 * K_REFINE, the scan's accuracy on each of them (a
+    mirror pair k0 and pi - k0 about the dip at pi/2), are equally near, and
+    the lower of them is taken.
     """
     for length in (length_a, length_b):
         PiLatticeSpec(n0, length, kappa, kappa0)
@@ -537,7 +540,8 @@ def peak_dip_report(
             if not zeros:
                 entry[tag] = None
                 continue
-            nearest = min(zeros, key=lambda z: abs(z - dip.k))
+            closest = min(abs(z - dip.k) for z in zeros)
+            nearest = min(z for z in zeros if abs(z - dip.k) <= closest + 2 * K_REFINE)
             side = "left" if nearest < dip.k else "right"
             entry[tag] = {
                 "k0": nearest,

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -93,6 +94,11 @@ def test_trap_warns_exactly_when_every_mode_is_trapped(tmp_path, capsys, hopping
 # a one-site subgraph (site 2) whose only coupling has strength 0: its
 # one mode is trapped, with an amplitude of exactly 1
 ONE_SITE = {"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 0.0]], "partition": [0, 0, 1]}
+# a 119-site chain joined at its middle site: its 59 even modes are trapped,
+# about 6,900 amplitudes, so they are formatted in arrays, two chunks of them
+MIDDLE_JOINED = {"sites": 120,
+                 "hoppings": [[p, p + 1, 1.0] for p in range(118)] + [[59, 119, 1.0]],
+                 "partition": [0] * 119 + [1]}
 
 
 @pytest.mark.parametrize("graph, subgraph, found", [
@@ -101,7 +107,8 @@ ONE_SITE = {"sites": 3, "hoppings": [[0, 1, 1.0], [1, 2, 0.0]], "partition": [0,
     ((3, 5, 8), 1, 3),
     ((11, 13, 4), 1, 11),
     (ONE_SITE, 1, 1),
-], ids=["pi-lead", "pi-1-3", "pi-3-5", "pi-11-13", "one-site"])
+    (MIDDLE_JOINED, 0, 59),
+], ids=["pi-lead", "pi-1-3", "pi-3-5", "pi-11-13", "one-site", "chain-119-middle"])
 def test_trap_out_holds_each_certificate_exactly_one_chunk_at_a_time(tmp_path, monkeypatch,
                                                                       capsys, graph, subgraph,
                                                                       found):
@@ -147,8 +154,35 @@ def test_trap_out_holds_each_certificate_exactly_one_chunk_at_a_time(tmp_path, m
             assert isinstance(json.loads(line.split(": ", 1)[1].rstrip(",")), list)
     assert "".join(chunks) == text
     assert all(chunk.count('"energy"') <= 1 for chunk in chunks)
-    if isinstance(graph, dict):
+    if graph is ONE_SITE:
         assert '"amplitudes": [1.0]' in lines[2]
+    amplitudes = sum(len(c["amplitudes"]) for c in json.loads(text))
+    assert (amplitudes >= cli.ARRAY_TEXT_CHUNK) == (graph is MIDDLE_JOINED)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_array_texts_are_the_template_texts(monkeypatch, chunk):
+    # a job's certificates formatted in arrays and one template each give the
+    # same bytes: certificates split across chunks or larger than one, values
+    # that take the scalar %, and certificates that hold an amplitude of
+    # exactly +-1 (written 1.0), alone or among others
+    rng = np.random.default_rng(chunk)
+    vectors = rng.standard_normal((9, 40)) * 10.0 ** rng.integers(-12, 1, (9, 40))
+    vectors[2] = 0.0
+    vectors[2, 5] = -1.0
+    vectors[6, 0], vectors[6, 1:] = 1.0, 2e-9
+    vectors[4, :4] = [1e-300, 1 + 2 ** -17, np.nextafter(1e-14, 0), 1e16]
+    support = spectra.support_masks(vectors)[0]
+    certificates = [types.SimpleNamespace(energy=e, residual=r)
+                    for e, r in zip(rng.standard_normal(9), rng.random(9) * 1e-15)]
+    sites = np.arange(40) * 3 + 1
+    monkeypatch.setattr(cli, "ARRAY_TEXT_CHUNK", chunk)
+    monkeypatch.setattr(cli, "ARRAY_TEXT_MIN", 0)
+    arrays = list(cli._certificate_chunks(certificates, vectors, support, sites))
+    monkeypatch.setattr(cli, "ARRAY_TEXT_MIN", support.sum() + 1)
+    templates = list(cli._certificate_chunks(certificates, vectors, support, sites))
+    assert arrays == templates
+    assert '"amplitudes": [-1.0]' in arrays[2] and '"amplitudes": [1.0, 2' in arrays[6]
 
 
 def test_trap_malformed_json_exits_two(tmp_path, capsys):

@@ -424,6 +424,25 @@ def test_identical_lengths_do_not_swap():
             assert entry["a"]["k0"] == pytest.approx(entry["b"]["k0"], abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("nudge", [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],
+                         ids=["as-found", "low+1ulp", "low-1ulp", "high+1ulp", "high-1ulp"])
+def test_peak_dip_mirror_pair_takes_the_lower_zero(order, nudge):
+    # at the dip pi/2 of n0 = 1 the zeros of length 3 at kappa0 = 0.4211 form
+    # a mirror pair k0, pi - k0, whose distances to the dip differ by rounding
+    # alone (0.8297877541469387 and ...383): the lower zero is the nearest,
+    # in either order and with either zero one ulp away
+    zeros_a = l_dependent_reflection_zeros(1, 2, 1.0, 0.4211)
+    low, high = 0.7410085726479578, 2.400584080941835
+    low, high = (np.nextafter(z, z + step) if step else z
+                 for z, step in zip((low, high), nudge))
+    report = peak_dip_report(1, 2, 3, 1.0, 0.4211, (zeros_a, [low, high][::order]))
+    (entry,) = report.entries
+    assert entry["b"]["k0"] == low and entry["b"]["side"] == "left"
+    assert entry["a"]["k0"] == zeros_a[0] and entry["a"]["side"] == "left"
+    assert not entry["straddle"]
+
+
 def test_total_reflection_matches_trapped_surrogate():
     # the input-side subgraph (side chain + anchor + left lead) is a uniform
     # chain; its trapped modes pin the total-reflection energies.  Build the
