@@ -7,8 +7,9 @@ many-body machinery is needed for one particle.
 
 Graphs and partitions are immutable after construction and every operation
 here is a pure function, so they are safe to share across workers.  A
-graph caches the stored elements of H, read from its bond list once, and a
-partition its labels as an array: the subgraph block, the couplings and the
+graph caches the stored elements of H, read once from the columns that
+``build_graph`` checked or from its bond list, and a partition its labels
+as an array: the subgraph block, the couplings and the
 joint sites are numpy masks over them, with no N x N matrix and no Python
 loop over the bonds.
 """
@@ -62,6 +63,16 @@ class LatticeGraph:
     potentials: tuple[tuple[int, float], ...] = ()
 
     @functools.cached_property
+    def _columns(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(i, j, strength) of the bonds and (site, energy) of the
+        potentials, as arrays; ``build_graph`` sets them to the columns it
+        checked."""
+        bonds = np.array(self.hoppings, dtype=float).reshape(-1, 3)
+        diagonal = np.array(self.potentials, dtype=float).reshape(-1, 2)
+        return ((bonds[:, 0].astype(int), bonds[:, 1].astype(int), bonds[:, 2]),
+                (diagonal[:, 0].astype(int), diagonal[:, 1]))
+
+    @functools.cached_property
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the stored elements of H, read-only
         and in row-major order: H[i, j] = H[j, i] = -strength of each bond
@@ -70,11 +81,10 @@ class LatticeGraph:
         An element written as 0 is stored.  Computed once per graph,
         O(b log b) for b bonds and potentials."""
         n = self.site_count
-        bonds = np.array(self.hoppings, dtype=float).reshape(-1, 3)
-        diagonal = np.array(self.potentials, dtype=float).reshape(-1, 2)
-        rows = np.concatenate([bonds[:, :2].ravel(), diagonal[:, 0]]).astype(int)
-        cols = np.concatenate([bonds[:, 1::-1].ravel(), diagonal[:, 0]]).astype(int)
-        values = np.concatenate([np.repeat(-bonds[:, 2], 2), diagonal[:, 1]])
+        (i, j, strength), (site, energy) = self._columns
+        rows = np.concatenate([np.column_stack([i, j]).ravel(), site])
+        cols = np.concatenate([np.column_stack([j, i]).ravel(), site])
+        values = np.concatenate([np.repeat(-strength, 2), energy])
         keys, last = np.unique((rows * n + cols)[::-1], return_index=True)
         rows, cols = np.divmod(keys, n)
         elements = rows, cols, values[::-1][last]
@@ -133,8 +143,9 @@ def _first(flags: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(flags)
 
 
-def _check_hoppings(entries, n: int) -> tuple[tuple[int, int, float], ...]:
-    """Hopping tuples of a spec's ``hoppings`` list, checked column-wise.
+def _check_hoppings(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns i, j and strength of a spec's ``hoppings`` list, checked
+    column-wise.
 
     Each entry is checked, in this order, for its form ([integer, integer,
     number]), a self-loop, a site index out of range, a non-finite
@@ -177,7 +188,7 @@ def _check_hoppings(entries, n: int) -> tuple[tuple[int, int, float], ...]:
         raise GraphSpecError(message.format(i=i[bad], j=j[bad], n=n))
     if malformed < len(entries):
         raise GraphSpecError(f"parse failure: bad hopping entry {entries[malformed]!r}")
-    return tuple(zip(map(int, columns[0]), map(int, columns[1]), strength.tolist()))
+    return i, j, strength
 
 
 def _site_key(raw):
@@ -190,9 +201,9 @@ def _site_key(raw):
     return site if _is_integer(site) else None
 
 
-def _check_potentials(entries, n: int) -> tuple[tuple[int, float], ...]:
-    """Sorted (site, energy) tuples of a spec's ``potentials`` object,
-    checked column-wise.
+def _check_potentials(entries, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns site and energy of a spec's ``potentials`` object,
+    checked column-wise and sorted as their (site, energy) tuples sort.
 
     Each entry is checked, in this order, for its form (an integer key and
     a number), a site out of range and a non-finite energy; the first entry
@@ -223,7 +234,8 @@ def _check_potentials(entries, n: int) -> tuple[tuple[int, float], ...]:
     if malformed < len(keys):
         key = keys[malformed]
         raise GraphSpecError(f"parse failure: bad potential entry {key!r}: {entries[key]!r}")
-    return tuple(sorted(zip(sites, energy.tolist())))
+    order = np.lexsort((energy, site))
+    return site[order], energy[order]
 
 
 def build_graph(spec: Mapping) -> LatticeGraph:
@@ -236,8 +248,8 @@ def build_graph(spec: Mapping) -> LatticeGraph:
     ``sites`` and the site indices of a hopping are integers, strengths
     and potentials are numbers (a bool is neither), and no other key is
     allowed; the partition is read by ``parse_graph_file``.  The entries
-    are checked column by column, with numpy; only a failure looks at
-    single entries.
+    are checked column by column, with numpy, and the graph keeps the
+    checked columns; only a failure looks at single entries.
 
     Raises
     ------
@@ -257,9 +269,12 @@ def build_graph(spec: Mapping) -> LatticeGraph:
     n = int(n)
     if n < 1:
         raise GraphSpecError(f"parse failure: 'sites' must be positive, got {n}")
-    hoppings = _check_hoppings(spec.get("hoppings", []), n)
-    potentials = _check_potentials(spec.get("potentials", {}), n)
-    return LatticeGraph(n, hoppings, potentials)
+    bonds = _check_hoppings(spec.get("hoppings", []), n)
+    diagonal = _check_potentials(spec.get("potentials", {}), n)
+    graph = LatticeGraph(n, tuple(zip(*(column.tolist() for column in bonds))),
+                         tuple(zip(*(column.tolist() for column in diagonal))))
+    vars(graph)["_columns"] = bonds, diagonal   # what ``elements`` reads
+    return graph
 
 
 def parse_graph_file(path) -> tuple[LatticeGraph, "Partition | None"]:

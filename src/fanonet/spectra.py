@@ -3,12 +3,15 @@
 A subgraph eigenmode whose amplitude vanishes on every joint site never
 feels the inter-subgraph couplings, so its zero-padded embedding is an
 exact eigenvector of the full network: the particle stays in the subgraph
-forever.  ``find_trapping_modes`` certifies all such modes by one rule
-for every energy group: its trapped modes are the null space of the
-couplings applied to its eigenvectors, which in a degenerate eigenspace
-replaces the basis-dependent per-vector node test.  It builds no N x N
-matrix: the subgraph block, its couplings and each certificate's
-residual come from the graph's bond list.  ``verify_trapping`` rechecks
+forever.  So every trapped mode lies in the kernel of the coupling C,
+and ``find_trapping_modes`` diagonalizes only the subgraph Hamiltonian
+restricted to ker C, one connected piece of it at a time.  It certifies
+all trapped modes by one rule for every energy group: its trapped modes
+are the null space of the group's leak out of ker C, which in a
+degenerate eigenspace replaces the basis-dependent per-vector node test.
+It builds no N x N matrix, nor the subgraph's block: ker C, the
+restriction, the leak and each certificate's residual come from the
+graph's bond list.  ``verify_trapping`` rechecks
 a residual on the dense Hamiltonian, and ``residual_rounding_bound`` says
 how far rounding lets the two lie apart.
 
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import secular
-from .graphs import LatticeGraph, Partition, assemble_hamiltonian, subgraph_hamiltonian
+from .graphs import LatticeGraph, Partition, assemble_hamiltonian
 from .secular import UNIT_ROUNDOFF, gamma as _gamma
 
 __all__ = [
@@ -62,12 +66,13 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 4096
 # relative amplitude below which a site counts as a wave node; separates
-# float noise from genuinely small amplitudes
+# float noise from genuinely small amplitudes.  The trap search reads it as
+# the eigenvector error that a leak may come from (``find_trapping_modes``)
 NODE_TOL = 1e-9
 # energies closer than this (times ||H||_inf) form one degeneracy group
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
-# numbers per array in a block of certificate residuals
+# numbers per array in a block of eigenpair or certificate residuals
 RESIDUAL_BLOCK = 1 << 16
 # Sturm counts after which a tridiagonal eigenvalue whose bracket has not
 # closed is a failure: each step keeps at most three quarters of the
@@ -136,7 +141,7 @@ def diagonalize(h: np.ndarray):
 
     Returns ``(energies, vectors)`` with energies ascending and vectors in
     columns, orthonormal, each pair satisfying
-    ||H g - e g||_inf < 1e-10 * ||H||.
+    ||H g - e g||_inf < 1e-10 * ||H||, checked over blocks of columns.
 
     Raises
     ------
@@ -153,7 +158,12 @@ def diagonalize(h: np.ndarray):
         raise ValueError("matrix is not symmetric")
     energies, vectors = np.linalg.eigh(h)
     scale = np.linalg.norm(h, np.inf) or 1.0
-    residual = np.max(np.abs(h @ vectors - vectors * energies))
+    # over blocks of columns, so that no temporary holds more than
+    # RESIDUAL_BLOCK numbers (or one column, if one alone needs more)
+    width = max(1, RESIDUAL_BLOCK // max(len(h), 1))
+    residual = max((np.abs(h @ vectors[:, a:a + width] - vectors[:, a:a + width]
+                           * energies[a:a + width]).max() for a in range(0, len(h), width)),
+                   default=0.0)
     if residual >= RESIDUAL_TOL * scale:
         raise ArithmeticError(f"eigensolver residual {residual:.3e} out of tolerance")
     return energies, vectors
@@ -514,10 +524,10 @@ def _energy_groups(energies: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _residuals(graph: LatticeGraph, local: np.ndarray, energies: list[float],
-               units: list[np.ndarray]) -> np.ndarray:
+               units: np.ndarray) -> np.ndarray:
     """||H psi - E psi||_inf of each certificate (E, psi), from the graph's
-    stored elements: psi is ``units[k]`` on the sites with ``local >= 0``
-    (at those positions) and 0 elsewhere.
+    stored elements: psi is column k of ``units`` on the sites with
+    ``local >= 0`` (at those positions) and 0 elsewhere.
 
     Only the rows that psi reaches are formed: each one of a site of the
     subgraph or of an outside neighbour.  Every other row of H psi - E psi
@@ -532,10 +542,10 @@ def _residuals(graph: LatticeGraph, local: np.ndarray, energies: list[float],
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     at = local[rows[starts]]                   # -1 for an outside neighbour
     inner = at >= 0
-    width = max(1, RESIDUAL_BLOCK // max(len(values), len(units[0])))
+    width = max(1, RESIDUAL_BLOCK // max(len(values), units.shape[0]))
     residuals = []
-    for first in range(0, len(units), width):
-        psi = np.column_stack(units[first:first + width])
+    for first in range(0, units.shape[1], width):
+        psi = units[:, first:first + width]
         h_psi = np.add.reduceat(values[:, None] * psi[cols], starts, axis=0)
         # -E psi on every site of the subgraph, plus H psi where H has
         # elements in a column of the subgraph
@@ -546,80 +556,303 @@ def _residuals(graph: LatticeGraph, local: np.ndarray, energies: list[float],
     return np.concatenate(residuals)
 
 
+def _pieces(size: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The connected piece of each node of the graph on ``size`` nodes with
+    edges (heads[k], tails[k]), named by its smallest node.
+
+    Each round hooks every root to the smallest root it shares an edge
+    with, then follows the pointers up to the roots: a pointer only ever
+    decreases, so the rounds end, each a few array operations over the
+    edges that still join two roots.  A path, star, grid or tree of 3,000
+    nodes, numbered at random, takes under a millisecond.
+    """
+    root = np.arange(size)
+    while True:
+        a, b = root[heads], root[tails]
+        apart = a != b
+        if not apart.any():
+            return root
+        heads, tails, a, b = heads[apart], tails[apart], a[apart], b[apart]
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+
+
+class _Kernel(NamedTuple):
+    """ker C of a subgraph and K = Q^T H_l Q on it (``find_trapping_modes``).
+
+    Sites are the subgraph's positions 0 .. n-1, joints their places in J,
+    and K's nodes are R's sites in order followed by N's columns.  C_J and
+    (H_l Q)_J are kept as their nonzero elements.
+    """
+
+    rest: np.ndarray            # R, the sites that are no joint
+    joints: np.ndarray          # J
+    null: np.ndarray            # N, |J| x null columns
+    outer: int                  # C_J's rows, one per outside neighbour
+    coupling: tuple             # C_J's elements: rows, joints, values
+    gain: tuple                 # (H_l Q)_J's elements: joints, nodes, values
+    rows: np.ndarray            # K's nonzero elements
+    cols: np.ndarray
+    values: np.ndarray
+    scale: float                # ||H_l||_inf
+    leak_scale: float           # |C_J| times the largest joint row sum of |H_l|
+
+    @property
+    def size(self) -> int:
+        """K's order: |R| plus N's columns."""
+        return len(self.rest) + self.null.shape[1]
+
+
+def _kernel(elements, local: np.ndarray, n: int) -> _Kernel:
+    """ker C and K of the subgraph at the sites with ``local >= 0``, read
+    from the graph's stored ``elements``.  K is formed from its blocks,
+    symmetric by construction: each of its elements and its mirror are
+    one float.
+
+    C_J is block diagonal: a joint that shares no outside site with another
+    has a column whose rows no other column touches, and its only singular
+    value is its 2-norm.  So only the joints that share an outside site
+    (S) go through an SVD, of their own columns; N is the null directions
+    of that block and the unit vectors of the other joints whose norm is
+    within NODE_TOL of C_J's largest |element|, exactly the null space of
+    C_J under that rule.
+    """
+    rows, cols, values = elements
+    at_row, at_col = local[rows], local[cols]
+    edge = (at_col >= 0) & (at_row < 0) & (values != 0)
+    outside, inside, weight = rows[edge], at_col[edge], -values[edge]
+    joint = np.zeros(n, dtype=bool)
+    joint[inside] = True
+    rest, joints = np.flatnonzero(~joint), np.flatnonzero(joint)
+    slot = np.empty(n, dtype=np.int64)          # a site's place in R or in J
+    slot[rest], slot[joints] = np.arange(len(rest)), np.arange(len(joints))
+    # C_J: a row per outside neighbour, a column per joint, the coupling
+    # weights (-H) from the neighbour into the subgraph
+    outer, row = np.unique(outside, return_inverse=True)
+    column = slot[inside]
+    coupling_peak = float(np.abs(weight).max(initial=0.0))
+    crowded = (np.bincount(row) > 1)[row]       # an edge whose neighbour has others
+    shared = np.zeros(len(joints), dtype=bool)
+    shared[column[crowded]] = True
+    in_block = shared[column]
+    block_cols = np.flatnonzero(shared)
+    # the shared joints' columns of C_J, on all of its rows: zero rows leave
+    # the nonzero singular values and the null space as they are
+    block = np.zeros((len(outer), len(block_cols)))
+    block[row[in_block], np.searchsorted(block_cols, column[in_block])] = weight[in_block]
+    _, svals, vh = np.linalg.svd(block)
+    norms = np.sqrt(np.bincount(column, weights=weight * weight, minlength=len(joints)))
+    lone = np.flatnonzero(~shared & (norms <= NODE_TOL * coupling_peak))
+    block_null = vh[np.count_nonzero(svals > NODE_TOL * coupling_peak):].T
+    null = np.zeros((len(joints), len(lone) + block_null.shape[1]))
+    null[lone, np.arange(len(lone))] = 1.0
+    null[block_cols, len(lone):] = block_null
+
+    inner = (at_row >= 0) & (at_col >= 0)
+    i, j, h = at_row[inner], at_col[inner], values[inner]
+    row_sums = np.bincount(i, weights=np.abs(h), minlength=n)
+    from_rest, to_joint = ~joint[i], joint[j]
+    # H between the joints and the rest sites bonded to one (the border),
+    # and among the joints, times N
+    link, among = from_rest & to_joint, ~from_rest & to_joint
+    nulls = null.shape[1]
+    k_border = np.zeros((len(rest), nulls))     # a row per rest site
+    np.add.at(k_border, slot[i[link]], h[link, None] * null[slot[j[link]]])
+    h_null = np.zeros((len(joints), nulls))
+    np.add.at(h_null, slot[i[among]], h[among, None] * null[slot[j[among]]])
+
+    # H_RR, H_{border,J} N and its mirror, and N^T H_JJ N made symmetric as
+    # the mean of it and its transpose (a + b is b + a in floating point);
+    # N's columns are the nodes after R's
+    within = from_rest & ~to_joint & (h != 0)
+    k_null = null.T @ h_null
+    k_null = 0.5 * (k_null + k_null.T)
+    a, b = k_border.nonzero()
+    c, d = k_null.nonzero()
+    e, f = h_null.nonzero()
+    extra = len(rest) + np.arange(nulls)
+    return _Kernel(rest, joints, null, len(outer), (row, column, weight),
+                   (np.concatenate([slot[j[link]], e]), np.concatenate([slot[i[link]], extra[f]]),
+                    np.concatenate([h[link], h_null[e, f]])),
+                   np.concatenate([slot[i[within]], a, extra[b], extra[c]]),
+                   np.concatenate([slot[j[within]], extra[b], a, extra[d]]),
+                   np.concatenate([h[within], k_border[a, b], k_border[a, b], k_null[c, d]]),
+                   float(row_sums.max()), coupling_peak * float(row_sums[joints].max(initial=0.0)))
+
+
+def _piece_eigenpairs(kernel: _Kernel):
+    """``diagonalize`` each connected piece of K, one at a time.
+
+    Returns the energies and eigenvectors of each piece in turn, in their
+    pieces' order, the nodes piece by piece (``order``, piece p holding
+    ``order[bounds[p]:bounds[p + 1]]``, columns bounds[p] .. bounds[p + 1]
+    - 1 of the eigenvectors) and the leak C_J (H_l Q y)_J of every
+    eigenvector y, a column each, summed piece by piece from the rows of y
+    that (H_l Q)_J reads.
+    """
+    rows, cols, values, size = kernel.rows, kernel.cols, kernel.values, kernel.size
+    bond = rows < cols
+    root = _pieces(size, rows[bond], cols[bond])
+    piece = (np.cumsum(root == np.arange(size)) - 1)[root]     # numbered by their roots
+    order = piece.argsort(kind="stable")
+    sizes = np.bincount(piece)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    position = np.empty(size, dtype=np.int64)   # a node's place in its piece
+    position[order] = np.arange(size) - np.repeat(bounds[:-1], sizes)
+    entries = piece[rows].argsort(kind="stable")
+    entry_bounds = np.searchsorted(piece[rows][entries], np.arange(len(bounds)))
+    gain_joint, gain_node, gain_value = kernel.gain
+    gains = piece[gain_node].argsort(kind="stable")
+    gain_bounds = np.searchsorted(piece[gain_node][gains], np.arange(len(bounds)))
+    h_q = np.zeros((len(kernel.joints), size))              # (H_l Q y)_J
+    energies, bases = [], []
+    for p, (first, last) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        e = entries[entry_bounds[p]:entry_bounds[p + 1]]
+        block = np.zeros((last - first, last - first))
+        block[position[rows[e]], position[cols[e]]] = values[e]
+        w, v = diagonalize(block)
+        del block
+        g = gains[gain_bounds[p]:gain_bounds[p + 1]]
+        np.add.at(h_q[:, first:last], gain_joint[g], gain_value[g, None] * v[position[gain_node[g]]])
+        energies.append(w)
+        bases.append(v)
+    coupling_row, coupling_joint, coupling_value = kernel.coupling
+    leak = np.zeros((kernel.outer, size))
+    np.add.at(leak, coupling_row, coupling_value[:, None] * h_q[coupling_joint])
+    return np.concatenate(energies), bases, order, bounds, leak
+
+
+def _trapped_combinations(energies: np.ndarray, leak: np.ndarray, scale: float,
+                          leak_scale: float):
+    """The combinations of K's eigenvectors, one energy group at a time,
+    whose ``leak`` (a column per eigenvector) vanishes: for each width d of
+    the groups, the k combinations' places in the energy order, their
+    group energies, columns (k x d) and coefficients (k x d)."""
+    ascending = energies.argsort(kind="stable")
+    edges = _energy_groups(energies[ascending], scale)
+    widths = np.diff(edges)
+    found = []
+    for d in sorted(set(widths.tolist())):
+        index = edges[:-1][widths == d][:, None] + np.arange(d)
+        leaks = leak[:, ascending[index]].transpose(1, 0, 2)
+        if d == 1:                      # a column's right-singular vector is [1.0]
+            svals, vh = np.linalg.norm(leaks, axis=1), np.ones((len(index), 1, 1))
+        else:
+            _, svals, vh = np.linalg.svd(leaks)
+        tol = NODE_TOL * np.maximum(np.abs(leaks).max(axis=(1, 2), initial=0.0), leak_scale)
+        # combinations u with leak @ u = 0: the right-singular vectors whose
+        # singular value is within tolerance, or that have none
+        keep = np.ones(index.shape, dtype=bool)
+        keep[:, :svals.shape[1]] = svals <= tol[:, None]
+        g, r = keep.nonzero()
+        found.append((index[g, r], np.mean(energies[ascending[index]], axis=1)[g],
+                      ascending[index[g]], vh[g, r]))
+    return found
+
+
 def find_trapping_modes(
     graph: LatticeGraph, partition: Partition, l: int
 ) -> list[TrappingCertificate]:
     """All independent trapped modes of subgraph ``l``.
 
-    A subgraph eigenvector is trapped exactly when the inter-subgraph
-    coupling annihilates it: at every outside site adjacent to ``l`` the
-    coupling-weighted sum of joint amplitudes must vanish.  When each such
-    outside site touches a single joint (every chain-like geometry) this is
-    the plain wave-node test - zero amplitude on all joint sites; weighted
-    cancellations over several joints are the degenerate "dark state" case.
-    So one rule decides every energy group: its trapped modes are the null
-    space of its leak, the couplings times its eigenvectors, found by an
-    SVD.  A one-column leak's only singular value is its 2-norm, so the
-    one-column groups are decided by their norms; the wider groups by one
-    stacked SVD per width.  With no coupling of nonzero strength nothing
-    leaks, and every eigenmode is trapped.
+    A mode of the subgraph is trapped exactly when the inter-subgraph
+    coupling C annihilates it, so every trapped mode lies in ker C.  C
+    reaches the subgraph only through its joint sites J, the endpoints of
+    its outgoing bonds of nonzero strength.  So ker C has the orthonormal
+    basis Q: the unit vectors of the other sites R, plus N, an orthonormal
+    null basis of C's joint columns C_J (a direction whose singular value
+    is within NODE_TOL of C_J's largest |element| counts as null).  N is
+    empty unless C_J lacks full column rank, as when two joints bond to
+    one outside site (a dark state).  v = Q y satisfies H_l v = E v if
+    and only if K y = E y, with K = Q^T H_l Q, and C H_l Q y = 0: the
+    first says that H_l v - E v has no part in ker C, the second that it
+    has none outside it.
 
-    The subgraph block, the coupling rows and each certificate's residual
-    come from masks over the graph's stored elements: no N x N matrix is
-    built.
+    So the search diagonalizes K, never H_l.  K is H_RR, bordered by
+    H_RJ N and N^T H_JJ N.  Deleting the joints cuts chains into pieces,
+    and each connected piece of K is ``diagonalize``d on its own.  The
+    pieces' energies merge into groups whose neighbours lie within
+    DEGENERACY_TOL * ||H_l||_inf (a group may span identical pieces),
+    reported by their mean.  Each group's trapped modes are the null
+    space of its leak C (H_l Q y), read on the joint rows only: a
+    one-column leak by its 2-norm, the wider groups by one stacked SVD per
+    width.  A combination is kept when its leak lies within NODE_TOL of
+    the group's largest leak, or of the leak map's own scale, |C_J| times
+    the largest row sum of |H_l| on a joint: what an eigenvector error of
+    NODE_TOL can leak.  With no coupling of nonzero strength ker C is the
+    whole subgraph, and every eigenmode is trapped.
+
+    Everything is read from masks over the graph's stored elements.  The
+    only square arrays are the pieces of K: the leak has a row per outside
+    neighbour and a column per eigenvector, and no N x N matrix or n x n
+    subgraph block is built.  Those arrays and the certificates still grow
+    as n times the eigenvectors, so a subgraph of more than
+    ``DEFAULT_SIZE_CAP`` sites raises ValueError, however small its pieces.
     """
-    h_l, sites = subgraph_hamiltonian(graph, partition, l)
-    if not sites:
+    sites = np.flatnonzero(partition.labels == l)
+    n = len(sites)
+    if not n:
         raise ValueError(f"subgraph {l} is empty")
+    if n > DEFAULT_SIZE_CAP:
+        raise ValueError(f"subgraph size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     local = np.full(graph.site_count, -1)
-    local[sites] = np.arange(len(sites))
-    # one row per outside neighbor site, ascending: the coupling weights
-    # (-H) from it into l
-    rows, cols, values = graph.elements
-    edge = (local[cols] >= 0) & (local[rows] < 0)
-    outer, row = np.unique(rows[edge], return_inverse=True)
-    coupling = np.zeros((len(outer), len(sites)))
-    coupling[row, local[cols[edge]]] = -values[edge]
-    coupling_peak = np.max(np.abs(coupling), initial=0.0)
-
-    energies, vectors = diagonalize(h_l)
-    edges = _energy_groups(energies, np.linalg.norm(h_l, np.inf))
-    widths = np.diff(edges)
-    # the groups of each width d at once; each kept combination is filed
-    # under its column, so that sorting the columns restores group order
-    columns, found_energies, trapped = [], [], []
-    for d in np.unique(widths).tolist():
-        starts = edges[:-1][widths == d]
-        index = starts[:, None] + np.arange(d)          # the columns of each group
-        keep = np.ones(index.shape, dtype=bool)         # all of them, if nothing leaks
-        if coupling_peak > 0:
-            if d == 1:                  # a column's right-singular vector is [1.0]
-                leaks = (coupling @ vectors[:, starts]).T[:, :, None]
-                svals, vh = np.linalg.norm(leaks, axis=1), np.ones((len(starts), 1, 1))
-            else:
-                # each group's own product: a stacked one rounds differently
-                leaks = np.stack([coupling @ vectors[:, a:a + d] for a in starts.tolist()])
-                _, svals, vh = np.linalg.svd(leaks)
-            tol = NODE_TOL * np.maximum(np.max(np.abs(leaks), axis=(1, 2)), coupling_peak)
-            # combinations u with leak @ u = 0: the right-singular vectors
-            # whose singular value is below node tolerance, or that have none
-            keep[:, :svals.shape[1]] = svals < tol[:, None]
-        g, r = np.nonzero(keep)
-        columns.append(index[g, r])
-        found_energies.append(np.mean(energies[index], axis=1)[g])
-        trapped += (list(vectors[:, index[g, r]].T) if coupling_peak == 0 else
-                    [vectors[:, a:a + d] @ u for a, u in zip(starts[g].tolist(), vh[g, r])])
-    if not trapped:
+    local[sites] = np.arange(n)
+    kernel = _kernel(graph.elements, local, n)
+    if not kernel.size:                 # every site a joint, and C_J of full rank
+        return []
+    energies, bases, order, bounds, leak = _piece_eigenpairs(kernel)
+    places, group_energies, columns, coefficients = zip(
+        *_trapped_combinations(energies, leak, kernel.scale, kernel.leak_scale))
+    places = np.concatenate(places)
+    if not len(places):
         return []
 
-    order = np.argsort(np.concatenate(columns))
-    found_energies = np.concatenate(found_energies)[order].tolist()
-    units = [trapped[k] / np.linalg.norm(trapped[k]) for k in order.tolist()]
+    # certificate k, in energy order, is y_k: its columns of the pieces'
+    # eigenvectors times its coefficients, written piece by piece, each
+    # piece freed once written.  A certificate that takes one column of a
+    # piece is that column times its coefficient there; those that take
+    # several (a degenerate group inside one piece) are the piece's columns
+    # times their block of coefficients, one product for all of them
+    rank = np.empty(len(places), dtype=np.int64)
+    rank[places.argsort()] = np.arange(len(places))
+    owner = np.repeat(rank, np.concatenate([np.full(len(c), c.shape[1]) for c in columns]))
+    column = np.concatenate([c.ravel() for c in columns])
+    coefficient = np.concatenate([u.ravel() for u in coefficients])
+    in_piece = np.searchsorted(bounds, column, side="right") - 1
+    by = in_piece.argsort(kind="stable")
+    y = np.zeros((kernel.size, len(places)))
+    for t in np.split(by, np.flatnonzero(np.diff(in_piece[by])) + 1):
+        p = int(in_piece[t[0]])
+        basis, bases[p] = bases[p], None
+        nodes = order[bounds[p]:bounds[p + 1]]
+        _, inverse, counts = np.unique(owner[t], return_inverse=True, return_counts=True)
+        one, several = t[counts[inverse] == 1], t[counts[inverse] > 1]
+        y[np.ix_(nodes, owner[one])] = basis[:, column[one] - bounds[p]] * coefficient[one]
+        if len(several):
+            taken, at = np.unique(column[several], return_inverse=True)
+            owners, of = np.unique(owner[several], return_inverse=True)
+            block = np.zeros((len(taken), len(owners)))
+            block[at, of] = coefficient[several]
+            y[np.ix_(nodes, owners)] = basis[:, taken - bounds[p]] @ block
+    del bases, basis
+    # v = Q y on the subgraph's sites, normalized
+    units = np.empty((n, len(places)))
+    units[kernel.rest] = y[:len(kernel.rest)]
+    units[kernel.joints] = kernel.null @ y[len(kernel.rest):]
+    del y
+    units /= np.linalg.norm(units, axis=0)
+    found_energies = np.concatenate(group_energies)[places.argsort()].tolist()
     certificates = []
     residuals = _residuals(graph, local, found_energies, units)
-    for energy, unit, residual in zip(found_energies, units, residuals.tolist()):
+    for k, (energy, residual) in enumerate(zip(found_energies, residuals.tolist())):
         full = np.zeros(graph.site_count)
-        full[sites] = unit
+        full[sites] = units[:, k]
         certificates.append(TrappingCertificate(l, energy, full, residual))
     return certificates
 

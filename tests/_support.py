@@ -2,9 +2,9 @@
 and of its host-chain sites, as ``build_pi_lattice`` lays them out, random
 graph generation, a brute-force trapping oracle that searches the
 full-graph eigenbasis instead of the subgraph one,
-the per-group SVD search and the per-site supports and node lists that
-``find_trapping_modes``, ``TrappingCertificate`` and ``trap`` must match
-bit for bit,
+the per-group SVD search of the whole subgraph block, whose trapped space
+``find_trapping_modes`` must span, and the per-site supports and node
+lists that ``TrappingCertificate`` and ``trap`` must match bit for bit,
 a dense reference for the numeric scattering oracle, an eigenvalue
 count of the truncated pi lattice by Sylvester's law of inertia, the
 propagator of a dense Hamiltonian on all of its sites, survival evolved
@@ -132,10 +132,12 @@ def same_trapped_content(certificates, brute, energy_tol=1e-8):
 
 
 def reference_trapping_modes(graph, partition, l):
-    """``find_trapping_modes`` one energy group at a time, with an SVD of
-    every group's own leak, one-column groups included, which the library
-    decides by the leak's 2-norm.  With no coupling of nonzero strength
-    every eigenvector is trapped."""
+    """The trapped modes of subgraph ``l`` from the eigenvectors of its
+    whole block, one energy group at a time: the null space of each
+    group's leak, the couplings times its eigenvectors, by an SVD, with
+    the search's NODE_TOL rule for that leak.  ``find_trapping_modes``
+    searched this way before it diagonalized only ker C.  With no coupling
+    of nonzero strength every eigenvector is trapped."""
     if not np.any(partition.labels == l):
         raise ValueError(f"subgraph {l} is empty")
     h_l, sites = subgraph_hamiltonian(graph, partition, l)
@@ -176,6 +178,14 @@ def reference_trapping_modes(graph, partition, l):
             residual = float(np.max(np.abs(h_full @ full - energy * full)))
             certificates.append(TrappingCertificate(l, energy, full, residual))
     return certificates
+
+
+def reference_blocks(certificates):
+    """(energy, orthonormal columns) of each energy of ``certificates``, in
+    the form of ``brute_force_trapped``."""
+    energies = sorted({cert.energy for cert in certificates})
+    return [(energy, np.column_stack([c.vector for c in certificates if c.energy == energy]))
+            for energy in energies]
 
 
 def reference_support_sites(cert, tol=NODE_TOL):

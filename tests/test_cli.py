@@ -65,6 +65,24 @@ def test_trap_exit_three_when_nothing_trapped(tmp_path):
     assert main(["trap", str(path), "--subgraph", "0"]) == 3
 
 
+def test_trap_refuses_a_subgraph_beyond_the_cap_however_small_its_pieces(tmp_path, capsys):
+    # a chain of DEFAULT_SIZE_CAP + 1 sites whose every fourth site is a
+    # joint: ker C falls into pieces of 3 sites, but the search's leak and
+    # certificates grow with the whole subgraph, so it exits 4 at once
+    size = spectra.DEFAULT_SIZE_CAP + 1
+    joints = list(range(3, size, 4))
+    spec = {
+        "sites": size + len(joints),
+        "hoppings": [[i, i + 1, 1.0] for i in range(size - 1)]
+                    + [[site, size + k, 0.5] for k, site in enumerate(joints)],
+        "partition": [0] * size + [1] * len(joints),
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    assert main(["trap", str(path), "--subgraph", "0"]) == 4
+    assert f"subgraph size {size} exceeds cap" in capsys.readouterr().err
+
+
 def test_trap_disconnected_partition_warns(tmp_path, capsys):
     spec = {
         "sites": 4,

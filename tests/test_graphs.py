@@ -1,6 +1,8 @@
 """Graph model, Hamiltonian assembly and the side-coupled lattice builder."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,51 @@ def test_checked_entries_keep_their_python_types():
     assert {type(v) for bond in graph.hoppings for v in bond[:2]} == {int}
     assert {type(bond[2]) for bond in graph.hoppings} == {float}
     assert [tuple(map(type, p)) for p in graph.potentials] == [(int, float)] * 2
+
+
+def random_spec(rng):
+    """A random valid graph spec with its partition: bonds in either
+    orientation, strengths of each JSON kind (floats, integers, 0 and
+    -0.0), potentials keyed by site texts some of which, such as "01" and
+    "1", name one site twice, and labels that may skip values."""
+    n = int(rng.integers(1, 30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    kinds = [lambda: float(rng.normal()), lambda: int(rng.integers(-3, 4)),
+             lambda: 0.0, lambda: -0.0]
+    hoppings = [[j, i, kinds[rng.integers(4)]()] if rng.random() < 0.5 else
+                [i, j, kinds[rng.integers(4)]()] for i, j in (pairs[k] for k in rng.permutation(len(pairs)))]
+    potentials = {("0" * int(rng.integers(0, 2))) + str(int(site)): kinds[rng.integers(4)]()
+                  for site in rng.integers(0, n, size=int(rng.integers(0, 2 * n)))}
+    labels = rng.choice([0, 2, 5], size=n).tolist()
+    return {"sites": n, "hoppings": hoppings, "potentials": potentials, "partition": labels}
+
+
+@given(st.integers(0, 10_000))
+def test_a_parsed_graph_is_bitwise_the_one_built_from_tuples(seed):
+    # build_graph hands its graph the checked columns; what the graph and
+    # the partition hold is what tuples of the same values give
+    spec = random_spec(np.random.default_rng(seed))
+    hoppings = tuple((int(i), int(j), float(s)) for i, j, s in spec["hoppings"])
+    potentials = tuple(sorted((int(site), float(mu)) for site, mu in spec["potentials"].items()))
+    built = LatticeGraph(spec["sites"], hoppings, potentials)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(json.dumps(spec))
+        parsed, partition = parse_graph_file(path)
+    # repr tells int from np.int64, float from np.float64 and -0.0 from 0.0
+    assert repr(parsed.hoppings) == repr(hoppings)
+    assert repr(parsed.potentials) == repr(potentials)
+    assert parsed == built
+    for ours, theirs in zip(parsed.elements, built.elements):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert not ours.flags.writeable
+    reference = Partition(built, tuple(spec["partition"]))
+    assert partition.assignment == reference.assignment
+    assert partition.labels.dtype == reference.labels.dtype
+    assert partition.labels.tobytes() == reference.labels.tobytes()
+    assert not partition.labels.flags.writeable
+    with pytest.raises(AttributeError):
+        parsed.site_count = 1
 
 
 def test_two_subgraph_joints_recovered():
